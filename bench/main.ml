@@ -262,9 +262,51 @@ let micro () =
     let rng = Nv_util.Rng.create 7 in
     Test.make ~name:"zipf.sample" (Staged.stage (fun () -> ignore (Nv_util.Zipf.sample z rng)))
   in
+  let crc32c size len =
+    let b = Bytes.init len (fun i -> Char.chr (i land 0xFF)) in
+    Test.make ~name:("crc32c " ^ size)
+      (Staged.stage (fun () -> ignore (Nv_util.Crc32c.bytes b 0 len)))
+  in
+  (* The final write of a 1000-byte pool value: SID, pointer, then the
+     slot checksum over the value in place, on 1024 rows in turn with a
+     fence per round (one epoch's worth of dirty header lines). *)
+  let prow_set_version =
+    let rows = 1024 and row_size = 256 in
+    let values = rows * row_size in
+    let p =
+      Nv_nvmm.Pmem.create ~mode:Nv_nvmm.Pmem.Crash_safe ~size:(values + (rows * 1024)) ()
+    in
+    let s = stats () in
+    for r = 0 to rows - 1 do
+      Nv_storage.Prow.init p s ~base:(r * row_size) ~key:(Int64.of_int r) ~table:0;
+      Nv_nvmm.Pmem.fill p ~off:(values + (r * 1024)) ~len:1000 (Char.chr (r land 0xFF))
+    done;
+    Nv_nvmm.Pmem.fence p s;
+    let i = ref 0 in
+    Test.make ~name:"prow.set_version 1000 B (crash-safe)"
+      (Staged.stage (fun () ->
+           let r = !i land (rows - 1) in
+           incr i;
+           Nv_storage.Prow.set_version p s ~base:(r * row_size) ~slot:`V2
+             ~sid:(Int64.of_int !i)
+             ~ptr:(Nv_storage.Vptr.pool ~off:(values + (r * 1024)) ~len:1000)
+             ();
+           if r = rows - 1 then Nv_nvmm.Pmem.fence p s))
+  in
   let tests =
     Test.make_grouped ~name:"nvcaracal-micro"
-      [ pmem_write; pmem_write_cs; hash_index; ordered_index; btree_index; version_append; zipf ]
+      [
+        pmem_write;
+        pmem_write_cs;
+        hash_index;
+        ordered_index;
+        btree_index;
+        version_append;
+        zipf;
+        crc32c "1 KiB" 1024;
+        crc32c "1 MiB" (1 lsl 20);
+        prow_set_version;
+      ]
   in
   let benchmark () =
     let instances = Toolkit.Instance.[ monotonic_clock ] in

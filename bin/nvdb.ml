@@ -676,9 +676,8 @@ let serve_cmd =
         Format.fprintf ppf "journal records   %d@." (Nv_frontend.Journal.record_count j);
         Format.fprintf ppf "journal bytes     %d@." (Nv_frontend.Journal.used_bytes j);
         let pm = E.pmem db in
-        let image = Nv_nvmm.Pmem.read_bytes pm ~off:0 ~len:(Nv_nvmm.Pmem.size pm) in
         Format.fprintf ppf "pmem crc          %08lx@."
-          (Nv_util.Crc32c.bytes image 0 (Bytes.length image));
+          (Nv_nvmm.Pmem.crc32c pm ~off:0 ~len:(Nv_nvmm.Pmem.size pm));
         Nv_frontend.Journal.close j
     | None -> ());
     o.Cli.flush ();

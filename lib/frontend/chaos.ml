@@ -220,8 +220,7 @@ let oracle cfg ~journal_path =
   let digest = Batcher.state_digest b in
   let (Nvcaracal.Engine_intf.Packed ((module E), db)) = Batcher.engine b in
   let pm = E.pmem db in
-  let image = Nv_nvmm.Pmem.read_bytes pm ~off:0 ~len:(Nv_nvmm.Pmem.size pm) in
-  let crc = Nv_util.Crc32c.bytes image 0 (Bytes.length image) in
+  let crc = Nv_nvmm.Pmem.crc32c pm ~off:0 ~len:(Nv_nvmm.Pmem.size pm) in
   Journal.close opened.Journal.journal;
   (digest, crc)
 

@@ -141,18 +141,21 @@ let scan_region region =
 (* ------------------------------------------------------------------ *)
 (* File mirror                                                         *)
 
+let write_all fd b =
+  let len = Bytes.length b in
+  let sent = ref 0 in
+  while !sent < len do
+    match Unix.write fd b !sent (len - !sent) with
+    | n -> sent := !sent + n
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  done
+
 let pwrite_from_region t ~off ~len =
   match t.file with
   | None -> ()
   | Some fd ->
-      let b = Pmem.read_bytes t.region ~off ~len in
       ignore (Unix.lseek fd off Unix.SEEK_SET);
-      let sent = ref 0 in
-      while !sent < len do
-        match Unix.write fd b !sent (len - !sent) with
-        | n -> sent := !sent + n
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      done
+      write_all fd (Pmem.read_bytes t.region ~off ~len)
 
 let fsync t = match t.file with None -> () | Some fd -> Unix.fsync fd
 
@@ -215,8 +218,13 @@ let ckpt_magic = "NVCKPT01"
 
 let ckpt_path t = Option.map (fun p -> p ^ ".ckpt") t.file_path
 
-let encode_checkpoint ~meta ck =
-  let buf = Buffer.create (Bytes.length ck.ck_image + 1024) in
+(* File layout: [magic][meta][batches][sessions][image length] (the
+   header), then the image, then a CRC-32C over everything before it.
+   [write_checkpoint] streams the three parts straight to the fd, never
+   concatenating them: the image is by far the largest part, and one
+   copy of it (the caller's) is enough. *)
+let checkpoint_header ~meta ck =
+  let buf = Buffer.create 1024 in
   Buffer.add_string buf ckpt_magic;
   Buffer.add_int32_le buf (Int32.of_int (String.length meta));
   Buffer.add_string buf meta;
@@ -234,12 +242,7 @@ let encode_checkpoint ~meta ck =
         s.ss_window)
     ck.ck_sessions;
   Buffer.add_int64_le buf (Int64.of_int (Bytes.length ck.ck_image));
-  Buffer.add_bytes buf ck.ck_image;
-  let body = Buffer.to_bytes buf in
-  let out = Bytes.create (Bytes.length body + 4) in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  Bytes.set_int32_le out (Bytes.length body) (Crc.bytes body 0 (Bytes.length body));
-  out
+  Buffer.to_bytes buf
 
 let decode_checkpoint ~meta b =
   let len = Bytes.length b in
@@ -306,16 +309,13 @@ let write_checkpoint t ~batches ~sessions ~image =
   | None -> t.mem_ckpt <- Some ck
   | Some p ->
       let meta = match read_meta t.region with Some m -> m | None -> "" in
-      let blob = encode_checkpoint ~meta ck in
+      let header = checkpoint_header ~meta ck in
+      let crc = Crc.update (Crc.init ()) header 0 (Bytes.length header) in
+      let trailer = Bytes.create 4 in
+      Bytes.set_int32_le trailer 0 (Crc.finish (Crc.update crc image 0 (Bytes.length image)));
       let tmp = p ^ ".tmp" in
       let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-      let sent = ref 0 in
-      let len = Bytes.length blob in
-      while !sent < len do
-        match Unix.write fd blob !sent (len - !sent) with
-        | n -> sent := !sent + n
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      done;
+      List.iter (write_all fd) [ header; image; trailer ];
       Unix.fsync fd;
       Unix.close fd;
       Unix.rename tmp p;

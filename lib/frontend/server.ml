@@ -207,8 +207,7 @@ let live_stats_json t =
           | None -> []
           | Some (Nvcaracal.Engine_intf.Packed ((module E), db)) ->
               let pm = E.pmem db in
-              let image = Nv_nvmm.Pmem.read_bytes pm ~off:0 ~len:(Nv_nvmm.Pmem.size pm) in
-              let crc = Nv_util.Crc32c.bytes image 0 (Bytes.length image) in
+              let crc = Nv_nvmm.Pmem.crc32c pm ~off:0 ~len:(Nv_nvmm.Pmem.size pm) in
               [ ("pmem_crc", J.String (Printf.sprintf "%08lx" crc)) ]
         in
         [

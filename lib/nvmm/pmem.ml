@@ -230,6 +230,10 @@ let blit_from t ~src_off ~dst ~dst_off ~len =
   if !checks then check_bounds t src_off len;
   Bytes.blit t.data src_off dst dst_off len
 
+let crc32c t ~off ~len =
+  if !checks then check_bounds t off len;
+  Nv_util.Crc32c.bytes t.data off len
+
 let fill t ~off ~len c =
   if !checks then check_bounds t off len;
   pre_store t ~off ~len;

@@ -62,6 +62,11 @@ val blit_to : t -> src:bytes -> src_off:int -> dst_off:int -> len:int -> unit
 val blit_from : t -> src_off:int -> dst:bytes -> dst_off:int -> len:int -> unit
 val fill : t -> off:int -> len:int -> char -> unit
 
+val crc32c : t -> off:int -> len:int -> int32
+(** [Nv_util.Crc32c.bytes] of the volatile view's range, computed in
+    place: equal to checksumming [read_bytes t ~off ~len], without the
+    copy. Host-side only, like every checksum; charges nothing. *)
+
 (** {1 Persistence} *)
 
 val flush : ?charge:bool -> t -> Stats.t -> off:int -> len:int -> unit

@@ -33,7 +33,7 @@ let heap_off base = base + header_bytes
    (modelled as media/controller ECC) and charges nothing. *)
 let flush_header pmem stats ~base = Pmem.flush pmem stats ~off:base ~len:64
 
-let id_crc pmem ~base = Crc.bytes (Pmem.read_bytes pmem ~off:(key_off base) ~len:16) 0 16
+let id_crc pmem ~base = Pmem.crc32c pmem ~off:(key_off base) ~len:16
 
 let slot_crc ~sid ~ptr ~vcrc =
   let c = Crc.init () in
@@ -50,12 +50,8 @@ let empty_slot_crc = slot_crc ~sid:0L ~ptr:Vptr.null ~vcrc:0l
 let value_crc pmem ~base ptr =
   match Vptr.classify ptr with
   | Vptr.Null -> 0l
-  | Vptr.Inline { heap_off = hoff; len } ->
-      let b = Pmem.read_bytes pmem ~off:(heap_off base + hoff) ~len in
-      Crc.bytes b 0 len
-  | Vptr.Pool { off; len } ->
-      let b = Pmem.read_bytes pmem ~off ~len in
-      Crc.bytes b 0 len
+  | Vptr.Inline { heap_off = hoff; len } -> Pmem.crc32c pmem ~off:(heap_off base + hoff) ~len
+  | Vptr.Pool { off; len } -> Pmem.crc32c pmem ~off ~len
 
 let store_slot_crc pmem ~base slot ~sid ~ptr =
   Pmem.set_i32 pmem (slot_crc_off base slot) (slot_crc ~sid ~ptr ~vcrc:(value_crc pmem ~base ptr))

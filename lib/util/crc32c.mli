@@ -3,16 +3,24 @@
     Used by the persistent layout ({!Nv_storage}) to make media
     corruption detectable at recovery time. Computation is host-side
     only — on real hardware this is the SSE4.2 [crc32] instruction —
-    and is never charged to the simulated clock. *)
+    and is never charged to the simulated clock. The software kernel is
+    slicing-by-8 on native ints: no allocation per byte, one boxed
+    [int32] per call. *)
 
 val init : unit -> int32
+
 val update : int32 -> bytes -> int -> int -> int32
+(** [update crc buf off len] folds [buf.[off .. off+len-1]] into a
+    running (pre-inverted) register.
+    @raise Invalid_argument if the range is not inside [buf]. *)
+
 val int64 : int32 -> int64 -> int32
 val int32 : int32 -> int32 -> int32
 val finish : int32 -> int32
 
 val bytes : bytes -> int -> int -> int32
-(** One-shot checksum of a byte range. *)
+(** One-shot checksum of a byte range.
+    @raise Invalid_argument if the range is not inside the buffer. *)
 
 val string : string -> int32
 (** [string "123456789" = 0xE3069283l]. *)

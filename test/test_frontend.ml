@@ -352,8 +352,7 @@ let test_session_auto_flush_exact mk () =
 let spec_serial = Engine.spec (Engine.Caracal Nvcaracal.Config.Nvcaracal)
 let spec_aria = Engine.spec Engine.Caracal_aria
 
-let loaded_engine spec (w : W.t) =
-  let setup = Engine.setup ~epochs:64 ~epoch_txns:64 () in
+let loaded_engine ?(setup = Engine.setup ~epochs:64 ~epoch_txns:64 ()) spec (w : W.t) =
   let packed = Engine.instantiate spec setup w in
   (match packed with Engine_intf.Packed ((module E), db) -> E.bulk_load db (w.W.load ()));
   packed
@@ -652,6 +651,74 @@ let test_journal_checkpoint_truncate () =
   Sys.remove path;
   Sys.remove (path ^ ".ckpt")
 
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* The checkpoint encoder as it was before the writer streamed: the
+   whole file concatenated in a Buffer, copied out, then copied again
+   with the CRC trailer appended. The streamed file must be these exact
+   bytes. *)
+let concat_encode_checkpoint ~meta (ck : F_journal.checkpoint) =
+  let buf = Buffer.create (Bytes.length ck.F_journal.ck_image + 1024) in
+  Buffer.add_string buf "NVCKPT01";
+  Buffer.add_int32_le buf (Int32.of_int (String.length meta));
+  Buffer.add_string buf meta;
+  Buffer.add_int64_le buf (Int64.of_int ck.F_journal.ck_batches);
+  Buffer.add_int32_le buf (Int32.of_int (List.length ck.F_journal.ck_sessions));
+  List.iter
+    (fun s ->
+      Buffer.add_int32_le buf (Int32.of_int s.F_journal.ss_client);
+      Buffer.add_int64_le buf (Int64.of_int s.F_journal.ss_last_acked);
+      Buffer.add_int32_le buf (Int32.of_int (List.length s.F_journal.ss_window));
+      List.iter
+        (fun (seq, o) ->
+          Buffer.add_int64_le buf (Int64.of_int seq);
+          Buffer.add_uint8 buf (match o with `Committed -> 0 | `Aborted -> 1))
+        s.F_journal.ss_window)
+    ck.F_journal.ck_sessions;
+  Buffer.add_int64_le buf (Int64.of_int (Bytes.length ck.F_journal.ck_image));
+  Buffer.add_bytes buf ck.F_journal.ck_image;
+  let body = Buffer.to_bytes buf in
+  let out = Bytes.create (Bytes.length body + 4) in
+  Bytes.blit body 0 out 0 (Bytes.length body);
+  Bytes.set_int32_le out (Bytes.length body) (Nv_util.Crc32c.bytes body 0 (Bytes.length body));
+  Bytes.to_string out
+
+let test_checkpoint_stream_matches_concat () =
+  let path = tmpfile "journal-stream" in
+  (try Sys.remove path with Sys_error _ -> ());
+  let rng = Rng.create 17 in
+  (* An odd-length image, so the trailer lands unaligned. *)
+  let image = Bytes.init 100_003 (fun _ -> Char.chr (Rng.int rng 256)) in
+  let sessions =
+    [
+      { F_journal.ss_client = 3; ss_last_acked = 9; ss_window = [ (8, `Aborted); (9, `Committed) ] };
+      { F_journal.ss_client = 12; ss_last_acked = 0; ss_window = [] };
+    ]
+  in
+  let j = F_journal.create ~path ~meta:jmeta () in
+  F_journal.write_checkpoint j ~batches:41 ~sessions ~image;
+  F_journal.close j;
+  let expected =
+    concat_encode_checkpoint ~meta:jmeta
+      { F_journal.ck_batches = 41; ck_sessions = sessions; ck_image = image }
+  in
+  Alcotest.(check bool) "streamed file = concatenated encoding" true
+    (String.equal expected (read_file (path ^ ".ckpt")));
+  let o = F_journal.load ~path ~meta:jmeta in
+  (match o.F_journal.checkpoint with
+  | None -> Alcotest.fail "streamed checkpoint does not decode"
+  | Some ck ->
+      Alcotest.(check int) "batches" 41 ck.F_journal.ck_batches;
+      assert (ck.F_journal.ck_sessions = sessions);
+      assert (Bytes.equal ck.F_journal.ck_image image));
+  F_journal.close o.F_journal.journal;
+  Sys.remove path;
+  Sys.remove (path ^ ".ckpt")
+
 (* ------------------------------------------------------------------ *)
 (* Exactly-once sessions                                               *)
 
@@ -859,6 +926,67 @@ let test_restart_checkpoint_twin () =
   Alcotest.(check int) "twin batch count" (F_batcher.batches_run b) (F_batcher.batches_run b2);
   F_journal.close o.F_journal.journal;
   F_journal.close j;
+  Sys.remove path;
+  Sys.remove (path ^ ".ckpt")
+
+(* On-media compatibility across checksum kernels: a fixed journaled
+   run with a mid-run checkpoint, whose journal and checkpoint files
+   (length and CRC of every byte, engine image included) and recovered
+   state were recorded with the byte-at-a-time CRC kernel. Matching
+   bytes mean a file written by that kernel is this file, and the test
+   then loads and recovers it. *)
+let test_restart_files_match_recorded () =
+  let w = small_ycsb () in
+  let spec = { spec_serial with Engine.crash_safe = true } in
+  let setup = Engine.setup ~epochs:64 ~epoch_txns:64 () in
+  let registry = F_proc.of_workload w in
+  let path = tmpfile "journal-recorded" in
+  (try Sys.remove path with Sys_error _ -> ());
+  (try Sys.remove (path ^ ".ckpt") with Sys_error _ -> ());
+  let cfg = F_batcher.config ~batch_target:8 ~deadline_ticks:2 ~max_pending:4096 () in
+  let j = F_journal.create ~size:65536 ~path ~meta:jmeta () in
+  let b =
+    F_batcher.create ~cfg ~journal:j
+      ~shards:(local_set (loaded_engine ~setup spec w) w)
+      ~registry ~tables:w.W.tables ()
+  in
+  let clients = Array.init 4 (fun i -> mk_client ~seed:(60 + i) b) in
+  let round r =
+    Array.iteri (fun i cl -> ignore (submit_one b w cl ~req:(r + (i * 1000)))) clients;
+    F_batcher.tick b
+  in
+  for r = 0 to 5 do
+    round r
+  done;
+  F_batcher.flush b;
+  Alcotest.(check bool) "checkpoint written" true (F_batcher.checkpoint_now b);
+  for r = 6 to 11 do
+    round r
+  done;
+  F_batcher.drain b;
+  F_journal.close j;
+  let file_is name ~len ~crc p =
+    let s = read_file p in
+    Alcotest.(check int) (name ^ " length") len (String.length s);
+    Alcotest.(check int32) (name ^ " crc") crc (Nv_util.Crc32c.string s)
+  in
+  file_is "journal" ~len:1952 ~crc:0xe003d229l path;
+  file_is "checkpoint" ~len:5153645 ~crc:0x48674bc7l (path ^ ".ckpt");
+  let o = F_journal.load ~path ~meta:jmeta in
+  let boot = F_restart.boot spec setup w ~registry o in
+  Alcotest.(check bool) "restored from the checkpoint" true boot.F_restart.from_checkpoint;
+  let b2 =
+    F_batcher.create ~cfg ~shards:(local_set boot.F_restart.engine w) ~registry
+      ~tables:w.W.tables ()
+  in
+  F_batcher.recover b2 ~records:o.F_journal.records ~sessions:boot.F_restart.sessions
+    ~batches_done:boot.F_restart.batches_done;
+  Alcotest.(check int64) "recovered digest" 0x0aa5ff647469c4b2L (F_batcher.state_digest b2);
+  Alcotest.(check int) "recovered batches" 6 (F_batcher.batches_run b2);
+  let image = pmem_image (F_batcher.engine b2) in
+  Alcotest.(check int32) "recovered pmem crc" 0xee0e8914l
+    (Nv_util.Crc32c.bytes image 0 (Bytes.length image));
+  F_journal.close o.F_journal.journal;
   Sys.remove path;
   Sys.remove (path ^ ".ckpt")
 
@@ -1345,6 +1473,8 @@ let suites =
           test_journal_torn_tail;
         Alcotest.test_case "checkpoint + truncate keep only the uncovered tail" `Quick
           test_journal_checkpoint_truncate;
+        Alcotest.test_case "streamed checkpoint = concatenated encoding, decodes" `Quick
+          test_checkpoint_stream_matches_concat;
       ] );
     ( "frontend.proc",
       [ Alcotest.test_case "registry round-trips generated calls" `Quick test_proc_registry ] );
@@ -1389,6 +1519,8 @@ let suites =
           (test_batcher_journal_replay spec_aria);
         Alcotest.test_case "checkpoint + tail replay equals the uncrashed twin" `Quick
           test_restart_checkpoint_twin;
+        Alcotest.test_case "journal + checkpoint files match recorded bytes, recover" `Quick
+          test_restart_files_match_recorded;
       ] );
     ( "frontend.sockets",
       [

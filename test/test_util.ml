@@ -1,5 +1,6 @@
 (* Utility-layer tests: RNG determinism, Zipf shape, histogram
-   percentiles, priority-queue ordering, hash properties. *)
+   percentiles, priority-queue ordering, hash properties, and the
+   CRC-32C kernel against known vectors and a bitwise reference. *)
 
 let test_rng_determinism () =
   let a = Nv_util.Rng.create 42 and b = Nv_util.Rng.create 42 in
@@ -214,6 +215,124 @@ let prop_pqueue_sorted =
       let out = drain [] in
       out = List.sort compare prios)
 
+(* ------------------------------------------------------------------ *)
+(* CRC-32C                                                             *)
+
+module Crc = Nv_util.Crc32c
+
+(* Bit-at-a-time reference straight from the definition (reflected
+   polynomial 0x82F63B78, pre- and post-inverted), sharing nothing with
+   the table-driven kernel. *)
+let ref_crc b off len =
+  let c = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then (!c lsr 1) lxor 0x82F63B78 else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let check_crc msg expected got = Alcotest.(check int32) msg expected got
+
+(* RFC 3720 (iSCSI) appendix B.4 vectors, plus the customary check
+   value. *)
+let test_crc32c_vectors () =
+  let all n f = Bytes.init n (fun i -> Char.chr (f i)) in
+  let v msg expected b = check_crc msg expected (Crc.bytes b 0 (Bytes.length b)) in
+  v "32 x 00" 0x8A9136AAl (Bytes.make 32 '\000');
+  v "32 x ff" 0x62A8AB43l (Bytes.make 32 '\255');
+  v "bytes 0..31" 0x46DD794El (all 32 (fun i -> i));
+  v "bytes 31..0" 0x113FDB5Cl (all 32 (fun i -> 31 - i));
+  let pdu =
+    [|
+      0x01; 0xc0; 0x00; 0x00; 0x00; 0x00; 0x00; 0x00; 0x00; 0x00; 0x00; 0x00; 0x00; 0x00; 0x00; 0x00;
+      0x14; 0x00; 0x00; 0x00; 0x00; 0x00; 0x04; 0x00; 0x00; 0x00; 0x00; 0x14; 0x00; 0x00; 0x00; 0x18;
+      0x28; 0x00; 0x00; 0x00; 0x00; 0x00; 0x00; 0x00; 0x02; 0x00; 0x00; 0x00; 0x00; 0x00; 0x00; 0x00;
+    |]
+  in
+  v "iscsi read pdu" 0xD9963A56l (all (Array.length pdu) (Array.get pdu));
+  check_crc "123456789" 0xE3069283l (Crc.string "123456789");
+  check_crc "empty" 0l (Crc.string "")
+
+(* Random unaligned offsets and every tail length 0..7 past a multiple
+   of the 8-byte stride, against the bitwise reference. *)
+let prop_crc32c_reference =
+  QCheck.Test.make ~name:"crc32c = bitwise reference (unaligned, all tails)" ~count:500
+    QCheck.(triple (int_bound 1_000_000) (int_bound 15) (int_bound 64))
+    (fun (seed, off, words) ->
+      let rng = Nv_util.Rng.create seed in
+      let b = Bytes.init (16 + (8 * words) + 8) (fun _ -> Char.chr (Nv_util.Rng.int rng 256)) in
+      List.for_all
+        (fun tail ->
+          let len = (8 * words) + tail in
+          Crc.bytes b off len = ref_crc b off len)
+        [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+
+let test_crc32c_composition () =
+  let rng = Nv_util.Rng.create 11 in
+  let b = Bytes.init 4099 (fun _ -> Char.chr (Nv_util.Rng.int rng 256)) in
+  let n = Bytes.length b in
+  (* Chained [update] over any split equals the one-shot checksum. *)
+  List.iter
+    (fun cut ->
+      let c = Crc.update (Crc.init ()) b 0 cut in
+      let c = Crc.update c b cut (n - cut) in
+      check_crc (Printf.sprintf "split at %d" cut) (Crc.bytes b 0 n) (Crc.finish c))
+    [ 0; 1; 7; 8; 9; 1000; 4096; n ];
+  (* The word forms fold their little-endian bytes. *)
+  for _ = 1 to 200 do
+    let v = Nv_util.Rng.next_int64 rng and w = Int64.to_int32 (Nv_util.Rng.next_int64 rng) in
+    let start = Crc.update (Crc.init ()) b 0 (Nv_util.Rng.int rng 64) in
+    let le8 = Bytes.create 8 and le4 = Bytes.create 4 in
+    Bytes.set_int64_le le8 0 v;
+    Bytes.set_int32_le le4 0 w;
+    check_crc "int64 = update over le bytes" (Crc.update start le8 0 8) (Crc.int64 start v);
+    check_crc "int32 = update over le bytes" (Crc.update start le4 0 4) (Crc.int32 start w);
+    check_crc "int64_crc = bytes" (Crc.bytes le8 0 8) (Crc.int64_crc v)
+  done;
+  (* In-place range checksums over a region equal checksumming a copy. *)
+  let pm = Nv_nvmm.Pmem.create ~size:8192 () in
+  Nv_nvmm.Pmem.write_bytes pm ~off:0 (Bytes.sub b 0 4096);
+  for _ = 1 to 200 do
+    let off = Nv_util.Rng.int rng 8192 in
+    let len = Nv_util.Rng.int rng (8192 - off + 1) in
+    check_crc "Pmem.crc32c = bytes of read_bytes"
+      (Crc.bytes (Nv_nvmm.Pmem.read_bytes pm ~off ~len) 0 len)
+      (Nv_nvmm.Pmem.crc32c pm ~off ~len)
+  done
+
+(* An out-of-range call used to checksum whatever memory followed the
+   buffer; now it is rejected once per call, before any byte is read. *)
+let test_crc32c_range_checked () =
+  let b = Bytes.make 16 'x' in
+  let rejects msg f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted an out-of-range call" msg
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "past the end" (fun () -> Crc.update (Crc.init ()) b 8 9);
+  rejects "negative offset" (fun () -> Crc.update (Crc.init ()) b (-1) 4);
+  rejects "negative length" (fun () -> Crc.bytes b 4 (-1));
+  rejects "offset past the end" (fun () -> Crc.bytes b 17 0);
+  rejects "huge length" (fun () -> Crc.bytes b 1 max_int);
+  check_crc "empty range at the end" 0l (Crc.bytes b 16 0);
+  check_crc "full range" (ref_crc b 0 16) (Crc.bytes b 0 16)
+
+(* Allocation guard: the kernel must not box per byte or per word. A
+   64 KiB checksum returns one boxed int32 (3 words); the byte-at-a-time
+   Int32 loop it replaced allocated ~400 K words here. *)
+let test_crc32c_allocation_free () =
+  let b = Bytes.make 65536 'z' in
+  ignore (Sys.opaque_identity (Crc.bytes b 0 65536));
+  let before = Gc.minor_words () in
+  let c = Crc.bytes b 0 65536 in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity c);
+  Alcotest.(check bool)
+    (Printf.sprintf "64 KiB checksum allocated %.0f minor words (< 16)" words)
+    true (words < 16.)
+
 let suites =
   [
     ( "util",
@@ -234,5 +353,14 @@ let suites =
         QCheck_alcotest.to_alcotest prop_fnv_nonnegative;
         QCheck_alcotest.to_alcotest prop_fnv_deterministic;
         QCheck_alcotest.to_alcotest prop_pqueue_sorted;
+      ] );
+    ( "crc32c",
+      [
+        Alcotest.test_case "rfc 3720 vectors" `Quick test_crc32c_vectors;
+        QCheck_alcotest.to_alcotest prop_crc32c_reference;
+        Alcotest.test_case "chained, word and in-place forms agree" `Quick
+          test_crc32c_composition;
+        Alcotest.test_case "out-of-range calls rejected" `Quick test_crc32c_range_checked;
+        Alcotest.test_case "64 KiB checksum allocation-free" `Quick test_crc32c_allocation_free;
       ] );
   ]
