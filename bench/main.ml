@@ -212,6 +212,21 @@ let micro () =
               bound across iterations. *)
            if !i land 0xFFF = 0 then Nv_nvmm.Pmem.fence p s))
   in
+  (* One value write's persistence cycle on a crash-safe region: 16
+     dirty lines tracked, captured by clwb and retired by the fence. *)
+  let pmem_blit_cs =
+    let p = Nv_nvmm.Pmem.create ~mode:Nv_nvmm.Pmem.Crash_safe ~size:(1 lsl 20) () in
+    let s = stats () in
+    let src = Bytes.make 1000 'v' in
+    let i = ref 0 in
+    Test.make ~name:"pmem.blit 1000 B+flush+fence (crash-safe)"
+      (Staged.stage (fun () ->
+           let off = (!i land 0x3FF) * 1024 in
+           incr i;
+           Nv_nvmm.Pmem.blit_to p ~src ~src_off:0 ~dst_off:off ~len:1000;
+           Nv_nvmm.Pmem.flush p s ~off ~len:1000;
+           Nv_nvmm.Pmem.fence p s))
+  in
   let hash_index =
     let h = Nv_index.Hash_index.create ~initial_capacity:(1 lsl 16) () in
     let s = stats () in
@@ -298,6 +313,7 @@ let micro () =
       [
         pmem_write;
         pmem_write_cs;
+        pmem_blit_cs;
         hash_index;
         ordered_index;
         btree_index;

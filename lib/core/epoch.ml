@@ -483,28 +483,31 @@ let index_remove t stats ~table ~key =
 let is_pool ptr = match Vptr.classify ptr with Vptr.Pool _ -> true | _ -> false
 let is_inline ptr = match Vptr.classify ptr with Vptr.Inline _ -> true | _ -> false
 
-(* Store one version value into the transient pool, charging per the
-   design variant: DRAM for NVCaracal/all-DRAM, NVMM for designs that
-   persist every update. The initial-version copy counts as a DRAM
-   cache fill for the hybrid design (its cache works like Zen's). *)
-let store_version_value t stats ~core ?(initial = false) data =
-  let nvmm_path =
+(* Charge one [len]-byte version value just placed in the transient
+   pool, per the design variant: DRAM for NVCaracal/all-DRAM, NVMM for
+   designs that persist every update. The initial-version copy counts as
+   a DRAM cache fill for the hybrid design (its cache works like Zen's). *)
+let charge_version_value t stats ~initial ~len =
+  let spec = Stats.spec stats in
+  if
     Config.writes_all_updates_to_nvmm t.config
     && not (initial && t.config.Config.variant = Config.Hybrid)
-  in
-  let vref = TP.write t.tpool stats ~charge:(not nvmm_path) ~core data in
-  if nvmm_path then begin
+  then
     (* Every update is individually made durable (these designs recover
        from the updates themselves): a flush per update costs a full
        NVMM block write — Optane's 256-byte internal write — even for
        small values. *)
-    let len = Bytes.length data in
-    Stats.nvmm_write_blocks stats (Memspec.blocks_touched (Stats.spec stats) ~off:0 ~len)
-  end;
+    Stats.nvmm_write_blocks stats (Memspec.blocks_touched spec ~off:0 ~len)
+  else Stats.dram_write stats ~lines:(Memspec.lines_touched spec ~off:0 ~len) ();
   if Config.redo_logs_updates t.config then
     (* Traditional WAL (section 2.1): every committed update is
        redo-logged to NVMM before it is checkpointed in place. *)
-    Stats.nvmm_seq_write stats ~bytes:(24 + Bytes.length data);
+    Stats.nvmm_seq_write stats ~bytes:(24 + len)
+
+(* Store one version value into the transient pool and charge it. *)
+let store_version_value t stats ~core data =
+  let vref = TP.write t.tpool stats ~charge:false ~core data in
+  charge_version_value t stats ~initial:false ~len:(Bytes.length data);
   t.m_version_writes.(core) <- t.m_version_writes.(core) + 1;
   vref
 
@@ -605,35 +608,39 @@ let ensure_varray t stats ~core (row : Row.t) =
     t.touched <- row :: t.touched;
     ensure_mirror t stats row;
     (* Copy the committed value in as the initial version; the cached
-       version, if any, is consumed (paper section 4.1). *)
-    let init_data =
+       version, if any, is consumed (paper section 4.1). A value in
+       NVMM is read straight into the transient pool; its charge waits
+       until the slot exists, as for a cached one. *)
+    let init =
       match row.Row.cached with
       | Some c when Config.caching_enabled t.config ->
-          Stats.dram_read stats
-            ~lines:
-              (Memspec.lines_touched (Stats.spec stats) ~off:0 ~len:(Bytes.length c.Row.data))
-            ();
           let data = c.Row.data in
+          Stats.dram_read stats
+            ~lines:(Memspec.lines_touched (Stats.spec stats) ~off:0 ~len:(Bytes.length data))
+            ();
           Cache.drop t.cache stats row;
-          Some data
+          Some (TP.write t.tpool stats ~charge:false ~core data)
       | _ -> (
           match checkpoint_pversion t row with
           | None -> None
           | Some pv ->
               Stats.nvmm_read_blocks stats 1;
+              let ptr = pv.Row.pptr in
               Some
-                (Prow.read_value t.pmem stats ~base:row.Row.prow_base pv.Row.pptr
-                   ~header_charged:true ()))
+                (TP.write_from t.tpool stats ~charge:false ~core ~len:(Vptr.len ptr)
+                   (fun dst dst_off ->
+                     Prow.read_value_into t.pmem stats ~base:row.Row.prow_base ptr
+                       ~header_charged:true ~dst ~dst_off ())))
     in
-    match init_data with
+    match init with
     | None -> ()
-    | Some data ->
+    | Some vref ->
         VA.append va stats Sid.none;
         let slot = VA.find va stats Sid.none in
-        slot.VA.value <- VA.Written (store_version_value t stats ~core ~initial:true data);
-        slot.VA.write_time <- Stats.now stats;
-        (* The copy is bookkeeping, not an update. *)
-        t.m_version_writes.(core) <- t.m_version_writes.(core) - 1
+        (* The copy is bookkeeping, not an update: no version write. *)
+        charge_version_value t stats ~initial:true ~len:vref.TP.len;
+        slot.VA.value <- VA.Written vref;
+        slot.VA.write_time <- Stats.now stats
   end;
   match row.Row.varray with Some va -> va | None -> assert false
 

@@ -249,8 +249,7 @@ val is_inline : Vptr.t -> bool
 
 (** Store one version value into the transient pool, charging per the
     design variant (NVMM for designs that persist every update). *)
-val store_version_value :
-  t -> Stats.t -> core:int -> ?initial:bool -> bytes -> TP.vref
+val store_version_value : t -> Stats.t -> core:int -> bytes -> TP.vref
 
 (** Load a version value back, with the matching charge. *)
 val load_version_value : t -> Stats.t -> initial:bool -> TP.vref -> bytes

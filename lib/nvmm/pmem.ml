@@ -3,17 +3,60 @@ type mode = Fast | Crash_safe
 let line_size = 64
 
 (* Per-line persistence bookkeeping, present only while the line has
-   unpersisted state. [persisted] is the content that survives a crash
-   with certainty. [snapshots] records the line content after each store
-   since [persisted], oldest first, so a crash may legally surface any
-   prefix of the store sequence. [queued] is the content captured by the
-   most recent clwb (plus how many snapshots existed at capture time),
-   which becomes [persisted] at the next fence. *)
+   unpersisted state. [states] holds every state a crash may surface for
+   the line, back to back in [line_size] slots: state 0 is the content
+   that survives a crash with certainty, state k (1 <= k <= [n_snaps])
+   the content after the k-th store since then, so a crash may legally
+   surface any prefix of the store sequence. [queued] is the number of
+   stores the most recent clwb captured (-1: none); at the next fence
+   state [queued] becomes state 0.
+
+   Invariant: a tracked line's volatile content equals its newest
+   state, state [n_snaps] — [pre_store] copies the line into state 0
+   before the first store and [note_store] appends it after every
+   store. A clwb therefore captures state [n_snaps] and records a count
+   instead of a copy. Nothing else writes a tracked line's volatile
+   view: fault injection keeps to clean lines.
+
+   Clean lines share the [clean] sentinel (never mutated). The record
+   of a line that turns clean goes to a bounded per-region free pool,
+   so steady-state tracking allocates nothing. [base] is the
+   default-size buffer the record was created with: a line that takes
+   more stores grows [states] past it, and the record returns to the
+   pool with [base] again, dropping the grown buffer. Dropping the
+   whole record instead would let every pooled record that grew die in
+   the major heap and be replaced by a fresh one that the pool then
+   promotes: on TPC-C that raised promoted words by a third and peak
+   RSS by a tenth. *)
 type line_state = {
-  mutable persisted : bytes;
-  mutable snapshots : bytes list; (* oldest first *)
-  mutable queued : (bytes * int) option;
+  mutable states : bytes;
+  base : bytes;
+  mutable n_snaps : int;
+  mutable queued : int;
 }
+
+let clean = { states = Bytes.empty; base = Bytes.empty; n_snaps = 0; queued = -1 }
+
+(* Room for the persisted state and one store, which is all most lines
+   take between fences (a value line is written once per epoch); a row
+   header's few stores grow its buffer by doubling. A larger default
+   mostly inflates a bulk load's peak, when every line is dirty. *)
+let default_states_bytes = 2 * line_size
+
+(* At most this many clean records stay pooled (about 12 MB), enough for
+   the lines one large epoch dirties. A bulk load dirties far more;
+   pooling them all, or pooling grown buffers, would pin that peak in
+   memory. *)
+let pool_cap = 1 lsl 16
+
+(* Below the cap, the pool keeps only as many records as the most lines
+   newly dirtied between two fences over the last [need_window] to
+   [2 * need_window] fences. After a bulk load it thus shrinks to what
+   the workload's epochs dirty: records nobody takes are live data that
+   slows the major GC (SmallBank with checkpoints peaked 30-60 MB
+   higher with a full pool), while a large epoch, a handful of fences
+   apart from the next, finds all its records pooled. *)
+let need_window = 64
 
 (* Media-fault bookkeeping. All fields stay at their zero state unless a
    fault-injection entry point was called, so fault-free runs (including
@@ -35,24 +78,30 @@ type fault_model = {
 let no_faults = { torn_frac = 0.0; rot_lines = 0; rot_max_bits = 0; dead = 0 }
 
 (* Dirty-line tracking is direct-mapped: a preallocated per-line state
-   array (indexed by line number; [Some] iff the line has unpersisted
-   stores) plus an unordered list of the dirty line numbers so [fence]
-   and [crash] never scan the whole region. The array replaces a
-   hashtable keyed by line index — the per-store membership probe is the
-   hottest operation in Crash_safe mode, and an array load beats
-   hashing. Fast mode allocates no tracking at all. *)
+   array (indexed by line number; not [clean] iff the line has
+   unpersisted stores) plus an unordered growable array of the dirty
+   line numbers so [fence] and [crash] never scan the whole region. The
+   array replaces a hashtable keyed by line index — the per-store
+   membership probe is the hottest operation in Crash_safe mode, and an
+   array load beats hashing. Fast mode allocates no tracking at all. *)
 type t = {
   mode : mode;
   data : bytes; (* volatile view *)
   size : int;
-  line_states : line_state option array; (* per line; empty in Fast mode *)
-  mutable dirty_lines : int list; (* lines with [Some] state, unordered *)
+  line_states : line_state array; (* per line; empty in Fast mode *)
+  mutable dirty : int array; (* [0, n_dirty): lines not [clean], unordered *)
   mutable n_dirty : int;
   mutable stripe_dirty : int list array;
       (* striped execution ([begin_stripes] .. [end_stripes]): newly
          dirtied line numbers accumulate per stripe instead of on the
-         shared [dirty_lines] list, and are unioned at the join. Empty
+         shared [dirty] array, and are unioned at the join. Empty
          ([[||]]) whenever striping is off. *)
+  mutable pool : line_state array; (* [0, n_pool): free default-size records *)
+  mutable n_pool : int;
+  mutable fences : int;
+  mutable need : int; (* most lines newly dirtied between fences, this window *)
+  mutable need_prev : int; (* the same over the previous window *)
+  mutable dirty_after_fence : int; (* [n_dirty] when the last fence ended *)
   dead_lines : (int, unit) Hashtbl.t; (* lines whose reads fault *)
   crash_dirty : (int, unit) Hashtbl.t; (* lines dirty at any past crash *)
   mutable faults : fault_report;
@@ -77,11 +126,17 @@ let create ?(mode = Fast) ~size () =
     data = Bytes.make size '\000';
     size;
     line_states =
-      (if mode = Crash_safe then Array.make ((size + line_size - 1) / line_size) None
+      (if mode = Crash_safe then Array.make ((size + line_size - 1) / line_size) clean
        else [||]);
-    dirty_lines = [];
+    dirty = [||];
     n_dirty = 0;
     stripe_dirty = [||];
+    pool = [||];
+    n_pool = 0;
+    fences = 0;
+    need = 0;
+    need_prev = 0;
+    dirty_after_fence = 0;
     dead_lines = Hashtbl.create 4;
     crash_dirty = Hashtbl.create 64;
     faults = zero_faults;
@@ -90,10 +145,33 @@ let create ?(mode = Fast) ~size () =
 let mode t = t.mode
 let size t = t.size
 
-let copy_line t li =
-  let b = Bytes.create line_size in
-  Bytes.blit t.data (li * line_size) b 0 line_size;
-  b
+let push_dirty t li =
+  if t.n_dirty = Array.length t.dirty then begin
+    let grown = Array.make (max 64 (2 * t.n_dirty)) 0 in
+    Array.blit t.dirty 0 grown 0 t.n_dirty;
+    t.dirty <- grown
+  end;
+  t.dirty.(t.n_dirty) <- li;
+  t.n_dirty <- t.n_dirty + 1
+
+let pool_limit t = min pool_cap (max t.need t.need_prev)
+
+(* A line turned clean: keep its record for reuse if the pool has room. *)
+let release t st =
+  if t.n_pool < pool_limit t then begin
+    st.states <- st.base;
+    if t.n_pool = Array.length t.pool then begin
+      let grown = Array.make (min pool_cap (max 64 (2 * t.n_pool))) clean in
+      Array.blit t.pool 0 grown 0 t.n_pool;
+      t.pool <- grown
+    end;
+    t.pool.(t.n_pool) <- st;
+    t.n_pool <- t.n_pool + 1
+  end
+
+let fresh_state () =
+  let b = Bytes.create default_states_bytes in
+  { states = b; base = b; n_snaps = 0; queued = -1 }
 
 (* Record that bytes [off, off+len) were just stored. Must be called
    after the volatile view was updated. In Fast mode this is free. *)
@@ -102,10 +180,18 @@ let note_store t ~off ~len =
     let first = off / line_size and last = (off + len - 1) / line_size in
     for li = first to last do
       (* [pre_store] has already captured the pre-store baseline, so the
-         state must exist; append the after-store snapshot. *)
-      match t.line_states.(li) with
-      | Some st -> st.snapshots <- st.snapshots @ [ copy_line t li ]
-      | None -> assert false
+         state must exist; append the after-store state. *)
+      let st = t.line_states.(li) in
+      assert (st != clean);
+      let k = st.n_snaps + 1 in
+      let pos = k * line_size in
+      if pos + line_size > Bytes.length st.states then begin
+        let grown = Bytes.create (2 * Bytes.length st.states) in
+        Bytes.blit st.states 0 grown 0 pos;
+        st.states <- grown
+      end;
+      Bytes.blit t.data (li * line_size) st.states pos line_size;
+      st.n_snaps <- k
     done
   end
 
@@ -120,28 +206,38 @@ let stripe_key = Domain.DLS.new_key (fun () -> 0)
 
    During striped execution the newly-dirty line number goes to the
    calling stripe's private list (and [n_dirty] is deferred to
-   [end_stripes]), so concurrent stripes never contend on the shared
-   list. Distinct stripes touch disjoint line sets — that is the
-   caller's eligibility contract — so [line_states] element writes are
-   race-free, and per-line state mutation ([note_store]/[flush]) stays
-   confined to the one stripe that owns the line. *)
+   [end_stripes]), and the line's record is freshly allocated rather
+   than taken from the shared pool, so concurrent stripes never contend
+   on shared bookkeeping. Distinct stripes touch disjoint line sets —
+   that is the caller's eligibility contract — so [line_states] element
+   writes are race-free, and per-line state mutation
+   ([note_store]/[flush]) stays confined to the one stripe that owns
+   the line. *)
 let pre_store t ~off ~len =
   if t.mode = Crash_safe && len > 0 then begin
     let first = off / line_size and last = (off + len - 1) / line_size in
     for li = first to last do
-      match t.line_states.(li) with
-      | Some _ -> ()
-      | None ->
-          t.line_states.(li) <-
-            Some { persisted = copy_line t li; snapshots = []; queued = None };
-          if Array.length t.stripe_dirty = 0 then begin
-            t.dirty_lines <- li :: t.dirty_lines;
-            t.n_dirty <- t.n_dirty + 1
-          end
+      if t.line_states.(li) == clean then begin
+        let striped = Array.length t.stripe_dirty > 0 in
+        let st =
+          if striped || t.n_pool = 0 then fresh_state ()
           else begin
-            let s = Domain.DLS.get stripe_key in
-            t.stripe_dirty.(s) <- li :: t.stripe_dirty.(s)
+            t.n_pool <- t.n_pool - 1;
+            let st = t.pool.(t.n_pool) in
+            t.pool.(t.n_pool) <- clean;
+            st
           end
+        in
+        Bytes.blit t.data (li * line_size) st.states 0 line_size;
+        st.n_snaps <- 0;
+        st.queued <- -1;
+        t.line_states.(li) <- st;
+        if not striped then push_dirty t li
+        else begin
+          let s = Domain.DLS.get stripe_key in
+          t.stripe_dirty.(s) <- li :: t.stripe_dirty.(s)
+        end
+      end
     done
   end
 
@@ -149,8 +245,8 @@ let pre_store t ~off ~len =
    dirty sets during a wide phase, unioned at the join barrier. Only
    meaningful in Crash_safe mode; a Fast region makes all three no-ops.
    [fence]/[crash]/inspection must not run between [begin_stripes] and
-   [end_stripes] (they would miss the striped lines). The merged list
-   order differs from serial execution's, which is unobservable: every
+   [end_stripes] (they would miss the striped lines). The merged order
+   differs from serial execution's, which is unobservable: every
    consumer either sorts ([sorted_dirty], [crash], [unpersisted_ranges])
    or is per-line commutative ([fence]). *)
 let begin_stripes t ~n =
@@ -160,17 +256,14 @@ let set_stripe t s = if t.mode = Crash_safe then Domain.DLS.set stripe_key s
 
 let end_stripes t =
   if Array.length t.stripe_dirty > 0 then begin
-    Array.iter
-      (fun l ->
-        t.dirty_lines <- List.rev_append l t.dirty_lines;
-        t.n_dirty <- t.n_dirty + List.length l)
-      t.stripe_dirty;
+    Array.iter (List.iter (push_dirty t)) t.stripe_dirty;
     t.stripe_dirty <- [||]
   end
 
 let check_bounds t off len =
   if off < 0 || len < 0 || off + len > t.size then
-    invalid_arg (Printf.sprintf "Pmem: range [%d, %d) out of bounds (size %d)" off (off + len) len)
+    invalid_arg
+      (Printf.sprintf "Pmem: range [%d, %d) out of bounds (size %d)" off (off + len) t.size)
 
 let get_i64 t off =
   if !checks then begin
@@ -240,52 +333,83 @@ let fill t ~off ~len c =
   Bytes.fill t.data off len c;
   note_store t ~off ~len
 
+(* The clwb capture is the line's newest state (see the invariant on
+   [line_state]), so remembering its index is enough. *)
 let flush ?(charge = true) t stats ~off ~len =
   if len > 0 then begin
     if !checks then check_bounds t off len;
     let first = off / line_size and last = (off + len - 1) / line_size in
     for li = first to last do
       if charge then Stats.flush stats;
-      if t.mode = Crash_safe then
-        match t.line_states.(li) with
-        | None -> () (* clean line: clwb is a no-op *)
-        | Some st -> st.queued <- Some (copy_line t li, List.length st.snapshots)
+      if t.mode = Crash_safe then begin
+        let st = t.line_states.(li) in
+        (* clean line: clwb is a no-op *)
+        if st != clean then st.queued <- st.n_snaps
+      end
     done
   end
+
+external get64 : bytes -> int -> int64 = "%caml_bytes_get64"
+
+(* Whether the volatile line equals state [k]; unboxed word compares. *)
+let volatile_is_state t li st k =
+  let base = li * line_size and sbase = k * line_size in
+  let i = ref 0 in
+  while !i < line_size && get64 t.data (base + !i) = get64 st.states (sbase + !i) do
+    i := !i + 8
+  done;
+  !i = line_size
+
+(* A fence that leaves the dirty array under a quarter full shrinks it,
+   but never below this many entries: only the array a burst (a bulk
+   load) grew is given back. *)
+let dirty_keep = 1 lsl 16
 
 let fence t stats =
   Stats.fence stats;
   if t.mode = Crash_safe then begin
-    let still = ref [] and n = ref 0 in
-    List.iter
-      (fun li ->
-        match t.line_states.(li) with
-        | None -> ()
-        | Some st ->
-            (match st.queued with
-            | None ->
-                still := li :: !still;
-                incr n
-            | Some (content, n_at_capture) ->
-                st.persisted <- content;
-                st.queued <- None;
-                (* Drop snapshots that predate the captured content: they
-                   can no longer be crash states because something newer
-                   is guaranteed durable. *)
-                let total = List.length st.snapshots in
-                let keep = total - n_at_capture in
-                st.snapshots <-
-                  (if keep <= 0 then []
-                   else List.filteri (fun i _ -> i >= n_at_capture) st.snapshots);
-                if st.snapshots = [] && Bytes.equal st.persisted (copy_line t li) then
-                  t.line_states.(li) <- None
-                else begin
-                  still := li :: !still;
-                  incr n
-                end))
-      t.dirty_lines;
-    t.dirty_lines <- !still;
-    t.n_dirty <- !n
+    t.need <- max t.need (t.n_dirty - t.dirty_after_fence);
+    t.fences <- t.fences + 1;
+    if t.fences mod need_window = 0 then begin
+      t.need_prev <- t.need;
+      t.need <- 0
+    end;
+    let kept = ref 0 in
+    for i = 0 to t.n_dirty - 1 do
+      let li = t.dirty.(i) in
+      let st = t.line_states.(li) in
+      let k = st.queued in
+      if k >= 0 && k = st.n_snaps && volatile_is_state t li st k then begin
+        (* Every store was captured and none followed (the volatile view
+           still is the captured state): the line is clean. *)
+        t.line_states.(li) <- clean;
+        release t st
+      end
+      else begin
+        if k >= 0 then begin
+          (* The captured state k is now durable: states older than it
+             can no longer surface in a crash, so drop them by moving
+             state k and every newer one to the front. *)
+          if k > 0 then
+            Bytes.blit st.states (k * line_size) st.states 0
+              ((st.n_snaps - k + 1) * line_size);
+          st.n_snaps <- st.n_snaps - k;
+          st.queued <- -1
+        end;
+        t.dirty.(!kept) <- li;
+        incr kept
+      end
+    done;
+    t.n_dirty <- !kept;
+    t.dirty_after_fence <- !kept;
+    let limit = pool_limit t in
+    if t.n_pool > limit then begin
+      Array.fill t.pool limit (t.n_pool - limit) clean;
+      t.n_pool <- limit
+    end;
+    let cap = Array.length t.dirty in
+    if cap > dirty_keep && t.n_dirty < cap / 4 then
+      t.dirty <- Array.sub t.dirty 0 (max dirty_keep (2 * t.n_dirty))
   end
 
 let persist t stats ~off ~len =
@@ -308,11 +432,7 @@ let charge_write _t stats ~off ~len = Stats.nvmm_write stats ~off ~len
 let charge_seq_write _t stats ~bytes = Stats.nvmm_seq_write stats ~bytes
 
 let apply_crash_choice t li st idx =
-  let content =
-    if idx = 0 then st.persisted
-    else List.nth st.snapshots (idx - 1)
-  in
-  Bytes.blit content 0 t.data (li * line_size) line_size
+  Bytes.blit st.states (idx * line_size) t.data (li * line_size) line_size
 
 (* Remember which lines were in flight when the machine died —
    accumulated across crashes so a crash during recovery keeps the
@@ -320,19 +440,20 @@ let apply_crash_choice t li st idx =
    legitimate epoch turnover (a stale version whose value bytes were
    being overwritten) apart from media damage to cold data. *)
 let finish_crash t =
-  List.iter
-    (fun li ->
-      Hashtbl.replace t.crash_dirty li ();
-      t.line_states.(li) <- None)
-    t.dirty_lines;
-  t.dirty_lines <- [];
-  t.n_dirty <- 0
+  for i = 0 to t.n_dirty - 1 do
+    let li = t.dirty.(i) in
+    Hashtbl.replace t.crash_dirty li ();
+    release t t.line_states.(li);
+    t.line_states.(li) <- clean
+  done;
+  t.n_dirty <- 0;
+  t.dirty_after_fence <- 0
 
-(* Dirty line numbers in ascending order, with their states. *)
+(* Dirty line numbers in ascending order. *)
 let sorted_dirty t =
-  List.map
-    (fun li -> (li, Option.get t.line_states.(li)))
-    (List.sort compare t.dirty_lines)
+  let a = Array.sub t.dirty 0 t.n_dirty in
+  Array.sort Int.compare a;
+  a
 
 let require_crash_safe t =
   if t.mode <> Crash_safe then invalid_arg "Pmem.crash: region is in Fast mode"
@@ -341,9 +462,10 @@ let crash_with t ~choose =
   require_crash_safe t;
   (* Iterate in sorted line order so the callback sees a deterministic
      sequence regardless of store order. *)
-  List.iter
-    (fun (li, st) ->
-      let options = 1 + List.length st.snapshots in
+  Array.iter
+    (fun li ->
+      let st = t.line_states.(li) in
+      let options = 1 + st.n_snaps in
       let idx = choose ~line:li ~options in
       assert (idx >= 0 && idx < options);
       apply_crash_choice t li st idx)
@@ -369,13 +491,11 @@ let crash_all_persisted t = crash_with t ~choose:(fun ~line:_ ~options -> option
    atomicity of real hardware, so single-word structures survive whole
    while anything larger can surface impossible mixes. *)
 let torn_mix t rng li st =
-  let states = Array.of_list (st.persisted :: st.snapshots) in
-  let line = Bytes.create line_size in
+  let options = 1 + st.n_snaps in
   for w = 0 to (line_size / 8) - 1 do
-    let src = states.(Nv_util.Rng.int rng (Array.length states)) in
-    Bytes.blit src (w * 8) line (w * 8) 8
-  done;
-  Bytes.blit line 0 t.data (li * line_size) line_size
+    let src = Nv_util.Rng.int rng options in
+    Bytes.blit st.states ((src * line_size) + (w * 8)) t.data ((li * line_size) + (w * 8)) 8
+  done
 
 let flip_bit t ~bit_off =
   let off = bit_off / 8 in
@@ -389,7 +509,7 @@ let inject_bit_rot t ~rng ~lines ~max_bits =
   let hit = ref 0 and flipped = ref 0 in
   for _ = 1 to lines do
     let li = Nv_util.Rng.int rng n_lines in
-    if t.mode <> Crash_safe || t.line_states.(li) = None then begin
+    if t.mode <> Crash_safe || t.line_states.(li) == clean then begin
       incr hit;
       let bits = 1 + Nv_util.Rng.int rng (max 1 max_bits) in
       for _ = 1 to bits do
@@ -406,15 +526,19 @@ let inject_bit_rot t ~rng ~lines ~max_bits =
     };
   (!hit, !flipped)
 
-(* Mark [n] random lines dead: their content reads back as all-ones (a
-   poisoned ECC block) and any charged read overlapping them records a
-   media fault in {!Stats}. *)
+(* Mark up to [n] random clean lines dead: their content reads back as
+   all-ones (a poisoned ECC block) and any charged read overlapping them
+   records a media fault in {!Stats}. Dirty lines are skipped, as in
+   [inject_bit_rot]: their volatile view must stay their newest state. *)
 let kill_lines t ~rng ~n =
   let n_lines = t.size / line_size in
   let killed = ref 0 in
   for _ = 1 to n do
     let li = Nv_util.Rng.int rng n_lines in
-    if not (Hashtbl.mem t.dead_lines li) then begin
+    if
+      (not (Hashtbl.mem t.dead_lines li))
+      && (t.mode <> Crash_safe || t.line_states.(li) == clean)
+    then begin
       Hashtbl.add t.dead_lines li ();
       Bytes.fill t.data (li * line_size) line_size '\xFF';
       incr killed
@@ -426,9 +550,10 @@ let kill_lines t ~rng ~n =
 let crash_with_faults t ~rng ~model =
   require_crash_safe t;
   let torn = ref 0 in
-  List.iter
-    (fun (li, st) ->
-      let options = 1 + List.length st.snapshots in
+  Array.iter
+    (fun li ->
+      let st = t.line_states.(li) in
+      let options = 1 + st.n_snaps in
       if options > 1 && Nv_util.Rng.float rng < model.torn_frac then begin
         incr torn;
         torn_mix t rng li st
@@ -465,4 +590,4 @@ let dirty_at_crash t ~off ~len =
 let dirty_line_count t = t.n_dirty
 
 let unpersisted_ranges t =
-  List.map (fun li -> (li * line_size, line_size)) (List.sort compare t.dirty_lines)
+  Array.fold_right (fun li acc -> (li * line_size, line_size) :: acc) (sorted_dirty t) []

@@ -167,14 +167,17 @@ val inject_bit_rot : t -> rng:Nv_util.Rng.t -> lines:int -> max_bits:int -> int 
     Returns [(lines_hit, bits_flipped)]. *)
 
 val kill_lines : t -> rng:Nv_util.Rng.t -> n:int -> int
-(** Mark up to [n] random lines dead: content reads back all-ones (a
-    poisoned ECC block) and any charged read overlapping them records a
-    media fault in {!Nv_nvmm.Stats}. Returns the number actually
-    killed (already-dead picks don't count twice). *)
+(** Mark up to [n] random clean lines dead: content reads back all-ones
+    (a poisoned ECC block) and any charged read overlapping them records
+    a media fault in {!Nv_nvmm.Stats}. Dirty lines are skipped, as in
+    {!inject_bit_rot}. Returns the number actually killed (already-dead
+    and dirty picks don't count). *)
 
 val corrupt_range : t -> off:int -> len:int -> mask:int -> unit
 (** Xor every byte of the range with [mask] (deterministic testing aid;
-    bypasses persistence tracking, meaningful on clean lines only). *)
+    bypasses persistence tracking, so meaningful on clean lines only: on
+    a dirty line the change reaches no crash state before the line's
+    next store). *)
 
 val faults : t -> fault_report
 (** Cumulative faults injected into this region. *)

@@ -201,7 +201,7 @@ let write_inline_value pmem stats ~base ~row_size ~half ~data ?(charge = true) (
   Pmem.flush pmem stats ~off:abs ~len;
   Vptr.inline ~heap_off:hoff ~len
 
-let read_value pmem stats ~base ptr ?(header_charged = true) () =
+let read_value_into pmem stats ~base ptr ?(header_charged = true) ~dst ~dst_off () =
   match Vptr.classify ptr with
   | Vptr.Null -> invalid_arg "Prow.read_value: null pointer"
   | Vptr.Inline { heap_off = hoff; len } ->
@@ -211,7 +211,12 @@ let read_value pmem stats ~base ptr ?(header_charged = true) () =
         else Memspec.blocks_touched (Stats.spec stats) ~off:abs ~len
       in
       Stats.nvmm_read_blocks stats blocks;
-      Pmem.read_bytes pmem ~off:abs ~len
+      Pmem.blit_from pmem ~src_off:abs ~dst ~dst_off ~len
   | Vptr.Pool { off; len } ->
       Pmem.charge_read pmem stats ~off ~len;
-      Pmem.read_bytes pmem ~off ~len
+      Pmem.blit_from pmem ~src_off:off ~dst ~dst_off ~len
+
+let read_value pmem stats ~base ptr ?header_charged () =
+  let dst = Bytes.create (Vptr.len ptr) in
+  read_value_into pmem stats ~base ptr ?header_charged ~dst ~dst_off:0 ();
+  dst

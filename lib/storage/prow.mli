@@ -177,3 +177,16 @@ val read_value :
     blocks beyond the header block when [header_charged] (default
     true); pool values charge their full range. Raises [Invalid_argument]
     on [Null]. *)
+
+val read_value_into :
+  Nv_nvmm.Pmem.t ->
+  Nv_nvmm.Stats.t ->
+  base:int ->
+  Vptr.t ->
+  ?header_charged:bool ->
+  dst:bytes ->
+  dst_off:int ->
+  unit ->
+  unit
+(** [read_value] into [dst] at [dst_off] ([Vptr.len] bytes), charging
+    exactly as [read_value] does, without allocating a copy. *)

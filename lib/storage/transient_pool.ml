@@ -36,15 +36,18 @@ let ensure a len =
 
 let lines stats len = Memspec.lines_touched (Stats.spec stats) ~off:0 ~len
 
-let write t stats ?(charge = true) ~core data =
+let write_from t stats ?(charge = true) ~core ~len fill =
   let a = t.arenas.(core) in
-  let len = Bytes.length data in
   ensure a len;
-  Bytes.blit data 0 a.buf a.used len;
   let off = a.used in
+  fill a.buf off;
   a.used <- a.used + ((len + 7) land lnot 7);
   if charge then Stats.dram_write stats ~lines:(lines stats len) ();
   { buf = a.buf; core; off; len }
+
+let write t stats ?charge ~core data =
+  let len = Bytes.length data in
+  write_from t stats ?charge ~core ~len (fun buf off -> Bytes.blit data 0 buf off len)
 
 let read _t stats ?(charge = true) { buf; off; len; _ } =
   if charge then Stats.dram_read stats ~lines:(lines stats len) ();

@@ -23,6 +23,13 @@ val write : t -> Nv_nvmm.Stats.t -> ?charge:bool -> core:int -> bytes -> vref
     NVMM-resident version values pass false and charge NVMM costs
     themselves. *)
 
+val write_from :
+  t -> Nv_nvmm.Stats.t -> ?charge:bool -> core:int -> len:int -> (bytes -> int -> unit) -> vref
+(** [write] of a [len]-byte value that [fill buf off] stores straight
+    into the arena at [buf.[off]], so a value read from elsewhere (a
+    persistent row) lands without an intermediate copy. [fill] runs
+    before the DRAM charge. *)
+
 val read : t -> Nv_nvmm.Stats.t -> ?charge:bool -> vref -> bytes
 
 val reset : t -> unit

@@ -108,6 +108,17 @@ let test_dead_lines () =
   Pmem.charge_read p s2 ~off:(((!li + 1) * 64) mod 4096) ~len:8;
   Alcotest.(check int) "healthy line clean" 0 (Stats.counters s2).Stats.media_faults
 
+let test_dead_lines_skip_dirty () =
+  (* Like bit-rot, a dead line hits cold media: a line with stores in
+     flight keeps its content and its crash states. *)
+  let p = Pmem.create ~mode:Pmem.Crash_safe ~size:256 () in
+  Pmem.fill p ~off:0 ~len:256 'd';
+  Alcotest.(check int) "no dirty line killed" 0 (Pmem.kill_lines p ~rng:(Rng.create 7) ~n:8);
+  Alcotest.(check int) "nothing reported" 0 (Pmem.faults p).Pmem.dead_lines;
+  Pmem.crash_all_persisted p;
+  Alcotest.(check string) "newest state survives" (String.make 256 'd')
+    (Bytes.to_string (Pmem.read_bytes p ~off:0 ~len:256))
+
 let test_corrupt_range () =
   let p = Pmem.create ~mode:Pmem.Crash_safe ~size:4096 () in
   Pmem.write_bytes p ~off:128 (Bytes.of_string "payload");
@@ -414,6 +425,7 @@ let suites =
         Alcotest.test_case "torn lines" `Quick test_torn_lines;
         Alcotest.test_case "bit rot" `Quick test_bit_rot;
         Alcotest.test_case "dead lines" `Quick test_dead_lines;
+        Alcotest.test_case "dead lines skip dirty" `Quick test_dead_lines_skip_dirty;
         Alcotest.test_case "corrupt_range" `Quick test_corrupt_range;
         Alcotest.test_case "legal crash injects no faults" `Quick
           test_faults_empty_without_injection;

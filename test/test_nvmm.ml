@@ -23,7 +23,7 @@ let test_accessors () =
 let test_bounds_checked () =
   let p = Pmem.create ~size:64 () in
   Alcotest.check_raises "oob write"
-    (Invalid_argument "Pmem: range [64, 72) out of bounds (size 8)") (fun () ->
+    (Invalid_argument "Pmem: range [64, 72) out of bounds (size 64)") (fun () ->
       Pmem.set_i64 p 64 0L)
 
 let test_crash_discards_unflushed () =
@@ -167,6 +167,248 @@ let prop_crash_value_was_written =
       let v = Int64.to_int (Pmem.get_i64 p 0) in
       v >= 0 && v <= n_stores)
 
+(* ------------------------------------------------------------------ *)
+(* Reference model: the list-based crash-state tracker [Pmem] used
+   before per-line state buffers (a copy of the line per store, another
+   at clwb and a list append per store). Its crash semantics are the
+   specification the buffered tracker must reproduce exactly. *)
+
+module Ref_pmem = struct
+  let line_size = 64
+
+  type line_state = {
+    mutable persisted : bytes;
+    mutable snapshots : bytes list; (* oldest first *)
+    mutable queued : (bytes * int) option;
+  }
+
+  type t = { data : bytes; states : line_state option array; mutable dirty : int list }
+
+  let create ~size =
+    { data = Bytes.make size '\000'; states = Array.make (size / line_size) None; dirty = [] }
+
+  let copy_line t li = Bytes.sub t.data (li * line_size) line_size
+
+  let iter_lines ~off ~len f =
+    if len > 0 then
+      for li = off / line_size to (off + len - 1) / line_size do
+        f li
+      done
+
+  let store t ~off ~len write =
+    iter_lines ~off ~len (fun li ->
+        if t.states.(li) = None then begin
+          t.states.(li) <- Some { persisted = copy_line t li; snapshots = []; queued = None };
+          t.dirty <- li :: t.dirty
+        end);
+    write t.data;
+    iter_lines ~off ~len (fun li ->
+        match t.states.(li) with
+        | Some st -> st.snapshots <- st.snapshots @ [ copy_line t li ]
+        | None -> assert false)
+
+  let flush t ~off ~len =
+    iter_lines ~off ~len (fun li ->
+        match t.states.(li) with
+        | None -> ()
+        | Some st -> st.queued <- Some (copy_line t li, List.length st.snapshots))
+
+  let fence t =
+    t.dirty <-
+      List.filter
+        (fun li ->
+          match t.states.(li) with
+          | None -> false
+          | Some st -> (
+              match st.queued with
+              | None -> true
+              | Some (content, n) ->
+                  st.persisted <- content;
+                  st.queued <- None;
+                  st.snapshots <- List.filteri (fun i _ -> i >= n) st.snapshots;
+                  if st.snapshots = [] && Bytes.equal st.persisted (copy_line t li) then begin
+                    t.states.(li) <- None;
+                    false
+                  end
+                  else true))
+        t.dirty
+
+  let sorted_dirty t = List.sort compare t.dirty
+
+  let states_of t li =
+    match t.states.(li) with
+    | Some st -> Array.of_list (st.persisted :: st.snapshots)
+    | None -> assert false
+
+  let finish_crash t =
+    List.iter (fun li -> t.states.(li) <- None) t.dirty;
+    t.dirty <- []
+
+  let crash_with t ~choose =
+    List.iter
+      (fun li ->
+        let states = states_of t li in
+        let idx = choose ~line:li ~options:(Array.length states) in
+        Bytes.blit states.(idx) 0 t.data (li * line_size) line_size)
+      (sorted_dirty t);
+    finish_crash t
+
+  let crash_with_faults t ~rng ~torn_frac =
+    List.iter
+      (fun li ->
+        let states = states_of t li in
+        let options = Array.length states in
+        if options > 1 && Nv_util.Rng.float rng < torn_frac then
+          for w = 0 to (line_size / 8) - 1 do
+            let src = states.(Nv_util.Rng.int rng options) in
+            Bytes.blit src (w * 8) t.data ((li * line_size) + (w * 8)) 8
+          done
+        else Bytes.blit states.(Nv_util.Rng.int rng options) 0 t.data (li * line_size) line_size)
+      (sorted_dirty t);
+    finish_crash t
+
+  let dirty_line_count t = List.length t.dirty
+  let unpersisted_ranges t = List.map (fun li -> (li * line_size, line_size)) (sorted_dirty t)
+end
+
+type op =
+  | I64 of int * int64
+  | I32 of int * int32
+  | U8 of int * int
+  | Blit of int * int * char
+  | Fill of int * int * char
+  | Flush of int * int
+  | Fence
+
+let model_size = 8 * 64
+
+let pp_op = function
+  | I64 (off, v) -> Printf.sprintf "i64 %d %Ld" off v
+  | I32 (off, v) -> Printf.sprintf "i32 %d %ld" off v
+  | U8 (off, v) -> Printf.sprintf "u8 %d %d" off v
+  | Blit (off, len, c) -> Printf.sprintf "blit %d+%d %C" off len c
+  | Fill (off, len, c) -> Printf.sprintf "fill %d+%d %C" off len c
+  | Flush (off, len) -> Printf.sprintf "flush %d+%d" off len
+  | Fence -> "fence"
+
+(* Random op sequences over an 8-line region: multi-line blits and
+   fills, repeated stores to one line, stores between a flush and its
+   fence. *)
+let gen_ops =
+  let open QCheck.Gen in
+  let range max_len =
+    int_range 0 (model_size - 1) >>= fun off ->
+    int_range 1 (min max_len (model_size - off)) >|= fun len -> (off, len)
+  in
+  let byte = map Char.chr (int_range 0 255) in
+  let op =
+    frequency
+      [
+        (4, map2 (fun w v -> I64 (w * 8, Int64.of_int v)) (int_range 0 63) (int_range 0 1_000_000));
+        (2, map2 (fun w v -> I32 (w * 4, Int32.of_int v)) (int_range 0 127) (int_range 0 1_000_000));
+        (2, map2 (fun off v -> U8 (off, v)) (int_range 0 (model_size - 1)) (int_range 0 255));
+        (2, map2 (fun (off, len) c -> Blit (off, len, c)) (range 200) byte);
+        (1, map2 (fun (off, len) c -> Fill (off, len, c)) (range 200) byte);
+        (3, map (fun (off, len) -> Flush (off, len)) (range model_size));
+        (2, return Fence);
+      ]
+  in
+  list_size (int_range 0 60) op
+
+let arb_ops =
+  QCheck.make
+    ~print:QCheck.Print.(pair (list pp_op) int)
+    QCheck.Gen.(pair gen_ops (int_range 1 1_000_000))
+
+let run_pmem ops =
+  let s = stats () in
+  let p = Pmem.create ~mode:Pmem.Crash_safe ~size:model_size () in
+  List.iter
+    (function
+      | I64 (off, v) -> Pmem.set_i64 p off v
+      | I32 (off, v) -> Pmem.set_i32 p off v
+      | U8 (off, v) -> Pmem.set_u8 p off v
+      | Blit (off, len, c) -> Pmem.blit_to p ~src:(Bytes.make len c) ~src_off:0 ~dst_off:off ~len
+      | Fill (off, len, c) -> Pmem.fill p ~off ~len c
+      | Flush (off, len) -> Pmem.flush p s ~off ~len
+      | Fence -> Pmem.fence p s)
+    ops;
+  p
+
+let run_ref ops =
+  let r = Ref_pmem.create ~size:model_size in
+  List.iter
+    (function
+      | I64 (off, v) -> Ref_pmem.store r ~off ~len:8 (fun d -> Bytes.set_int64_le d off v)
+      | I32 (off, v) -> Ref_pmem.store r ~off ~len:4 (fun d -> Bytes.set_int32_le d off v)
+      | U8 (off, v) -> Ref_pmem.store r ~off ~len:1 (fun d -> Bytes.set_uint8 d off v)
+      | Blit (off, len, c) | Fill (off, len, c) ->
+          Ref_pmem.store r ~off ~len (fun d -> Bytes.fill d off len c)
+      | Flush (off, len) -> Ref_pmem.flush r ~off ~len
+      | Fence -> Ref_pmem.fence r)
+    ops;
+  r
+
+let image p = Pmem.read_bytes p ~off:0 ~len:model_size
+
+(* Property: after any op sequence the tracker exposes exactly the
+   reference's dirty set, asks an adversary about the same lines with
+   the same option counts, and yields the same crash images — legal and
+   fully torn — for the same choices and seed. *)
+let prop_matches_reference =
+  QCheck.Test.make ~name:"crash states match the reference tracker" ~count:300 arb_ops
+    (fun (ops, seed) ->
+      let p = run_pmem ops and r = run_ref ops in
+      let same_dirty =
+        Pmem.dirty_line_count p = Ref_pmem.dirty_line_count r
+        && Pmem.unpersisted_ranges p = Ref_pmem.unpersisted_ranges r
+      in
+      let chooser () =
+        let rng = Nv_util.Rng.create seed and asked = ref [] in
+        ( (fun ~line ~options ->
+            asked := (line, options) :: !asked;
+            Nv_util.Rng.int rng options),
+          asked )
+      in
+      let choose_p, asked_p = chooser () and choose_r, asked_r = chooser () in
+      Pmem.crash_with p ~choose:choose_p;
+      Ref_pmem.crash_with r ~choose:choose_r;
+      let same_legal = !asked_p = !asked_r && Bytes.equal (image p) r.Ref_pmem.data in
+      let p = run_pmem ops and r = run_ref ops in
+      let model = { Pmem.no_faults with Pmem.torn_frac = 1.0 } in
+      ignore (Pmem.crash_with_faults p ~rng:(Nv_util.Rng.create seed) ~model);
+      Ref_pmem.crash_with_faults r ~rng:(Nv_util.Rng.create seed) ~torn_frac:1.0;
+      same_dirty && same_legal && Bytes.equal (image p) r.Ref_pmem.data)
+
+(* Steady-state crash-safe tracking allocates nothing per store: a
+   cycle of "blit 1000 B + flush, then fence" reuses pooled line
+   records, so only the simulated-clock charges (boxed floats) remain.
+   A per-store line copy alone would cost 16 x 9 words per cycle. *)
+let test_tracking_allocation_free () =
+  let s = stats () in
+  let p = Pmem.create ~mode:Pmem.Crash_safe ~size:(64 * 1024) () in
+  let src = Bytes.make 1000 'v' in
+  let cycle i =
+    let off = i mod 16 * 1024 in
+    Bytes.set src 0 (Char.chr (i land 0xFF));
+    Pmem.blit_to p ~src ~src_off:0 ~dst_off:off ~len:1000;
+    Pmem.flush p s ~off ~len:1000;
+    Pmem.fence p s
+  in
+  for i = 0 to 99 do
+    cycle i
+  done;
+  let cycles = 1000 in
+  let before = Gc.minor_words () in
+  for i = 0 to cycles - 1 do
+    cycle i
+  done;
+  let per_cycle = (Gc.minor_words () -. before) /. float_of_int cycles in
+  Alcotest.(check int) "clean after fence" 0 (Pmem.dirty_line_count p);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per cycle < 64" per_cycle)
+    true (per_cycle < 64.0)
+
 let suites =
   [
     ( "nvmm",
@@ -185,5 +427,7 @@ let suites =
         Alcotest.test_case "blocks touched" `Quick test_blocks_touched;
         Alcotest.test_case "layout" `Quick test_layout;
         QCheck_alcotest.to_alcotest prop_crash_value_was_written;
+        QCheck_alcotest.to_alcotest prop_matches_reference;
+        Alcotest.test_case "tracking allocation-free" `Quick test_tracking_allocation_free;
       ] );
   ]

@@ -487,6 +487,49 @@ let prop_pindex_recovery_equivalence =
            ~crash_seed ());
       true)
 
+(* Engine-level fingerprint of the crash model: a seeded crash-safe
+   YCSB run, crashed mid-execution with a fixed RNG, must reproduce the
+   recorded crash image and the recovered state. The expected values
+   were recorded under the list-based line tracker that preceded the
+   per-line state buffers; any change to which states a crash may
+   surface, or to the RNG draws that choose among them, moves them. *)
+let test_crash_fingerprint () =
+  let w =
+    Nv_workloads.Ycsb.make
+      {
+        Nv_workloads.Ycsb.default with
+        Nv_workloads.Ycsb.rows = 400;
+        value_size = 200;
+        update_bytes = 40;
+        hot_rows = 16;
+        hot_per_txn = 4;
+      }
+  in
+  let tables = w.Nv_workloads.Workload.tables in
+  let config =
+    Config.make ~cores:2 ~row_size:256 ~crash_safe:true ~rows_per_core:4096
+      ~values_per_core:4096 ~freelist_capacity:8192 ~log_capacity:(1 lsl 20)
+      ~n_counters:w.Nv_workloads.Workload.n_counters ()
+  in
+  let db = Db.create ~config ~tables () in
+  Db.bulk_load db (w.Nv_workloads.Workload.load ());
+  let brng = Nv_util.Rng.create 11 in
+  let batch () = w.Nv_workloads.Workload.gen_batch brng 60 in
+  for _ = 1 to 2 do
+    ignore (Db.run_epoch db (batch ()))
+  done;
+  let exception Crash_now in
+  Db.set_phase_hook db (fun p -> if p = Db.Exec_txn 30 then raise Crash_now);
+  (try ignore (Db.run_epoch db (batch ())) with Crash_now -> ());
+  let dirty = Nv_nvmm.Pmem.dirty_line_count (Db.pmem db) in
+  let pmem = Db.crash db ~rng:(Nv_util.Rng.create 5) in
+  Alcotest.(check int) "dirty lines at the crash" 664 dirty;
+  Alcotest.(check int32) "crash image crc" 0xd709826el
+    (Nv_nvmm.Pmem.crc32c pmem ~off:0 ~len:(Nv_nvmm.Pmem.size pmem));
+  let db2, _ = Db.recover ~config ~tables ~pmem ~rebuild:w.Nv_workloads.Workload.rebuild () in
+  Alcotest.(check int64) "recovered state digest" 0x21e2b9d9dc8a6163L
+    (Nv_harness.Engine.state_digest (Engine_intf.Packed ((module Db.Serial_engine), db2)))
+
 let suites =
   [
     ( "recovery",
@@ -504,6 +547,7 @@ let suites =
             test_pindex_survives_many_epochs_after_recovery;
           Alcotest.test_case "pindex ordered table" `Quick test_pindex_ordered_table;
           Alcotest.test_case "crash during replay (x3)" `Quick test_crash_during_replay;
+          Alcotest.test_case "crash fingerprint" `Quick test_crash_fingerprint;
           QCheck_alcotest.to_alcotest prop_recovery_equivalence;
           QCheck_alcotest.to_alcotest prop_pindex_recovery_equivalence;
         ] );
