@@ -111,7 +111,7 @@ let parallel_snapshot file =
     let t0 = wall_now () in
     Array.iter (fun b -> ignore (Db.run_epoch db b)) batches;
     let wall = wall_now () -. t0 in
-    (wall, Db.committed_txns db, Db.total_time_ns db, Db.wide_execs db)
+    (wall, Db.committed_txns db, Db.total_time_ns db, (Db.introspect db).wide_execs)
   in
   let cases =
     [

@@ -826,7 +826,7 @@ let stats_cmd =
     Term.(const run $ Cli.listen $ Cli.router)
 
 (* Placement probe: where does a key live in an N-shard cluster? The
-   hash is the one the router, the shards and Nvcaracal.Partition all
+   hash is Nvcaracal.Routed.owner, the one the router and the shards
    share, so this answers "which process do I strace". *)
 let route_cmd =
   let table_arg =
@@ -844,7 +844,7 @@ let route_cmd =
         | None -> failwith (Printf.sprintf "nvdb route: bad key %S" k)
         | Some key ->
             Format.fprintf ppf "table %d key %Ld -> shard %d@." table key
-              (Nv_frontend.Shard.owner ~shards ~table ~key))
+              (Nvcaracal.Routed.owner ~shards ~table ~key))
       keys
   in
   Cmd.v

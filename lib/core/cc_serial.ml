@@ -496,7 +496,7 @@ let run ?(replay = false) t txns =
       if n <= 1 then Some R_small_batch
       else if d <= 1 then Some R_width
       else if Dpool.in_task () then
-        (* Nested in a pool task (a partition node): Dpool.run would
+        (* Nested in a pool task: Dpool.run would
            inline-serialize the stripes, deadlocking any cross-stripe
            wait. *)
         Some R_nested

@@ -40,13 +40,10 @@ let run_epoch_aria t txns =
 
 let last_epoch_outcomes = Epoch.last_epoch_outcomes
 let last_batch_outcomes = Epoch.last_batch_outcomes
-let advance_core = Epoch.advance_core
-let snapshot_read = Epoch.snapshot_read
 let read_committed = Epoch.read_committed
 let iter_committed = Epoch.iter_committed
 let mem_report = Epoch.mem_report
 let committed_txns = Epoch.committed_txns
-let wide_execs = Epoch.wide_execs
 let aborted_txns = Epoch.aborted_txns
 let total_time_ns = Epoch.total_time_ns
 let counter_value = Epoch.counter_value
@@ -54,8 +51,17 @@ let debug_row = Epoch.debug_row
 let counters_total = Epoch.counters_total
 let set_observability = Epoch.set_observability
 let set_phase_hook = Epoch.set_phase_hook
-let serial_reasons = Epoch.serial_reasons
 let crash = Recovery.crash
+
+let introspect t =
+  {
+    Engine_intf.wide_execs = Epoch.wide_execs t;
+    serial_reasons = Epoch.serial_reasons t;
+    state_digest =
+      Engine_intf.digest_committed
+        ~tables:(Array.to_list (tables t))
+        ~iter:(fun ~table f -> iter_committed t ~table f);
+  }
 let recover = Recovery.recover
 
 (* ------------------------------------------------------------------ *)
@@ -74,16 +80,7 @@ module Engine_common = struct
   let aborted_txns = aborted_txns
   let total_time_ns = total_time_ns
 
-  let introspect t =
-    {
-      Engine_intf.wide_execs = wide_execs t;
-      serial_reasons = serial_reasons t;
-      state_digest =
-        Engine_intf.digest_committed
-          ~tables:(Array.to_list (tables t))
-          ~iter:(fun ~table f -> iter_committed t ~table f);
-    }
-
+  let introspect = introspect
   let mem_report = mem_report
   let counters_total = counters_total
   let set_observability = set_observability

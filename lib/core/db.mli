@@ -83,16 +83,6 @@ val run_epoch_aria : t -> Txn.t array -> Report.epoch_stats * Txn.t array
     not supported in this mode. Input logging and crash recovery work
     unchanged — replay reproduces the same commit/abort decisions. *)
 
-val advance_core : t -> core:int -> ns:float -> unit
-(** Charge raw simulated nanoseconds to one core (coordination layers
-    bill network round-trips this way). *)
-
-val snapshot_read : t -> core:int -> table:int -> key:int64 -> bytes option
-(** Committed (epoch-boundary) value of a key, charged to [core]'s
-    simulated clock and served through the DRAM cache like any other
-    committed read. Used by coordination layers (e.g. {!Partition})
-    that read remote partitions against the epoch-start snapshot. *)
-
 (** {1 Inspection} *)
 
 val read_committed : t -> table:int -> key:int64 -> bytes option
@@ -103,13 +93,17 @@ val iter_committed : t -> table:int -> (int64 -> bytes -> unit) -> unit
 (** Visit all live keys of a table with their committed values,
     in unspecified order (uncharged). *)
 
+val introspect : t -> Engine_intf.introspection
+(** One inspection snapshot ({!Engine_intf.type-introspection}):
+    [wide_execs] counts epochs whose execute phase ran on more than one
+    domain (always 0 under [config.parallelism = 1]); [serial_reasons]
+    counts epochs forced onto one stripe, by reason (labels in
+    docs/PARALLELISM.md); [state_digest] fingerprints committed state.
+    Inspection only — seeded results are identical whether or not an
+    epoch ran wide. *)
+
 val mem_report : t -> Report.mem_report
 val committed_txns : t -> int
-
-val wide_execs : t -> int
-(** Epochs whose execute phase ran on more than one domain (cumulative;
-    always 0 under [config.parallelism = 1]). Inspection only — seeded
-    results are identical whether or not an epoch ran wide. *)
 
 val aborted_txns : t -> int
 (** Cumulative aborted transactions (user aborts and reconnaissance
@@ -175,12 +169,6 @@ val set_phase_hook : ?defer:bool -> t -> (phase -> unit) -> unit
     deliveries may then be journaled and fired at the execute phase's
     join barrier, in serial order, instead of forcing the execute phase
     onto one stripe. *)
-
-val serial_reasons : t -> (string * int) list
-(** Cumulative [(reason, count)] telemetry of epochs whose execute
-    phase was forced onto one stripe, nonzero reasons only (see
-    docs/PARALLELISM.md for the reason labels). Empty when every epoch
-    ran wide. *)
 
 
 type recovery_phase = Epoch.recovery_phase =

@@ -55,7 +55,7 @@ type recovery_phase =
 type serial_reason =
   | R_width  (* pool width or core count yields a single stripe *)
   | R_small_batch  (* one transaction (or none): nothing to overlap *)
-  | R_nested  (* already inside a pool task (e.g. a partition node) *)
+  | R_nested  (* started from inside a pool task; domains must not nest *)
   | R_phase_hook  (* a non-deferrable hook observes intermediate state *)
   | R_unmirrored_rows  (* lazy pindex recovery left rows mirror-less *)
   | R_row_align  (* crash-safe mode with rows not cache-line aligned *)
@@ -1017,14 +1017,6 @@ let latest_pversion t (row : Row.t) =
   if not (Sid.is_none row.Row.pv2.Row.psid) then Some row.Row.pv2
   else if not (Sid.is_none row.Row.pv1.Row.psid) then Some row.Row.pv1
   else None
-
-let advance_core t ~core ~ns = Stats.advance (stats_of t core) ns
-
-let snapshot_read t ~core ~table ~key =
-  let stats = stats_of t core in
-  match find_row t stats ~table ~key with
-  | None -> None
-  | Some row -> committed_read ~max_epoch:t.epoch t stats row ~fill_cache:true
 
 let read_committed t ~table ~key =
   match find_row t t.scratch ~table ~key with

@@ -56,7 +56,7 @@ type phase =
 type serial_reason =
   | R_width  (** pool width or core count yields a single stripe *)
   | R_small_batch  (** one transaction (or none): nothing to overlap *)
-  | R_nested  (** already inside a pool task (e.g. a partition node) *)
+  | R_nested  (** started from inside a pool task; domains must not nest *)
   | R_phase_hook  (** a non-deferrable hook observes intermediate state *)
   | R_unmirrored_rows  (** lazy pindex recovery left rows mirror-less *)
   | R_row_align  (** crash-safe mode with rows not cache-line aligned *)
@@ -373,8 +373,6 @@ val bulk_load : t -> (int * int64 * bytes) Seq.t -> unit
 (** {1 Inspection} *)
 
 val latest_pversion : t -> Row.t -> Row.pversion option
-val advance_core : t -> core:int -> ns:float -> unit
-val snapshot_read : t -> core:int -> table:int -> key:int64 -> bytes option
 val read_committed : t -> table:int -> key:int64 -> bytes option
 val iter_committed : t -> table:int -> (int64 -> bytes -> unit) -> unit
 val mem_report : t -> Report.mem_report

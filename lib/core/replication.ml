@@ -1,32 +1,16 @@
-type side = { packed : Engine_intf.packed; db : Db.t option }
-
 type t = {
-  primary : side;
-  replica : side;
+  primary : Db.t;
+  replica : Db.t;
   tables : Table.t array;
   rebuild : bytes -> Txn.t;
   queue : bytes array Queue.t; (* one entry per shipped epoch *)
   mutable shipped_bytes : int;
 }
 
-let create_packed ~mk ~tables ~rebuild () =
-  {
-    primary = { packed = mk (); db = None };
-    replica = { packed = mk (); db = None };
-    tables = Array.of_list tables;
-    rebuild;
-    queue = Queue.create ();
-    shipped_bytes = 0;
-  }
-
 let create ~config ~tables ~rebuild () =
-  let side () =
-    let db = Db.create ~config ~tables () in
-    { packed = Engine_intf.Packed ((module Db.Serial_engine), db); db = Some db }
-  in
   {
-    primary = side ();
-    replica = side ();
+    primary = Db.create ~config ~tables ();
+    replica = Db.create ~config ~tables ();
     tables = Array.of_list tables;
     rebuild;
     queue = Queue.create ();
@@ -35,9 +19,8 @@ let create ~config ~tables ~rebuild () =
 
 let bulk_load t rows =
   (* Two passes over the sequence; workloads produce pure Seqs. *)
-  let load { packed = Engine_intf.Packed ((module E), e); _ } = E.bulk_load e rows in
-  load t.primary;
-  load t.replica
+  Db.bulk_load t.primary rows;
+  Db.bulk_load t.replica rows
 
 let submit t txns =
   (* Inputs ship only after the primary commits the epoch: a primary
@@ -46,20 +29,17 @@ let submit t txns =
      shipped, an epoch survives failover — the queue drains before
      promotion. *)
   let inputs = Array.map (fun (txn : Txn.t) -> txn.Txn.input) txns in
-  let (Engine_intf.Packed ((module E), e)) = t.primary.packed in
-  let stats, deferred = E.run_batch e txns in
+  let stats = Db.run_epoch t.primary txns in
   Array.iter (fun b -> t.shipped_bytes <- t.shipped_bytes + Bytes.length b) inputs;
   Queue.push inputs t.queue;
-  (stats, deferred)
+  stats
 
 let replica_lag t = Queue.length t.queue
 
 let apply_one t =
   match Queue.take_opt t.queue with
   | None -> ()
-  | Some inputs ->
-      let (Engine_intf.Packed ((module E), e)) = t.replica.packed in
-      ignore (E.run_batch e (Array.map t.rebuild inputs))
+  | Some inputs -> ignore (Db.run_epoch t.replica (Array.map t.rebuild inputs))
 
 let sync t ?upto () =
   let n = match upto with Some n -> min n (Queue.length t.queue) | None -> Queue.length t.queue in
@@ -68,104 +48,21 @@ let sync t ?upto () =
   done
 
 let shipped_bytes t = t.shipped_bytes
-let primary t = t.primary.packed
-let replica t = t.replica.packed
-
-let side_db which = function
-  | { db = Some db; _ } -> db
-  | { db = None; _ } ->
-      invalid_arg (Printf.sprintf "Replication.%s_db: pair is not Db-backed" which)
-
-let primary_db t = side_db "primary" t.primary
-let replica_db t = side_db "replica" t.replica
-
-let failover t =
-  sync t ();
-  t.replica.packed
+let primary_db t = t.primary
+let replica_db t = t.replica
 
 let failover_db t =
   sync t ();
-  side_db "replica" t.replica
+  t.replica
 
-let table_state (Engine_intf.Packed ((module E), e)) ~table =
+let table_state db ~table =
   let out = ref [] in
-  E.iter_committed e ~table (fun k v -> out := (k, Bytes.to_string v) :: !out);
+  Db.iter_committed db ~table (fun k v -> out := (k, Bytes.to_string v) :: !out);
   List.sort compare !out
 
 let states_equal t =
   sync t ();
   Array.for_all
     (fun (tb : Table.t) ->
-      table_state t.primary.packed ~table:tb.Table.id
-      = table_state t.replica.packed ~table:tb.Table.id)
+      table_state t.primary ~table:tb.Table.id = table_state t.replica ~table:tb.Table.id)
     t.tables
-
-(* ------------------------------------------------------------------ *)
-(* Engine instance: a replicated pair behind the engine seam — every
-   batch executes on the primary and ships to the replica, reads come
-   from the primary.                                                   *)
-
-type engine_config = { e_config : Config.t; e_rebuild : bytes -> Txn.t }
-
-module Engine : Engine_intf.S with type t = t and type config = engine_config = struct
-  type nonrec t = t
-  type config = engine_config
-
-  let name = "replication"
-
-  let create ~config:{ e_config; e_rebuild } ~tables () =
-    create ~config:e_config ~tables ~rebuild:e_rebuild ()
-
-  let bulk_load = bulk_load
-  let run_batch = submit
-
-  let read_committed t ~table ~key =
-    let (Engine_intf.Packed ((module E), e)) = t.primary.packed in
-    E.read_committed e ~table ~key
-
-  let iter_committed t ~table f =
-    let (Engine_intf.Packed ((module E), e)) = t.primary.packed in
-    E.iter_committed e ~table f
-
-  let last_batch_outcomes t =
-    let (Engine_intf.Packed ((module E), e)) = t.primary.packed in
-    E.last_batch_outcomes e
-
-  let committed_txns t =
-    let (Engine_intf.Packed ((module E), e)) = t.primary.packed in
-    E.committed_txns e
-
-  let aborted_txns t =
-    let (Engine_intf.Packed ((module E), e)) = t.primary.packed in
-    E.aborted_txns e
-
-  let total_time_ns t =
-    let (Engine_intf.Packed ((module E), e)) = t.primary.packed in
-    E.total_time_ns e
-
-  let introspect t =
-    let (Engine_intf.Packed ((module E), e)) = t.primary.packed in
-    E.introspect e
-
-  let mem_report t =
-    let (Engine_intf.Packed ((module E), e)) = t.primary.packed in
-    E.mem_report e
-
-  let counters_total t =
-    let (Engine_intf.Packed ((module E), e)) = t.primary.packed in
-    E.counters_total e
-
-  let set_observability ?tracer ?metrics ?profile ?name t =
-    let (Engine_intf.Packed ((module E), e)) = t.primary.packed in
-    E.set_observability ?tracer ?metrics ?profile ?name e
-
-  let pmem t =
-    let (Engine_intf.Packed ((module E), e)) = t.primary.packed in
-    E.pmem e
-
-  let crash ?faults:_ _ ~rng:_ =
-    invalid_arg "Replication.Engine.crash: crash the primary and failover instead"
-
-  let recover ~config:_ ~tables:_ ~pmem:_ ~rebuild:_ () =
-    invalid_arg "Replication.Engine.recover: recovery is failover to the replica"
-end

@@ -7,8 +7,8 @@
     a bit-identical committed state. The epoch's input record is tiny
     compared to redo traffic, and no two-phase commit is needed.
 
-    This module wires two {!Engine_intf.S} instances together: the
-    primary executes a batch, the serialized inputs are appended to a
+    This module wires two {!Db} instances together: the primary
+    executes a batch, the serialized inputs are appended to a
     ship queue, and the replica consumes them — synchronously ([sync])
     or with a configurable apply lag. Failover promotes the replica
     after draining the queue; epochs whose inputs were shipped are
@@ -23,29 +23,17 @@ val create :
   rebuild:(bytes -> Txn.t) ->
   unit ->
   t
-(** A Db-backed (serial CC) pair. Primary and replica share the
-    configuration and schema; [rebuild] deserializes a logged input
+(** A serial-CC pair. Primary and replica share the configuration and
+    schema; [rebuild] deserializes a logged input
     back into its transaction (the same function {!Db.recover} uses). *)
-
-val create_packed :
-  mk:(unit -> Engine_intf.packed) ->
-  tables:Table.t list ->
-  rebuild:(bytes -> Txn.t) ->
-  unit ->
-  t
-(** Engine-generic pair: [mk] builds each side (called twice; both
-    sides must be configured identically or replay diverges). *)
 
 val bulk_load : t -> (int * int64 * bytes) Seq.t -> unit
 (** Load both sides (initial state is shipped out of band, as when
     seeding a new replica from a checkpoint). *)
 
-val submit : t -> Txn.t array -> Report.epoch_stats option * Txn.t array
-(** Execute one batch on the primary and enqueue its input record for
-    the replica. Returns the primary's epoch report and deferred
-    transactions ({!Engine_intf.S.run_batch}); deferred transactions
-    ship again when resubmitted, and the replica — running the same
-    deterministic engine — defers them identically. *)
+val submit : t -> Txn.t array -> Report.epoch_stats
+(** Execute one batch on the primary ({!Db.run_epoch}) and enqueue its
+    input record for the replica. *)
 
 val replica_lag : t -> int
 (** Shipped-but-unapplied epochs. *)
@@ -56,34 +44,18 @@ val sync : t -> ?upto:int -> unit -> unit
 val shipped_bytes : t -> int
 (** Total input-record bytes shipped so far. *)
 
-val primary : t -> Engine_intf.packed
-val replica : t -> Engine_intf.packed
-(** Direct access (e.g. serving stale reads from the replica). *)
-
 val primary_db : t -> Db.t
 val replica_db : t -> Db.t
-(** The raw NVCaracal handles of a Db-backed pair ({!create}).
-    @raise Invalid_argument for generic pairs. *)
+(** Direct access (e.g. serving stale reads from the replica). *)
 
-val failover : t -> Engine_intf.packed
+val failover_db : t -> Db.t
 (** Drain the queue and promote the replica: returns a database equal
     to the primary's last submitted state, ready to execute epochs.
     Every shipped-but-unapplied epoch is applied before promotion, so
     failover racing an in-flight shipment never loses an epoch. The
     pair must not be used afterwards. *)
 
-val failover_db : t -> Db.t
-(** {!failover} for a Db-backed pair, unwrapped. *)
-
 val states_equal : t -> bool
 (** True when primary and the fully-synced replica agree on every
     table's committed contents (testing/verification; drains the
     queue). *)
-
-(** A replicated pair behind the engine seam: [run_batch] is
-    {!submit}, reads come from the primary. [crash]/[recover] raise
-    [Invalid_argument] — recovery is {!failover}. *)
-
-type engine_config = { e_config : Config.t; e_rebuild : bytes -> Txn.t }
-
-module Engine : Engine_intf.S with type t = t and type config = engine_config

@@ -1,9 +1,4 @@
-module Engine_intf = Nvcaracal.Engine_intf
-module Txn = Nvcaracal.Txn
-module Table = Nvcaracal.Table
-module Sid = Nvcaracal.Sid
-module Determinism = Nvcaracal.Determinism
-module Fnv = Nv_util.Fnv
+module Routed = Nvcaracal.Routed
 
 (* The sentinel session id under which a fence's merged read table is
    journaled (encodable: Journal round-trips client ids as u32). Real
@@ -16,347 +11,85 @@ type history_entry = {
   h_digest : int64;
 }
 
-(* Reconnaissance state between Route and Fence of one epoch. *)
-type recon = { rc_epoch : int; rc_calls : Wire.routed_call array; rc_txns : Txn.t array }
-
 type t = {
-  shard_id : int;
-  shards : int;
-  engine : Engine_intf.packed;
-  registry : Proc.t;
-  tables : Table.t list;
+  member : Wire.routed_call Routed.t;
   journal : Journal.t option;
   mutable router_gen : int;
-  mutable applied : int;  (** highest epoch applied; 0 = none *)
-  mutable recon : recon option;
   history : (int, history_entry) Hashtbl.t;
 }
 
-(* Same placement hash as {!Nvcaracal.Partition.owner}: a routed
-   cluster and an in-process partitioned engine agree on ownership. *)
-let owner ~shards ~table ~key = Fnv.combine (Fnv.hash_int64 key) table mod shards
-
 let create ~shard_id ~shards ?journal ~engine ~registry ~tables () =
-  if shards <= 0 then invalid_arg "Shard.create: shards must be positive";
-  if shard_id < 0 || shard_id >= shards then
-    invalid_arg
-      (Printf.sprintf "Shard.create: shard_id %d out of range (%d shards)" shard_id shards);
+  let rebuild (c : Wire.routed_call) = Proc.rebuild registry c.Wire.rc_call in
   {
-    shard_id;
-    shards;
-    engine;
-    registry;
-    tables;
+    member = Routed.create ~shard_id ~shards ~applied:0 ~rebuild ~engine ~tables;
     journal;
     router_gen = 0;
-    applied = 0;
-    recon = None;
     history = Hashtbl.create 256;
   }
 
-let shard_id t = t.shard_id
-let shards t = t.shards
-let applied t = t.applied
-let engine t = t.engine
-let owns t ~table ~key = owner ~shards:t.shards ~table ~key = t.shard_id
-
-(* Only this shard's owned rows load here: the cluster's initial state
-   is the workload's, split by the placement hash. *)
-let bulk_load t rows =
-  let (Engine_intf.Packed ((module E), e)) = t.engine in
-  E.bulk_load e (Seq.filter (fun (table, key, _) -> owns t ~table ~key) rows)
-
-(* Owned-state digest: one hash per committed row, XORed. XOR makes the
-   combination order-free and shard-count-free, so the cluster digest
-   (XOR over all members) is the same value however the rows are
-   placed — the determinism oracle across shard counts. *)
-let digest t =
-  let (Engine_intf.Packed ((module E), e)) = t.engine in
-  List.fold_left
-    (fun acc (tb : Table.t) ->
-      let h = ref acc in
-      E.iter_committed e ~table:tb.Table.id (fun k v ->
-          let row =
-            Fnv.combine
-              (Fnv.combine (Fnv.hash_int64 k) (Fnv.hash_int tb.Table.id))
-              (Fnv.hash_string (Bytes.to_string v))
-          in
-          h := Int64.logxor !h (Int64.of_int row));
-      !h)
-    0L t.tables
-
-let read_committed t ~table ~key =
-  let (Engine_intf.Packed ((module E), e)) = t.engine in
-  E.read_committed e ~table ~key
-
-(* --- Round one: reconnaissance ---------------------------------------
-
-   Discover which of this shard's keys the epoch touches. Two sources:
-   every owned key in a transaction's declared write set (free — no
-   execution needed), and, for transactions with undeclared reads, a
-   speculative execution whose reads answer from committed state
-   (owned), from the router's partial merged table (remote, if a prior
-   pass surfaced the value), or go unresolved. A transaction whose
-   [reads_declared] flag promises its reads stay inside its write set
-   never executes here — its keys are already seeded — so declared
-   workloads converge in one pass. An unresolved remote read marks the
-   pass incomplete: the body may have stopped early (workload bodies
-   fail on missing rows) or branched wrong, so the router must route
-   again with a richer table before it can trust the union. Effects
-   stay in per-txn buffers; every exception is swallowed. *)
-
-let unsupported () = invalid_arg "Shard: operation not supported in routed mode"
-
-let recon_pass t ~epoch ~(partial : (int * int64, bytes option) Hashtbl.t) txns =
-  let n = Array.length txns in
-  let touched = Hashtbl.create 64 in
-  let complete = ref true in
-  let note ~table ~key = if owns t ~table ~key then Hashtbl.replace touched (table, key) () in
-  Array.iter
-    (fun (txn : Txn.t) ->
-      List.iter
-        (function
-          | Txn.Update { table; key } | Txn.Delete { table; key } -> note ~table ~key
-          | Txn.Insert { table; key; _ } -> note ~table ~key)
-        txn.Txn.write_set)
-    txns;
-  for i = 0 to n - 1 do
-    if not txns.(i).Txn.reads_declared then begin
-      let buffer = Hashtbl.create 8 in
-      let read ~table ~key =
-        match Hashtbl.find_opt buffer (table, key) with
-        | Some v -> Some v
-        | None ->
-            if owns t ~table ~key then begin
-              Hashtbl.replace touched (table, key) ();
-              read_committed t ~table ~key
-            end
-            else begin
-              match Hashtbl.find_opt partial (table, key) with
-              | Some v -> v
-              | None ->
-                  complete := false;
-                  None
-            end
-      in
-      let ctx =
-        {
-          Txn.Ctx.sid = Sid.make ~epoch ~seq:i;
-          core = 0;
-          read;
-          write = (fun ~table ~key data -> Hashtbl.replace buffer (table, key) data);
-          delete = (fun ~table:_ ~key:_ -> unsupported ());
-          range_read = (fun ~table:_ ~lo:_ ~hi:_ -> unsupported ());
-          max_below = (fun ~table:_ _ -> unsupported ());
-          min_above = (fun ~table:_ _ -> unsupported ());
-          abort = (fun () -> raise Txn.Aborted);
-          compute = (fun ~ops:_ -> ());
-          counter_next = (fun ~idx:_ -> unsupported ());
-          notes = Hashtbl.create 4;
-        }
-      in
-      (try txns.(i).Txn.body ctx with _ -> ())
-    end
-  done;
-  let keys = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) touched []) in
-  ( Array.of_list
-      (List.map
-         (fun (table, key) ->
-           { Wire.sr_table = table; sr_key = key; sr_value = read_committed t ~table ~key })
-         keys),
-    !complete )
-
-let route t ~epoch ~calls ~(reads : Wire.shard_read array) =
-  if epoch <= t.applied then
-    (* Idempotent re-route (router failover, shard respawn mid-epoch):
-       answer with the epoch's FULL merged read table from history. A
-       recovering router merges these with fresh members' owned
-       answers, so members that already applied the epoch supply the
-       epoch-start values nobody can re-read from committed state. *)
-    match Hashtbl.find_opt t.history epoch with
-    | Some h -> (h.h_reads, true)
-    | None ->
-        failwith
-          (Printf.sprintf "Shard.route: epoch %d already applied and not in history" epoch)
-  else if epoch = t.applied + 1 then begin
-    let txns =
-      (* Later reconnaissance rounds of the same epoch reuse the
-         rebuilt transactions; only the partial table grows. *)
-      match t.recon with
-      | Some rc when rc.rc_epoch = epoch -> rc.rc_txns
-      | _ ->
-          let txns =
-            Array.map
-              (fun (c : Wire.routed_call) -> Proc.rebuild t.registry c.Wire.rc_call)
-              calls
-          in
-          t.recon <- Some { rc_epoch = epoch; rc_calls = calls; rc_txns = txns };
-          txns
-    in
-    let partial = Hashtbl.create (Array.length reads) in
-    Array.iter
-      (fun { Wire.sr_table; sr_key; sr_value } ->
-        Hashtbl.replace partial (sr_table, sr_key) sr_value)
-      reads;
-    recon_pass t ~epoch ~partial txns
-  end
-  else
-    failwith
-      (Printf.sprintf "Shard.route: epoch gap (routed %d, applied %d)" epoch t.applied)
-
-(* --- Round two: fenced deterministic execution -----------------------
-
-   With the merged read table in hand the batch re-executes for real:
-   every read resolves (buffer, then the fence table, then owned
-   committed state), {!Determinism.verdicts} decides each transaction's
-   fate — identically on every shard, no voting — and this shard
-   journals then applies its owned slice of the committed writes. *)
-
-let run_fence t ~epoch ~txns ~(reads : Wire.shard_read array) =
-  let rtbl = Hashtbl.create 64 in
-  Array.iter
-    (fun { Wire.sr_table; sr_key; sr_value } ->
-      Hashtbl.replace rtbl (sr_table, sr_key) sr_value)
-    reads;
-  let n = Array.length txns in
-  let buffers = Array.init n (fun _ -> Hashtbl.create 8) in
-  let read_sets = Array.init n (fun _ -> Hashtbl.create 8) in
-  let user_aborted = Array.make n false in
-  for i = 0 to n - 1 do
-    let buffer = buffers.(i) and rset = read_sets.(i) in
-    let read ~table ~key =
-      match Hashtbl.find_opt buffer (table, key) with
-      | Some v -> Some v
-      | None -> (
-          Hashtbl.replace rset (table, key) ();
-          match Hashtbl.find_opt rtbl (table, key) with
-          | Some v -> v
-          | None ->
-              if owns t ~table ~key then read_committed t ~table ~key
-              else
-                (* A read reached a remote key the reconnaissance pass
-                   never saw (control flow depended on a remote value).
-                   Resolving it would need another round; fail loudly
-                   rather than diverge. docs/CLUSTER.md spells out the
-                   static-read-pattern requirement this enforces. *)
-                failwith
-                  (Printf.sprintf
-                     "Shard %d: unresolved remote read (table %d, key %Ld) at fence %d"
-                     t.shard_id table key epoch))
-    in
-    let ctx =
-      {
-        Txn.Ctx.sid = Sid.make ~epoch ~seq:i;
-        core = 0;
-        read;
-        write = (fun ~table ~key data -> Hashtbl.replace buffer (table, key) data);
-        delete = (fun ~table:_ ~key:_ -> unsupported ());
-        range_read = (fun ~table:_ ~lo:_ ~hi:_ -> unsupported ());
-        max_below = (fun ~table:_ _ -> unsupported ());
-        min_above = (fun ~table:_ _ -> unsupported ());
-        abort = (fun () -> raise Txn.Aborted);
-        compute = (fun ~ops:_ -> ());
-        counter_next = (fun ~idx:_ -> unsupported ());
-        notes = Hashtbl.create 4;
-      }
-    in
-    match txns.(i).Txn.body ctx with
-    | () -> ()
-    | exception Txn.Aborted ->
-        user_aborted.(i) <- true;
-        Hashtbl.reset buffer
-  done;
-  let keys h = Hashtbl.fold (fun k _ acc -> k :: acc) h [] in
-  let verdicts =
-    Determinism.verdicts ~writes:(Array.map keys buffers) ~reads:(Array.map keys read_sets)
-      ~user_aborted
-  in
-  let decisions = ref [] in
-  let outcomes =
-    Array.mapi
-      (fun i v ->
-        match (v : Determinism.verdict) with
-        | Determinism.Abort -> `Aborted
-        | Determinism.Defer -> `Deferred
-        | Determinism.Commit ->
-            Hashtbl.iter (fun key data -> decisions := (key, data) :: !decisions) buffers.(i);
-            `Committed)
-      verdicts
-  in
-  (outcomes, List.sort compare !decisions)
-
-(* Commit this shard's slice of the epoch's writes as one blind-write
-   batch — the same shape as {!Partition.run_epoch}'s apply pass, but
-   with the write set declared so it also runs on engines that enforce
-   declarations (Partition's Aria nodes never check; a shard's engine
-   may be any variant). *)
-let apply_txn ~table ~key data =
-  Txn.make
-    ~input:(Nvcaracal.Partition.encode_write ~table ~key data)
-    ~write_set:[ Txn.Update { table; key } ]
-    (fun ctx -> ctx.Txn.Ctx.write ~table ~key data)
-
-let apply_decisions t decisions =
-  let batch =
-    Array.of_list
-      (List.filter_map
-         (fun (((table, key) : int * int64), data) ->
-           if owns t ~table ~key then Some (apply_txn ~table ~key data) else None)
-         decisions)
-  in
-  let (Engine_intf.Packed ((module E), e)) = t.engine in
-  let _, d = E.run_batch e batch in
-  assert (Array.length d = 0)
+let shard_id t = Routed.shard_id t.member
+let applied t = Routed.applied t.member
+let engine t = Routed.engine t.member
+let bulk_load t rows = Routed.bulk_load t.member rows
+let digest t = Routed.digest t.member
 
 let record_history t ~epoch ~reads ~outcomes =
   let entry = { h_reads = reads; h_outcomes = outcomes; h_digest = digest t } in
   Hashtbl.replace t.history epoch entry;
   entry
 
+(* Applied epochs stay answerable from history: a recovering router (or
+   a respawned peer) re-drives an epoch some members already applied. *)
+let applied_entry t ~what epoch =
+  match Hashtbl.find_opt t.history epoch with
+  | Some h -> h
+  | None ->
+      failwith
+        (Printf.sprintf "Shard.%s: epoch %d already applied and not in history" what epoch)
+
+let route t ~epoch ~calls ~reads =
+  if epoch <= applied t then
+    (* Idempotent re-route: answer with the epoch's FULL merged read
+       table. A recovering router merges these with fresh members'
+       owned answers, so members that already applied the epoch supply
+       the epoch-start values nobody can re-read from committed
+       state. *)
+    ((applied_entry t ~what:"route" epoch).h_reads, true)
+  else Routed.route t.member ~epoch ~calls ~reads
+
+(* Journal BEFORE applying: after a kill-9 between the two, the
+   journaled record replays to the same applied state. The merged read
+   table rides along as a sentinel entry so replay needs no cluster
+   round trip. *)
+let persist t ~epoch ~reads calls =
+  Nv_util.Crashpoint.hit "shard-fence";
+  match t.journal with
+  | None -> ()
+  | Some j ->
+      let entries =
+        Array.to_list
+          (Array.map
+             (fun (c : Wire.routed_call) ->
+               { Journal.j_client = c.Wire.rc_client; j_seq = c.rc_seq; j_call = c.rc_call })
+             calls)
+        @ [ { Journal.j_client = sentinel_client; j_seq = epoch;
+              j_call = Wire.encode_reads reads } ]
+      in
+      Journal.append j ~batch:epoch ~entries;
+      Nv_util.Crashpoint.hit "shard-post-journal"
+
 let fence t ~epoch ~reads =
-  if epoch <= t.applied then
+  if epoch <= applied t then
     (* Idempotent: the epoch is already durable; hand back its cached
        verdicts and digest. *)
-    match Hashtbl.find_opt t.history epoch with
-    | Some h -> (h.h_outcomes, h.h_digest)
-    | None ->
-        failwith
-          (Printf.sprintf "Shard.fence: epoch %d already applied and not in history" epoch)
-  else
-    match t.recon with
-    | Some rc when rc.rc_epoch = epoch ->
-        Nv_util.Crashpoint.hit "shard-fence";
-        let outcomes, decisions = run_fence t ~epoch ~txns:rc.rc_txns ~reads in
-        (* Journal BEFORE applying: after a kill-9 between the two, the
-           journaled record replays to the same applied state. The
-           merged read table rides along as a sentinel entry so replay
-           needs no cluster round trip. *)
-        (match t.journal with
-        | None -> ()
-        | Some j ->
-            let entries =
-              Array.to_list
-                (Array.map
-                   (fun (c : Wire.routed_call) ->
-                     { Journal.j_client = c.Wire.rc_client; j_seq = c.rc_seq;
-                       j_call = c.rc_call })
-                   rc.rc_calls)
-              @ [ { Journal.j_client = sentinel_client; j_seq = epoch;
-                    j_call = Wire.encode_reads reads } ]
-            in
-            Journal.append j ~batch:epoch ~entries;
-            Nv_util.Crashpoint.hit "shard-post-journal");
-        apply_decisions t decisions;
-        t.applied <- epoch;
-        t.recon <- None;
-        let h = record_history t ~epoch ~reads ~outcomes in
-        Nv_util.Crashpoint.hit "shard-applied";
-        (outcomes, h.h_digest)
-    | Some rc ->
-        failwith
-          (Printf.sprintf "Shard.fence: fence %d does not match routed epoch %d" epoch
-             rc.rc_epoch)
-    | None -> failwith (Printf.sprintf "Shard.fence: no reconnaissance state for epoch %d" epoch)
+    let h = applied_entry t ~what:"fence" epoch in
+    (h.h_outcomes, h.h_digest)
+  else begin
+    let outcomes = Routed.fence t.member ~epoch ~reads ~persist:(persist t ~epoch ~reads) in
+    let h = record_history t ~epoch ~reads ~outcomes in
+    Nv_util.Crashpoint.hit "shard-applied";
+    (outcomes, h.h_digest)
+  end
 
 (* --- Crash recovery ---------------------------------------------------
 
@@ -371,11 +104,7 @@ let recover t ~records =
   List.iter
     (fun (r : Journal.record) ->
       let epoch = r.Journal.r_batch in
-      if epoch > t.applied then begin
-        if epoch <> t.applied + 1 then
-          failwith
-            (Printf.sprintf "Shard.recover: journal gap (record %d, applied %d)" epoch
-               t.applied);
+      if epoch > applied t then begin
         let sentinels, calls =
           List.partition (fun (e : Journal.entry) -> e.Journal.j_client = sentinel_client)
             r.Journal.r_entries
@@ -385,14 +114,14 @@ let recover t ~records =
           | [ s ] -> Wire.decode_reads s.Journal.j_call
           | _ -> failwith "Shard.recover: record lacks its fence-reads sentinel"
         in
-        let txns =
+        let calls =
           Array.of_list
-            (List.map (fun (e : Journal.entry) -> Proc.rebuild t.registry e.Journal.j_call)
+            (List.map
+               (fun (e : Journal.entry) ->
+                 { Wire.rc_client = e.Journal.j_client; rc_seq = e.j_seq; rc_call = e.j_call })
                calls)
         in
-        let outcomes, decisions = run_fence t ~epoch ~txns ~reads in
-        apply_decisions t decisions;
-        t.applied <- epoch;
+        let outcomes = Routed.replay t.member ~epoch ~calls ~reads in
         ignore (record_history t ~epoch ~reads ~outcomes)
       end)
     records
@@ -406,10 +135,10 @@ let recover t ~records =
 let handle t (req : Wire.request) : Wire.response =
   match req with
   | Wire.Shard_hello { gen; shard; shards; version } ->
-      if shard <> t.shard_id || shards <> t.shards then
+      if shard <> shard_id t || shards <> Routed.shards t.member then
         Wire.Server_error
           (Printf.sprintf "shard identity mismatch: you want %d/%d, I am %d/%d" shard shards
-             t.shard_id t.shards)
+             (shard_id t) (Routed.shards t.member))
       else if gen < t.router_gen then
         Wire.Server_error
           (Printf.sprintf "fenced: router generation %d superseded by %d" gen t.router_gen)
@@ -418,9 +147,9 @@ let handle t (req : Wire.request) : Wire.response =
         Wire.Shard_hello_ok
           {
             version = min version Wire.protocol_version;
-            shard = t.shard_id;
-            shards = t.shards;
-            applied = t.applied;
+            shard = shard_id t;
+            shards = Routed.shards t.member;
+            applied = applied t;
           }
       end
   | Wire.Route { epoch; calls; reads } -> (

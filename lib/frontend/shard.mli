@@ -1,22 +1,10 @@
 (** One member of a routed multi-shard cluster: the shard-plane
     executor behind {!Wire.Route}/{!Wire.Fence}.
 
-    A shard owns the keys the placement hash assigns it ({!owner} — the
-    same hash {!Nvcaracal.Partition} uses) and executes every epoch in
-    two rounds, after Calvin/Aria: the router fixes one global serial
-    order per epoch and broadcasts the {e whole} batch to every shard
-    ([Route]); each shard runs a reconnaissance pass — declared write
-    sets seed owned keys for free, transactions with undeclared reads
-    execute speculatively with owned reads answered from committed
-    state and remote reads from the router's partial table — and
-    replies with the owned values the epoch touches plus a
-    completeness flag; the router merges, and iterates Route with the
-    growing table until every shard is complete, then broadcasts the
-    final read table ([Fence]); each shard then re-executes the batch with all reads
-    resolved, decides each transaction's fate with the shared
-    {!Nvcaracal.Determinism.verdicts} rule — identically everywhere, no
-    voting and no two-phase commit — and commits its owned slice of the
-    writes as one blind-write batch.
+    The protocol itself — placement, reconnaissance, the fenced
+    execution and its verdict rule, the owned apply and the XOR digest —
+    is {!Nvcaracal.Routed}; a shard wraps one {!Nvcaracal.Routed} member
+    with what serving it over a transport needs.
 
     Durability is input-logging: the fence journals the global batch
     plus the merged read table (a sentinel entry) {e before} applying,
@@ -34,11 +22,6 @@ type t
 val sentinel_client : int
 (** The reserved session id ([0xFFFFFFFF]) under which a fence's merged
     read table is journaled alongside the epoch's calls. *)
-
-val owner : shards:int -> table:int -> key:int64 -> int
-(** The placement hash: which of [shards] members owns [(table, key)].
-    Identical to {!Nvcaracal.Partition}'s node placement, so a routed
-    cluster and an in-process partitioned engine agree. *)
 
 val create :
   shard_id:int ->
@@ -70,24 +53,15 @@ val route :
   calls:Wire.routed_call array ->
   reads:Wire.shard_read array ->
   Wire.shard_read array * bool
-(** Round one (iterable). For the next epoch ([applied + 1]): run a
-    reconnaissance pass against [reads], the partially merged table so
-    far (empty on the first pass), and return this shard's owned
-    reads, sorted by (table, key), plus whether the pass resolved
-    every remote read it attempted. When false, the router must merge
-    and route again before fencing. Repeat routes of the same epoch
-    reuse the rebuilt transactions; only the partial table changes.
-    For an already-applied epoch: return the epoch's {e full} merged
-    read table from history with [true] (idempotent re-route). Raises
-    [Failure] on an epoch gap. *)
+(** Round one: {!Nvcaracal.Routed.route} for the next epoch. For an
+    already-applied epoch, return the epoch's {e full} merged read table
+    from history with [true] (idempotent re-route). Raises [Failure] on
+    an epoch gap. *)
 
 val fence : t -> epoch:int -> reads:Wire.shard_read array -> Wire.shard_outcome array * int64
-(** Round two: re-execute the routed epoch under the merged read table,
-    journal, apply owned writes, and return the verdict vector plus the
-    owned-state digest. Idempotent for applied epochs (cached answer).
-    Raises [Failure] without a matching {!route}, or when a read
-    reaches a remote key reconnaissance never discovered (control flow
-    depending on remote values — see docs/CLUSTER.md). *)
+(** Round two: {!Nvcaracal.Routed.fence}, journaling the epoch before
+    it applies; returns the verdict vector plus the owned-state digest.
+    Idempotent for applied epochs (cached answer). *)
 
 val handle : t -> Wire.request -> Wire.response
 (** Dispatch one shard-plane request ([Shard_hello]/[Route]/[Fence]);
@@ -103,20 +77,11 @@ val serve : t -> address:[ `Unix of string | `Tcp of string * int ] -> should_st
     failover. Removes a Unix socket path on exit. *)
 
 val digest : t -> int64
-(** XOR (over committed rows) of per-row hashes — order- and
-    placement-independent, so XOR-ing every member's digest yields a
-    cluster fingerprint comparable across shard counts. *)
+(** The member's XOR row digest ({!Nvcaracal.Routed.digest}). *)
 
 val shard_id : t -> int
-val shards : t -> int
 
 val applied : t -> int
 (** Highest epoch durably applied (0 before the first fence). *)
 
 val engine : t -> Nvcaracal.Engine_intf.packed
-
-val read_committed : t -> table:int -> key:int64 -> bytes option
-(** Committed value of an owned key (tests and probes). *)
-
-val owns : t -> table:int -> key:int64 -> bool
-(** [owner ~shards ~table ~key = shard_id t]. *)

@@ -147,20 +147,9 @@ let exec_local engine calls =
   let _stats, _deferred = E.run_batch db (Array.map (fun c -> c.c_txn) calls) in
   E.last_batch_outcomes db
 
-(* One routed epoch: iterate Route until reconnaissance converges —
-   every member's pass resolved every remote read it attempted — then
-   Fence everyone with the final merged table and check — not decide —
-   that every verdict vector is identical. Agreement is a theorem of
-   determinism here; the assert is a corruption tripwire, never a vote.
-
-   Why iterate: a transaction body with undeclared reads may stop early
-   (workloads fail on a missing row) before touching its later owned
-   keys, so one pass under-discovers. Each round ships the table merged
-   so far; declared-read transactions converge in one round, the rest
-   in as many rounds as their read-dependency depth (two for every
-   bundled workload). *)
-let max_recon_rounds = 32
-
+(* One routed epoch: the {!Nvcaracal.Routed.run_epoch} router loop over
+   this set's members. Each remote member's Fence_ok digest is kept as
+   its share of the cluster oracle. *)
 let exec_cluster c calls =
   c.epoch <- c.epoch + 1;
   let epoch = c.epoch in
@@ -174,65 +163,18 @@ let exec_cluster c calls =
         })
       calls
   in
-  (* Merge with agreement checking: an applied member re-answers with
-     the full historical table, which may overlap fresh members' owned
-     answers — duplicates must carry equal values. *)
-  let merged = Hashtbl.create 64 in
-  let merge_answer answer =
-    let fresh = ref false in
-    Array.iter
-      (fun (r : Wire.shard_read) ->
-        match Hashtbl.find_opt merged (r.Wire.sr_table, r.Wire.sr_key) with
-        | None ->
-            Hashtbl.replace merged (r.Wire.sr_table, r.Wire.sr_key) r.Wire.sr_value;
-            fresh := true
-        | Some v ->
-            if v <> r.Wire.sr_value then
-              failwith
-                (Printf.sprintf
-                   "cluster: shards disagree on read (table %d, key %Ld) at epoch %d"
-                   r.Wire.sr_table r.Wire.sr_key epoch))
-      answer;
-    !fresh
-  in
-  let snapshot () =
-    Array.of_list
-      (List.map
-         (fun ((table, key), v) -> { Wire.sr_table = table; sr_key = key; sr_value = v })
-         (List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) merged [])))
-  in
-  let rec discover round =
-    if round > max_recon_rounds then
-      failwith
-        (Printf.sprintf "cluster: reconnaissance did not converge at epoch %d" epoch);
-    let table = snapshot () in
-    let answers =
-      Array.map (fun m -> member_route m ~epoch ~calls:rcalls ~reads:table) c.members
-    in
-    let fresh =
-      Array.fold_left (fun acc (a, _) -> if merge_answer a then true else acc) false answers
-    in
-    let all_complete = Array.for_all (fun (_, complete) -> complete) answers in
-    (* Still-incomplete members with nothing fresh left to feed them
-       mean a truly value-dependent remote read; stop iterating and let
-       the fence fail loudly on the exact key. *)
-    if (not all_complete) && fresh then discover (round + 1)
-  in
-  discover 1;
-  let reads = snapshot () in
-  let replies = Array.map (fun m -> member_fence m ~epoch ~calls:rcalls ~reads) c.members in
-  let outcomes, _ = replies.(0) in
-  Array.iteri
-    (fun i (o, _) ->
-      if o <> outcomes then
-        failwith
-          (Printf.sprintf "cluster: shard %d's verdict vector diverges at epoch %d" i epoch))
-    replies;
-  Array.iteri
-    (fun i m ->
-      match m with Remote r -> r.r_digest <- snd replies.(i) | In_process _ -> ())
-    c.members;
-  (outcomes :> [ `Committed | `Aborted | `Deferred ] array)
+  Nvcaracal.Routed.run_epoch ~epoch
+    (Array.map
+       (fun m ->
+         {
+           Nvcaracal.Routed.route = (fun reads -> member_route m ~epoch ~calls:rcalls ~reads);
+           fence =
+             (fun reads ->
+               let outcomes, digest = member_fence m ~epoch ~calls:rcalls ~reads in
+               (match m with Remote r -> r.r_digest <- digest | In_process _ -> ());
+               outcomes);
+         })
+       c.members)
 
 let exec t calls =
   match t with

@@ -8,14 +8,10 @@
     case of the same seam, which is what keeps the two paths honest
     against each other.
 
-    Routed execution (see {!Shard} for the shard half): bump the
-    cluster epoch, broadcast the batch ([Route]) to every member,
-    merge the owned-read answers into one read table (duplicate keys
-    must agree — an applied member re-answering from history overlaps
-    fresh members), broadcast the table ([Fence]), and require every
-    member's verdict vector to be identical. The equality is asserted,
-    not voted on: determinism makes agreement a theorem, so divergence
-    is corruption and stops the router.
+    Routed execution: bump the cluster epoch and run it through the
+    {!Nvcaracal.Routed.run_epoch} router loop, with each member reached
+    by a direct call ({!in_process}) or over its socket ({!remote});
+    see {!Shard} for the shard half.
 
     Remote members are supervised: a dead connection is retried, then
     the member's [respawn] callback is invoked (kill-9 failover) and

@@ -4,8 +4,13 @@ let max_frame = 1 lsl 20
 let protocol_version = 3
 
 type routed_call = { rc_client : int; rc_seq : int; rc_call : bytes }
-type shard_read = { sr_table : int; sr_key : int64; sr_value : bytes option }
-type shard_outcome = [ `Committed | `Aborted | `Deferred ]
+type shard_read = Nvcaracal.Routed.read = {
+  sr_table : int;
+  sr_key : int64;
+  sr_value : bytes option;
+}
+
+type shard_outcome = Nvcaracal.Routed.outcome
 
 type request =
   | Hello of { client : int; version : int; resume : bool; last_seq : int }

@@ -32,12 +32,14 @@ type routed_call = { rc_client : int; rc_seq : int; rc_call : bytes }
     exactly-once identity), and the encoded procedure call
     ({!Proc.encode_call} layout). *)
 
-type shard_read = { sr_table : int; sr_key : int64; sr_value : bytes option }
-(** One remote-read answer. [sr_value = None] is a live answer — "that
-    key has no committed row" — distinct from the key being absent
-    from the table of reads. *)
+type shard_read = Nvcaracal.Routed.read = {
+  sr_table : int;
+  sr_key : int64;
+  sr_value : bytes option;
+}
+(** One remote-read answer ({!Nvcaracal.Routed.read}). *)
 
-type shard_outcome = [ `Committed | `Aborted | `Deferred ]
+type shard_outcome = Nvcaracal.Routed.outcome
 (** Per-transaction verdict a shard reports at the fence. Every shard
     must report the identical vector — the router asserts it. *)
 

@@ -19,11 +19,11 @@ type outcome = {
   failures : string list;
 }
 
-(* Every 5th iteration fuzzes the sharded cluster instead: random node
-   count, cross-partition transfers, a random node crash + catch-up,
-   checked against money conservation and a single-node cluster run of
-   the same batches. *)
-let fuzz_partition rng iter ~jobs failures =
+(* Every 5th iteration fuzzes an in-process routed cluster instead:
+   random member count, cross-shard transfers, a random member crash +
+   recovery from its own NVMM, checked against money conservation and a
+   single-member cluster run of the same batches. *)
+let fuzz_cluster rng iter ~jobs failures =
   let nodes = 2 + Rng.int rng 3 in
   let accounts = 40 + Rng.int rng 80 in
   let config =
@@ -60,27 +60,48 @@ let fuzz_partition rng iter ~jobs failures =
         transfer src (dst ()) (Int64.of_int (1 + Rng.int brng 15)))
   in
   let run nodes crash_at =
-    let c = Nvcaracal.Partition.create ~config ~tables ~nodes () in
-    Nvcaracal.Partition.bulk_load c
-      (Seq.init accounts (fun i -> (0, Int64.of_int i, balance 100L)));
+    let member i ~applied db =
+      Nvcaracal.Routed.create ~shard_id:i ~shards:nodes ~applied ~rebuild:Fun.id
+        ~engine:(Nvcaracal.Engine_intf.Packed ((module Db.Serial_engine), db))
+        ~tables
+    in
+    let dbs = Array.init nodes (fun _ -> Db.create ~config ~tables ()) in
+    let members = Array.mapi (member ~applied:0) dbs in
+    Array.iter
+      (fun m ->
+        Nvcaracal.Routed.bulk_load m
+          (Seq.init accounts (fun i -> (0, Int64.of_int i, balance 100L))))
+      members;
+    let epoch = ref 0 in
     let seeds = List.init 4 (fun e -> 1000 + e) in
     List.iteri
       (fun e seed ->
         let rec retry b rounds =
           if Array.length b > 0 && rounds < 10 then begin
-            let _, d = Nvcaracal.Partition.run_epoch c b in
-            retry d (rounds + 1)
+            incr epoch;
+            let o = Nvcaracal.Routed.exec members ~epoch:!epoch b in
+            retry (Array.of_list (List.filteri (fun i _ -> o.(i) = `Deferred) (Array.to_list b)))
+              (rounds + 1)
           end
         in
         retry (batch seed 25) 0;
         match crash_at with
         | Some (ce, node) when ce = e && node < nodes ->
-            Nvcaracal.Partition.crash_node c node ~rng;
-            Nvcaracal.Partition.recover_node c node
+            let pmem = Db.crash dbs.(node) ~rng in
+            let db, _ =
+              Db.recover ~config ~tables ~pmem ~rebuild:Nvcaracal.Routed.apply_txn_of_input ()
+            in
+            dbs.(node) <- db;
+            members.(node) <- member node ~applied:!epoch db
         | _ -> ())
       seeds;
     List.init accounts (fun k ->
-        match Nvcaracal.Partition.read c ~table:0 ~key:(Int64.of_int k) with
+        let key = Int64.of_int k in
+        match
+          Nvcaracal.Routed.read_committed
+            members.(Nvcaracal.Routed.owner ~shards:nodes ~table:0 ~key)
+            ~table:0 ~key
+        with
         | Some v -> Bytes.get_int64_le v 0
         | None -> -1L)
   in
@@ -447,7 +468,7 @@ let run ~seed ~iterations ?(faults = false) ?(diff = false) ?jobs ?(log = fun _ 
     end
     else if iter mod 5 = 0 then begin
       incr crashes;
-      fuzz_partition iter_rng iter ~jobs failures;
+      fuzz_cluster iter_rng iter ~jobs failures;
       log (Printf.sprintf "iter %3d: partition cluster fuzz %s" iter
              (if !failures = [] then "ok" else "MISMATCH"))
     end

@@ -31,11 +31,11 @@
    ascending order on the calling domain, exactly like the serial loop
    it replaces.
 
-   Nested use: a task that itself calls [run] (e.g. a partitioned
-   database whose per-node work internally parallelises an epoch) would
-   deadlock waiting for workers that are busy running it, so nested
-   calls are detected via a domain-local flag and execute inline,
-   serially, on the current domain. *)
+   Nested use: a task that itself calls [run] (e.g. an engine epoch
+   started from inside another pool task) would deadlock waiting for
+   workers that are busy running it, so nested calls are detected via a
+   domain-local flag and execute inline, serially, on the current
+   domain. *)
 
 type state = {
   mutex : Mutex.t;

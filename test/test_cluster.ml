@@ -153,12 +153,13 @@ let test_cluster_vs_single ?(mk_workload = small_ycsb) ~shards () =
   Alcotest.(check int64) "cluster digest is shard-count independent"
     (F_shard_set.digest one) (F_shard_set.digest many)
 
-(* Satellite: the routed path is jobs-independent too — the per-shard
-   engines may run their apply epochs on any pool width. *)
+(* The routed path is jobs-independent too — the per-shard engines may
+   run their apply epochs on any pool width, and neither the committed
+   state nor the simulated clocks may notice. *)
 let test_cluster_jobs_identity () =
   let w = small_ycsb () in
   let batches = gen_batches w ~seed:11 ~batches:8 ~batch_size:24 in
-  let digest_at jobs =
+  let run_at jobs =
     let saved = !Engine.default_jobs in
     Engine.default_jobs := jobs;
     Fun.protect
@@ -166,11 +167,15 @@ let test_cluster_jobs_identity () =
       (fun () ->
         let _m, set = mk_cluster ~shards:3 w in
         let _ = drive set batches in
-        F_shard_set.digest set)
+        (F_shard_set.digest set, F_shard_set.total_time_ns set))
   in
-  let d1 = digest_at 1 in
-  Alcotest.(check int64) "jobs 2 == jobs 1" d1 (digest_at 2);
-  Alcotest.(check int64) "jobs 4 == jobs 1" d1 (digest_at 4)
+  let d1, t1 = run_at 1 in
+  List.iter
+    (fun jobs ->
+      let d, t = run_at jobs in
+      Alcotest.(check int64) (Printf.sprintf "jobs %d == jobs 1 (digest)" jobs) d1 d;
+      Alcotest.(check (float 0.0)) (Printf.sprintf "jobs %d == jobs 1 (time)" jobs) t1 t)
+    [ 2; 4 ]
 
 (* Shard-journal recovery: kill a shard (here: just forget it), rebuild
    it from its own journal alone, and the cluster digest must be what
@@ -267,17 +272,17 @@ let test_epoch_redrive () =
   | F_wire.Server_error _ -> ()
   | _ -> Alcotest.fail "stale generation accepted"
 
-(* The placement hash is pinned to the one Nvcaracal.Partition uses
-   (FNV combine of key hash and table id, mod members): a routed
-   cluster and an in-process partitioned engine must agree on
-   ownership. *)
-let test_placement_hash_matches_partition () =
+(* The placement hash is pinned (FNV combine of key hash and table id,
+   mod members): every member, the router and [nvdb route] place keys
+   with Routed.owner, and shard journals written under it must keep
+   replaying onto the same owners. *)
+let test_placement_hash_pinned () =
   for k = 0 to 200 do
     let key = Int64.of_int (k * 7919) in
     Alcotest.(check int)
       (Printf.sprintf "owner of %Ld" key)
       (Nv_util.Fnv.combine (Nv_util.Fnv.hash_int64 key) 0 mod 3)
-      (F_shard.owner ~shards:3 ~table:0 ~key)
+      (Nvcaracal.Routed.owner ~shards:3 ~table:0 ~key)
   done
 
 let suites =
@@ -298,8 +303,8 @@ let suites =
           (test_cluster_vs_single ~mk_workload:small_bank ~shards:3);
         Alcotest.test_case "routed digest is jobs-independent (1/2/4)" `Quick
           test_cluster_jobs_identity;
-        Alcotest.test_case "placement hash agrees with Partition" `Quick
-          test_placement_hash_matches_partition;
+        Alcotest.test_case "placement hash agrees with Routed.owner" `Quick
+          test_placement_hash_pinned;
       ] );
     ( "cluster.recovery",
       [

@@ -42,30 +42,6 @@ let engines : (string * (unit -> Engine_intf.packed)) list =
         Engine_intf.Packed
           ( (module Nv_zen.Zen_db.Engine),
             Nv_zen.Zen_db.Engine.create ~config:(zen_config ()) ~tables () ) );
-    (* The composite engines: a 3-node hash-sharded cluster and a
-       primary/replica pair, each behind the same seam — the contract
-       holds whether "the engine" is one process or a deployment. *)
-    ( "partition",
-      fun () ->
-        Engine_intf.Packed
-          ( (module Nvcaracal.Partition.Engine),
-            Nvcaracal.Partition.Engine.create
-              ~config:{ Nvcaracal.Partition.e_config = caracal_config (); e_nodes = 3 }
-              ~tables () ) );
-    ( "replication",
-      fun () ->
-        Engine_intf.Packed
-          ( (module Nvcaracal.Replication.Engine),
-            Nvcaracal.Replication.Engine.create
-              ~config:
-                {
-                  Nvcaracal.Replication.e_config = caracal_config ();
-                  (* The ship queue is never drained here, so the
-                     replica-side rebuild is unreachable. *)
-                  e_rebuild =
-                    (fun _ -> Txn.make ~input:Bytes.empty ~write_set:[] (fun _ -> ()));
-                }
-              ~tables () ) );
   ]
 
 let value i =

@@ -72,7 +72,7 @@ let run_serial_engine ~jobs =
         table_digest = digest_table db ~table:0;
         pmem_digest = digest_pmem db;
         trace = Tracer.events tracer;
-        wide = Db.wide_execs db;
+        wide = (Db.introspect db).wide_execs;
       })
 
 let run_aria_engine ~jobs =
@@ -102,7 +102,7 @@ let run_aria_engine ~jobs =
         table_digest = digest_table db ~table:0;
         pmem_digest = digest_pmem db;
         trace = [];
-        wide = Db.wide_execs db;
+        wide = (Db.introspect db).wide_execs;
       })
 
 let check_identical what (base : fingerprint) (fp : fingerprint) ~jobs =
@@ -146,62 +146,27 @@ let test_aria_engine_determinism () =
           true (fp.wide > 0))
     jobs_sweep
 
-(* --- Partitioned runs: per-node work fans out over the pool. --- *)
-
-let accounts = 96
-
 let balance_bytes v =
   let b = Bytes.create 8 in
   Bytes.set_int64_le b 0 v;
   b
 
-let transfer ~src ~dst ~amount =
-  Txn.make ~input:Bytes.empty ~write_set:[] (fun ctx ->
-      let bal key =
-        match ctx.Txn.Ctx.read ~table:0 ~key with
-        | Some v -> Bytes.get_int64_le v 0
-        | None -> failwith "missing account"
-      in
-      let s = bal src in
-      if Int64.compare s amount < 0 then ctx.Txn.Ctx.abort ();
-      let d = bal dst in
-      ctx.Txn.Ctx.write ~table:0 ~key:src (balance_bytes (Int64.sub s amount));
-      ctx.Txn.Ctx.write ~table:0 ~key:dst (balance_bytes (Int64.add d amount)))
-
-let gen_transfers seed n =
-  let rng = Nv_util.Rng.create seed in
-  Array.init n (fun _ ->
-      let src = Int64.of_int (Nv_util.Rng.int rng accounts) in
-      let rec dst () =
-        let d = Int64.of_int (Nv_util.Rng.int rng accounts) in
-        if d = src then dst () else d
-      in
-      transfer ~src ~dst:(dst ()) ~amount:(Int64.of_int (1 + Nv_util.Rng.int rng 20)))
+(* --- Routed runs: each in-process member's engine applies its owned
+   writes over the pool. --- *)
 
 let run_partitioned ~jobs =
   let config =
-    Config.make ~cores:4 ~rows_per_core:4096 ~values_per_core:4096
-      ~freelist_capacity:4096 ~parallelism:jobs ()
+    Config.make ~cores:4 ~rows_per_core:4096 ~values_per_core:4096 ~freelist_capacity:4096
+      ~parallelism:jobs ()
   in
-  let tables = [ Table.make ~id:0 ~name:"accounts" () ] in
-  let c = Partition.create ~config ~tables ~nodes:3 () in
-  Partition.bulk_load c
-    (Seq.init accounts (fun i -> (0, Int64.of_int i, balance_bytes 100L)));
+  let c = Test_partition.mk_cluster ~config () in
+  let committed = ref 0 in
   for seed = 1 to 5 do
-    let rec go batch rounds =
-      if Array.length batch > 0 && rounds <= 20 then
-        let _, deferred = Partition.run_epoch c (batch : Txn.t array) in
-        go deferred (rounds + 1)
-    in
-    go (gen_transfers seed 40) 0
+    committed := !committed + Test_partition.run_with_retry c (Test_partition.gen_batch seed 40)
   done;
-  let balances =
-    List.init accounts (fun k ->
-        match Partition.read c ~table:0 ~key:(Int64.of_int k) with
-        | Some v -> Bytes.get_int64_le v 0
-        | None -> -1L)
-  in
-  (balances, Partition.committed_txns c, Partition.total_time_ns c)
+  ( Test_partition.balances c,
+    !committed,
+    Array.fold_left (fun acc db -> acc +. Db.total_time_ns db) 0.0 c.Test_partition.dbs )
 
 let test_partition_determinism () =
   let base = run_partitioned ~jobs:1 in
@@ -209,9 +174,7 @@ let test_partition_determinism () =
     (fun jobs ->
       let balances, committed, time_ns = run_partitioned ~jobs in
       let b0, c0, t0 = base in
-      Alcotest.(check (list int64))
-        (Printf.sprintf "jobs=%d balances" jobs)
-        b0 balances;
+      Alcotest.(check (list int64)) (Printf.sprintf "jobs=%d balances" jobs) b0 balances;
       Alcotest.(check int) (Printf.sprintf "jobs=%d committed" jobs) c0 committed;
       Alcotest.(check (float 0.0)) (Printf.sprintf "jobs=%d time" jobs) t0 time_ns)
     jobs_sweep
@@ -283,7 +246,7 @@ let run_shape sh ~jobs =
         let st = Db.run_epoch db (sh.sh_gen ~epoch:e rng shape_txns) in
         reports := Format.asprintf "%a" Report.pp_epoch_stats st :: !reports
       done;
-      let wide = Db.wide_execs db in
+      let wide = (Db.introspect db).wide_execs in
       let fp =
         {
           s_reports = List.rev !reports;

@@ -1,5 +1,7 @@
-(* Multi-partition deterministic execution: cross-partition
-   transactions without two-phase commit, node crash + catch-up. *)
+(* Multi-shard deterministic execution over in-process Routed members:
+   cross-shard transactions without two-phase commit, placement,
+   deterministic deferral, member crash + recovery, and member-count
+   invariance. *)
 
 open Nvcaracal
 
@@ -15,14 +17,36 @@ let balance_bytes v =
   Bytes.set_int64_le b 0 v;
   b
 
-let mk_cluster ?(nodes = 3) () =
-  let c = Partition.create ~config ~tables ~nodes () in
-  Partition.bulk_load c
-    (Seq.init accounts (fun i -> (0, Int64.of_int i, balance_bytes 100L)));
-  c
+(* An in-process cluster: one Db per member; calls are the
+   transactions themselves. *)
+type cluster = { dbs : Db.t array; members : Txn.t Routed.t array; mutable epoch : int }
+
+let member ~shards i ~applied db =
+  Routed.create ~shard_id:i ~shards ~applied ~rebuild:Fun.id
+    ~engine:(Engine_intf.Packed ((module Db.Serial_engine), db))
+    ~tables
+
+let mk_cluster ?(config = config) ?(shards = 3) () =
+  let dbs = Array.init shards (fun _ -> Db.create ~config ~tables ()) in
+  let members = Array.mapi (member ~shards ~applied:0) dbs in
+  Array.iter
+    (fun m ->
+      Routed.bulk_load m (Seq.init accounts (fun i -> (0, Int64.of_int i, balance_bytes 100L))))
+    members;
+  { dbs; members; epoch = 0 }
+
+(* One epoch; returns the verdicts and the deferred transactions. *)
+let run_epoch c batch =
+  c.epoch <- c.epoch + 1;
+  let outcomes = Routed.exec c.members ~epoch:c.epoch batch in
+  (outcomes, Array.of_list (List.filteri (fun i _ -> outcomes.(i) = `Deferred) (Array.to_list batch)))
+
+let read c ~key =
+  Routed.read_committed c.members.(Routed.owner ~shards:(Array.length c.members) ~table:0 ~key)
+    ~table:0 ~key
 
 (* Move [amount] from one account to another — frequently spanning
-   partitions. *)
+   shards. *)
 let transfer ~src ~dst ~amount =
   Txn.make ~input:Bytes.empty ~write_set:[] (fun ctx ->
       let bal key =
@@ -36,14 +60,11 @@ let transfer ~src ~dst ~amount =
       ctx.Txn.Ctx.write ~table:0 ~key:src (balance_bytes (Int64.sub s amount));
       ctx.Txn.Ctx.write ~table:0 ~key:dst (balance_bytes (Int64.add d amount)))
 
-let total c =
-  let sum = ref 0L in
-  for k = 0 to accounts - 1 do
-    match Partition.read c ~table:0 ~key:(Int64.of_int k) with
-    | Some v -> sum := Int64.add !sum (Bytes.get_int64_le v 0)
-    | None -> ()
-  done;
-  !sum
+let balances c =
+  List.init accounts (fun k ->
+      match read c ~key:(Int64.of_int k) with Some v -> Bytes.get_int64_le v 0 | None -> -1L)
+
+let total c = List.fold_left (fun acc b -> if b < 0L then acc else Int64.add acc b) 0L (balances c)
 
 let gen_batch seed n =
   let rng = Nv_util.Rng.create seed in
@@ -55,41 +76,49 @@ let gen_batch seed n =
       in
       transfer ~src ~dst:(dst ()) ~amount:(Int64.of_int (1 + Nv_util.Rng.int rng 20)))
 
+(* Runs [batch] with retries; returns how many transactions committed. *)
 let run_with_retry c batch =
+  let committed = ref 0 in
   let rec go batch rounds =
-    if Array.length batch = 0 || rounds > 20 then ()
-    else
-      let _, deferred = Partition.run_epoch c batch in
+    if Array.length batch > 0 && rounds <= 20 then begin
+      let outcomes, deferred = run_epoch c batch in
+      Array.iter (fun o -> if o = `Committed then incr committed) outcomes;
       go deferred (rounds + 1)
+    end
   in
-  go batch 0
+  go batch 0;
+  !committed
 
 let test_cross_partition_transfers () =
   let c = mk_cluster () in
-  Alcotest.(check int) "3 nodes" 3 (Partition.nodes c);
+  let committed = ref 0 in
   for seed = 1 to 5 do
-    run_with_retry c (gen_batch seed 30)
+    committed := !committed + run_with_retry c (gen_batch seed 30)
   done;
-  (* Money is conserved across partitions despite cross-node transfers
+  (* Money is conserved across shards despite cross-member transfers
      and no 2PC. *)
   Alcotest.(check int64) "conserved" (Int64.of_int (accounts * 100)) (total c);
-  Alcotest.(check bool) "committed txns" true (Partition.committed_txns c > 50);
-  Alcotest.(check bool) "time advanced" true (Partition.total_time_ns c > 0.0)
+  Alcotest.(check bool) "committed txns" true (!committed > 50);
+  Array.iter
+    (fun db -> Alcotest.(check bool) "time advanced" true (Db.total_time_ns db > 0.0))
+    c.dbs
 
 let test_keys_are_sharded () =
   let c = mk_cluster () in
   let counts = Array.make 3 0 in
   for k = 0 to accounts - 1 do
-    let o = Partition.owner c ~table:0 ~key:(Int64.of_int k) in
+    let o = Routed.owner ~shards:3 ~table:0 ~key:(Int64.of_int k) in
     counts.(o) <- counts.(o) + 1
   done;
   Array.iter (fun n -> Alcotest.(check bool) "non-degenerate shard" true (n > 5)) counts;
-  (* Each node only stores its shard. *)
+  ignore (run_with_retry c (gen_batch 1 30));
+  (* Each member only stores its shard, before and after cross-shard
+     writes. *)
   for node = 0 to 2 do
     let local = ref 0 in
-    Db.iter_committed (Partition.node_db c node) ~table:0 (fun k _ ->
+    Db.iter_committed c.dbs.(node) ~table:0 (fun k _ ->
         incr local;
-        Alcotest.(check int) "row on its owner" node (Partition.owner c ~table:0 ~key:k));
+        Alcotest.(check int) "row on its owner" node (Routed.owner ~shards:3 ~table:0 ~key:k));
     Alcotest.(check int) "shard size" counts.(node) !local
   done
 
@@ -97,10 +126,9 @@ let test_conflicts_defer_deterministically () =
   let run () =
     let c = mk_cluster () in
     let batch =
-      Array.init 10 (fun i ->
-          transfer ~src:1L ~dst:(Int64.of_int (10 + i)) ~amount:5L)
+      Array.init 10 (fun i -> transfer ~src:1L ~dst:(Int64.of_int (10 + i)) ~amount:5L)
     in
-    let _, deferred = Partition.run_epoch c batch in
+    let _, deferred = run_epoch c batch in
     (Array.length deferred, total c)
   in
   let d1, t1 = run () and d2, t2 = run () in
@@ -109,58 +137,146 @@ let test_conflicts_defer_deterministically () =
   (* All ten conflict on account 1: only the first commits per epoch. *)
   Alcotest.(check int) "nine deferred" 9 d1
 
+(* A member's whole durability is its own engine: crash its Db, recover
+   it from the torn NVMM image (its input log replays apply-writes with
+   Routed.apply_txn_of_input), and it rejoins at the epoch it had
+   applied; the router then carries it forward with the cluster. *)
 let test_node_crash_and_catchup () =
   let c = mk_cluster () in
   for seed = 1 to 3 do
-    run_with_retry c (gen_batch seed 30)
+    ignore (run_with_retry c (gen_batch seed 30))
   done;
-  let before = total c in
-  let cluster_epoch = Partition.epoch c in
-  (* Node 1 dies; its NVMM tears; it recovers and catches up. *)
-  Partition.crash_node c 1 ~rng:(Nv_util.Rng.create 5);
-  Partition.recover_node c 1;
-  Alcotest.(check int) "rejoined at cluster epoch" cluster_epoch
-    (Db.epoch (Partition.node_db c 1));
-  Alcotest.(check int64) "state intact" before (total c);
+  let before = balances c in
+  let engine_epoch = Db.epoch c.dbs.(1) in
+  let pmem = Db.crash c.dbs.(1) ~rng:(Nv_util.Rng.create 5) in
+  let db, _ = Db.recover ~config ~tables ~pmem ~rebuild:Routed.apply_txn_of_input () in
+  c.dbs.(1) <- db;
+  c.members.(1) <- member ~shards:3 1 ~applied:c.epoch db;
+  Alcotest.(check int) "back at its pre-crash engine epoch" engine_epoch (Db.epoch db);
+  Alcotest.(check (list int64)) "balances intact" before (balances c);
   (* The cluster keeps processing. *)
-  run_with_retry c (gen_batch 9 30);
-  Alcotest.(check int64) "still conserved" before (total c)
+  ignore (run_with_retry c (gen_batch 9 30));
+  Alcotest.(check int64) "still conserved" (Int64.of_int (accounts * 100)) (total c)
 
-let test_node_crash_behind_cluster () =
-  (* Crash a node, keep the cluster running... not possible while the
-     node is down (its shard is unreachable); instead crash, recover,
-     and verify the recovered node replayed its own crashed epoch from
-     its local input log. *)
+(* Crash a member right after its first epochs: what it owns comes back
+   only from replaying its own input log, and the cluster carries on. *)
+let test_node_crash_replays_local_log () =
   let c = mk_cluster () in
-  run_with_retry c (gen_batch 1 40);
-  Partition.crash_node c 0 ~rng:(Nv_util.Rng.create 11);
-  Partition.recover_node c 0;
-  run_with_retry c (gen_batch 2 40);
+  ignore (run_with_retry c (gen_batch 1 40));
+  let owned db =
+    let rows = ref [] in
+    Db.iter_committed db ~table:0 (fun k v -> rows := (k, Bytes.get_int64_le v 0) :: !rows);
+    List.sort compare !rows
+  in
+  let before = owned c.dbs.(0) in
+  let pmem = Db.crash c.dbs.(0) ~rng:(Nv_util.Rng.create 11) in
+  let db, _ = Db.recover ~config ~tables ~pmem ~rebuild:Routed.apply_txn_of_input () in
+  c.dbs.(0) <- db;
+  c.members.(0) <- member ~shards:3 0 ~applied:c.epoch db;
+  Alcotest.(check (list (pair int64 int64))) "owned rows replayed" before (owned db);
+  ignore (run_with_retry c (gen_batch 2 40));
   Alcotest.(check int64) "conserved" (Int64.of_int (accounts * 100)) (total c)
 
 let test_cluster_size_invariance () =
   (* The committed state is a pure function of the batch sequence:
-     1-, 2- and 4-node clusters must agree key for key. *)
-  let state_of nodes =
-    let c = Partition.create ~config ~tables ~nodes () in
-    Partition.bulk_load c
-      (Seq.init accounts (fun i -> (0, Int64.of_int i, balance_bytes 100L)));
+     1-, 2- and 4-member clusters must agree key for key. *)
+  let state_of shards =
+    let c = mk_cluster ~shards () in
     for seed = 1 to 4 do
-      run_with_retry c (gen_batch seed 25)
+      ignore (run_with_retry c (gen_batch seed 25))
     done;
-    List.init accounts (fun k ->
-        match Partition.read c ~table:0 ~key:(Int64.of_int k) with
-        | Some v -> Bytes.get_int64_le v 0
-        | None -> -1L)
+    balances c
   in
   let one = state_of 1 in
   List.iter
     (fun n ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%d nodes agree with 1" n)
-        true
-        (state_of n = one))
+      Alcotest.(check bool) (Printf.sprintf "%d members agree with 1" n) true (state_of n = one))
     [ 2; 4 ]
+
+(* --- Failure handling: every refusal of the protocol is a loud
+   Failure (or Invalid_argument) that leaves the member unapplied. --- *)
+
+let fails what f =
+  match f () with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.failf "%s: expected Failure" what
+
+let test_out_of_range_shard () =
+  let db = Db.create ~config ~tables () in
+  List.iter
+    (fun shard_id ->
+      match member ~shards:3 shard_id ~applied:0 db with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "shard %d of 3 accepted" shard_id)
+    [ -1; 3 ]
+
+let test_route_epoch_gap () =
+  let c = mk_cluster () in
+  let calls = gen_batch 1 5 in
+  fails "route ahead of the next epoch" (fun () ->
+      Routed.route c.members.(0) ~epoch:2 ~calls ~reads:[||]);
+  ignore (run_epoch c calls);
+  fails "re-route an applied epoch" (fun () ->
+      Routed.route c.members.(0) ~epoch:1 ~calls ~reads:[||]);
+  Alcotest.(check int) "applied unchanged" 1 (Routed.applied c.members.(0))
+
+let test_fence_needs_route () =
+  let c = mk_cluster () in
+  let m = c.members.(0) in
+  let calls = gen_batch 1 5 in
+  fails "fence with no route" (fun () -> Routed.fence m ~epoch:1 ~reads:[||] ~persist:ignore);
+  ignore (Routed.route m ~epoch:1 ~calls ~reads:[||]);
+  let persisted = ref false in
+  fails "fence of another epoch" (fun () ->
+      Routed.fence m ~epoch:2 ~reads:[||] ~persist:(fun _ -> persisted := true));
+  Alcotest.(check bool) "nothing persisted" false !persisted;
+  Alcotest.(check int) "nothing applied" 0 (Routed.applied m)
+
+let test_replay_epoch_gap () =
+  let c = mk_cluster () in
+  fails "replay past a gap" (fun () ->
+      Routed.replay c.members.(0) ~epoch:2 ~calls:(gen_batch 1 5) ~reads:[||]);
+  Alcotest.(check int) "nothing applied" 0 (Routed.applied c.members.(0))
+
+(* Router-level checks, over scripted peers. *)
+let answer key value = { Routed.sr_table = 0; sr_key = key; sr_value = Some (Bytes.of_string value) }
+
+let scripted ?(fence = fun _ -> [| `Committed |]) route = { Routed.route; fence }
+
+let test_router_rejects_disagreeing_reads () =
+  let fenced = ref false in
+  let fence _ =
+    fenced := true;
+    [| `Committed |]
+  in
+  let peers =
+    [|
+      scripted ~fence (fun _ -> ([| answer 1L "a" |], true));
+      scripted ~fence (fun _ -> ([| answer 1L "b" |], true));
+    |]
+  in
+  fails "disagreeing reads" (fun () -> Routed.run_epoch ~epoch:1 peers);
+  Alcotest.(check bool) "no member fenced" false !fenced
+
+let test_router_trips_on_divergent_verdicts () =
+  let peers =
+    [|
+      scripted (fun _ -> ([||], true));
+      scripted ~fence:(fun _ -> [| `Deferred |]) (fun _ -> ([||], true));
+    |]
+  in
+  fails "divergent verdicts" (fun () -> Routed.run_epoch ~epoch:1 peers)
+
+let test_router_bounds_reconnaissance () =
+  (* A member that always learns something new and never completes. *)
+  let rounds = ref 0 in
+  let peer =
+    scripted (fun _ ->
+        incr rounds;
+        ([| answer (Int64.of_int !rounds) "x" |], false))
+  in
+  fails "endless reconnaissance" (fun () -> Routed.run_epoch ~epoch:1 [| peer |]);
+  Alcotest.(check bool) "bounded rounds" true (!rounds > 1 && !rounds <= 32)
 
 let suites =
   [
@@ -170,7 +286,19 @@ let suites =
         Alcotest.test_case "sharding" `Quick test_keys_are_sharded;
         Alcotest.test_case "deterministic deferral" `Quick test_conflicts_defer_deterministically;
         Alcotest.test_case "node crash + catch-up" `Quick test_node_crash_and_catchup;
-        Alcotest.test_case "crash replays local log" `Quick test_node_crash_behind_cluster;
+        Alcotest.test_case "crash replays local log" `Quick test_node_crash_replays_local_log;
         Alcotest.test_case "cluster-size invariance" `Quick test_cluster_size_invariance;
+      ] );
+    ( "routed.failure-handling",
+      [
+        Alcotest.test_case "out-of-range shard rejected" `Quick test_out_of_range_shard;
+        Alcotest.test_case "route refuses an epoch gap" `Quick test_route_epoch_gap;
+        Alcotest.test_case "fence needs its route" `Quick test_fence_needs_route;
+        Alcotest.test_case "replay refuses an epoch gap" `Quick test_replay_epoch_gap;
+        Alcotest.test_case "router rejects disagreeing reads" `Quick
+          test_router_rejects_disagreeing_reads;
+        Alcotest.test_case "router trips on divergent verdicts" `Quick
+          test_router_trips_on_divergent_verdicts;
+        Alcotest.test_case "router bounds reconnaissance" `Quick test_router_bounds_reconnaissance;
       ] );
   ]
