@@ -31,7 +31,8 @@ golden:
 # Real-socket smoke of the networked front end: serve on a Unix
 # socket, drive 32 concurrent clients for 3200 transactions, assert a
 # clean drain/shutdown with zero protocol errors; then a SIGTERM
-# drain of a journaled server and a 3-shard routed cluster leg.
+# drain of a journaled server, its --recover restart (same state digest
+# and pmem crc), and a 3-shard routed cluster leg.
 serve-check:
 	bash scripts/serve_check.sh
 

@@ -214,16 +214,11 @@ let serve_shard ~workload ~contention ~engine ~seed ~capacity ~batch_target ~jou
   let journal, records =
     match journal_path with
     | None -> (None, [])
-    | Some path when Sys.file_exists path && recover ->
-        let opened = Nv_frontend.Journal.load ~path ~meta in
-        (Some opened.Nv_frontend.Journal.journal, opened.Nv_frontend.Journal.records)
-    | Some path ->
-        if Sys.file_exists path then
-          failwith
-            (Printf.sprintf
-               "nvdb serve (shard %d): journal %s already exists; pass --recover to replay it"
-               sid path);
-        (Some (Nv_frontend.Journal.create ~size:(journal_mb * 1024 * 1024) ~path ~meta ()), [])
+    | Some path -> (
+        match Nv_frontend.Journal.attach ~recover ~size:(journal_mb * 1024 * 1024) ~path ~meta with
+        | `Created j -> (Some j, [])
+        | `Loaded opened ->
+            (Some opened.Nv_frontend.Journal.journal, opened.Nv_frontend.Journal.records))
   in
   let shard =
     Nv_frontend.Shard.create ~shard_id:sid ~shards ?journal ~engine:packed ~registry
@@ -371,26 +366,20 @@ let serve_router ~workload ~contention ~engine ~seed ~jobs ~listen ~batch_target
   in
   let shard_set = Nv_frontend.Shard_set.cluster members in
   let journal, recovery =
-    if Sys.file_exists journal_base then begin
-      if not recover then
-        failwith
-          (Printf.sprintf
-             "nvdb serve: journal %s already exists; pass --recover to replay it, or remove it \
-              for a fresh start"
-             journal_base);
-      let opened = Nv_frontend.Journal.load ~path:journal_base ~meta in
-      let records = opened.Nv_frontend.Journal.records in
-      Format.fprintf ppf "nvdb: recovering router journal; re-driving %d batches%s@."
-        (List.length records)
-        (if opened.Nv_frontend.Journal.torn_tail then " (torn tail discarded)" else "");
-      ( opened.Nv_frontend.Journal.journal,
-        Some
-          { Nv_frontend.Server.rec_records = records; rec_sessions = []; rec_batches_done = 0 }
-      )
-    end
-    else
-      ( Nv_frontend.Journal.create ~size:(journal_mb * 1024 * 1024) ~path:journal_base ~meta (),
-        None )
+    match
+      Nv_frontend.Journal.attach ~recover ~size:(journal_mb * 1024 * 1024) ~path:journal_base
+        ~meta
+    with
+    | `Created j -> (j, None)
+    | `Loaded opened ->
+        let records = opened.Nv_frontend.Journal.records in
+        Format.fprintf ppf "nvdb: recovering router journal; re-driving %d batches%s@."
+          (List.length records)
+          (if opened.Nv_frontend.Journal.torn_tail then " (torn tail discarded)" else "");
+        ( opened.Nv_frontend.Journal.journal,
+          Some
+            { Nv_frontend.Server.rec_records = records; rec_sessions = []; rec_batches_done = 0 }
+        )
   in
   let stop = ref false in
   let handler = Sys.Signal_handle (fun _ -> stop := true) in
@@ -533,7 +522,10 @@ let serve_cmd =
   let journal_mb_arg =
     Arg.(
       value & opt int 8
-      & info [ "journal-mb" ] ~docv:"MIB" ~doc:"Size of a freshly created journal region.")
+      & info [ "journal-mb" ] ~docv:"MIB"
+          ~doc:
+            "Cap on a freshly created journal file: an append that would grow the file past it \
+             fails (enable checkpointing to truncate the journal).")
   in
   let run workload contention engine seed jobs listen batch_target deadline max_pending capacity
       once stats_interval stats_out journal_path recover checkpoint_every crash_safe journal_mb
@@ -581,45 +573,38 @@ let serve_cmd =
     let journal, recovery, engine =
       match journal_path with
       | None -> (None, None, cold_start ())
-      | Some path when Sys.file_exists path ->
-          (* A leftover journal silently ignored would break the one
-             property this subsystem sells: admitted means survivable. *)
-          if not recover then
-            failwith
-              (Printf.sprintf
-                 "nvdb serve: journal %s already exists; pass --recover to replay it, or remove \
-                  it for a fresh start"
-                 path);
-          let opened = Nv_frontend.Journal.load ~path ~meta in
-          let boot = Nv_frontend.Restart.boot spec setup w ~registry opened in
-          let replayable =
-            List.length
-              (List.filter
-                 (fun r -> r.Nv_frontend.Journal.r_batch >= boot.Nv_frontend.Restart.batches_done)
-                 opened.Nv_frontend.Journal.records)
-          in
-          Format.fprintf ppf "nvdb: recovering %s; replaying %d journaled batches%s@."
-            (if boot.Nv_frontend.Restart.from_checkpoint then
-               Printf.sprintf "from checkpoint (%d batches covered)"
-                 boot.Nv_frontend.Restart.batches_done
-             else "from cold image")
-            replayable
-            (if opened.Nv_frontend.Journal.torn_tail then " (torn tail discarded)" else "");
-          ( Some opened.Nv_frontend.Journal.journal,
-            Some
-              {
-                Nv_frontend.Server.rec_records = opened.Nv_frontend.Journal.records;
-                rec_sessions = boot.Nv_frontend.Restart.sessions;
-                rec_batches_done = boot.Nv_frontend.Restart.batches_done;
-              },
-            boot.Nv_frontend.Restart.engine )
-      | Some path ->
-          if recover then
-            Format.fprintf ppf "nvdb: --recover with no journal at %s; cold start@." path;
-          let j =
-            Nv_frontend.Journal.create ~size:(journal_mb * 1024 * 1024) ~path ~meta ()
-          in
-          (Some j, None, cold_start ())
+      | Some path -> (
+          match
+            Nv_frontend.Journal.attach ~recover ~size:(journal_mb * 1024 * 1024) ~path ~meta
+          with
+          | `Created j ->
+              if recover then
+                Format.fprintf ppf "nvdb: --recover with no journal at %s; cold start@." path;
+              (Some j, None, cold_start ())
+          | `Loaded opened ->
+              let boot = Nv_frontend.Restart.boot spec setup w ~registry opened in
+              let replayable =
+                List.length
+                  (List.filter
+                     (fun r ->
+                       r.Nv_frontend.Journal.r_batch >= boot.Nv_frontend.Restart.batches_done)
+                     opened.Nv_frontend.Journal.records)
+              in
+              Format.fprintf ppf "nvdb: recovering %s; replaying %d journaled batches%s@."
+                (if boot.Nv_frontend.Restart.from_checkpoint then
+                   Printf.sprintf "from checkpoint (%d batches covered)"
+                     boot.Nv_frontend.Restart.batches_done
+                 else "from cold image")
+                replayable
+                (if opened.Nv_frontend.Journal.torn_tail then " (torn tail discarded)" else "");
+              ( Some opened.Nv_frontend.Journal.journal,
+                Some
+                  {
+                    Nv_frontend.Server.rec_records = opened.Nv_frontend.Journal.records;
+                    rec_sessions = boot.Nv_frontend.Restart.sessions;
+                    rec_batches_done = boot.Nv_frontend.Restart.batches_done;
+                  },
+                boot.Nv_frontend.Restart.engine ))
     in
     let (Engine_intf.Packed ((module E), db)) = engine in
     E.set_observability ?tracer:o.Cli.tracer ?metrics:o.Cli.metrics db;

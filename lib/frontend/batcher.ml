@@ -72,7 +72,6 @@ type t = {
   mutable rejected : int;
   mutable replayed : int;  (** retries answered from the dedup window *)
   mutable deferred_total : int;  (** conflict-victim deferrals, cumulative *)
-  mutable batches_rev : (string * bytes) array list;
   (* Per-procedure admission-to-reply wall latency. Deliberately NOT in
      the Metrics registry: registry records must stay deterministic for
      the golden checks, and these are host-time readings. Served to
@@ -116,7 +115,6 @@ let create ?(cfg = config ()) ?(tracer = Tracer.null) ?(metrics = Metrics.null) 
     rejected = 0;
     replayed = 0;
     deferred_total = 0;
-    batches_rev = [];
     lat_by_proc = Hashtbl.create 16;
     m_depth = Metrics.gauge metrics "frontend.queue_depth";
     m_queue_wait = Metrics.histogram metrics "frontend.queue_wait_ticks";
@@ -142,7 +140,6 @@ let rejected t = t.rejected
 let replayed_replies t = t.replayed
 let current_tick t = t.tick
 let deferred_total t = t.deferred_total
-let admitted_batches t = List.rev t.batches_rev
 let batches_run t = t.batches_run
 let journal t = t.journal
 let sessions t = Hashtbl.length t.clients
@@ -302,7 +299,6 @@ let form t =
    replayed pmem image bit-identical. *)
 let exec_batch t batch =
   Array.iter (fun e -> e.e_close_tick <- t.tick) batch;
-  t.batches_rev <- Array.map (fun e -> e.e_call) batch :: t.batches_rev;
   Metrics.observe t.m_batch_size (float_of_int (Array.length batch));
   let calls =
     Array.map
@@ -498,7 +494,7 @@ let state_digest t = Shard_set.digest t.shards
    re-ack on top, so the dedup windows end exactly where the crashed
    server's were. *)
 let recover t ~records ~sessions:restored ~batches_done =
-  if t.admitted > 0 || t.batches_rev <> [] then
+  if t.admitted > 0 || t.batches_run > 0 then
     invalid_arg "Batcher.recover: batcher already has traffic";
   (* Replay is repair, not live serving: armed crashpoints stay quiet,
      else a countdown shorter than the replayed tail would crash-loop

@@ -22,14 +22,13 @@
 
     Batch forming is deterministic given queue contents: engine-deferred
     carryover first (original serial order), then round-robin over the
-    per-client FIFOs in client-id order. Every admitted batch is
-    recorded ({!admitted_batches}) so an offline replay of the same
-    batches through a fresh engine must reproduce the same committed
-    state — the end-to-end determinism check. With a {!Journal.t}
-    attached, each formed batch is additionally persisted {e before} it
-    runs, and {!recover} replays a reopened journal through the same
-    execution path, reproducing the crashed server's pmem image bit for
-    bit. *)
+    per-client FIFOs in client-id order. With a {!Journal.t} attached,
+    each formed batch is persisted {e before} it runs, so replaying the
+    journaled batches through a fresh engine must reproduce the same
+    committed state — the end-to-end determinism check — and
+    {!recover} replays a reopened journal through the same execution
+    path, reproducing the crashed server's pmem image bit for bit. The
+    batcher itself keeps no history of past batches. *)
 
 type t
 type client
@@ -209,12 +208,6 @@ val proc_latencies : t -> (string * Nv_util.Histogram.t) list
     sorted by procedure name. Host-time readings, so they live outside
     the metrics registry (whose records must stay deterministic); the
     server publishes them through the [Stats] wire message. *)
-
-val admitted_batches : t -> (string * bytes) array list
-(** Every batch run so far (oldest first) as the framed calls admitted
-    into it, including deferred resubmissions — replaying these batches
-    through {!Proc.build} and [run_batch] on a fresh engine reproduces
-    the served state exactly. *)
 
 val state_digest : t -> int64
 (** {!Shard_set.digest} of the committed state: the engine's FNV-chain

@@ -1,22 +1,22 @@
 (** Durable admission journal: the serving pipeline's crash story.
 
     The batcher persists every batch it is about to run — the framed
-    calls plus their [(client, seq)] headers — into a pmem-backed,
-    CRC-guarded journal region {e before} the engine executes it.
-    After a kill-9, [nvdb serve --recover] replays the journaled
-    batches in admission order through a fresh (or checkpoint-restored)
-    engine; deterministic replay reproduces the exact pmem image an
-    uncrashed server would hold, so the input log — not the client —
-    remains the durability story across the process boundary.
+    calls plus their [(client, seq)] headers — into a CRC-guarded
+    journal file {e before} the engine executes it. After a kill-9,
+    [nvdb serve --recover] replays the journaled batches in admission
+    order through a fresh (or checkpoint-restored) engine;
+    deterministic replay reproduces the exact pmem image an uncrashed
+    server would hold, so the input log — not the client — remains the
+    durability story across the process boundary.
 
-    Layout follows the layout-v2 discipline: a header of packed
-    self-checking words (distinct salts per role), then framed records
-    [[u32 len][u32 crc32c][payload]] appended tail-first — record bytes
-    are persisted {e before} the header's used-word advances, so a torn
-    append is invisible (NVTraverse's "destination, not journey"). The
-    simulated region is mirrored to a real file at every append: the
-    simulator's pmem lives in process memory, so surviving a real
-    SIGKILL needs a real file standing in for the NVDIMM.
+    The file is the journal: there is no in-memory copy of its records.
+    Its layout follows the layout-v2 discipline: a header of packed
+    self-checking words (distinct salts per role) and the meta string,
+    then framed records [[u32 len][u32 crc32c][payload]], each padded
+    to 8 bytes, appended tail-first. An append writes the record, then
+    the header's used-word, and makes both durable with one [fsync].
+    {!load} walks records up to the used claim and re-verifies every
+    CRC, so a tail torn by power loss is found and discarded.
 
     A checkpoint (engine pmem image + session table, written to
     [path.ckpt] via tmp+rename) bounds replay; the journal is truncated
@@ -52,25 +52,33 @@ type opened = {
   checkpoint : checkpoint option;
 }
 
-val create : ?size:int -> ?path:string -> meta:string -> unit -> t
-(** Fresh journal region (default 8 MiB). [meta] fingerprints the
+val create : ?size:int -> path:string -> meta:string -> unit -> t
+(** Create (or truncate) the journal file at [path]. [size] (default
+    8 MiB) caps the file: header plus records. [meta] fingerprints the
     serving configuration (workload, engine, seed); {!load} refuses a
     journal whose meta does not match, so replay never runs against the
-    wrong dataset. Without [path] the journal is in-memory only (tests);
-    with [path] the file is created/truncated and mirrored on every
-    append. Raises [Failure] if [meta] exceeds 255 bytes. *)
+    wrong dataset. Raises [Failure] if [meta] exceeds 255 bytes. *)
 
 val load : path:string -> meta:string -> opened
-(** Reopen a mirrored journal file: validate header and meta, scan the
+(** Reopen a journal file: validate header and meta, scan the
     CRC-guarded records (stopping at — and healing — any torn tail),
     and load the covering checkpoint from [path.ckpt] if one is valid.
     Raises [Failure] on a missing/corrupt header or a meta mismatch. *)
 
+val attach :
+  recover:bool -> size:int -> path:string -> meta:string -> [ `Created of t | `Loaded of opened ]
+(** The serving policy for a journal path. A missing file is created
+    ({!create}); an existing one is loaded ({!load}) with [recover] and
+    refused ([Failure]) without it — a leftover journal silently
+    ignored would break the one property the journal sells: admitted
+    means survivable. *)
+
 val append : t -> batch:int -> entries:entry list -> unit
-(** Persist one batch record: record bytes flushed and fenced first,
-    then the header's used-word, then the file mirror (fsync'd). On
-    return the record survives kill-9. Raises [Failure] when the region
-    is full (size the journal up or enable checkpointing). *)
+(** Persist one batch record: the record bytes, then the header's
+    used-word, both made durable by one [fsync]. On return the record
+    survives kill-9 and power loss. Raises [Failure], writing nothing,
+    when the record would take the file past its [size] (size the
+    journal up or enable checkpointing). *)
 
 val write_checkpoint : t -> batches:int -> sessions:session_state list -> image:bytes -> unit
 (** Write a covering checkpoint durably ([path.ckpt], tmp+rename,
@@ -79,8 +87,8 @@ val write_checkpoint : t -> batches:int -> sessions:session_state list -> image:
 
 val truncate_to : t -> batch:int -> unit
 (** Drop records with [r_batch < batch] (they are covered by a durable
-    checkpoint) and compact the survivors to the front of the region;
-    mirror and fsync. Safe against kill-9 at any point: the checkpoint
+    checkpoint), compact the survivors to the front of the file, cut
+    it there and fsync. Safe against kill-9 at any point: the checkpoint
     already covers everything dropped. *)
 
 val record_count : t -> int
@@ -89,18 +97,8 @@ val base_batch : t -> int
 
 val used_bytes : t -> int
 val size : t -> int
-val path : t -> string option
 val close : t -> unit
 
-(** {2 Test seams} *)
-
-val pmem : t -> Nv_nvmm.Pmem.t
-(** The backing region — tests assert the persistence discipline
-    (no dirty lines after {!append}) and build torn tails directly. *)
-
 val records_offset : int
-(** Byte offset of the record area (header + meta precede it). *)
-
-val rescan : t -> record list * bool
-(** Re-derive [(records, torn_tail)] from the region contents, as a
-    fresh {!load} of the same bytes would. *)
+(** Byte offset of the record area in the file (header + meta precede
+    it). *)

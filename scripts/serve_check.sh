@@ -9,7 +9,8 @@
 # checks the real-socket path: framing under concurrency, admission,
 # checkpoint-gated replies, Bye/Shutdown draining, exit codes, and the
 # live observability surface (`nvdb stats` + the periodic
-# --stats-interval JSONL flush).
+# --stats-interval JSONL flush), then a SIGTERM drain of a journaled
+# server, its --recover restart, and a 3-shard cluster.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -132,6 +133,43 @@ grep -q '^journal records ' "$SERVER2_OUT" || { echo "SIGTERM leg: no journal ac
 [ -f "$JOURNAL2" ] || { echo "SIGTERM leg: journal file missing"; exit 1; }
 
 echo "serve-check OK: SIGTERM drained a journaled server to a clean exit"
+
+# Reopen that journal: restart the same server with --recover and stop
+# it again. Replay must land on the state the first run ended with —
+# the same state digest and pmem crc pair `nvdb chaos` compares.
+SERVER2B_OUT="$(mktemp)"
+trap 'kill $SERVER_PID $SERVER2_PID 2>/dev/null || true; rm -f "$SOCK" "$SERVER_OUT" "$CLIENT_OUT" "$STATS_OUT" "$STATS_JSONL" "$SOCK2" "$JOURNAL2" "$JOURNAL2.ckpt" "$SERVER2_OUT" "$SERVER2B_OUT" "$CLIENT2_OUT"' EXIT
+
+"$NVDB" serve --workload ycsb --listen "$SOCK2" \
+  --batch-target 64 --deadline-ticks 4 --capacity 20000 \
+  --journal "$JOURNAL2" --recover \
+  >"$SERVER2B_OUT" 2>&1 &
+SERVER2_PID=$!
+
+for _ in $(seq 1 600); do
+  [ -S "$SOCK2" ] && break
+  kill -0 "$SERVER2_PID" 2>/dev/null || { echo "recovering server died before binding"; cat "$SERVER2B_OUT"; exit 1; }
+  sleep 0.1
+done
+[ -S "$SOCK2" ] || { echo "recovering server never bound $SOCK2"; cat "$SERVER2B_OUT"; exit 1; }
+
+kill -TERM "$SERVER2_PID"
+SERVER2_RC=0
+wait "$SERVER2_PID" || SERVER2_RC=$?
+if [ "$SERVER2_RC" -ne 0 ]; then
+  echo "recovered server exited with $SERVER2_RC (want 0)"; cat "$SERVER2B_OUT"; exit 1
+fi
+grep -q '^nvdb: recovering .*replaying [1-9][0-9]* journaled batches' "$SERVER2B_OUT" \
+  || { echo "recovery leg: journal was not replayed"; cat "$SERVER2B_OUT"; exit 1; }
+for key in 'state digest' 'pmem crc'; do
+  FIRST="$(grep "^$key " "$SERVER2_OUT" || true)"
+  SECOND="$(grep "^$key " "$SERVER2B_OUT" || true)"
+  if [ -z "$FIRST" ] || [ "$FIRST" != "$SECOND" ]; then
+    echo "recovery leg: '$key' differs after --recover"; echo "first:  $FIRST"; echo "second: $SECOND"; exit 1
+  fi
+done
+
+echo "serve-check OK: --recover replayed the journal to the same state digest and pmem crc"
 
 # --- Third leg: a 3-shard routed cluster serves the same clients. ---
 # The router spawns three engine shard processes, routes epochs over

@@ -184,9 +184,12 @@ let test_shard_journal_recovery () =
   let w = small_ycsb () in
   let shards = 3 in
   let batches = gen_batches w ~seed:13 ~batches:10 ~batch_size:24 in
-  let journals =
-    Array.init shards (fun i -> F_journal.create ~meta:(Printf.sprintf "shard%d" i) ())
+  let path i =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "nvdb-test-%d-shard-journal%d" (Unix.getpid ()) i)
   in
+  let meta i = Printf.sprintf "shard%d" i in
+  let journals = Array.init shards (fun i -> F_journal.create ~path:(path i) ~meta:(meta i) ()) in
   let members =
     Array.init shards (fun i -> mk_shard ~journal:journals.(i) ~shard_id:i ~shards w)
   in
@@ -197,11 +200,14 @@ let test_shard_journal_recovery () =
   (* Rebuild every member from scratch + its journal records. *)
   let members' =
     Array.init shards (fun i ->
-        let records, torn = F_journal.rescan journals.(i) in
-        assert (not torn);
-        assert (records <> []);
+        F_journal.close journals.(i);
+        let o = F_journal.load ~path:(path i) ~meta:(meta i) in
+        F_journal.close o.F_journal.journal;
+        Sys.remove (path i);
+        assert (not o.F_journal.torn_tail);
+        assert (o.F_journal.records <> []);
         let s = mk_shard ~shard_id:i ~shards w in
-        F_shard.recover s ~records;
+        F_shard.recover s ~records:o.F_journal.records;
         s)
   in
   Array.iteri

@@ -366,10 +366,27 @@ type sim_client = {
 (* Single-shard serving is the N=1 case of the shard-set seam. *)
 let local_set engine (w : W.t) = F_shard_set.local ~engine ~tables:w.W.tables
 
-let mk_batcher ?cfg spec w =
+let mk_batcher ?cfg ?journal spec w =
   let engine = loaded_engine spec w in
   let registry = F_proc.of_workload w in
-  F_batcher.create ?cfg ~shards:(local_set engine w) ~registry ~tables:w.W.tables ()
+  F_batcher.create ?cfg ?journal ~shards:(local_set engine w) ~registry ~tables:w.W.tables ()
+
+let tmpfile name =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "nvdb-test-%d-%s" (Unix.getpid ()) name)
+
+let jmeta = "workload=test contention=low engine=serial seed=1"
+
+(* The batches a journaled batcher ran, exactly as formed (carryover
+   included), read back from the closed journal file, which is then
+   removed. *)
+let journaled_batches j ~path =
+  F_journal.close j;
+  let o = F_journal.load ~path ~meta:jmeta in
+  F_journal.close o.F_journal.journal;
+  Sys.remove path;
+  assert (not o.F_journal.torn_tail);
+  o.F_journal.records
 
 let mk_client ?(seed = 0) b =
   let results = ref [] in
@@ -383,7 +400,9 @@ let submit_one b (w : W.t) cl ~req =
 let test_batcher_size_close () =
   let w = small_ycsb () in
   let cfg = F_batcher.config ~batch_target:8 ~deadline_ticks:100 () in
-  let b = mk_batcher ~cfg spec_serial w in
+  let path = tmpfile "batcher-size" in
+  let journal = F_journal.create ~path ~meta:jmeta () in
+  let b = mk_batcher ~cfg ~journal spec_serial w in
   let a = mk_client ~seed:1 b and c = mk_client ~seed:2 b in
   for i = 0 to 3 do
     assert (submit_one b w a ~req:i = `Admitted);
@@ -400,8 +419,8 @@ let test_batcher_size_close () =
   Alcotest.(check int) "client a replies" 4 (List.length !(a.results));
   Alcotest.(check int) "client c replies" 4 (List.length !(c.results));
   (* Round-robin admission in client-id order: a, c, a, c, ... *)
-  (match F_batcher.admitted_batches b with
-  | [ batch ] -> Alcotest.(check int) "batch size" 8 (Array.length batch)
+  (match journaled_batches journal ~path with
+  | [ r ] -> Alcotest.(check int) "batch size" 8 (List.length r.F_journal.r_entries)
   | _ -> Alcotest.fail "expected one admitted batch");
   (* Per-client FIFO: requests answered in submission order. *)
   let reqs cl =
@@ -478,7 +497,9 @@ let test_batcher_disconnect () =
 let test_batcher_determinism spec () =
   let w = small_ycsb () in
   let cfg = F_batcher.config ~batch_target:24 ~deadline_ticks:3 ~max_pending:4096 () in
-  let b = mk_batcher ~cfg spec w in
+  let path = tmpfile "batcher-determinism" in
+  let journal = F_journal.create ~path ~meta:jmeta () in
+  let b = mk_batcher ~cfg ~journal spec w in
   let clients = Array.init 32 (fun i -> mk_client ~seed:(100 + i) b) in
   let driver = Rng.create 9 in
   for round = 0 to 19 do
@@ -493,7 +514,7 @@ let test_batcher_determinism spec () =
   done;
   F_batcher.drain b;
   let digest_served = F_batcher.state_digest b in
-  let batches = F_batcher.admitted_batches b in
+  let batches = journaled_batches journal ~path in
   assert (batches <> []);
   (* Offline replay of the same admitted batches. *)
   let replay = loaded_engine spec w in
@@ -501,14 +522,10 @@ let test_batcher_determinism spec () =
   (match replay with
   | Engine_intf.Packed ((module E), db) ->
       List.iter
-        (fun batch ->
+        (fun r ->
           let txns =
-            Array.map
-              (fun (proc, args) ->
-                match F_proc.build registry ~proc ~args with
-                | Ok txn -> txn
-                | Error `Unknown_proc -> Alcotest.fail "replay: unknown proc")
-              batch
+            Array.of_list
+              (List.map (fun e -> F_proc.rebuild registry e.F_journal.j_call) r.F_journal.r_entries)
           in
           ignore (E.run_batch db txns))
         batches);
@@ -552,12 +569,6 @@ let test_crashpoint_parse () =
 (* ------------------------------------------------------------------ *)
 (* Durable admission journal                                           *)
 
-let tmpfile name =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "nvdb-test-%d-%s" (Unix.getpid ()) name)
-
-let jmeta = "workload=test contention=low engine=serial seed=1"
-
 let mk_entries b n =
   List.init n (fun i ->
       {
@@ -572,11 +583,6 @@ let test_journal_roundtrip () =
   let j = F_journal.create ~path ~meta:jmeta () in
   let batches = List.init 5 (fun b -> (b, mk_entries b (1 + b))) in
   List.iter (fun (b, es) -> F_journal.append j ~batch:b ~entries:es) batches;
-  (* Destination-not-journey discipline: an append leaves nothing
-     unflushed behind — what a kill-9 right now would preserve is
-     exactly what was appended. *)
-  Alcotest.(check int) "no dirty lines after append" 0
-    (Nv_nvmm.Pmem.dirty_line_count (F_journal.pmem j));
   Alcotest.(check int) "record count" 5 (F_journal.record_count j);
   F_journal.close j;
   let o = F_journal.load ~path ~meta:jmeta in
@@ -620,6 +626,70 @@ let test_journal_torn_tail () =
     o.F_journal.records;
   F_journal.close o.F_journal.journal;
   Sys.remove path
+
+(* Power loss on the file itself: the used-word reached the disk
+   claiming the last record, but the file was cut part-way through that
+   record's bytes. Load keeps the intact prefix, reports the torn tail,
+   and heals it, so the re-admitted batch appends and reloads clean. *)
+let test_journal_power_loss_tail () =
+  let path = tmpfile "journal-power" in
+  let j = F_journal.create ~path ~meta:jmeta () in
+  List.iter (fun b -> F_journal.append j ~batch:b ~entries:(mk_entries b 3)) [ 0; 1 ];
+  let prefix = F_journal.used_bytes j in
+  F_journal.append j ~batch:2 ~entries:(mk_entries 2 3);
+  let used = F_journal.used_bytes j in
+  F_journal.close j;
+  Unix.truncate path (F_journal.records_offset + prefix + ((used - prefix) / 2));
+  let o = F_journal.load ~path ~meta:jmeta in
+  Alcotest.(check bool) "torn tail reported" true o.F_journal.torn_tail;
+  Alcotest.(check (list int)) "prefix kept" [ 0; 1 ]
+    (List.map (fun r -> r.F_journal.r_batch) o.F_journal.records);
+  Alcotest.(check int) "used-word retreats to the prefix" prefix
+    (F_journal.used_bytes o.F_journal.journal);
+  F_journal.append o.F_journal.journal ~batch:2 ~entries:(mk_entries 2 3);
+  F_journal.close o.F_journal.journal;
+  let o = F_journal.load ~path ~meta:jmeta in
+  Alcotest.(check bool) "healed: no torn tail" false o.F_journal.torn_tail;
+  Alcotest.(check (list int)) "re-appended record reloads" [ 0; 1; 2 ]
+    (List.map (fun r -> r.F_journal.r_batch) o.F_journal.records);
+  assert ((List.nth o.F_journal.records 2).F_journal.r_entries = mk_entries 2 3);
+  F_journal.close o.F_journal.journal;
+  Sys.remove path
+
+(* [size] caps the file: an append that would cross it fails and
+   writes nothing, and every earlier record still loads. *)
+let test_journal_full () =
+  let path = tmpfile "journal-full" in
+  (* One-entry records of 48 bytes: two fit in 128, the third does not. *)
+  let j = F_journal.create ~size:(F_journal.records_offset + 128) ~path ~meta:jmeta () in
+  List.iter (fun b -> F_journal.append j ~batch:b ~entries:(mk_entries b 1)) [ 0; 1 ];
+  Alcotest.(check int) "two records" 96 (F_journal.used_bytes j);
+  (match F_journal.append j ~batch:2 ~entries:(mk_entries 2 1) with
+  | exception Failure _ -> ()
+  | () -> Alcotest.fail "append past size accepted");
+  Alcotest.(check int) "used unchanged" 96 (F_journal.used_bytes j);
+  Alcotest.(check int) "count unchanged" 2 (F_journal.record_count j);
+  F_journal.close j;
+  Alcotest.(check int) "nothing written past the cap" (F_journal.records_offset + 96)
+    (Unix.stat path).Unix.st_size;
+  let o = F_journal.load ~path ~meta:jmeta in
+  Alcotest.(check bool) "no torn tail" false o.F_journal.torn_tail;
+  Alcotest.(check (list int)) "earlier records load" [ 0; 1 ]
+    (List.map (fun r -> r.F_journal.r_batch) o.F_journal.records);
+  F_journal.close o.F_journal.journal;
+  Sys.remove path
+
+(* The journal is its file: creating a large one allocates no
+   in-memory image of it. *)
+let test_journal_create_lean () =
+  let path = tmpfile "journal-lean" in
+  let major () = (Gc.quick_stat ()).Gc.major_words in
+  let before = major () in
+  let j = F_journal.create ~size:(64 * 1024 * 1024) ~path ~meta:jmeta () in
+  let grown = (major () -. before) *. float_of_int (Sys.word_size / 8) in
+  F_journal.close j;
+  Sys.remove path;
+  if grown >= 1048576.0 then Alcotest.failf "create grew the major heap by %.0f bytes" grown
 
 let test_journal_checkpoint_truncate () =
   let path = tmpfile "journal-ckpt" in
@@ -843,7 +913,8 @@ let test_batcher_journal_replay spec () =
   let w = small_ycsb () in
   let cfg = F_batcher.config ~batch_target:16 ~deadline_ticks:2 ~max_pending:4096 () in
   let registry = F_proc.of_workload w in
-  let j = F_journal.create ~meta:jmeta () in
+  let path = tmpfile "journal-replay" in
+  let j = F_journal.create ~path ~meta:jmeta () in
   let b =
     F_batcher.create ~cfg ~journal:j
       ~shards:(local_set (loaded_engine spec w) w)
@@ -855,8 +926,7 @@ let test_batcher_journal_replay spec () =
     F_batcher.tick b
   done;
   F_batcher.drain b;
-  let records, torn = F_journal.rescan j in
-  assert (not torn);
+  let records = journaled_batches j ~path in
   assert (records <> []);
   let b2 =
     F_batcher.create ~cfg ~shards:(local_set (loaded_engine spec w) w) ~registry
@@ -1467,10 +1537,15 @@ let suites =
     );
     ( "frontend.journal",
       [
-        Alcotest.test_case "append/load round-trip, meta guard, clean lines" `Quick
-          test_journal_roundtrip;
+        Alcotest.test_case "append/load round-trip, meta guard" `Quick test_journal_roundtrip;
         Alcotest.test_case "torn tail healed to the CRC-valid prefix" `Quick
           test_journal_torn_tail;
+        Alcotest.test_case "power loss mid-record: prefix kept, healed, appends on" `Quick
+          test_journal_power_loss_tail;
+        Alcotest.test_case "append past size fails, earlier records load" `Quick
+          test_journal_full;
+        Alcotest.test_case "64 MiB create allocates no image of the file" `Quick
+          test_journal_create_lean;
         Alcotest.test_case "checkpoint + truncate keep only the uncovered tail" `Quick
           test_journal_checkpoint_truncate;
         Alcotest.test_case "streamed checkpoint = concatenated encoding, decodes" `Quick

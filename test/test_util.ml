@@ -90,28 +90,6 @@ let test_histogram_merge () =
   Alcotest.(check int) "merged count" 2 (Nv_util.Histogram.count m);
   Alcotest.(check (float 0.01)) "merged mean" 15.0 (Nv_util.Histogram.mean m)
 
-let test_pqueue_ordering () =
-  let q = Nv_util.Pqueue.create () in
-  let rng = Nv_util.Rng.create 11 in
-  let items = List.init 500 (fun i -> (Nv_util.Rng.float rng, i)) in
-  List.iter (fun (p, v) -> Nv_util.Pqueue.push q ~prio:p v) items;
-  Alcotest.(check int) "size" 500 (Nv_util.Pqueue.size q);
-  let rec drain last acc =
-    match Nv_util.Pqueue.peek_prio q with
-    | None -> acc
-    | Some p ->
-        Alcotest.(check bool) "non-decreasing" true (p >= last);
-        ignore (Nv_util.Pqueue.pop q);
-        drain p (acc + 1)
-  in
-  Alcotest.(check int) "drained all" 500 (drain neg_infinity 0)
-
-let test_pqueue_fifo_ties () =
-  let q = Nv_util.Pqueue.create () in
-  List.iter (fun v -> Nv_util.Pqueue.push q ~prio:1.0 v) [ 1; 2; 3; 4 ];
-  let order = List.init 4 (fun _ -> Option.get (Nv_util.Pqueue.pop q)) in
-  Alcotest.(check (list int)) "ties pop in insertion order" [ 1; 2; 3; 4 ] order
-
 (* ------------------------------------------------------------------ *)
 (* Domain-pool telemetry and spin/sleep backoff configuration.         *)
 
@@ -198,22 +176,6 @@ let prop_fnv_nonnegative =
 let prop_fnv_deterministic =
   QCheck.Test.make ~name:"fnv deterministic" ~count:1000 QCheck.string (fun s ->
       Nv_util.Fnv.hash_string s = Nv_util.Fnv.hash_string s)
-
-let prop_pqueue_sorted =
-  QCheck.Test.make ~name:"pqueue pops sorted" ~count:100
-    QCheck.(list (float_bound_exclusive 1.0))
-    (fun prios ->
-      let q = Nv_util.Pqueue.create () in
-      List.iteri (fun i p -> Nv_util.Pqueue.push q ~prio:p i) prios;
-      let rec drain acc =
-        match Nv_util.Pqueue.peek_prio q with
-        | None -> List.rev acc
-        | Some p ->
-            ignore (Nv_util.Pqueue.pop q);
-            drain (p :: acc)
-      in
-      let out = drain [] in
-      out = List.sort compare prios)
 
 (* ------------------------------------------------------------------ *)
 (* CRC-32C                                                             *)
@@ -346,13 +308,10 @@ let suites =
         Alcotest.test_case "zipf uniform" `Quick test_zipf_uniform_degenerate;
         Alcotest.test_case "histogram basic" `Quick test_histogram_basic;
         Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
-        Alcotest.test_case "pqueue ordering" `Quick test_pqueue_ordering;
-        Alcotest.test_case "pqueue fifo ties" `Quick test_pqueue_fifo_ties;
         Alcotest.test_case "dpool telemetry meters tasks" `Quick test_dpool_telemetry;
         Alcotest.test_case "dpool spin config and backoff" `Quick test_dpool_spin_config;
         QCheck_alcotest.to_alcotest prop_fnv_nonnegative;
         QCheck_alcotest.to_alcotest prop_fnv_deterministic;
-        QCheck_alcotest.to_alcotest prop_pqueue_sorted;
       ] );
     ( "crc32c",
       [
