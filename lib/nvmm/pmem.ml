@@ -2,61 +2,45 @@ type mode = Fast | Crash_safe
 
 let line_size = 64
 
-(* Per-line persistence bookkeeping, present only while the line has
-   unpersisted state. [states] holds every state a crash may surface for
-   the line, back to back in [line_size] slots: state 0 is the content
-   that survives a crash with certainty, state k (1 <= k <= [n_snaps])
-   the content after the k-th store since then, so a crash may legally
-   surface any prefix of the store sequence. [queued] is the number of
-   stores the most recent clwb captured (-1: none); at the next fence
-   state [queued] becomes state 0.
+(* Crash-state log (Crash_safe mode only).
 
-   Invariant: a tracked line's volatile content equals its newest
-   state, state [n_snaps] — [pre_store] copies the line into state 0
-   before the first store and [note_store] appends it after every
-   store. A clwb therefore captures state [n_snaps] and records a count
-   instead of a copy. Nothing else writes a tracked line's volatile
-   view: fault injection keeps to clean lines.
+   A line with unpersisted stores has a slot of [slot_ints] ints: the
+   line number shifted left one bit (the low bit is the [corrupt_range]
+   flag below), [n], the number of stores since the line's content
+   last became certain, [q], the store count its latest clwb captured
+   (-1: none since the last fence), and [top], the id of its newest
+   explicit state record. A crash may surface any state 0..n of the
+   line: state 0 is the content that survives with certainty, state k
+   the content after the k-th store, so any prefix of the store
+   sequence. States 0..n-1 are records of [rec_bytes]: the line's
+   bytes, then the id of the state before (never followed from state
+   0). State n is the volatile line itself, so a store copies exactly
+   one line (the state it replaces) and a clwb records a count instead
+   of a copy.
 
-   Clean lines share the [clean] sentinel (never mutated). The record
-   of a line that turns clean goes to a bounded per-region free pool,
-   so steady-state tracking allocates nothing. [base] is the
-   default-size buffer the record was created with: a line that takes
-   more stores grows [states] past it, and the record returns to the
-   pool with [base] again, dropping the grown buffer. Dropping the
-   whole record instead would let every pooled record that grew die in
-   the major heap and be replaced by a fresh one that the pool then
-   promotes: on TPC-C that raised promoted words by a third and peak
-   RSS by a tenth. *)
-type line_state = {
-  mutable states : bytes;
-  base : bytes;
-  mutable n_snaps : int;
-  mutable queued : int;
+   [corrupt_range] is the one writer that bypasses stores: on a dirty
+   line it first copies state n into a record and flags the slot, so
+   state n stays explicit until the line's next store. Only a flagged
+   slot's volatile line can differ from its newest state, so [fence]
+   reads the volatile view for flagged slots only.
+
+   Slots live in slot tables and records in arenas: fixed-size chunks
+   that grow a chunk at a time and are emptied, not freed. Serial code
+   uses table and arena 0; in a wide phase stripe s uses table and
+   arena s, and a line's chain may run through several arenas. An id
+   carries its table or arena in its low [log_bits] bits. *)
+type 'a chunked = {
+  mutable dir : 'a array; (* chunks of [chunk] entries; empty past the last *)
+  mutable len : int; (* entries in use *)
 }
 
-let clean = { states = Bytes.empty; base = Bytes.empty; n_snaps = 0; queued = -1 }
-
-(* Room for the persisted state and one store, which is all most lines
-   take between fences (a value line is written once per epoch); a row
-   header's few stores grow its buffer by doubling. A larger default
-   mostly inflates a bulk load's peak, when every line is dirty. *)
-let default_states_bytes = 2 * line_size
-
-(* At most this many clean records stay pooled (about 12 MB), enough for
-   the lines one large epoch dirties. A bulk load dirties far more;
-   pooling them all, or pooling grown buffers, would pin that peak in
-   memory. *)
-let pool_cap = 1 lsl 16
-
-(* Below the cap, the pool keeps only as many records as the most lines
-   newly dirtied between two fences over the last [need_window] to
-   [2 * need_window] fences. After a bulk load it thus shrinks to what
-   the workload's epochs dirty: records nobody takes are live data that
-   slows the major GC (SmallBank with checkpoints peaked 30-60 MB
-   higher with a full pool), while a large epoch, a handful of fences
-   apart from the next, finds all its records pooled. *)
-let need_window = 64
+let slot_ints = 4
+let chunk_bits = 10
+let chunk = 1 lsl chunk_bits
+let log_bits = 8
+let log_mask = (1 lsl log_bits) - 1
+let rec_bytes = line_size + 8
+let chunked () = { dir = [||]; len = 0 }
 
 (* Media-fault bookkeeping. All fields stay at their zero state unless a
    fault-injection entry point was called, so fault-free runs (including
@@ -77,31 +61,21 @@ type fault_model = {
 
 let no_faults = { torn_frac = 0.0; rot_lines = 0; rot_max_bits = 0; dead = 0 }
 
-(* Dirty-line tracking is direct-mapped: a preallocated per-line state
-   array (indexed by line number; not [clean] iff the line has
-   unpersisted stores) plus an unordered growable array of the dirty
-   line numbers so [fence] and [crash] never scan the whole region. The
-   array replaces a hashtable keyed by line index — the per-store
-   membership probe is the hottest operation in Crash_safe mode, and an
-   array load beats hashing. Fast mode allocates no tracking at all. *)
+(* [slot_of] maps each line to its slot id, tagged with the generation
+   that wrote it: an array load is the per-store membership probe, the
+   hottest operation in Crash_safe mode. [fence] and [crash] start a
+   new generation, so a line turning clean needs no write: its entry
+   simply goes stale. Fast mode allocates no tracking. *)
 type t = {
   mode : mode;
   data : bytes; (* volatile view *)
   size : int;
-  line_states : line_state array; (* per line; empty in Fast mode *)
-  mutable dirty : int array; (* [0, n_dirty): lines not [clean], unordered *)
-  mutable n_dirty : int;
-  mutable stripe_dirty : int list array;
-      (* striped execution ([begin_stripes] .. [end_stripes]): newly
-         dirtied line numbers accumulate per stripe instead of on the
-         shared [dirty] array, and are unioned at the join. Empty
-         ([[||]]) whenever striping is off. *)
-  mutable pool : line_state array; (* [0, n_pool): free default-size records *)
-  mutable n_pool : int;
-  mutable fences : int;
-  mutable need : int; (* most lines newly dirtied between fences, this window *)
-  mutable need_prev : int; (* the same over the previous window *)
-  mutable dirty_after_fence : int; (* [n_dirty] when the last fence ended *)
+  slot_of : int array; (* per line; empty in Fast mode *)
+  mutable gen : int;
+  mutable tabs : int array chunked array; (* slot tables: 0, then one per stripe *)
+  mutable arenas : bytes chunked array; (* record arenas, likewise *)
+  mutable spare_arena : bytes chunked; (* arena 0 after the next compaction *)
+  mutable striped : bool; (* between [begin_stripes] and [end_stripes] *)
   dead_lines : (int, unit) Hashtbl.t; (* lines whose reads fault *)
   crash_dirty : (int, unit) Hashtbl.t; (* lines dirty at any past crash *)
   mutable faults : fault_report;
@@ -121,22 +95,17 @@ let set_checks b = checks := b
 let checks_enabled () = !checks
 
 let create ?(mode = Fast) ~size () =
+  let crash_safe = mode = Crash_safe in
   {
     mode;
     data = Bytes.make size '\000';
     size;
-    line_states =
-      (if mode = Crash_safe then Array.make ((size + line_size - 1) / line_size) clean
-       else [||]);
-    dirty = [||];
-    n_dirty = 0;
-    stripe_dirty = [||];
-    pool = [||];
-    n_pool = 0;
-    fences = 0;
-    need = 0;
-    need_prev = 0;
-    dirty_after_fence = 0;
+    slot_of = (if crash_safe then Array.make ((size + line_size - 1) / line_size) (-1) else [||]);
+    tabs = (if crash_safe then [| chunked () |] else [||]);
+    arenas = (if crash_safe then [| chunked () |] else [||]);
+    spare_arena = chunked ();
+    gen = 0;
+    striped = false;
     dead_lines = Hashtbl.create 4;
     crash_dirty = Hashtbl.create 64;
     faults = zero_faults;
@@ -145,120 +114,136 @@ let create ?(mode = Fast) ~size () =
 let mode t = t.mode
 let size t = t.size
 
-let push_dirty t li =
-  if t.n_dirty = Array.length t.dirty then begin
-    let grown = Array.make (max 64 (2 * t.n_dirty)) 0 in
-    Array.blit t.dirty 0 grown 0 t.n_dirty;
-    t.dirty <- grown
-  end;
-  t.dirty.(t.n_dirty) <- li;
-  t.n_dirty <- t.n_dirty + 1
+(* Chunk directories double; only their pointers are ever copied. *)
+let extend dir empty =
+  let grown = Array.make (max 4 (2 * Array.length dir)) empty in
+  Array.blit dir 0 grown 0 (Array.length dir);
+  grown
 
-let pool_limit t = min pool_cap (max t.need t.need_prev)
+(* A slot index fits in 32 bits (a table holds at most one slot per
+   line), its table in [log_bits]; the generation takes the bits above. *)
+let gen_shift = 32 + log_bits
+let gen_limit = 1 lsl (62 - gen_shift)
+let id_mask = (1 lsl gen_shift) - 1
 
-(* A line turned clean: keep its record for reuse if the pool has room. *)
-let release t st =
-  if t.n_pool < pool_limit t then begin
-    st.states <- st.base;
-    if t.n_pool = Array.length t.pool then begin
-      let grown = Array.make (min pool_cap (max 64 (2 * t.n_pool))) clean in
-      Array.blit t.pool 0 grown 0 t.n_pool;
-      t.pool <- grown
-    end;
-    t.pool.(t.n_pool) <- st;
-    t.n_pool <- t.n_pool + 1
+(* Line [li]'s slot id, or -1 while the line is clean. An entry of -1
+   shifts to above any generation. *)
+let slot_id t li =
+  let e = t.slot_of.(li) in
+  if e lsr gen_shift = t.gen then e land id_mask else -1
+
+let set_slot t li ~gen id = t.slot_of.(li) <- (gen lsl gen_shift) lor id
+
+(* The generation after the current one; on wrap-around every entry is
+   cleared, so none from a past generation can look current. *)
+let next_gen t =
+  if t.gen + 1 < gen_limit then t.gen + 1
+  else begin
+    Array.fill t.slot_of 0 (Array.length t.slot_of) (-1);
+    0
   end
 
-let fresh_state () =
-  let b = Bytes.create default_states_bytes in
-  { states = b; base = b; n_snaps = 0; queued = -1 }
+let slot_chunk t id = t.tabs.(id land log_mask).dir.(id lsr (log_bits + chunk_bits))
+let slot_base id = ((id lsr log_bits) land (chunk - 1)) * slot_ints
 
-(* Record that bytes [off, off+len) were just stored. Must be called
-   after the volatile view was updated. In Fast mode this is free. *)
-let note_store t ~off ~len =
-  if t.mode = Crash_safe && len > 0 then begin
-    let first = off / line_size and last = (off + len - 1) / line_size in
-    for li = first to last do
-      (* [pre_store] has already captured the pre-store baseline, so the
-         state must exist; append the after-store state. *)
-      let st = t.line_states.(li) in
-      assert (st != clean);
-      let k = st.n_snaps + 1 in
-      let pos = k * line_size in
-      if pos + line_size > Bytes.length st.states then begin
-        let grown = Bytes.create (2 * Bytes.length st.states) in
-        Bytes.blit st.states 0 grown 0 pos;
-        st.states <- grown
-      end;
-      Bytes.blit t.data (li * line_size) st.states pos line_size;
-      st.n_snaps <- k
-    done
-  end
+let push_slot tab l ~w0 ~n ~top =
+  let i = tab.len in
+  let c = i lsr chunk_bits and b = (i land (chunk - 1)) * slot_ints in
+  if c = Array.length tab.dir then tab.dir <- extend tab.dir [||];
+  if Array.length tab.dir.(c) = 0 then tab.dir.(c) <- Array.make (chunk * slot_ints) 0;
+  let s = tab.dir.(c) in
+  s.(b) <- w0;
+  s.(b + 1) <- n;
+  s.(b + 2) <- -1;
+  s.(b + 3) <- top;
+  tab.len <- i + 1;
+  (i lsl log_bits) lor l
+
+external get64 : bytes -> int -> int64 = "%caml_bytes_get64"
+external set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64"
+
+(* Append the line at [src_off] of [src] to [arena] (number [l]) as a
+   record after [link]. *)
+let push_rec arena l ~src ~src_off ~link =
+  let r = arena.len in
+  let c = r lsr chunk_bits and o = (r land (chunk - 1)) * rec_bytes in
+  if c = Array.length arena.dir then arena.dir <- extend arena.dir Bytes.empty;
+  if Bytes.length arena.dir.(c) = 0 then arena.dir.(c) <- Bytes.create (chunk * rec_bytes);
+  Bytes.blit src src_off arena.dir.(c) o line_size;
+  set64 arena.dir.(c) (o + line_size) (Int64.of_int link);
+  arena.len <- r + 1;
+  (r lsl log_bits) lor l
+
+(* Copy volatile line [li] into arena [l] as a record after [link]. *)
+let push_line t l li ~link = push_rec t.arenas.(l) l ~src:t.data ~src_off:(li * line_size) ~link
+
+let rec_chunk t id = t.arenas.(id land log_mask).dir.(id lsr (log_bits + chunk_bits))
+let rec_off id = ((id lsr log_bits) land (chunk - 1)) * rec_bytes
+let rec_link t id = Int64.to_int (get64 (rec_chunk t id) (rec_off id + line_size))
+
+(* Drop a table's or arena's chunks past those in use and its first
+   [keep_chunks] (about 6.5 MB for a table and an arena once filled):
+   enough for the lines one large epoch dirties, so epochs find their
+   chunks in place, while a bulk load's burst is given back. *)
+let keep_chunks = 64
+
+let trim c =
+  let keep = max keep_chunks ((c.len + chunk - 1) lsr chunk_bits) in
+  if Array.length c.dir > keep then c.dir <- Array.sub c.dir 0 keep
+
+let empty c =
+  c.len <- 0;
+  trim c
 
 (* Stripe identity of the current domain while striping is active. A
    plain domain-local: each pool task announces its stripe once via
    [set_stripe] before touching the region. *)
 let stripe_key = Domain.DLS.new_key (fun () -> 0)
 
-(* Capture the pre-store persisted baseline for lines about to be
-   stored for the first time since they were last clean. Must be called
-   BEFORE mutating the volatile view.
+let cur_log t = if t.striped then Domain.DLS.get stripe_key else 0
 
-   During striped execution the newly-dirty line number goes to the
-   calling stripe's private list (and [n_dirty] is deferred to
-   [end_stripes]), and the line's record is freshly allocated rather
-   than taken from the shared pool, so concurrent stripes never contend
-   on shared bookkeeping. Distinct stripes touch disjoint line sets —
-   that is the caller's eligibility contract — so [line_states] element
-   writes are race-free, and per-line state mutation
-   ([note_store]/[flush]) stays confined to the one stripe that owns
-   the line. *)
-let pre_store t ~off ~len =
+(* Log that bytes [off, off+len) are about to be stored. Must be called
+   BEFORE mutating the volatile view: each line's current content
+   becomes an explicit state (a flagged slot's already is). Stripes
+   append only to their own log, and distinct stripes store to disjoint
+   lines (the caller's eligibility contract), so a slot in another log
+   is still mutated by one domain only. *)
+let log_store t ~off ~len =
   if t.mode = Crash_safe && len > 0 then begin
-    let first = off / line_size and last = (off + len - 1) / line_size in
-    for li = first to last do
-      if t.line_states.(li) == clean then begin
-        let striped = Array.length t.stripe_dirty > 0 in
-        let st =
-          if striped || t.n_pool = 0 then fresh_state ()
-          else begin
-            t.n_pool <- t.n_pool - 1;
-            let st = t.pool.(t.n_pool) in
-            t.pool.(t.n_pool) <- clean;
-            st
-          end
-        in
-        Bytes.blit t.data (li * line_size) st.states 0 line_size;
-        st.n_snaps <- 0;
-        st.queued <- -1;
-        t.line_states.(li) <- st;
-        if not striped then push_dirty t li
-        else begin
-          let s = Domain.DLS.get stripe_key in
-          t.stripe_dirty.(s) <- li :: t.stripe_dirty.(s)
-        end
+    let l = cur_log t in
+    for li = off / line_size to (off + len - 1) / line_size do
+      let id = slot_id t li in
+      if id < 0 then
+        set_slot t li ~gen:t.gen
+          (push_slot t.tabs.(l) l ~w0:(li lsl 1) ~n:1 ~top:(push_line t l li ~link:(-1)))
+      else begin
+        let s = slot_chunk t id and b = slot_base id in
+        if s.(b) land 1 = 1 then s.(b) <- s.(b) lxor 1
+        else s.(b + 3) <- push_line t l li ~link:s.(b + 3);
+        s.(b + 1) <- s.(b + 1) + 1
       end
     done
   end
 
-(* Striped dirty tracking: NVTraverse-style quiescence — per-stripe
-   dirty sets during a wide phase, unioned at the join barrier. Only
-   meaningful in Crash_safe mode; a Fast region makes all three no-ops.
-   [fence]/[crash]/inspection must not run between [begin_stripes] and
-   [end_stripes] (they would miss the striped lines). The merged order
-   differs from serial execution's, which is unobservable: every
-   consumer either sorts ([sorted_dirty], [crash], [unpersisted_ranges])
-   or is per-line commutative ([fence]). *)
+(* Striped dirty tracking: NVTraverse-style quiescence. Stripe s keeps
+   its slots and records in log s, and [fence] walks every log; the
+   join copies nothing. Only meaningful in Crash_safe mode; a Fast
+   region makes all three no-ops. [fence]/[crash]/inspection must not
+   run between [begin_stripes] and [end_stripes]. Slot order differs
+   from serial execution's, which is unobservable: every consumer
+   either sorts ([sorted_dirty], [crash], [unpersisted_ranges]) or is
+   per-line commutative ([fence]). *)
 let begin_stripes t ~n =
-  if t.mode = Crash_safe then t.stripe_dirty <- Array.make (max 1 n) []
+  if t.mode = Crash_safe then begin
+    if n > log_mask then invalid_arg "Pmem.begin_stripes: too many stripes";
+    let grow a = Array.append a (Array.init (max 0 (n - Array.length a)) (fun _ -> chunked ())) in
+    t.tabs <- grow t.tabs;
+    t.arenas <- grow t.arenas;
+    t.striped <- true
+  end
 
 let set_stripe t s = if t.mode = Crash_safe then Domain.DLS.set stripe_key s
-
-let end_stripes t =
-  if Array.length t.stripe_dirty > 0 then begin
-    Array.iter (List.iter (push_dirty t)) t.stripe_dirty;
-    t.stripe_dirty <- [||]
-  end
+let end_stripes t = t.striped <- false
 
 let check_bounds t off len =
   if off < 0 || len < 0 || off + len > t.size then
@@ -277,9 +262,8 @@ let set_i64 t off v =
     assert (off land 7 = 0);
     check_bounds t off 8
   end;
-  pre_store t ~off ~len:8;
-  Bytes.set_int64_le t.data off v;
-  note_store t ~off ~len:8
+  log_store t ~off ~len:8;
+  Bytes.set_int64_le t.data off v
 
 let get_i32 t off =
   if !checks then begin
@@ -293,9 +277,8 @@ let set_i32 t off v =
     assert (off land 3 = 0);
     check_bounds t off 4
   end;
-  pre_store t ~off ~len:4;
-  Bytes.set_int32_le t.data off v;
-  note_store t ~off ~len:4
+  log_store t ~off ~len:4;
+  Bytes.set_int32_le t.data off v
 
 let get_u8 t off =
   if !checks then check_bounds t off 1;
@@ -303,9 +286,8 @@ let get_u8 t off =
 
 let set_u8 t off v =
   if !checks then check_bounds t off 1;
-  pre_store t ~off ~len:1;
-  Bytes.set t.data off (Char.chr (v land 0xFF));
-  note_store t ~off ~len:1
+  log_store t ~off ~len:1;
+  Bytes.set t.data off (Char.chr (v land 0xFF))
 
 let read_bytes t ~off ~len =
   if !checks then check_bounds t off len;
@@ -313,9 +295,8 @@ let read_bytes t ~off ~len =
 
 let blit_to t ~src ~src_off ~dst_off ~len =
   if !checks then check_bounds t dst_off len;
-  pre_store t ~off:dst_off ~len;
-  Bytes.blit src src_off t.data dst_off len;
-  note_store t ~off:dst_off ~len
+  log_store t ~off:dst_off ~len;
+  Bytes.blit src src_off t.data dst_off len
 
 let write_bytes t ~off b = blit_to t ~src:b ~src_off:0 ~dst_off:off ~len:(Bytes.length b)
 
@@ -329,87 +310,82 @@ let crc32c t ~off ~len =
 
 let fill t ~off ~len c =
   if !checks then check_bounds t off len;
-  pre_store t ~off ~len;
-  Bytes.fill t.data off len c;
-  note_store t ~off ~len
+  log_store t ~off ~len;
+  Bytes.fill t.data off len c
 
-(* The clwb capture is the line's newest state (see the invariant on
-   [line_state]), so remembering its index is enough. *)
+(* The clwb capture is the line's newest state, so its count is enough. *)
 let flush ?(charge = true) t stats ~off ~len =
   if len > 0 then begin
     if !checks then check_bounds t off len;
-    let first = off / line_size and last = (off + len - 1) / line_size in
-    for li = first to last do
+    for li = off / line_size to (off + len - 1) / line_size do
       if charge then Stats.flush stats;
       if t.mode = Crash_safe then begin
-        let st = t.line_states.(li) in
+        let id = slot_id t li in
         (* clean line: clwb is a no-op *)
-        if st != clean then st.queued <- st.n_snaps
+        if id >= 0 then begin
+          let s = slot_chunk t id and b = slot_base id in
+          s.(b + 2) <- s.(b + 1)
+        end
       end
     done
   end
 
-external get64 : bytes -> int -> int64 = "%caml_bytes_get64"
-
-(* Whether the volatile line equals state [k]; unboxed word compares. *)
-let volatile_is_state t li st k =
-  let base = li * line_size and sbase = k * line_size in
+(* Whether volatile line [li] equals record [r]; unboxed word compares. *)
+let volatile_is_rec t li r =
+  let rb = rec_chunk t r and ro = rec_off r and base = li * line_size in
   let i = ref 0 in
-  while !i < line_size && get64 t.data (base + !i) = get64 st.states (sbase + !i) do
+  while !i < line_size && get64 t.data (base + !i) = get64 rb (ro + !i) do
     i := !i + 8
   done;
   !i = line_size
 
-(* A fence that leaves the dirty array under a quarter full shrinks it,
-   but never below this many entries: only the array a burst (a bulk
-   load) grew is given back. *)
-let dirty_keep = 1 lsl 16
-
+(* A slot whose every store was captured turns clean (a flagged one only
+   if its volatile line is still the captured state): only the slot
+   tables are read. Any other drops the states older than its capture
+   and is re-pushed onto table 0, which compacts it in place, while its
+   records stay put. The arenas are emptied when no slot is kept;
+   otherwise they are compacted into the spare arena only once they
+   hold over twice the kept records plus [keep_chunks] chunks, so a
+   line left dirty across fences costs no copy per fence. *)
 let fence t stats =
   Stats.fence stats;
   if t.mode = Crash_safe then begin
-    t.need <- max t.need (t.n_dirty - t.dirty_after_fence);
-    t.fences <- t.fences + 1;
-    if t.fences mod need_window = 0 then begin
-      t.need_prev <- t.need;
-      t.need <- 0
-    end;
-    let kept = ref 0 in
-    for i = 0 to t.n_dirty - 1 do
-      let li = t.dirty.(i) in
-      let st = t.line_states.(li) in
-      let k = st.queued in
-      if k >= 0 && k = st.n_snaps && volatile_is_state t li st k then begin
-        (* Every store was captured and none followed (the volatile view
-           still is the captured state): the line is clean. *)
-        t.line_states.(li) <- clean;
-        release t st
-      end
-      else begin
-        if k >= 0 then begin
-          (* The captured state k is now durable: states older than it
-             can no longer surface in a crash, so drop them by moving
-             state k and every newer one to the front. *)
-          if k > 0 then
-            Bytes.blit st.states (k * line_size) st.states 0
-              ((st.n_snaps - k + 1) * line_size);
-          st.n_snaps <- st.n_snaps - k;
-          st.queued <- -1
-        end;
-        t.dirty.(!kept) <- li;
-        incr kept
-      end
+    let t0 = t.tabs.(0) and gen = next_gen t and live = ref 0 in
+    for l = 0 to Array.length t.tabs - 1 do
+      let tab = t.tabs.(l) in
+      let len = tab.len in
+      tab.len <- 0;
+      for i = 0 to len - 1 do
+        let s = tab.dir.(i lsr chunk_bits) and b = (i land (chunk - 1)) * slot_ints in
+        let w0 = s.(b) and n = s.(b + 1) and q = s.(b + 2) and top = s.(b + 3) in
+        if q <> n || (w0 land 1 = 1 && not (volatile_is_rec t (w0 lsr 1) top)) then begin
+          let lo = Int.max q 0 in
+          live := !live + n + (w0 land 1) - lo;
+          set_slot t (w0 lsr 1) ~gen (push_slot t0 0 ~w0 ~n:(n - lo) ~top)
+        end
+      done;
+      trim tab
     done;
-    t.n_dirty <- !kept;
-    t.dirty_after_fence <- !kept;
-    let limit = pool_limit t in
-    if t.n_pool > limit then begin
-      Array.fill t.pool limit (t.n_pool - limit) clean;
-      t.n_pool <- limit
+    let held = Array.fold_left (fun acc a -> acc + a.len) 0 t.arenas in
+    if !live = 0 then Array.iter empty t.arenas
+    else if held > (2 * !live) + (keep_chunks * chunk) then begin
+      (* Compaction: each kept chain is copied newest first. *)
+      let spa = t.spare_arena in
+      for i = 0 to t0.len - 1 do
+        let s = t0.dir.(i lsr chunk_bits) and b = (i land (chunk - 1)) * slot_ints in
+        let m = s.(b + 1) + (s.(b) land 1) and r = ref s.(b + 3) and r0 = spa.len in
+        for j = 0 to m - 1 do
+          let link = if j = m - 1 then -1 else (r0 + j + 1) lsl log_bits in
+          ignore (push_rec spa 0 ~src:(rec_chunk t !r) ~src_off:(rec_off !r) ~link);
+          if j < m - 1 then r := rec_link t !r
+        done;
+        s.(b + 3) <- r0 lsl log_bits
+      done;
+      Array.iter empty t.arenas;
+      t.spare_arena <- t.arenas.(0);
+      t.arenas.(0) <- spa
     end;
-    let cap = Array.length t.dirty in
-    if cap > dirty_keep && t.n_dirty < cap / 4 then
-      t.dirty <- Array.sub t.dirty 0 (max dirty_keep (2 * t.n_dirty))
+    t.gen <- gen
   end
 
 let persist t stats ~off ~len =
@@ -431,46 +407,67 @@ let charge_read t stats ~off ~len =
 let charge_write _t stats ~off ~len = Stats.nvmm_write stats ~off ~len
 let charge_seq_write _t stats ~bytes = Stats.nvmm_seq_write stats ~bytes
 
-let apply_crash_choice t li st idx =
-  Bytes.blit st.states (idx * line_size) t.data (li * line_size) line_size
+(* Crash states of a dirty line: its slot's [n] and a function copying
+   [len] bytes at [pos] within the line from state k into the volatile
+   view. State n of an unflagged slot is the volatile line already. *)
+let line_states t li =
+  let id = slot_id t li in
+  let s = slot_chunk t id and b = slot_base id in
+  let n = s.(b + 1) and top_k = s.(b + 1) - 1 + (s.(b) land 1) and top = s.(b + 3) in
+  let surface k ~pos ~len =
+    if k <= top_k then begin
+      let r = ref top in
+      for _ = k + 1 to top_k do
+        r := rec_link t !r
+      done;
+      Bytes.blit (rec_chunk t !r) (rec_off !r + pos) t.data ((li * line_size) + pos) len
+    end
+  in
+  (n, surface)
 
-(* Remember which lines were in flight when the machine died —
-   accumulated across crashes so a crash during recovery keeps the
-   evidence of the original one. Recovery's scrub consults this to tell
-   legitimate epoch turnover (a stale version whose value bytes were
-   being overwritten) apart from media damage to cold data. *)
-let finish_crash t =
-  for i = 0 to t.n_dirty - 1 do
-    let li = t.dirty.(i) in
-    Hashtbl.replace t.crash_dirty li ();
-    release t t.line_states.(li);
-    t.line_states.(li) <- clean
-  done;
-  t.n_dirty <- 0;
-  t.dirty_after_fence <- 0
+let dirty_line_count t = Array.fold_left (fun acc tab -> acc + tab.len) 0 t.tabs
 
 (* Dirty line numbers in ascending order. *)
 let sorted_dirty t =
-  let a = Array.sub t.dirty 0 t.n_dirty in
+  let a = Array.make (dirty_line_count t) 0 and k = ref 0 in
+  Array.iter
+    (fun tab ->
+      for i = 0 to tab.len - 1 do
+        a.(!k) <- tab.dir.(i lsr chunk_bits).((i land (chunk - 1)) * slot_ints) lsr 1;
+        incr k
+      done)
+    t.tabs;
   Array.sort Int.compare a;
   a
 
 let require_crash_safe t =
   if t.mode <> Crash_safe then invalid_arg "Pmem.crash: region is in Fast mode"
 
-let crash_with t ~choose =
+(* Crash: [f li n surface] picks each dirty line's surviving state, in
+   ascending line order so callbacks see a deterministic sequence
+   whatever the store order; then the region is clean. The lines are
+   remembered — accumulated across crashes, so a crash during recovery
+   keeps the evidence of the original one. Recovery's scrub consults
+   this to tell legitimate epoch turnover (a stale version whose value
+   bytes were being overwritten) apart from media damage to cold data. *)
+let crash_lines t f =
   require_crash_safe t;
-  (* Iterate in sorted line order so the callback sees a deterministic
-     sequence regardless of store order. *)
+  let lines = sorted_dirty t in
   Array.iter
     (fun li ->
-      let st = t.line_states.(li) in
-      let options = 1 + st.n_snaps in
-      let idx = choose ~line:li ~options in
-      assert (idx >= 0 && idx < options);
-      apply_crash_choice t li st idx)
-    (sorted_dirty t);
-  finish_crash t
+      let n, surface = line_states t li in
+      f li n surface;
+      Hashtbl.replace t.crash_dirty li ())
+    lines;
+  Array.iter empty t.tabs;
+  Array.iter empty t.arenas;
+  t.gen <- next_gen t
+
+let crash_with t ~choose =
+  crash_lines t (fun li n surface ->
+      let idx = choose ~line:li ~options:(n + 1) in
+      assert (idx >= 0 && idx <= n);
+      surface idx ~pos:0 ~len:line_size)
 
 let crash t ~rng = crash_with t ~choose:(fun ~line:_ ~options -> Nv_util.Rng.int rng options)
 
@@ -485,22 +482,12 @@ let crash_all_persisted t = crash_with t ~choose:(fun ~line:_ ~options -> option
    checksummed layout in {!Nv_storage} exists to detect exactly these
    states; see docs/FAULTS.md for the taxonomy. *)
 
-(* Compose a torn line: each naturally-aligned 8-byte word independently
-   picks one of the line's states (persisted baseline or any store
-   snapshot). Word granularity respects the 8-byte power-fail store
-   atomicity of real hardware, so single-word structures survive whole
-   while anything larger can surface impossible mixes. *)
-let torn_mix t rng li st =
-  let options = 1 + st.n_snaps in
-  for w = 0 to (line_size / 8) - 1 do
-    let src = Nv_util.Rng.int rng options in
-    Bytes.blit st.states ((src * line_size) + (w * 8)) t.data ((li * line_size) + (w * 8)) 8
-  done
-
 let flip_bit t ~bit_off =
   let off = bit_off / 8 in
   let mask = 1 lsl (bit_off mod 8) in
   Bytes.set t.data off (Char.chr (Char.code (Bytes.get t.data off) lxor mask))
+
+let is_clean t li = t.mode <> Crash_safe || slot_id t li < 0
 
 (* Flip random bits in up to [lines] randomly chosen *clean* (persisted)
    lines. Returns (lines hit, bits flipped). *)
@@ -509,7 +496,7 @@ let inject_bit_rot t ~rng ~lines ~max_bits =
   let hit = ref 0 and flipped = ref 0 in
   for _ = 1 to lines do
     let li = Nv_util.Rng.int rng n_lines in
-    if t.mode <> Crash_safe || t.line_states.(li) == clean then begin
+    if is_clean t li then begin
       incr hit;
       let bits = 1 + Nv_util.Rng.int rng (max 1 max_bits) in
       for _ = 1 to bits do
@@ -535,10 +522,7 @@ let kill_lines t ~rng ~n =
   let killed = ref 0 in
   for _ = 1 to n do
     let li = Nv_util.Rng.int rng n_lines in
-    if
-      (not (Hashtbl.mem t.dead_lines li))
-      && (t.mode <> Crash_safe || t.line_states.(li) == clean)
-    then begin
+    if (not (Hashtbl.mem t.dead_lines li)) && is_clean t li then begin
       Hashtbl.add t.dead_lines li ();
       Bytes.fill t.data (li * line_size) line_size '\xFF';
       incr killed
@@ -547,20 +531,22 @@ let kill_lines t ~rng ~n =
   t.faults <- { t.faults with dead_lines = t.faults.dead_lines + !killed };
   !killed
 
+(* A torn line: each naturally-aligned 8-byte word independently picks
+   one of the line's states (persisted baseline or any store snapshot).
+   Word granularity respects the 8-byte power-fail store atomicity of
+   real hardware, so single-word structures survive whole while anything
+   larger can surface impossible mixes. Words are written in order, so
+   a word taken from the volatile state is still intact when taken. *)
 let crash_with_faults t ~rng ~model =
-  require_crash_safe t;
   let torn = ref 0 in
-  Array.iter
-    (fun li ->
-      let st = t.line_states.(li) in
-      let options = 1 + st.n_snaps in
-      if options > 1 && Nv_util.Rng.float rng < model.torn_frac then begin
+  crash_lines t (fun _ n surface ->
+      if n > 0 && Nv_util.Rng.float rng < model.torn_frac then begin
         incr torn;
-        torn_mix t rng li st
+        for w = 0 to (line_size / 8) - 1 do
+          surface (Nv_util.Rng.int rng (n + 1)) ~pos:(w * 8) ~len:8
+        done
       end
-      else apply_crash_choice t li st (Nv_util.Rng.int rng options))
-    (sorted_dirty t);
-  finish_crash t;
+      else surface (Nv_util.Rng.int rng (n + 1)) ~pos:0 ~len:line_size);
   t.faults <- { t.faults with torn_lines = t.faults.torn_lines + !torn };
   if model.rot_lines > 0 then
     ignore (inject_bit_rot t ~rng ~lines:model.rot_lines ~max_bits:model.rot_max_bits);
@@ -568,10 +554,22 @@ let crash_with_faults t ~rng ~model =
   t.faults
 
 (* Deterministic corruption of an exact byte range (testing aid): xor
-   every byte with [mask]. Only meaningful on clean lines (e.g. a
-   post-crash image), since it bypasses persistence tracking. *)
+   every byte with [mask]. A dirty line's state n is made explicit and
+   its slot flagged first, so the change reaches no crash state before
+   the line's next store. *)
 let corrupt_range t ~off ~len ~mask =
   check_bounds t off len;
+  if t.mode = Crash_safe && len > 0 then
+    for li = off / line_size to (off + len - 1) / line_size do
+      let id = slot_id t li in
+      if id >= 0 then begin
+        let s = slot_chunk t id and b = slot_base id in
+        if s.(b) land 1 = 0 then begin
+          s.(b + 3) <- push_line t (cur_log t) li ~link:s.(b + 3);
+          s.(b) <- s.(b) lor 1
+        end
+      end
+    done;
   for i = off to off + len - 1 do
     Bytes.set t.data i (Char.chr (Char.code (Bytes.get t.data i) lxor (mask land 0xFF)))
   done
@@ -586,8 +584,6 @@ let dirty_at_crash t ~off ~len =
   let last = min (off + len - 1) (t.size - 1) / line_size in
   let rec go li = li <= last && (Hashtbl.mem t.crash_dirty li || go (li + 1)) in
   go (off / line_size)
-
-let dirty_line_count t = t.n_dirty
 
 let unpersisted_ranges t =
   Array.fold_right (fun li acc -> (li * line_size, line_size) :: acc) (sorted_dirty t) []

@@ -12,10 +12,12 @@
 
     Two modes:
     - [Fast]: a single byte array plus accounting; [crash] is not
-      available. Used for throughput benchmarks.
+      available. Used by the simulated-time experiments.
     - [Crash_safe]: full persistence tracking; [crash] replaces the
       volatile view with a legal crash image chosen by an RNG or an
-      adversarial callback. Used by recovery tests and experiments.
+      adversarial callback. Used by recovery tests, fuzzing, and every
+      journaled server. A store copies one line into a crash-state
+      record and [fence] reads only the slot tables (docs/INTERNALS.md).
 
     Accessor functions do NOT charge simulated time — charging is
     explicit via [charge_read] / [charge_write] / [charge_seq_write] so
@@ -87,13 +89,15 @@ val persist : t -> Stats.t -> off:int -> len:int -> unit
 
     Wide (multi-domain) execution phases bracket their fan-out with
     [begin_stripes]/[end_stripes]; each participating domain announces
-    its stripe with [set_stripe] before its first store. Newly dirtied
-    line numbers then accumulate per stripe — instead of on the shared
-    dirty list — and are unioned at the join, the NVTraverse-style
-    "persist bookkeeping only at quiescence points" trick. The caller
-    guarantees stripes store to disjoint cache lines; [fence], [crash]
-    and dirty-line inspection must not run while striping is active.
-    All three are no-ops on a [Fast] region. *)
+    its stripe with [set_stripe] before its first store. Stripe s then
+    appends the slots of lines it newly dirties to its own slot table,
+    and every crash-state record it copies to its own record arena; a
+    line dirtied earlier keeps its slot, so its states may span arenas.
+    [end_stripes] copies nothing: the next [fence] walks every table,
+    the NVTraverse-style "persist bookkeeping only at quiescence
+    points" trick. The caller guarantees stripes store to disjoint cache lines;
+    [fence], [crash] and dirty-line inspection must not run while
+    striping is active. All three are no-ops on a [Fast] region. *)
 
 val begin_stripes : t -> n:int -> unit
 val set_stripe : t -> int -> unit
@@ -174,10 +178,12 @@ val kill_lines : t -> rng:Nv_util.Rng.t -> n:int -> int
     and dirty picks don't count). *)
 
 val corrupt_range : t -> off:int -> len:int -> mask:int -> unit
-(** Xor every byte of the range with [mask] (deterministic testing aid;
-    bypasses persistence tracking, so meaningful on clean lines only: on
-    a dirty line the change reaches no crash state before the line's
-    next store). *)
+(** Xor every byte of the range with [mask] (deterministic testing aid).
+    On a clean line the change is simply there, as bit-rot would be. It
+    bypasses store tracking, so on a dirty line it reaches no crash
+    state, and no [flush] captures it, before the line's next store:
+    until then a [fence] keeps the line dirty unless its volatile
+    content is back to its newest state. *)
 
 val faults : t -> fault_report
 (** Cumulative faults injected into this region. *)

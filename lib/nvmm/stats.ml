@@ -10,9 +10,14 @@ type counters = {
   media_faults : int;
 }
 
+(* The clock sits alone in a float-only record, which OCaml stores
+   unboxed: a charge then updates it in place, with no boxed float and
+   no write barrier. *)
+type clock = { mutable ns : float }
+
 type t = {
   spec : Memspec.t;
-  mutable now : float;
+  clock : clock;
   mutable dram_reads : int;
   mutable dram_writes : int;
   mutable nvmm_block_reads : int;
@@ -27,7 +32,7 @@ type t = {
 let create spec =
   {
     spec;
-    now = 0.0;
+    clock = { ns = 0.0 };
     dram_reads = 0;
     dram_writes = 0;
     nvmm_block_reads = 0;
@@ -40,9 +45,9 @@ let create spec =
   }
 
 let spec t = t.spec
-let now t = t.now
-let set_now t v = if v > t.now then t.now <- v
-let advance t ns = t.now <- t.now +. ns
+let now t = t.clock.ns
+let set_now t v = if v > t.clock.ns then t.clock.ns <- v
+let advance t ns = t.clock.ns <- t.clock.ns +. ns
 
 let counters t =
   {
@@ -59,41 +64,41 @@ let counters t =
 
 let dram_read t ?(lines = 1) () =
   t.dram_reads <- t.dram_reads + lines;
-  t.now <- t.now +. (float_of_int lines *. t.spec.Memspec.dram_read_ns)
+  t.clock.ns <- t.clock.ns +. (float_of_int lines *. t.spec.Memspec.dram_read_ns)
 
 let dram_write t ?(lines = 1) () =
   t.dram_writes <- t.dram_writes + lines;
-  t.now <- t.now +. (float_of_int lines *. t.spec.Memspec.dram_write_ns)
+  t.clock.ns <- t.clock.ns +. (float_of_int lines *. t.spec.Memspec.dram_write_ns)
 
 let nvmm_read t ~off ~len =
   let blocks = Memspec.blocks_touched t.spec ~off ~len in
   t.nvmm_block_reads <- t.nvmm_block_reads + blocks;
-  t.now <- t.now +. (float_of_int blocks *. t.spec.Memspec.nvmm_read_block_ns)
+  t.clock.ns <- t.clock.ns +. (float_of_int blocks *. t.spec.Memspec.nvmm_read_block_ns)
 
 let nvmm_write t ~off ~len =
   let blocks = Memspec.blocks_touched t.spec ~off ~len in
   t.nvmm_block_writes <- t.nvmm_block_writes + blocks;
-  t.now <- t.now +. (float_of_int blocks *. t.spec.Memspec.nvmm_write_block_ns)
+  t.clock.ns <- t.clock.ns +. (float_of_int blocks *. t.spec.Memspec.nvmm_write_block_ns)
 
 let nvmm_read_blocks t blocks =
   t.nvmm_block_reads <- t.nvmm_block_reads + blocks;
-  t.now <- t.now +. (float_of_int blocks *. t.spec.Memspec.nvmm_read_block_ns)
+  t.clock.ns <- t.clock.ns +. (float_of_int blocks *. t.spec.Memspec.nvmm_read_block_ns)
 
 let nvmm_write_blocks t blocks =
   t.nvmm_block_writes <- t.nvmm_block_writes + blocks;
-  t.now <- t.now +. (float_of_int blocks *. t.spec.Memspec.nvmm_write_block_ns)
+  t.clock.ns <- t.clock.ns +. (float_of_int blocks *. t.spec.Memspec.nvmm_write_block_ns)
 
 let nvmm_read_lines t lines =
   t.nvmm_block_reads <- t.nvmm_block_reads + max 1 (lines / 4);
-  t.now <- t.now +. (float_of_int lines *. t.spec.Memspec.nvmm_read_block_ns /. 4.0)
+  t.clock.ns <- t.clock.ns +. (float_of_int lines *. t.spec.Memspec.nvmm_read_block_ns /. 4.0)
 
 let nvmm_write_lines t lines =
   t.nvmm_block_writes <- t.nvmm_block_writes + max 1 (lines / 4);
-  t.now <- t.now +. (float_of_int lines *. t.spec.Memspec.nvmm_write_block_ns /. 4.0)
+  t.clock.ns <- t.clock.ns +. (float_of_int lines *. t.spec.Memspec.nvmm_write_block_ns /. 4.0)
 
 let nvmm_seq_write t ~bytes =
   t.nvmm_seq_bytes <- t.nvmm_seq_bytes + bytes;
-  t.now <- t.now +. (float_of_int bytes *. t.spec.Memspec.nvmm_seq_write_ns_per_byte)
+  t.clock.ns <- t.clock.ns +. (float_of_int bytes *. t.spec.Memspec.nvmm_seq_write_ns_per_byte)
 
 (* A detected media fault (dead-line read) is a counter only: detection
    happens inside the media controller, so no extra latency is modelled
@@ -102,15 +107,15 @@ let media_fault t = t.media_faults <- t.media_faults + 1
 
 let flush t =
   t.flushes <- t.flushes + 1;
-  t.now <- t.now +. t.spec.Memspec.flush_ns
+  t.clock.ns <- t.clock.ns +. t.spec.Memspec.flush_ns
 
 let fence t =
   t.fences <- t.fences + 1;
-  t.now <- t.now +. t.spec.Memspec.fence_ns
+  t.clock.ns <- t.clock.ns +. t.spec.Memspec.fence_ns
 
 let compute t ?(ops = 1) () =
   t.compute_ops <- t.compute_ops + ops;
-  t.now <- t.now +. (float_of_int ops *. t.spec.Memspec.compute_op_ns)
+  t.clock.ns <- t.clock.ns +. (float_of_int ops *. t.spec.Memspec.compute_op_ns)
 
 let zero_counters =
   {
@@ -146,7 +151,7 @@ let pp_counters ppf (c : counters) =
   if c.media_faults > 0 then Format.fprintf ppf "  media-faults %d" c.media_faults
 
 let reset t =
-  t.now <- 0.0;
+  t.clock.ns <- 0.0;
   t.dram_reads <- 0;
   t.dram_writes <- 0;
   t.nvmm_block_reads <- 0;

@@ -207,11 +207,21 @@ module Ref_pmem = struct
         | Some st -> st.snapshots <- st.snapshots @ [ copy_line t li ]
         | None -> assert false)
 
+  (* A clwb captures the line's newest store state. Without [corrupt]
+     that is the volatile line; [corrupt] bypasses stores, so its change
+     reaches no state before the line's next store. *)
   let flush t ~off ~len =
     iter_lines ~off ~len (fun li ->
         match t.states.(li) with
         | None -> ()
-        | Some st -> st.queued <- Some (copy_line t li, List.length st.snapshots))
+        | Some st ->
+            let newest = List.fold_left (fun _ s -> s) st.persisted st.snapshots in
+            st.queued <- Some (Bytes.copy newest, List.length st.snapshots))
+
+  let corrupt t ~off ~len ~mask =
+    for i = off to off + len - 1 do
+      Bytes.set_uint8 t.data i (Bytes.get_uint8 t.data i lxor mask)
+    done
 
   let fence t =
     t.dirty <-
@@ -278,6 +288,7 @@ type op =
   | Blit of int * int * char
   | Fill of int * int * char
   | Flush of int * int
+  | Corrupt of int * int * int
   | Fence
 
 let model_size = 8 * 64
@@ -289,11 +300,12 @@ let pp_op = function
   | Blit (off, len, c) -> Printf.sprintf "blit %d+%d %C" off len c
   | Fill (off, len, c) -> Printf.sprintf "fill %d+%d %C" off len c
   | Flush (off, len) -> Printf.sprintf "flush %d+%d" off len
+  | Corrupt (off, len, mask) -> Printf.sprintf "corrupt %d+%d ^%d" off len mask
   | Fence -> "fence"
 
 (* Random op sequences over an 8-line region: multi-line blits and
    fills, repeated stores to one line, stores between a flush and its
-   fence. *)
+   fence, and [corrupt_range] on clean and dirty lines. *)
 let gen_ops =
   let open QCheck.Gen in
   let range max_len =
@@ -310,6 +322,7 @@ let gen_ops =
         (2, map2 (fun (off, len) c -> Blit (off, len, c)) (range 200) byte);
         (1, map2 (fun (off, len) c -> Fill (off, len, c)) (range 200) byte);
         (3, map (fun (off, len) -> Flush (off, len)) (range model_size));
+        (1, map2 (fun (off, len) mask -> Corrupt (off, len, mask)) (range 100) (int_range 0 255));
         (2, return Fence);
       ]
   in
@@ -320,9 +333,9 @@ let arb_ops =
     ~print:QCheck.Print.(pair (list pp_op) int)
     QCheck.Gen.(pair gen_ops (int_range 1 1_000_000))
 
-let run_pmem ops =
+let run_pmem ?(size = model_size) ops =
   let s = stats () in
-  let p = Pmem.create ~mode:Pmem.Crash_safe ~size:model_size () in
+  let p = Pmem.create ~mode:Pmem.Crash_safe ~size () in
   List.iter
     (function
       | I64 (off, v) -> Pmem.set_i64 p off v
@@ -331,12 +344,13 @@ let run_pmem ops =
       | Blit (off, len, c) -> Pmem.blit_to p ~src:(Bytes.make len c) ~src_off:0 ~dst_off:off ~len
       | Fill (off, len, c) -> Pmem.fill p ~off ~len c
       | Flush (off, len) -> Pmem.flush p s ~off ~len
+      | Corrupt (off, len, mask) -> Pmem.corrupt_range p ~off ~len ~mask
       | Fence -> Pmem.fence p s)
     ops;
   p
 
-let run_ref ops =
-  let r = Ref_pmem.create ~size:model_size in
+let run_ref ?(size = model_size) ops =
+  let r = Ref_pmem.create ~size in
   List.iter
     (function
       | I64 (off, v) -> Ref_pmem.store r ~off ~len:8 (fun d -> Bytes.set_int64_le d off v)
@@ -345,6 +359,7 @@ let run_ref ops =
       | Blit (off, len, c) | Fill (off, len, c) ->
           Ref_pmem.store r ~off ~len (fun d -> Bytes.fill d off len c)
       | Flush (off, len) -> Ref_pmem.flush r ~off ~len
+      | Corrupt (off, len, mask) -> Ref_pmem.corrupt r ~off ~len ~mask
       | Fence -> Ref_pmem.fence r)
     ops;
   r
@@ -380,10 +395,11 @@ let prop_matches_reference =
       Ref_pmem.crash_with_faults r ~rng:(Nv_util.Rng.create seed) ~torn_frac:1.0;
       same_dirty && same_legal && Bytes.equal (image p) r.Ref_pmem.data)
 
-(* Steady-state crash-safe tracking allocates nothing per store: a
-   cycle of "blit 1000 B + flush, then fence" reuses pooled line
-   records, so only the simulated-clock charges (boxed floats) remain.
-   A per-store line copy alone would cost 16 x 9 words per cycle. *)
+(* Steady-state crash-safe tracking allocates nothing: a cycle of
+   "blit 1000 B + flush, then fence" copies each line into a log chunk
+   the previous cycles already allocated, and the simulated clock is
+   updated unboxed. A fresh line copy per store would cost 16 x 9 words
+   per cycle. *)
 let test_tracking_allocation_free () =
   let s = stats () in
   let p = Pmem.create ~mode:Pmem.Crash_safe ~size:(64 * 1024) () in
@@ -406,8 +422,127 @@ let test_tracking_allocation_free () =
   let per_cycle = (Gc.minor_words () -. before) /. float_of_int cycles in
   Alcotest.(check int) "clean after fence" 0 (Pmem.dirty_line_count p);
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per cycle < 64" per_cycle)
-    true (per_cycle < 64.0)
+    (Printf.sprintf "%.1f minor words per cycle < 4" per_cycle)
+    true (per_cycle < 4.0)
+
+(* Every (line, options, image) a crash can leave, surfacing each state
+   of one line at a time (state 0 elsewhere); [crash choose] builds the
+   region afresh, crashes it with [choose] and returns its image. *)
+let crash_states crash =
+  let asked = ref [] in
+  ignore
+    (crash (fun ~line ~options ->
+         asked := (line, options) :: !asked;
+         0));
+  List.concat_map
+    (fun (line, options) ->
+      List.init options (fun k ->
+          (line, options, crash (fun ~line:l ~options:_ -> if l = line then k else 0))))
+    (List.rev !asked)
+
+(* A hot word (the allocator's bump word during a bulk load) takes
+   100,000 stores between fences: every one stays a crash state, in
+   order, and one flush + fence retires them all. *)
+let test_hot_line () =
+  let stores = 100_000 in
+  let run () =
+    let p = Pmem.create ~mode:Pmem.Crash_safe ~size:4096 () in
+    for i = 1 to stores do
+      Pmem.set_i64 p 64 (Int64.of_int i)
+    done;
+    p
+  in
+  List.iter
+    (fun k ->
+      let p = run () and offered = ref 0 in
+      Pmem.crash_with p ~choose:(fun ~line ~options ->
+          Alcotest.(check int) "the hot line" 1 line;
+          offered := options;
+          k);
+      Alcotest.(check int) "one option per store, plus the baseline" (stores + 1) !offered;
+      Alcotest.(check int64) (Printf.sprintf "state %d" k) (Int64.of_int k) (Pmem.get_i64 p 64))
+    [ 0; 1; 2; stores / 2; stores - 1; stores ];
+  let s = stats () and p = run () in
+  Pmem.flush p s ~off:64 ~len:8;
+  Pmem.fence p s;
+  Alcotest.(check int) "clean after flush + fence" 0 (Pmem.dirty_line_count p);
+  Alcotest.(check int64) "newest store kept" (Int64.of_int stores) (Pmem.get_i64 p 64)
+
+(* A line first dirtied serially, then stored by stripe 1 of a wide
+   phase (its slot in log 0, its newer records in log 1), then kept
+   across a fence: its crash states are those of the same stores made
+   serially. *)
+let test_wide_phase_chain () =
+  let run ~wide =
+    let s = stats () and p = Pmem.create ~mode:Pmem.Crash_safe ~size:1024 () in
+    Pmem.set_i64 p 128 1L;
+    Pmem.set_i64 p 136 2L;
+    let stripe s f =
+      if wide then
+        Domain.join
+          (Domain.spawn (fun () ->
+               Pmem.set_stripe p s;
+               f ()))
+      else f ()
+    in
+    if wide then Pmem.begin_stripes p ~n:2;
+    stripe 0 (fun () -> Pmem.set_i64 p 512 7L);
+    stripe 1 (fun () ->
+        Pmem.set_i64 p 128 3L;
+        Pmem.flush p s ~off:128 ~len:8;
+        Pmem.set_i64 p 144 4L;
+        Pmem.set_i64 p 640 8L);
+    if wide then Pmem.end_stripes p;
+    Pmem.set_i64 p 152 5L;
+    Pmem.fence p s;
+    Pmem.set_i64 p 128 6L;
+    p
+  in
+  let states ~wide =
+    crash_states (fun choose ->
+        let p = run ~wide in
+        Pmem.crash_with p ~choose;
+        Bytes.to_string (Pmem.read_bytes p ~off:0 ~len:1024))
+  in
+  let serial = states ~wide:false in
+  Alcotest.(check (list (pair int int)))
+    "dirty lines and their options"
+    [ (2, 4); (8, 2); (10, 2) ]
+    (List.sort_uniq compare (List.map (fun (l, o, _) -> (l, o)) serial));
+  Alcotest.(check (list (triple int int string))) "same crash states" serial (states ~wide:true)
+
+(* Two lines stay dirty across fences (one stored after its flush, one
+   corrupted) while 70,000 others are stored, flushed and fenced. The
+   churn's records come to far outnumber the kept ones, so the arenas
+   are compacted and the kept chains copied; the kept lines' crash
+   states after further stores are still the reference's. *)
+let test_compaction_keeps_chains () =
+  let size = 128 * 64 in
+  let churn =
+    List.init 70_000 (fun i ->
+        let off = 64 * (2 + (i mod 100)) in
+        [ I64 (off, Int64.of_int i); Flush (off, 8); Fence ])
+  in
+  let ops =
+    [ I64 (0, 1L); I64 (8, 2L); Flush (0, 8); I64 (0, 3L); I64 (64, 4L); Corrupt (64, 8, 0xFF); Fence ]
+    @ List.concat churn
+    @ [ I64 (0, 5L); I64 (72, 6L) ]
+  in
+  let pmem =
+    crash_states (fun choose ->
+        let p = run_pmem ~size ops in
+        Pmem.crash_with p ~choose;
+        Bytes.to_string (Pmem.read_bytes p ~off:0 ~len:size))
+  and reference =
+    crash_states (fun choose ->
+        let r = run_ref ~size ops in
+        Ref_pmem.crash_with r ~choose;
+        Bytes.to_string r.Ref_pmem.data)
+  in
+  Alcotest.(check (list (pair int int)))
+    "kept lines and their options" [ (0, 3); (1, 3) ]
+    (List.sort_uniq compare (List.map (fun (l, o, _) -> (l, o)) pmem));
+  Alcotest.(check (list (triple int int string))) "reference crash states" reference pmem
 
 let suites =
   [
@@ -429,5 +564,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_crash_value_was_written;
         QCheck_alcotest.to_alcotest prop_matches_reference;
         Alcotest.test_case "tracking allocation-free" `Quick test_tracking_allocation_free;
+        Alcotest.test_case "hot line" `Quick test_hot_line;
+        Alcotest.test_case "wide-phase chain" `Quick test_wide_phase_chain;
+        Alcotest.test_case "compaction keeps chains" `Quick test_compaction_keeps_chains;
       ] );
   ]
