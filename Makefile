@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test test-parallel fmt-check golden serve-check check bench profile fuzz diff-fuzz chaos clean
+.PHONY: all build test test-parallel fmt-check golden serve-check examples check bench profile fuzz diff-fuzz chaos clean
 
 all: build
 
@@ -36,7 +36,15 @@ golden:
 serve-check:
 	bash scripts/serve_check.sh
 
-check: build test test-parallel fmt-check golden serve-check
+# Run every example README advertises; each must exit 0.
+EXAMPLES = quickstart bank_transfers online_store crash_and_recover sharded_cluster
+examples:
+	@for e in $(EXAMPLES); do \
+	  echo "== examples/$$e =="; \
+	  dune exec examples/$$e.exe || exit 1; \
+	done
+
+check: build test test-parallel fmt-check golden serve-check examples
 
 bench:
 	dune exec bench/main.exe

@@ -164,7 +164,7 @@ let scrub_cmd =
       | "dead" -> { no_faults with dead = 2 }
       | other -> failwith (Printf.sprintf "unknown fault kind %S" other)
     in
-    match Runner.run_scrub setup w ~crash_after_txns:(txns * 9 / 10) ~faults () with
+    match Runner.run_recovery setup w ~crash_after_txns:(txns * 9 / 10) ~faults () with
     | { Runner.r_label; report } ->
         Format.fprintf ppf "workload %s crashed with %s faults; scrub recovery:@." r_label
           fault;
@@ -492,8 +492,9 @@ let serve_cmd =
       & info [ "journal" ] ~docv:"FILE"
           ~doc:
             "Persist every formed batch to a CRC-guarded admission journal at $(docv) before \
-             it runs (implies --crash-safe). A crashed server restarted with $(b,--recover) \
-             replays it to reproduce the exact pre-crash state.")
+             it runs, and run the engine with the crash-safe persistence discipline. A crashed \
+             server restarted with $(b,--recover) replays it to reproduce the exact pre-crash \
+             state.")
   in
   let recover_flag =
     Arg.(
@@ -512,13 +513,6 @@ let serve_cmd =
              to it every $(docv) batches; 0 (default) never truncates — the journal keeps full \
              history.")
   in
-  let crash_safe_flag =
-    Arg.(
-      value & flag
-      & info [ "crash-safe" ]
-          ~doc:
-            "Run the engine with the crash-safe persistence discipline (implied by --journal).")
-  in
   let journal_mb_arg =
     Arg.(
       value & opt int 8
@@ -528,8 +522,8 @@ let serve_cmd =
              fails (enable checkpointing to truncate the journal).")
   in
   let run workload contention engine seed jobs listen batch_target deadline max_pending capacity
-      once stats_interval stats_out journal_path recover checkpoint_every crash_safe journal_mb
-      shards_n shard_id trace_file metrics_file =
+      once stats_interval stats_out journal_path recover checkpoint_every journal_mb shards_n
+      shard_id trace_file metrics_file =
     Cli.set_jobs jobs;
     match shard_id with
     | Some sid ->
@@ -543,9 +537,7 @@ let serve_cmd =
     let w, growth = Cli.resolve_workload workload contention in
     let spec = Cli.resolve_engine engine in
     let spec =
-      if crash_safe || journal_path <> None then
-        { spec with Nv_harness.Engine.crash_safe = true }
-      else spec
+      if journal_path <> None then { spec with Nv_harness.Engine.crash_safe = true } else spec
     in
     let address = Cli.parse_address listen in
     if checkpoint_every > 0 && journal_path = None then
@@ -674,7 +666,7 @@ let serve_cmd =
       const run $ Cli.workload $ Cli.contention $ Cli.engine $ Cli.seed $ Cli.jobs $ Cli.listen
       $ batch_target_arg $ deadline_arg $ max_pending_arg $ capacity_arg $ once_flag
       $ stats_interval_arg $ stats_out_arg $ journal_arg $ recover_flag $ checkpoint_arg
-      $ crash_safe_flag $ journal_mb_arg $ Cli.shards $ Cli.shard_id $ Cli.trace $ Cli.metrics)
+      $ journal_mb_arg $ Cli.shards $ Cli.shard_id $ Cli.trace $ Cli.metrics)
 
 let loadgen_cmd =
   let clients_arg =

@@ -560,6 +560,11 @@ let recover t ~records ~sessions:restored ~batches_done =
                  })
                r.Journal.r_entries)
         in
+        (* The record re-admits the previous record's deferrals: consume
+           that carryover as [form] would, or [pending_total] keeps every
+           replayed batch's deferrals. *)
+        t.pending_total <- t.pending_total - List.length t.carryover;
+        t.carryover <- [];
         exec_batch t batch
       end)
     records;

@@ -119,8 +119,8 @@ let spawn ?crashpoint ?shard_plan exe args ~out =
 
 let server_args cfg ~sock ~journal ~recover =
   [ "serve"; "--listen"; sock; "--workload"; cfg.workload; "--contention"; cfg.contention;
-    "--engine"; cfg.engine; "--seed"; string_of_int cfg.wseed; "--crash-safe"; "--journal";
-    journal; "--checkpoint-every"; string_of_int cfg.checkpoint_every; "--batch-target";
+    "--engine"; cfg.engine; "--seed"; string_of_int cfg.wseed; "--journal"; journal;
+    "--checkpoint-every"; string_of_int cfg.checkpoint_every; "--batch-target";
     string_of_int batch_target; "--deadline-ticks"; string_of_int deadline_ticks;
     "--capacity"; string_of_int capacity ]
   @ (if cfg.shards > 1 then [ "--shards"; string_of_int cfg.shards ] else [])

@@ -140,8 +140,8 @@ type recovery_result = { r_label : string; report : Report.recovery_report }
 
 exception Crash_now
 
-let run_recovery s (w : W.t) ~crash_after_txns ?(persistent_index = false) ?label ?tracer
-    ?metrics () =
+let run_recovery s (w : W.t) ~crash_after_txns ?(persistent_index = false) ?faults ?label
+    ?tracer ?metrics () =
   let config =
     Engine.caracal_config s w
       (Engine.spec ~crash_safe:true ~persistent_index (Engine.Caracal Config.Nvcaracal))
@@ -155,30 +155,11 @@ let run_recovery s (w : W.t) ~crash_after_txns ?(persistent_index = false) ?labe
   let crash_at = min crash_after_txns (s.epoch_txns - 1) in
   Db.set_phase_hook db (fun p -> if p = Db.Exec_txn crash_at then raise Crash_now);
   (try ignore (Db.run_epoch db (w.W.gen_batch rng s.epoch_txns)) with Crash_now -> ());
-  let pmem = Db.crash db ~rng:(Nv_util.Rng.create (s.seed + 1)) in
+  let pmem = Db.crash ?faults db ~rng:(Nv_util.Rng.create (s.seed + 1)) in
   let tracer = match tracer with Some t -> t | None -> !default_tracer in
   let metrics = match metrics with Some m -> m | None -> !default_metrics in
   let _db2, report =
-    Db.recover ~config ~tables:w.W.tables ~pmem ~rebuild:w.W.rebuild ~tracer ~metrics ()
-  in
-  { r_label = (match label with Some l -> l | None -> w.W.name); report }
-
-let run_scrub s (w : W.t) ~crash_after_txns ~faults ?label () =
-  let config =
-    Engine.caracal_config s w
-      (Engine.spec ~crash_safe:true (Engine.Caracal Config.Nvcaracal))
-  in
-  let db = Db.create ~config ~tables:w.W.tables () in
-  Db.bulk_load db (w.W.load ());
-  let rng = Nv_util.Rng.create s.seed in
-  for _ = 1 to s.epochs - 1 do
-    ignore (Db.run_epoch db (w.W.gen_batch rng s.epoch_txns))
-  done;
-  let crash_at = min crash_after_txns (s.epoch_txns - 1) in
-  Db.set_phase_hook db (fun p -> if p = Db.Exec_txn crash_at then raise Crash_now);
-  (try ignore (Db.run_epoch db (w.W.gen_batch rng s.epoch_txns)) with Crash_now -> ());
-  let pmem = Db.crash ~faults db ~rng:(Nv_util.Rng.create (s.seed + 1)) in
-  let _db2, report =
-    Db.recover ~config ~tables:w.W.tables ~pmem ~rebuild:w.W.rebuild ~scrub:true ()
+    Db.recover ~config ~tables:w.W.tables ~pmem ~rebuild:w.W.rebuild ~scrub:(faults <> None)
+      ~tracer ~metrics ()
   in
   { r_label = (match label with Some l -> l | None -> w.W.name); report }

@@ -122,6 +122,7 @@ val run_recovery :
   Nv_workloads.Workload.t ->
   crash_after_txns:int ->
   ?persistent_index:bool ->
+  ?faults:Nv_nvmm.Pmem.fault_model ->
   ?label:string ->
   ?tracer:Nv_obs.Tracer.t ->
   ?metrics:Nv_obs.Metrics.t ->
@@ -131,19 +132,10 @@ val run_recovery :
     transactions executed, tear the region, recover, and report the
     breakdown (Figure 11). Observability is attached to the {e
     recovery} ([Db.recover]), so the trace shows the four recovery
-    phases plus the replayed epoch. *)
+    phases plus the replayed epoch.
 
-val run_scrub :
-  setup ->
-  Nv_workloads.Workload.t ->
-  crash_after_txns:int ->
-  faults:Nv_nvmm.Pmem.fault_model ->
-  ?label:string ->
-  unit ->
-  recovery_result
-(** Like {!run_recovery}, but the crash goes through the given
-    media-fault model and recovery runs with [~scrub:true], so the
-    report includes what the verification scan repaired, salvaged or
-    lost (see docs/FAULTS.md).
+    With [faults], the crash goes through that media-fault model and
+    recovery runs with [~scrub:true], so the report includes what the
+    verification scan repaired, salvaged or lost (see docs/FAULTS.md).
     @raise Nv_storage.Meta_region.Corrupt if the faults destroyed the
     epoch commit record — the one unrecoverable corruption. *)

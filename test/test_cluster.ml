@@ -1,13 +1,15 @@
 (* Multi-shard routed serving: wire v3 shard-plane codec, the two-round
    Route/Fence protocol over in-process members, the cross-shard-count
    determinism oracle (N-shard served state == 1-shard state, any
-   jobs), shard-journal recovery, and idempotent epoch re-drives. *)
+   jobs), shard-journal recovery, idempotent epoch re-drives, and a
+   router restart on its admission journal. *)
 
 module F_wire = Nv_frontend.Wire
 module F_proc = Nv_frontend.Proc
 module F_shard = Nv_frontend.Shard
 module F_shard_set = Nv_frontend.Shard_set
 module F_journal = Nv_frontend.Journal
+module F_batcher = Nv_frontend.Batcher
 module Engine = Nv_harness.Engine
 module W = Nv_workloads.Workload
 module Rng = Nv_util.Rng
@@ -97,14 +99,15 @@ let small_bank () =
         abort_probability = 0.1;
       })
 
-let mk_shard ?journal ~shard_id ~shards w =
+(* [hook] is installed as the member engine's phase hook. *)
+let mk_shard ?journal ?hook ~shard_id ~shards w =
   let spec = Engine.spec (Engine.Caracal Nvcaracal.Config.Nvcaracal) in
-  let setup = Engine.setup ~epochs:128 ~epoch_txns:64 () in
-  let packed = Engine.instantiate spec setup w in
+  let config = Engine.caracal_config (Engine.setup ~epochs:128 ~epoch_txns:64 ()) w spec in
+  let db = Nvcaracal.Db.create ~config ~tables:w.W.tables () in
+  Option.iter (Nvcaracal.Db.set_phase_hook db) hook;
+  let engine = Nvcaracal.Engine_intf.Packed ((module Nvcaracal.Db.Serial_engine), db) in
   let registry = F_proc.of_workload w in
-  let s =
-    F_shard.create ~shard_id ~shards ?journal ~engine:packed ~registry ~tables:w.W.tables ()
-  in
+  let s = F_shard.create ~shard_id ~shards ?journal ~engine ~registry ~tables:w.W.tables () in
   F_shard.bulk_load s (w.W.load ());
   s
 
@@ -278,6 +281,97 @@ let test_epoch_redrive () =
   | F_wire.Server_error _ -> ()
   | _ -> Alcotest.fail "stale generation accepted"
 
+(* Router restart, the standby story: the router dies mid-batch after
+   journaling it, and a fresh batcher over the same surviving members
+   replays the router journal. Records every member applied re-drive
+   from history; the crashed batch, which some members applied and one
+   did not, runs to completion. The crash is an exception out of the
+   last member's engine at [Log_done], before that engine touches a row,
+   so the member stays usable just as a shard process outlives its
+   router. The result must equal a crash-free 1-shard run. SmallBank,
+   because its balances accumulate: a lost or repeated transaction
+   changes the digest, where small YCSB's whole-value overwrites can
+   hide one. *)
+exception Crash_now
+
+let test_router_restart () =
+  let w = small_bank () in
+  let shards = 3 and crash_batch = 4 in
+  let batches = gen_batches w ~seed:23 ~batches:6 ~batch_size:16 in
+  let cfg = F_batcher.config ~batch_target:256 ~deadline_ticks:100 () in
+  let registry = F_proc.of_workload w in
+  let batcher ?journal set =
+    F_batcher.create ~cfg ?journal ~shards:set ~registry ~tables:w.W.tables ()
+  in
+  (* One session, one flush per generated batch, and a target above
+     any batch plus its carryover: every flush forms the same batch in
+     every run, and nothing admitted is left unjournaled in a FIFO when
+     the router dies. *)
+  let serve b client lo hi =
+    for i = lo to hi do
+      Array.iter
+        (fun (c : F_shard_set.call) ->
+          match F_batcher.submit b client ~req:c.c_seq ~proc:c.c_proc ~args:c.c_args with
+          | `Admitted -> ()
+          | _ -> Alcotest.fail "call not admitted")
+        batches.(i);
+      F_batcher.flush b
+    done
+  in
+  let oracle =
+    let _m, set = mk_cluster ~shards:1 w in
+    let b = batcher set in
+    serve b (F_batcher.connect b ~reply:None) 0 (Array.length batches - 1);
+    F_batcher.drain b;
+    F_shard_set.digest set
+  in
+  let armed = ref false in
+  let hook p =
+    if !armed && p = Nvcaracal.Db.Log_done then begin
+      armed := false;
+      raise Crash_now
+    end
+  in
+  let members =
+    Array.init shards (fun i ->
+        let hook = if i = shards - 1 then Some hook else None in
+        mk_shard ?hook ~shard_id:i ~shards w)
+  in
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "nvdb-test-%d-router-journal" (Unix.getpid ()))
+  in
+  let meta = "router" in
+  let journal = F_journal.create ~path ~meta () in
+  let b = batcher ~journal (F_shard_set.cluster (Array.map F_shard_set.in_process members)) in
+  let client = F_batcher.connect b ~reply:None in
+  serve b client 0 (crash_batch - 1);
+  armed := true;
+  (match serve b client crash_batch crash_batch with
+  | () -> Alcotest.fail "expected the router to crash"
+  | exception Crash_now -> ());
+  F_journal.close journal;
+  Alcotest.(check (list int)) "members left mid-epoch"
+    [ crash_batch + 1; crash_batch + 1; crash_batch ]
+    (Array.to_list (Array.map F_shard.applied members));
+  (* Restart: a fresh batcher and shard set over the same members. *)
+  let o = F_journal.load ~path ~meta in
+  Alcotest.(check int) "crashed batch was journaled" (crash_batch + 1)
+    (List.length o.F_journal.records);
+  let set = F_shard_set.cluster (Array.map F_shard_set.in_process members) in
+  let b = batcher ~journal:o.F_journal.journal set in
+  F_batcher.recover b ~records:o.F_journal.records ~sessions:[] ~batches_done:0;
+  Alcotest.(check int) "only the last record's deferrals stay pending"
+    (F_batcher.carryover_len b) (F_batcher.pending b);
+  serve b
+    (F_batcher.connect ~id:(F_batcher.client_id client) ~resume:true b ~reply:None)
+    (crash_batch + 1) (Array.length batches - 1);
+  F_batcher.drain b;
+  F_journal.close o.F_journal.journal;
+  Sys.remove path;
+  Alcotest.(check int64) "restarted cluster == crash-free 1-shard run" oracle
+    (F_shard_set.digest set)
+
 (* The placement hash is pinned (FNV combine of key hash and table id,
    mod members): every member, the router and [nvdb route] place keys
    with Routed.owner, and shard journals written under it must keep
@@ -317,5 +411,7 @@ let suites =
         Alcotest.test_case "shard journals alone rebuild the cluster" `Quick
           test_shard_journal_recovery;
         Alcotest.test_case "applied epochs re-drive idempotently" `Quick test_epoch_redrive;
+        Alcotest.test_case "router restart re-drives a crashed batch" `Quick
+          test_router_restart;
       ] );
   ]

@@ -1,5 +1,6 @@
 (* Engine-level tests: epoch processing, visibility, aborts, deletes,
-   GC behaviour, caching, design variants. *)
+   GC behaviour, caching, design variants, and the sessions clients
+   reach an engine through. *)
 
 open Nvcaracal
 
@@ -526,141 +527,76 @@ let test_size_classed_value_pools () =
       (Bytes.length v)
   done
 
-(* --- Replication by input-log shipping --- *)
+(* --- Sessions: checkpoint-gated results and size-closed batches --- *)
 
-let repl_pair () =
-  let config = small_config () in
-  (* Reuse the recovery mini-workload codec for rebuildable txns. *)
-  let pair =
-    Replication.create ~config ~tables:one_table ~rebuild:Test_recovery.rebuild ()
-  in
-  Replication.bulk_load pair
-    (Seq.init 16 (fun i -> (0, Int64.of_int i, Bytes.make 16 '0')));
-  pair
+(* An engine's clients reach it through the batcher's sessions: a call's
+   outcome is shown only once its epoch has run, and a batch closes at
+   the size target. *)
 
-let repl_batch ~seed n =
-  let rng = Nv_util.Rng.create seed in
-  Array.init n (fun _ ->
-      let key = Int64.of_int (Nv_util.Rng.int rng 16) in
-      let tag = Char.chr (Char.code 'a' + Nv_util.Rng.int rng 26) in
-      Test_recovery.txn_of_ops [ Test_recovery.Set { key; len = 16; tag } ])
+module F_batcher = Nv_frontend.Batcher
 
-let test_replication_sync () =
-  let pair = repl_pair () in
-  for e = 1 to 5 do
-    ignore (Replication.submit pair (repl_batch ~seed:e 20))
-  done;
-  Alcotest.(check int) "lag before sync" 5 (Replication.replica_lag pair);
-  Alcotest.(check bool) "shipped bytes counted" true (Replication.shipped_bytes pair > 0);
-  Alcotest.(check bool) "states equal after sync" true (Replication.states_equal pair);
-  Alcotest.(check int) "lag drained" 0 (Replication.replica_lag pair)
-
-let test_replication_lagged_reads () =
-  let pair = repl_pair () in
-  ignore
-    (Replication.submit pair
-       [| Test_recovery.txn_of_ops [ Test_recovery.Set { key = 3L; len = 16; tag = 'z' } ] |]);
-  (* Replica still serves the pre-epoch value until synced. *)
-  Alcotest.(check (option string)) "replica stale" (Some "0000000000000000")
-    (Option.map Bytes.to_string
-       (Db.read_committed (Replication.replica_db pair) ~table:0 ~key:3L));
-  Replication.sync pair ();
-  Alcotest.(check (option string)) "replica caught up" (Some (String.make 16 'z'))
-    (Option.map Bytes.to_string
-       (Db.read_committed (Replication.replica_db pair) ~table:0 ~key:3L))
-
-let test_replication_failover () =
-  let pair = repl_pair () in
-  for e = 1 to 3 do
-    ignore (Replication.submit pair (repl_batch ~seed:(100 + e) 20))
-  done;
-  let expected = ref [] in
-  Db.iter_committed (Replication.primary_db pair) ~table:0 (fun k v ->
-      expected := (k, Bytes.to_string v) :: !expected);
-  (* Primary "dies"; promote the replica and keep processing. *)
-  let promoted = Replication.failover_db pair in
-  let got = ref [] in
-  Db.iter_committed promoted ~table:0 (fun k v -> got := (k, Bytes.to_string v) :: !got);
-  Alcotest.(check bool) "promoted state equals primary" true
-    (List.sort compare !expected = List.sort compare !got);
-  ignore (Db.run_epoch promoted [| update_txn 1L (bytes_of_string "post-failover") |]);
-  Alcotest.(check (option string)) "promoted keeps working" (Some "post-failover")
-    (Option.map Bytes.to_string (Db.read_committed promoted ~table:0 ~key:1L))
-
-let test_replication_partial_sync () =
-  let pair = repl_pair () in
-  for e = 1 to 4 do
-    ignore (Replication.submit pair (repl_batch ~seed:(200 + e) 10))
-  done;
-  Replication.sync pair ~upto:2 ();
-  Alcotest.(check int) "partial lag" 2 (Replication.replica_lag pair);
-  Alcotest.(check bool) "eventually equal" true (Replication.states_equal pair)
-
-(* Regression: failover racing an in-flight shipment. An epoch that was
-   shipped (submit returned) but not yet applied on the replica must
-   survive promotion — the mli promises the queue drains first. *)
-let test_replication_failover_inflight_epoch () =
-  let pair = repl_pair () in
-  ignore (Replication.submit pair (repl_batch ~seed:301 20));
-  Replication.sync pair ();
-  (* The racing epoch: shipped, replica never applies it before the
-     primary "dies". *)
-  ignore
-    (Replication.submit pair
-       [| Test_recovery.txn_of_ops [ Test_recovery.Set { key = 9L; len = 16; tag = 'q' } ] |]);
-  Alcotest.(check int) "epoch still in flight" 1 (Replication.replica_lag pair);
-  let expected = ref [] in
-  Db.iter_committed (Replication.primary_db pair) ~table:0 (fun k v ->
-      expected := (k, Bytes.to_string v) :: !expected);
-  let promoted = Replication.failover_db pair in
-  Alcotest.(check (option string)) "in-flight epoch applied during promotion"
-    (Some (String.make 16 'q'))
-    (Option.map Bytes.to_string (Db.read_committed promoted ~table:0 ~key:9L));
-  let got = ref [] in
-  Db.iter_committed promoted ~table:0 (fun k v -> got := (k, Bytes.to_string v) :: !got);
-  Alcotest.(check bool) "promoted state equals primary's last submit" true
-    (List.sort compare !expected = List.sort compare !got)
-
-(* --- Session layer: batching + checkpoint-gated results --- *)
+let session_outcomes (cl : Test_frontend.sim_client) =
+  List.rev_map
+    (function
+      | Nv_frontend.Wire.Result { outcome; _ } -> outcome | _ -> Alcotest.fail "not a Result")
+    !(cl.Test_frontend.results)
 
 let test_session_visibility () =
-  let db = mk_db () in
-  load_n db 8;
-  let s = Session.create ~db ~epoch_target:100 ~auto_flush:false () in
-  let h1 = Session.submit s (update_txn 1L (bytes_of_string "one")) in
-  let h2 =
-    Session.submit s
-      (Txn.make ~input:Bytes.empty ~write_set:[ Txn.Update { table = 0; key = 2L } ]
-         (fun ctx -> ctx.Txn.Ctx.abort ()))
+  (* Every abortable SmallBank call aborts, the rest commit. *)
+  let w =
+    Nv_workloads.Smallbank.make
+      {
+        Nv_workloads.Smallbank.default with
+        Nv_workloads.Smallbank.customers = 400;
+        hot_customers = 40;
+        abort_probability = 1.0;
+      }
   in
+  let cfg = F_batcher.config ~batch_target:100 ~deadline_ticks:100 () in
+  let b = Test_frontend.mk_batcher ~cfg Test_frontend.spec_serial w in
+  let a = Test_frontend.mk_client ~seed:5 b in
+  let before = F_batcher.state_digest b in
+  for req = 0 to 11 do
+    assert (Test_frontend.submit_one b w a ~req = `Admitted)
+  done;
+  F_batcher.tick b;
   (* Nothing visible before the epoch runs. *)
-  Alcotest.(check bool) "h1 pending" true (Session.result s h1 = None);
-  Alcotest.(check int) "queued" 2 (Session.pending s);
-  (match Session.flush s with
-  | Some stats -> Alcotest.(check int) "epoch ran both" 2 stats.Report.txns
-  | None -> Alcotest.fail "expected an epoch");
-  Alcotest.(check bool) "h1 committed" true (Session.result s h1 = Some `Committed);
-  Alcotest.(check bool) "h2 aborted" true (Session.result s h2 = Some `Aborted);
-  check_committed db 1L "one";
-  Alcotest.(check bool) "empty flush" true (Session.flush s = None)
+  Alcotest.(check int) "no replies" 0 (List.length (session_outcomes a));
+  Alcotest.(check int) "queued" 12 (F_batcher.pending b);
+  Alcotest.(check int64) "state untouched" before (F_batcher.state_digest b);
+  F_batcher.flush b;
+  Alcotest.(check int) "epoch ran all" 12 (F_batcher.committed b + F_batcher.aborted b);
+  let outcomes = session_outcomes a in
+  Alcotest.(check int) "all answered" 12 (List.length outcomes);
+  Alcotest.(check int) "aborts answered as such" (F_batcher.aborted b)
+    (List.length (List.filter (( = ) `Aborted) outcomes));
+  Alcotest.(check bool) "some committed" true (List.mem `Committed outcomes);
+  Alcotest.(check bool) "some aborted" true (List.mem `Aborted outcomes);
+  Alcotest.(check bool) "commits visible" true (F_batcher.state_digest b <> before);
+  F_batcher.flush b;
+  Alcotest.(check int) "empty flush runs nothing" 1 (F_batcher.epochs_run b)
 
 let test_session_auto_flush () =
-  let db = mk_db () in
-  load_n db 8;
-  let s = Session.create ~db ~epoch_target:5 () in
-  let handles =
-    List.init 12 (fun i -> Session.submit s (update_txn 1L (bytes_of_string (string_of_int i))))
+  let w = Test_frontend.small_ycsb () in
+  let cfg = F_batcher.config ~batch_target:5 ~deadline_ticks:100 () in
+  let b = Test_frontend.mk_batcher ~cfg Test_frontend.spec_serial w in
+  let a = Test_frontend.mk_client ~seed:6 b in
+  for req = 0 to 11 do
+    assert (Test_frontend.submit_one b w a ~req = `Admitted);
+    F_batcher.tick b
+  done;
+  (* Two batches closed at the target (after submissions 5 and 10). *)
+  Alcotest.(check int) "two epochs ran" 2 (F_batcher.epochs_run b);
+  let answered () =
+    List.rev_map
+      (function Nv_frontend.Wire.Result { req; _ } -> req | _ -> Alcotest.fail "not a Result")
+      !(a.Test_frontend.results)
   in
-  (* Two auto-flushes happened (at submissions 6 and 11). *)
-  Alcotest.(check int) "two epochs ran" 3 (Db.epoch db);
-  Alcotest.(check bool) "early handle resolved" true
-    (Session.result s (List.hd handles) = Some `Committed);
-  Alcotest.(check bool) "late handle pending" true
-    (Session.result s (List.nth handles 11) = None);
-  ignore (Session.flush s);
-  Alcotest.(check bool) "late handle resolved" true
-    (Session.result s (List.nth handles 11) = Some `Committed);
-  check_committed db 1L "11"
+  Alcotest.(check (list int)) "first ten answered" (List.init 10 Fun.id) (answered ());
+  Alcotest.(check int) "late calls pending" 2 (F_batcher.pending b);
+  F_batcher.flush b;
+  Alcotest.(check (list int)) "late calls answered" (List.init 12 Fun.id) (answered ());
+  Alcotest.(check int) "nothing outstanding" 0 (F_batcher.outstanding a.Test_frontend.c)
 
 let suites =
   [
@@ -686,6 +622,8 @@ let suites =
         Alcotest.test_case "toggles agree" `Quick test_toggles_agree_on_state;
         Alcotest.test_case "variant ordering" `Quick test_all_nvmm_slower;
         Alcotest.test_case "mem report" `Quick test_mem_report;
+        Alcotest.test_case "session visibility" `Quick test_session_visibility;
+        Alcotest.test_case "session auto-flush" `Quick test_session_auto_flush;
         Alcotest.test_case "undeclared write" `Quick test_write_outside_write_set_rejected;
         Alcotest.test_case "abort after write" `Quick test_abort_after_write_rejected;
         Alcotest.test_case "ordered ranges" `Quick test_ordered_table_ranges;
@@ -694,13 +632,5 @@ let suites =
         Alcotest.test_case "recon unrelated ok" `Quick test_recon_untouched_read_commits;
         Alcotest.test_case "avl/btree engines agree" `Quick test_btree_and_avl_engines_agree;
         Alcotest.test_case "size-classed value pools" `Quick test_size_classed_value_pools;
-        Alcotest.test_case "replication sync" `Quick test_replication_sync;
-        Alcotest.test_case "replication lagged reads" `Quick test_replication_lagged_reads;
-        Alcotest.test_case "replication failover" `Quick test_replication_failover;
-        Alcotest.test_case "replication partial sync" `Quick test_replication_partial_sync;
-        Alcotest.test_case "replication failover mid-shipment" `Quick
-          test_replication_failover_inflight_epoch;
-        Alcotest.test_case "session visibility" `Quick test_session_visibility;
-        Alcotest.test_case "session auto-flush" `Quick test_session_auto_flush;
       ] );
   ]

@@ -1,8 +1,8 @@
 (* Fault-injection tests: the media-fault model in [Pmem], the
    checksummed persistent layout, scrub/salvage recovery, idempotent
-   crash-during-recovery, and replication failover under a primary
-   crash. Reuses the mini-workload and reference model from
-   [Test_recovery]. *)
+   crash-during-recovery, and failover to a standby that replays the
+   crashed primary's admission journal. Reuses the mini-workload and
+   reference model from [Test_recovery]. *)
 
 open Nvcaracal
 module Pmem = Nv_nvmm.Pmem
@@ -365,46 +365,87 @@ let test_scrub_drops_corrupt_log () =
   Test_recovery.check_states_equal "state without the dropped epoch" model db2
 
 (* ------------------------------------------------------------------ *)
-(* Replication failover under a primary crash                          *)
+(* Failover under a primary crash                                      *)
 
+(* The standby is a fresh engine that replays the primary's admission
+   journal. The primary dies mid-epoch, after the batch was journaled,
+   so the standby re-runs that batch too: its state must equal a
+   crash-free run's, before and after it takes further traffic. *)
 let test_failover_after_primary_crash () =
-  let config = Test_recovery.test_config in
-  let pair =
-    Replication.create ~config ~tables:Test_recovery.tables
-      ~rebuild:Test_recovery.rebuild ()
+  let module F_batcher = Nv_frontend.Batcher in
+  let module F_journal = Nv_frontend.Journal in
+  let module Engine = Nv_harness.Engine in
+  let module W = Nv_workloads.Workload in
+  let w = Test_frontend.small_smallbank () in
+  let spec = Engine.spec (Engine.Caracal Config.Nvcaracal) in
+  let config = Engine.caracal_config (Engine.setup ~epochs:64 ~epoch_txns:64 ()) w spec in
+  let registry = Nv_frontend.Proc.of_workload w in
+  let rng = Rng.create 83 in
+  let batches = Array.init 6 (fun _ -> Array.init 16 (fun _ -> w.W.gen_call rng)) in
+  let crash_batch = 4 in
+  let batcher ?journal ?hook () =
+    let db = Db.create ~config ~tables:w.W.tables () in
+    Option.iter (Db.set_phase_hook db) hook;
+    Db.bulk_load db (w.W.load ());
+    let engine = Engine_intf.Packed ((module Db.Serial_engine), db) in
+    let cfg = F_batcher.config ~batch_target:256 ~deadline_ticks:100 () in
+    F_batcher.create ~cfg ?journal
+      ~shards:(Nv_frontend.Shard_set.local ~engine ~tables:w.W.tables)
+      ~registry ~tables:w.W.tables ()
   in
-  Replication.bulk_load pair Test_recovery.load_rows;
-  (* Oracle: a single database running the same committed batches. *)
-  let oracle = Db.create ~config ~tables:Test_recovery.tables () in
-  Db.bulk_load oracle Test_recovery.load_rows;
-  let model = Test_recovery.model_load () in
-  let seed = 83 in
-  for epoch = 2 to 4 do
-    let batch = Test_recovery.gen_batch ~seed ~epoch model in
-    ignore (Replication.submit pair (Array.map Test_recovery.txn_of_ops batch));
-    ignore (Db.run_epoch oracle (Array.map Test_recovery.txn_of_ops batch));
-    Test_recovery.model_apply model batch
-  done;
-  (* The primary dies mid-epoch 5; its inputs were never shipped, so
-     the epoch is lost — exactly the single-node no-log-commit rule. *)
-  let crash_batch = Test_recovery.gen_batch ~seed ~epoch:5 model in
-  Db.set_phase_hook (Replication.primary_db pair) (fun p ->
-      if p = Db.Exec_txn 4 then raise Crash_now);
-  (match Replication.submit pair (Array.map Test_recovery.txn_of_ops crash_batch) with
-  | _ -> Alcotest.fail "expected primary crash"
+  let serve b client lo hi =
+    for i = lo to hi do
+      Array.iteri
+        (fun k (proc, args) ->
+          match F_batcher.submit b client ~req:((i * 100) + k) ~proc ~args with
+          | `Admitted -> ()
+          | _ -> Alcotest.fail "call not admitted")
+        batches.(i);
+      F_batcher.flush b
+    done
+  in
+  (* Oracle: the same batches on one engine that never crashes. *)
+  let oracle = batcher () in
+  let oc = F_batcher.connect oracle ~reply:None in
+  serve oracle oc 0 crash_batch;
+  let digest_at_crash = F_batcher.state_digest oracle in
+  serve oracle oc (crash_batch + 1) (Array.length batches - 1);
+  let armed = ref false in
+  let hook p =
+    if !armed && p = Db.Exec_txn 4 then begin
+      armed := false;
+      raise Crash_now
+    end
+  in
+  let path = Test_frontend.tmpfile "failover-journal" in
+  let meta = Test_frontend.jmeta in
+  let journal = F_journal.create ~path ~meta () in
+  let primary = batcher ~journal ~hook () in
+  let client = F_batcher.connect primary ~reply:None in
+  serve primary client 0 (crash_batch - 1);
+  armed := true;
+  (match serve primary client crash_batch crash_batch with
+  | () -> Alcotest.fail "expected primary crash"
   | exception Crash_now -> ());
-  let promoted = Replication.failover_db pair in
-  Test_recovery.check_states_equal "promoted state = committed epochs" model promoted;
-  (* The promoted database re-executes the lost batch and continues. *)
-  ignore (Db.run_epoch promoted (Array.map Test_recovery.txn_of_ops crash_batch));
-  ignore (Db.run_epoch oracle (Array.map Test_recovery.txn_of_ops crash_batch));
-  Test_recovery.model_apply model crash_batch;
-  Test_recovery.check_states_equal "promoted re-runs lost batch" model promoted;
-  let s_o = ref [] and s_p = ref [] in
-  Db.iter_committed oracle ~table:0 (fun k v -> s_o := (k, Bytes.to_string v) :: !s_o);
-  Db.iter_committed promoted ~table:0 (fun k v -> s_p := (k, Bytes.to_string v) :: !s_p);
-  Alcotest.(check bool) "promoted equals oracle" true
-    (List.sort compare !s_o = List.sort compare !s_p)
+  F_journal.close journal;
+  (* Failover: the standby replays every journaled batch, the crashed
+     one included. *)
+  let o = F_journal.load ~path ~meta in
+  Alcotest.(check int) "crashed batch was journaled" (crash_batch + 1)
+    (List.length o.F_journal.records);
+  let standby = batcher ~journal:o.F_journal.journal () in
+  F_batcher.recover standby ~records:o.F_journal.records ~sessions:[] ~batches_done:0;
+  Alcotest.(check int64) "standby state = journaled epochs" digest_at_crash
+    (F_batcher.state_digest standby);
+  (* The promoted standby keeps serving the same session. *)
+  let resumed =
+    F_batcher.connect ~id:(F_batcher.client_id client) ~resume:true standby ~reply:None
+  in
+  serve standby resumed (crash_batch + 1) (Array.length batches - 1);
+  F_journal.close o.F_journal.journal;
+  Sys.remove path;
+  Alcotest.(check int64) "standby equals oracle" (F_batcher.state_digest oracle)
+    (F_batcher.state_digest standby)
 
 (* ------------------------------------------------------------------ *)
 (* Fault-campaign smoke test                                           *)

@@ -253,104 +253,11 @@ let test_proc_registry () =
     [ small_ycsb (); small_smallbank (); Nv_workloads.Tpcc.make Nv_workloads.Tpcc.default ]
 
 (* ------------------------------------------------------------------ *)
-(* Session over every engine                                           *)
-
-let tables = [ Nvcaracal.Table.make ~id:0 ~name:"conf" () ]
-
-let caracal_config () =
-  Nvcaracal.Config.make ~cores:2 ~row_size:128 ~rows_per_core:4096 ~values_per_core:4096
-    ~freelist_capacity:8192 ~log_capacity:(1 lsl 20) ()
-
-let zen_config () =
-  {
-    Nv_zen.Zen_db.default_config with
-    Nv_zen.Zen_db.cores = 2;
-    record_size = 64;
-    cache_entries = 256;
-    slots_per_core = 4096;
-  }
-
-let engines : (string * (unit -> Engine_intf.packed)) list =
-  [
-    ( "nvcaracal",
-      fun () ->
-        Engine_intf.Packed
-          ( (module Nvcaracal.Db.Serial_engine),
-            Nvcaracal.Db.Serial_engine.create ~config:(caracal_config ()) ~tables () ) );
-    ( "aria",
-      fun () ->
-        Engine_intf.Packed
-          ( (module Nvcaracal.Db.Aria_engine),
-            Nvcaracal.Db.Aria_engine.create ~config:(caracal_config ()) ~tables () ) );
-    ( "zen",
-      fun () ->
-        Engine_intf.Packed
-          ( (module Nv_zen.Zen_db.Engine),
-            Nv_zen.Zen_db.Engine.create ~config:(zen_config ()) ~tables () ) );
-  ]
-
-let value i =
-  let b = Bytes.create 16 in
-  Bytes.set_int64_le b 0 (Int64.of_int i);
-  b
-
-let load_engine packed n =
-  match packed with
-  | Engine_intf.Packed ((module E), db) -> E.bulk_load db (Seq.init n (fun i -> (0, Int64.of_int i, value i)))
-
-let set_txn ~key v =
-  Nvcaracal.Txn.make ~input:Bytes.empty
-    ~write_set:[ Nvcaracal.Txn.Update { table = 0; key } ]
-    (fun ctx -> ctx.Nvcaracal.Txn.Ctx.write ~table:0 ~key v)
-
-let test_session_empty_flush mk () =
-  let engine = mk () in
-  load_engine engine 16;
-  let s = Nvcaracal.Session.of_engine ~engine () in
-  assert (Nvcaracal.Session.flush s = None);
-  assert (Nvcaracal.Session.pending s = 0)
-
-let test_session_result_gating mk () =
-  let engine = mk () in
-  load_engine engine 16;
-  let s = Nvcaracal.Session.of_engine ~engine ~auto_flush:false () in
-  let fired = ref [] in
-  Nvcaracal.Session.on_result s (fun h o -> fired := (h, o) :: !fired);
-  let h1 = Nvcaracal.Session.submit s (set_txn ~key:1L (value 100)) in
-  let h2 = Nvcaracal.Session.submit s (set_txn ~key:2L (value 200)) in
-  (* Before the epoch runs: no result, no callback — the checkpoint
-     fence gates visibility. *)
-  assert (Nvcaracal.Session.result s h1 = None);
-  assert (Nvcaracal.Session.poll s h2 = `Pending);
-  assert (!fired = []);
-  assert (Nvcaracal.Session.pending s = 2);
-  ignore (Nvcaracal.Session.flush s);
-  assert (Nvcaracal.Session.result s h1 = Some `Committed);
-  assert (Nvcaracal.Session.poll s h2 = `Committed);
-  assert (List.length !fired = 2)
-
-let test_session_auto_flush_exact mk () =
-  let engine = mk () in
-  load_engine engine 16;
-  let s = Nvcaracal.Session.of_engine ~engine ~epoch_target:3 () in
-  let h1 = Nvcaracal.Session.submit s (set_txn ~key:1L (value 1)) in
-  let _h2 = Nvcaracal.Session.submit s (set_txn ~key:2L (value 2)) in
-  (* Two submissions: below target, still pending. *)
-  assert (Nvcaracal.Session.poll s h1 = `Pending);
-  assert (Nvcaracal.Session.pending s = 2);
-  (* The third reaches the target exactly: the epoch runs inside
-     [submit]. *)
-  let h3 = Nvcaracal.Session.submit s (set_txn ~key:3L (value 3)) in
-  assert (Nvcaracal.Session.pending s = 0);
-  assert (Nvcaracal.Session.poll s h1 = `Committed);
-  assert (Nvcaracal.Session.poll s h3 = `Committed);
-  assert (Nvcaracal.Session.submitted s = 3)
-
-(* ------------------------------------------------------------------ *)
 (* Batcher                                                             *)
 
 let spec_serial = Engine.spec (Engine.Caracal Nvcaracal.Config.Nvcaracal)
 let spec_aria = Engine.spec Engine.Caracal_aria
+let spec_zen = Engine.spec Engine.Zen
 
 let loaded_engine ?(setup = Engine.setup ~epochs:64 ~epoch_txns:64 ()) spec (w : W.t) =
   let packed = Engine.instantiate spec setup w in
@@ -397,12 +304,78 @@ let submit_one b (w : W.t) cl ~req =
   let proc, args = w.W.gen_call cl.rng in
   F_batcher.submit b cl.c ~req ~proc ~args
 
-let test_batcher_size_close () =
+(* ------------------------------------------------------------------ *)
+(* A session over every engine                                         *)
+
+(* The in-process admission path ([nvdb serve-sim] drives it the same
+   way) gives every engine the same contract: nothing runs for an empty
+   batch, and a reply waits for its epoch. *)
+let session_engines = [ ("nvcaracal", spec_serial); ("aria", spec_aria); ("zen", spec_zen) ]
+
+let test_session_empty_flush spec () =
+  let w = small_ycsb () in
+  let b = mk_batcher spec w in
+  let a = mk_client b in
+  F_batcher.flush b;
+  F_batcher.tick b;
+  Alcotest.(check int) "no epoch for an empty batch" 0 (F_batcher.epochs_run b);
+  assert (F_batcher.pending b = 0);
+  assert (!(a.results) = [])
+
+let test_session_result_gating spec () =
+  let w = small_ycsb () in
+  let cfg = F_batcher.config ~batch_target:100 ~deadline_ticks:100 () in
+  let b = mk_batcher ~cfg spec w in
+  let a = mk_client ~seed:3 b in
+  let before = F_batcher.state_digest b in
+  assert (submit_one b w a ~req:1 = `Admitted);
+  assert (submit_one b w a ~req:2 = `Admitted);
+  F_batcher.tick b;
+  (* Before the epoch runs: no reply, and the committed state is
+     untouched. *)
+  assert (!(a.results) = []);
+  Alcotest.(check int) "pending" 2 (F_batcher.pending b);
+  Alcotest.(check int) "outstanding" 2 (F_batcher.outstanding a.c);
+  Alcotest.(check int64) "state untouched" before (F_batcher.state_digest b);
+  F_batcher.flush b;
+  Alcotest.(check int) "one epoch" 1 (F_batcher.epochs_run b);
+  let reqs =
+    List.rev_map
+      (function F_wire.Result { req; _ } -> req | _ -> Alcotest.fail "not a Result")
+      !(a.results)
+  in
+  Alcotest.(check (list int)) "both answered, in order" [ 1; 2 ] reqs;
+  Alcotest.(check int) "outstanding after" 0 (F_batcher.outstanding a.c);
+  assert (F_batcher.state_digest b <> before)
+
+let test_session_auto_flush_exact spec () =
+  let w = small_ycsb () in
+  let cfg = F_batcher.config ~batch_target:3 ~deadline_ticks:100 () in
+  let b = mk_batcher ~cfg spec w in
+  let a = mk_client ~seed:4 b in
+  assert (submit_one b w a ~req:0 = `Admitted);
+  assert (submit_one b w a ~req:1 = `Admitted);
+  F_batcher.tick b;
+  (* Two admissions: below target, still pending. *)
+  Alcotest.(check int) "no epoch below target" 0 (F_batcher.epochs_run b);
+  Alcotest.(check int) "pending" 2 (F_batcher.pending b);
+  (* The third reaches the target exactly: the next tick runs the
+     epoch and answers all three, bar what Aria defers to the next. *)
+  assert (submit_one b w a ~req:2 = `Admitted);
+  F_batcher.tick b;
+  Alcotest.(check int) "one epoch at target" 1 (F_batcher.epochs_run b);
+  let deferred = F_batcher.carryover_len b in
+  Alcotest.(check int) "only deferrals pending" deferred (F_batcher.pending b);
+  Alcotest.(check int) "replies" (3 - deferred) (List.length !(a.results));
+  F_batcher.drain b;
+  Alcotest.(check int) "all answered" 3 (List.length !(a.results))
+
+let test_batcher_size_close spec () =
   let w = small_ycsb () in
   let cfg = F_batcher.config ~batch_target:8 ~deadline_ticks:100 () in
   let path = tmpfile "batcher-size" in
   let journal = F_journal.create ~path ~meta:jmeta () in
-  let b = mk_batcher ~cfg ~journal spec_serial w in
+  let b = mk_batcher ~cfg ~journal spec w in
   let a = mk_client ~seed:1 b and c = mk_client ~seed:2 b in
   for i = 0 to 3 do
     assert (submit_one b w a ~req:i = `Admitted);
@@ -1555,19 +1528,22 @@ let suites =
       [ Alcotest.test_case "registry round-trips generated calls" `Quick test_proc_registry ] );
     ( "frontend.session",
       List.concat_map
-        (fun (name, mk) ->
+        (fun (name, spec) ->
           [
             Alcotest.test_case (name ^ ": empty flush is None") `Quick
-              (test_session_empty_flush mk);
+              (test_session_empty_flush spec);
             Alcotest.test_case (name ^ ": results gated on the epoch") `Quick
-              (test_session_result_gating mk);
+              (test_session_result_gating spec);
             Alcotest.test_case (name ^ ": auto-flush at exactly epoch_target") `Quick
-              (test_session_auto_flush_exact mk);
+              (test_session_auto_flush_exact spec);
           ])
-        engines );
+        session_engines );
     ( "frontend.batcher",
       [
-        Alcotest.test_case "size target closes the batch" `Quick test_batcher_size_close;
+        Alcotest.test_case "size target closes the batch" `Quick
+          (test_batcher_size_close spec_serial);
+        Alcotest.test_case "size target closes the batch (zen)" `Quick
+          (test_batcher_size_close spec_zen);
         Alcotest.test_case "deadline closes an under-filled batch" `Quick
           test_batcher_deadline_close;
         Alcotest.test_case "bounded admission rejects explicitly" `Quick test_batcher_overload;
@@ -1606,7 +1582,7 @@ let suites =
         Alcotest.test_case "garbage frames cost only their connection (aria)" `Quick
           (test_socket_garbage_resilience spec_aria);
         Alcotest.test_case "garbage frames cost only their connection (zen)" `Quick
-          (test_socket_garbage_resilience (Engine.spec Engine.Zen));
+          (test_socket_garbage_resilience spec_zen);
         Alcotest.test_case "session takeover survives the stale close" `Quick
           test_server_session_takeover;
         Alcotest.test_case "acked retransmit is never Rejected at shutdown" `Quick

@@ -68,7 +68,24 @@ let test_recovery_runs () =
   let { Runner.report; _ } = Runner.run_recovery setup w ~crash_after_txns:200 () in
   Alcotest.(check bool) "scanned the dataset" true
     (report.Nvcaracal.Report.scanned_rows >= 4000);
-  Alcotest.(check int) "replayed one epoch" 300 report.Nvcaracal.Report.replayed_txns
+  Alcotest.(check int) "replayed one epoch" 300 report.Nvcaracal.Report.replayed_txns;
+  Alcotest.(check bool) "no scrub without faults" false report.Nvcaracal.Report.scrubbed
+
+(* With a fault model the crash goes through it and recovery runs the
+   verification scan. A torn identity header may break the crashed
+   epoch's replay; that must fail loudly, never recover silently. *)
+let test_recovery_with_faults ?(may_break_replay = false) faults () =
+  let w = tiny_smallbank `Low in
+  match Runner.run_recovery setup w ~crash_after_txns:200 ~faults () with
+  | { Runner.report; _ } ->
+      let open Nvcaracal.Report in
+      Alcotest.(check bool) "scrubbed" true report.scrubbed;
+      Alcotest.(check int) "replayed the crashed epoch unless its log was dropped"
+        (if report.log_dropped then 0 else 300)
+        report.replayed_txns;
+      if faults = Nv_nvmm.Pmem.no_faults then
+        Alcotest.(check int) "no damage on a legal image" 0 (List.length report.damage)
+  | exception Failure _ when may_break_replay -> ()
 
 let test_tpcc_through_runner () =
   let w = Tpcc.make { Tpcc.default with Tpcc.warehouses = 1; customers_per_district = 10; items = 50 } in
@@ -106,6 +123,16 @@ let suites =
         Alcotest.test_case "transient fraction" `Quick test_transient_fraction_tracks_contention;
         Alcotest.test_case "logging overhead" `Quick test_logging_overhead_sign;
         Alcotest.test_case "recovery runs" `Quick test_recovery_runs;
+        Alcotest.test_case "recovery with legal faults" `Quick
+          (test_recovery_with_faults Nv_nvmm.Pmem.no_faults);
+        Alcotest.test_case "recovery with torn lines" `Quick
+          (test_recovery_with_faults ~may_break_replay:true
+             { Nv_nvmm.Pmem.no_faults with torn_frac = 0.5 });
+        Alcotest.test_case "recovery with bit rot" `Quick
+          (test_recovery_with_faults
+             { Nv_nvmm.Pmem.no_faults with rot_lines = 4; rot_max_bits = 3 });
+        Alcotest.test_case "recovery with dead lines" `Quick
+          (test_recovery_with_faults { Nv_nvmm.Pmem.no_faults with dead = 2 });
         Alcotest.test_case "tpcc runner" `Quick test_tpcc_through_runner;
         Alcotest.test_case "experiment registry" `Quick test_experiment_registry;
         Alcotest.test_case "fuzzer clean" `Slow test_fuzzer_clean;

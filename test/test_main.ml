@@ -16,7 +16,7 @@ let () =
          Test_units_extra.suites;
          Test_faults.suites;
          Test_aria.suites;
-         Test_partition.suites;
+         Test_routed.suites;
          Test_parallel.suites;
          Test_obs.suites;
          Test_engine_conf.suites;

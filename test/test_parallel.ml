@@ -159,14 +159,14 @@ let run_partitioned ~jobs =
     Config.make ~cores:4 ~rows_per_core:4096 ~values_per_core:4096 ~freelist_capacity:4096
       ~parallelism:jobs ()
   in
-  let c = Test_partition.mk_cluster ~config () in
+  let c = Test_routed.mk_cluster ~config () in
   let committed = ref 0 in
   for seed = 1 to 5 do
-    committed := !committed + Test_partition.run_with_retry c (Test_partition.gen_batch seed 40)
+    committed := !committed + Test_routed.run_with_retry c (Test_routed.gen_batch seed 40)
   done;
-  ( Test_partition.balances c,
+  ( Test_routed.balances c,
     !committed,
-    Array.fold_left (fun acc db -> acc +. Db.total_time_ns db) 0.0 c.Test_partition.dbs )
+    Array.fold_left (fun acc db -> acc +. Db.total_time_ns db) 0.0 c.Test_routed.dbs )
 
 let test_partition_determinism () =
   let base = run_partitioned ~jobs:1 in
