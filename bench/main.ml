@@ -92,7 +92,11 @@ let write_snapshot file =
    report wide_execs > 0 at jobs >= 2 with its default configuration:
    SmallBank (undeclared reads) and TPC-C (generated inserts, dynamic
    write sets, deletes, counters) used to gate out of the wide path
-   and must not silently do so again. *)
+   and must not silently do so again.
+
+   Each width reports its own speedup over jobs=1; the headline is the
+   widest width the host has cores for, since a width past
+   [host_cpus] measures oversubscription, not scaling. *)
 
 let parallel_snapshot file =
   let module W = Nv_workloads.Workload in
@@ -126,6 +130,10 @@ let parallel_snapshot file =
         Nv_harness.Runner.setup ~epochs:6 ~epoch_txns:1500 ~insert_growth:15 () );
     ]
   in
+  let host_cpus = Domain.recommended_domain_count () in
+  let headline_jobs =
+    List.fold_left (fun acc j -> if j <= host_cpus then max acc j else acc) 1 widths
+  in
   let rows =
     List.map
       (fun (name, w, s) ->
@@ -147,32 +155,33 @@ let parallel_snapshot file =
         let wall jobs = let w, _, _, _ = List.assoc jobs runs in w in
         let wide jobs = let _, _, _, n = List.assoc jobs runs in n in
         Format.fprintf ppf
-          "%-14s jobs=1 %6.2fs   jobs=2 %6.2fs   jobs=4 %6.2fs   speedup(4) %.2fx   wide epochs %d/%d@."
+          "%-14s jobs=1 %6.2fs   jobs=2 %6.2fs   jobs=4 %6.2fs   speedup x2 %.2fx  x4 %.2fx   \
+           wide epochs %d/%d@."
           name (wall 1) (wall 2) (wall 4)
-          (wall 1 /. wall 4)
+          (wall 1 /. wall 2) (wall 1 /. wall 4)
           (wide 2) (wide 4);
         (name, runs, c1))
       cases
   in
-  let host_cpus = Domain.recommended_domain_count () in
-  if host_cpus < 4 then
-    Format.fprintf ppf
-      "note: host has %d hardware core(s); jobs=4 oversubscribes it, so wall-clock gains \
-       require a >= 4-core machine (results stay byte-identical regardless)@."
-      host_cpus;
+  Format.fprintf ppf "headline speedup: jobs=%d (the widest width within host_cpus = %d)@."
+    headline_jobs host_cpus;
   let oc = open_out file in
-  Printf.fprintf oc "{\n  \"jobs_compared\": [1, 2, 4],\n  \"host_cpus\": %d,\n  \"workloads\": [\n"
-    host_cpus;
+  Printf.fprintf oc
+    "{\n  \"jobs_compared\": [1, 2, 4],\n  \"host_cpus\": %d,\n  \"headline_jobs\": %d,\n  \
+     \"workloads\": [\n"
+    host_cpus headline_jobs;
   List.iteri
     (fun i (name, runs, committed) ->
       let wall jobs = let w, _, _, _ = List.assoc jobs runs in w in
       let wide jobs = let _, _, _, n = List.assoc jobs runs in n in
       Printf.fprintf oc
         "    { \"name\": %S, \"jobs1_wall_s\": %.3f, \"jobs2_wall_s\": %.3f, \
-         \"jobs4_wall_s\": %.3f, \"speedup\": %.2f, \"committed_txns\": %d, \
+         \"jobs4_wall_s\": %.3f, \"speedup_jobs2\": %.2f, \"speedup_jobs4\": %.2f, \
+         \"speedup\": %.2f, \"committed_txns\": %d, \
          \"wide_epochs_jobs2\": %d, \"wide_epochs_jobs4\": %d }%s\n"
         name (wall 1) (wall 2) (wall 4)
-        (wall 1 /. wall 4)
+        (wall 1 /. wall 2) (wall 1 /. wall 4)
+        (wall 1 /. wall headline_jobs)
         committed (wide 2) (wide 4)
         (if i = List.length rows - 1 then "" else ",")
     )
@@ -253,11 +262,13 @@ let micro () =
   in
   let version_append =
     let s = stats () in
+    let store = Nvcaracal.Version_array.create_store ~nvmm_resident:false () in
     Test.make ~name:"version_array.append x16"
       (Staged.stage (fun () ->
-           let va = Nvcaracal.Version_array.create ~epoch:2 ~nvmm_resident:false () in
+           Nvcaracal.Version_array.reset store;
+           let va = Nvcaracal.Version_array.create store in
            for seq = 0 to 15 do
-             Nvcaracal.Version_array.append va s (Nvcaracal.Sid.make ~epoch:2 ~seq)
+             Nvcaracal.Version_array.append store va s (Nvcaracal.Sid.make ~epoch:2 ~seq)
            done))
   in
   let btree_index =
@@ -303,7 +314,7 @@ let micro () =
            let r = !i land (rows - 1) in
            incr i;
            Nv_storage.Prow.set_version p s ~base:(r * row_size) ~slot:`V2
-             ~sid:(Int64.of_int !i)
+             ~sid:!i
              ~ptr:(Nv_storage.Vptr.pool ~off:(values + (r * 1024)) ~len:1000)
              ();
            if r = rows - 1 then Nv_nvmm.Pmem.fence p s))

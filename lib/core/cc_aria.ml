@@ -281,9 +281,9 @@ let run ?(replay = false) t txns =
             if t.pindex <> None then Hashtbl.replace t.pix_delta (table, key) (`Ins base);
             row
       in
-      do_prow_final_write t stats ~core row ~sid ~data;
+      do_prow_final_write t stats ~core row ~sid ~src:data ~src_off:0 ~len:(Bytes.length data);
       if Config.caching_enabled cfg then Cache.insert t.cache stats row ~data ~epoch:t.epoch;
-      t.touched <- row :: t.touched)
+      touch_row t row)
     decisions;
   hook t Exec_done;
   if Tracer.enabled t.tracer then
@@ -302,12 +302,7 @@ let run ?(replay = false) t txns =
       Meta.persist_epoch t.meta stats0 ~epoch:t.epoch;
       t.last_outcomes <- outcomes;
       hook t Checkpointed);
-  List.iter
-    (fun (row : Row.t) ->
-      if row.Row.pv2.Row.fresh then row.Row.pv2 <- { row.Row.pv2 with Row.fresh = false };
-      if row.Row.pv1.Row.fresh then row.Row.pv1 <- { row.Row.pv1 with Row.fresh = false })
-    t.touched;
-  t.touched <- [];
+  release_touched t;
   if replay && not t.retain_gc_dedup then t.gc_dedup <- Hashtbl.create 16;
   let t_end = barrier t in
   let report =

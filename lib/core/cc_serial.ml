@@ -20,15 +20,40 @@ open Epoch
 
 let name = "caracal"
 
-(* Work declared for one transaction on one row: the registry built by
-   the initialization phase, consumed by the execution phase. *)
-type entry = {
-  e_op : [ `Insert | `Update | `Delete ];
-  e_table : int;
-  e_key : int64;
-  e_row : Row.t;
-  e_slot : VA.slot;
-}
+(* Work declared for one transaction on one row lives in the engine's
+   write-set registry ([Epoch.wset]): entry [e] is an op on row
+   [t.ws.wrows.(e)], and transaction [i]'s entries chain from
+   [t.ws.heads.(i)], newest first. *)
+
+(* The slot a transaction declared on an entry's row: found by SID (an
+   uncharged search — slot indices are only stable once the
+   initialization phases are over). *)
+let slot_of t e ~sid = VA.locate t.vstore t.ws.wrows.(e).Row.varray sid
+
+(* Newest entry from [e] on along its chain whose row is (table, key)
+   and whose op [fits] ([`Any], [`Write]: not a delete, [`Delete]); -1
+   if none. *)
+let rec find_entry ws e ~table ~key ~fits =
+  if e < 0 then -1
+  else
+    let row = ws.wrows.(e) in
+    if
+      row.Row.table = table && Int64.equal row.Row.key key
+      &&
+      match fits with
+      | `Any -> true
+      | `Write -> ws.ops.(e) <> ws_delete
+      | `Delete -> ws.ops.(e) = ws_delete
+    then e
+    else find_entry ws ws.next.(e) ~table ~key ~fits
+
+(* Apply [f] to each of transaction [i]'s entries, newest first. *)
+let iter_entries t i f =
+  let e = ref t.ws.heads.(i) in
+  while !e >= 0 do
+    f !e;
+    e := t.ws.next.(!e)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Transaction contexts                                                *)
@@ -40,28 +65,31 @@ type ctx_mode = Init | Exec of Sid.t
    dynamic write sets observe insert-step data). [wait_for] is the wide
    execution hook: it blocks until the slot's writer has resolved it. *)
 let visible_value ?wait_for t stats (row : Row.t) ~mode =
-  if row.Row.varray_epoch = t.epoch && row.Row.varray <> None then begin
-    let va = match row.Row.varray with Some va -> va | None -> assert false in
+  if has_varray t row then begin
+    let st = t.vstore and va = row.Row.varray in
     let slot =
       match mode with
-      | Exec before -> VA.latest_visible ?wait_for va stats ~before
-      | Init -> VA.latest_resolved va stats
+      | Exec before -> VA.latest_visible ?wait_for st va stats ~before
+      | Init -> VA.latest_resolved st va stats
     in
-    match slot with
-    | Some ({ VA.value = VA.Written vref; _ } as s) ->
-        Stats.set_now stats s.VA.write_time;
-        Some (load_version_value t stats ~initial:(Sid.is_none s.VA.sid) vref)
-    | Some { VA.value = VA.Tombstone; _ } -> None
-    | Some { VA.value = VA.Pending | VA.Ignored; _ } -> assert false
-    | None ->
-        if row.Row.created_epoch = t.epoch then None
-        else committed_read t stats row ~fill_cache:true
+    if slot < 0 then
+      if row.Row.created_epoch = t.epoch then None
+      else committed_read t stats row ~fill_cache:true
+    else begin
+      let v = VA.value st slot in
+      if VA.is_written v then begin
+        VA.advance_to_write st slot stats;
+        Some (load_version_value t stats ~initial:(Sid.is_none (VA.sid st slot)) v)
+      end
+      else if v = VA.tombstone then None
+      else assert false
+    end
   end
   else committed_read t stats row ~fill_cache:true
 
 exception Found of (int64 * bytes)
 
-let make_ctx ?wait_for ?wait_preds t ~core ~sid ~mode ~entries_of_txn ~notes ~wrote =
+let make_ctx ?wait_for ?wait_preds t ~core ~sid ~mode ~txn ~notes ~wrote =
   let stats = stats_of t core in
   let read ~table ~key =
     Stats.compute stats ();
@@ -69,43 +97,32 @@ let make_ctx ?wait_for ?wait_preds t ~core ~sid ~mode ~entries_of_txn ~notes ~wr
        initialization phase; the execution phase holds direct row
        references (as Caracal does) and only probes the index for
        read-only keys. *)
-    let row =
-      match
-        List.find_opt (fun e -> e.e_table = table && e.e_key = key) !entries_of_txn
-      with
-      | Some e -> Some e.e_row
-      | None -> find_row t stats ~table ~key
-    in
-    match row with None -> None | Some row -> visible_value ?wait_for t stats row ~mode
+    match find_entry t.ws t.ws.heads.(txn) ~table ~key ~fits:`Any with
+    | -1 -> (
+        match find_row t stats ~table ~key with
+        | None -> None
+        | Some row -> visible_value ?wait_for t stats row ~mode)
+    | e -> visible_value ?wait_for t stats t.ws.wrows.(e) ~mode
   in
   let write ~table ~key data =
     (match mode with Exec _ -> () | Init -> invalid_arg "Txn.Ctx.write: not in execution phase");
     Stats.compute stats ();
-    let entry =
-      try
-        List.find
-          (fun e -> e.e_table = table && e.e_key = key && e.e_op <> `Delete)
-          !entries_of_txn
-      with Not_found ->
-        invalid_arg
-          (Printf.sprintf "Txn.Ctx.write: key (%d, %Ld) is not in the write set" table key)
-    in
-    entry.e_slot.VA.value <- VA.Written (store_version_value t stats ~core data);
-    entry.e_slot.VA.write_time <- Stats.now stats;
+    let entry = find_entry t.ws t.ws.heads.(txn) ~table ~key ~fits:`Write in
+    if entry < 0 then
+      invalid_arg
+        (Printf.sprintf "Txn.Ctx.write: key (%d, %Ld) is not in the write set" table key);
+    let vref = store_version_value t stats ~core data in
+    VA.resolve t.vstore (slot_of t entry ~sid) ~value:vref stats;
     wrote := true
   in
   let delete ~table ~key =
     (match mode with Exec _ -> () | Init -> invalid_arg "Txn.Ctx.delete: not in execution phase");
     Stats.compute stats ();
-    let entry =
-      try
-        List.find (fun e -> e.e_table = table && e.e_key = key && e.e_op = `Delete) !entries_of_txn
-      with Not_found ->
-        invalid_arg
-          (Printf.sprintf "Txn.Ctx.delete: key (%d, %Ld) is not in the delete set" table key)
-    in
-    entry.e_slot.VA.value <- VA.Tombstone;
-    entry.e_slot.VA.write_time <- Stats.now stats;
+    let entry = find_entry t.ws t.ws.heads.(txn) ~table ~key ~fits:`Delete in
+    if entry < 0 then
+      invalid_arg
+        (Printf.sprintf "Txn.Ctx.delete: key (%d, %Ld) is not in the delete set" table key);
+    VA.resolve t.vstore (slot_of t entry ~sid) ~value:VA.tombstone stats;
     t.m_version_writes.(core) <- t.m_version_writes.(core) + 1;
     wrote := true
   in
@@ -188,7 +205,7 @@ let make_ctx ?wait_for ?wait_preds t ~core ~sid ~mode ~entries_of_txn ~notes ~wr
 (* ------------------------------------------------------------------ *)
 (* Initialization phase                                                *)
 
-let do_insert t stats ~core ~sid ~table ~key ~data entries =
+let do_insert t stats ~core ~i ~sid ~table ~key ~data =
   Stats.compute stats ();
   (match find_row t stats ~table ~key with
   | Some _ -> invalid_arg (Printf.sprintf "Db: duplicate insert of key (%d, %Ld)" table key)
@@ -199,16 +216,16 @@ let do_insert t stats ~core ~sid ~table ~key ~data entries =
   index_insert t stats ~table ~key row;
   if t.pindex <> None then Hashtbl.replace t.pix_delta (table, key) (`Ins base);
   let va = ensure_varray t stats ~core row in
-  VA.append va stats sid;
-  let slot = VA.find va stats sid in
+  VA.append t.vstore va stats sid;
+  let slot = VA.find t.vstore va stats sid in
   (match data with
   | Some d ->
-      slot.VA.value <- VA.Written (store_version_value t stats ~core d);
-      slot.VA.write_time <- Stats.now stats
+      let vref = store_version_value t stats ~core d in
+      VA.resolve t.vstore slot ~value:vref stats
   | None -> ());
-  entries := { e_op = `Insert; e_table = table; e_key = key; e_row = row; e_slot = slot } :: !entries
+  ws_add t i ~op:ws_insert row
 
-let do_append t stats ~core ~sid ~table ~key ~(kind : [ `Update | `Delete ]) entries =
+let do_append t stats ~core ~i ~sid ~table ~key ~(kind : [ `Update | `Delete ]) =
   Stats.compute stats ();
   match find_row t stats ~table ~key with
   | None -> invalid_arg (Printf.sprintf "Db: update/delete of missing key (%d, %Ld)" table key)
@@ -216,17 +233,12 @@ let do_append t stats ~core ~sid ~table ~key ~(kind : [ `Update | `Delete ]) ent
       let va = ensure_varray t stats ~core row in
       (* A transaction may declare the same key more than once (multiple
          writes per item, section 3.1.1): reuse its slot. *)
-      let slot =
-        match VA.find va stats sid with
-        | slot -> slot
-        | exception Not_found ->
-            VA.append va stats sid;
-            VA.find va stats sid
-      in
-      entries :=
-        { e_op = (kind :> [ `Insert | `Update | `Delete ]); e_table = table; e_key = key;
-          e_row = row; e_slot = slot }
-        :: !entries
+      (match VA.find t.vstore va stats sid with
+      | _ -> ()
+      | exception Not_found ->
+          VA.append t.vstore va stats sid;
+          ignore (VA.find t.vstore va stats sid));
+      ws_add t i ~op:(match kind with `Update -> ws_update | `Delete -> ws_delete) row
 
 (* ------------------------------------------------------------------ *)
 (* Finalization (section 4.6)                                          *)
@@ -235,7 +247,7 @@ let do_append t stats ~core ~sid ~table ~key ~(kind : [ `Update | `Delete ]) ent
    during initialization identifies hot rows — rows with several
    versions this epoch are worth caching; rows written once are not. *)
 let worth_caching t va =
-  (not t.config.Config.selective_caching) || VA.length va > 2
+  (not t.config.Config.selective_caching) || VA.length t.vstore va > 2
 
 (* Resolve the epoch-final version of a row once its last declared
    writer has executed (handles aborted final writers, section 4.6).
@@ -245,28 +257,33 @@ let worth_caching t va =
    the effect journal; the final persistent write itself is row-local,
    so it runs here, on the finalizing stripe. *)
 let finalize_row ?wait_for t stats ~core (row : Row.t) =
-  let va = match row.Row.varray with Some va -> va | None -> assert false in
-  match VA.latest_resolved ?wait_for va stats with
-  | None -> () (* a fresh insert whose every version aborted *)
-  | Some slot -> (
-      match slot.VA.value with
-      | VA.Written vref when Sid.is_none slot.VA.sid ->
-          (* Every real write aborted; the initial version stands. The
-             persistent row is untouched; restore the cached version the
-             append step consumed (section 4.6). *)
-          if Config.caching_enabled t.config && worth_caching t va then begin
-            let data = load_version_value t stats ~initial:true vref in
-            cache_insert_final t stats row ~data
-          end
-      | VA.Written vref ->
-          let data = load_version_value t stats ~initial:false vref in
-          do_prow_final_write t stats ~core row ~sid:slot.VA.sid ~data;
-          if Config.caching_enabled t.config && worth_caching t va then
-            cache_insert_final t stats row ~data
-      | VA.Tombstone ->
-          if not (record_effect t (E_delete { core; row })) then
-            do_prow_delete t stats ~core row
-      | VA.Pending | VA.Ignored -> assert false)
+  let st = t.vstore and va = row.Row.varray in
+  let slot = VA.latest_resolved ?wait_for st va stats in
+  if slot >= 0 (* else a fresh insert whose every version aborted *) then begin
+    let v = VA.value st slot and sid = VA.sid st slot in
+    let cache = Config.caching_enabled t.config && worth_caching t va in
+    if VA.is_written v && Sid.is_none sid then begin
+      (* Every real write aborted; the initial version stands. The
+         persistent row is untouched; restore the cached version the
+         append step consumed (section 4.6). *)
+      if cache then begin
+        charge_version_read t stats ~initial:true v;
+        cache_fill_final t stats row v
+      end
+    end
+    else if VA.is_written v then begin
+      (* One copy: the value goes from its arena chunk straight into
+         NVMM (and, if the cache admits the row, into its buffer). *)
+      charge_version_read t stats ~initial:false v;
+      do_prow_final_write t stats ~core row ~sid ~src:(TP.src t.tpool v) ~src_off:(TP.off v)
+        ~len:(TP.len v);
+      if cache then cache_fill_final t stats row v
+    end
+    else if v = VA.tombstone then begin
+      if not (record_delete t ~core row) then do_prow_delete t stats ~core row
+    end
+    else assert false
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Epoch driver (Algorithm 1)                                          *)
@@ -280,42 +297,39 @@ let run ?(replay = false) t txns =
   log_inputs t ~replay txns;
   let t_log = barrier t in
   (* --- Insert step. --- *)
-  let entries = Array.make n (ref []) in
+  ws_reset t n;
   let notes = Array.init n (fun _ -> Hashtbl.create 4) in
   let outcomes = Array.make n `Committed in
-  for i = 0 to n - 1 do
-    entries.(i) <- ref []
-  done;
   phase_span t "insert" (fun () ->
       for i = 0 to n - 1 do
         let core = core_of t i in
         let stats = stats_of t core in
         let sid = Sid.make ~epoch:t.epoch ~seq:i in
-        let static_inserts =
-          List.filter_map
-            (function
-              | Txn.Insert { table; key; data } -> Some (table, key, data)
-              | Txn.Update _ | Txn.Delete _ -> None)
-            txns.(i).Txn.write_set
-        in
+        (* Generated inserts are computed (and checked) first, then the
+           static ones land before them. *)
         let generated =
           match txns.(i).Txn.insert_gen with
           | None -> []
           | Some gen ->
               let ctx =
-                make_ctx t ~core ~sid ~mode:Init ~entries_of_txn:entries.(i) ~notes:notes.(i)
-                  ~wrote:(ref true)
+                make_ctx t ~core ~sid ~mode:Init ~txn:i ~notes:notes.(i) ~wrote:(ref true)
               in
-              List.map
+              let ops = gen ctx in
+              List.iter
                 (function
-                  | Txn.Insert { table; key; data } -> (table, key, data)
+                  | Txn.Insert _ -> ()
                   | Txn.Update _ | Txn.Delete _ ->
                       invalid_arg "Db: insert_gen may only produce Insert ops")
-                (gen ctx)
+                ops;
+              ops
         in
-        List.iter
-          (fun (table, key, data) -> do_insert t stats ~core ~sid ~table ~key ~data entries.(i))
-          (static_inserts @ generated)
+        let insert = function
+          | Txn.Insert { table; key; data } ->
+              do_insert t stats ~core ~i ~sid ~table ~key ~data
+          | Txn.Update _ | Txn.Delete _ -> ()
+        in
+        List.iter insert txns.(i).Txn.write_set;
+        List.iter insert generated
       done;
       hook t Insert_done);
   let t_insert = barrier t in
@@ -341,19 +355,8 @@ let run ?(replay = false) t txns =
     let core = core_of t i in
     let stats = stats_of t core in
     let sid = Sid.make ~epoch:t.epoch ~seq:i in
-    let static_ops =
-      List.filter_map
-        (function
-          | Txn.Update { table; key } -> Some (table, key, `Update)
-          | Txn.Delete { table; key } -> Some (table, key, `Delete)
-          | Txn.Insert _ -> None)
-        txns.(i).Txn.write_set
-    in
     let ops_of gen =
-      let ctx =
-        make_ctx t ~core ~sid ~mode:Init ~entries_of_txn:entries.(i) ~notes:notes.(i)
-          ~wrote:(ref true)
-      in
+      let ctx = make_ctx t ~core ~sid ~mode:Init ~txn:i ~notes:notes.(i) ~wrote:(ref true) in
       List.map
         (function
           | Txn.Update { table; key } -> (table, key, `Update)
@@ -382,9 +385,19 @@ let run ?(replay = false) t txns =
               recon_reads.(i) <- !recorded;
               ops)
     in
+    (* Declared (static) writes first, then the computed ones. *)
     List.iter
-      (fun (table, key, kind) -> do_append t stats ~core ~sid ~table ~key ~kind entries.(i))
-      (static_ops @ dynamic_ops @ recon_ops)
+      (function
+        | Txn.Update { table; key } -> do_append t stats ~core ~i ~sid ~table ~key ~kind:`Update
+        | Txn.Delete { table; key } -> do_append t stats ~core ~i ~sid ~table ~key ~kind:`Delete
+        | Txn.Insert _ -> ())
+      txns.(i).Txn.write_set;
+    List.iter
+      (fun (table, key, kind) -> do_append t stats ~core ~i ~sid ~table ~key ~kind)
+      dynamic_ops;
+    List.iter
+      (fun (table, key, kind) -> do_append t stats ~core ~i ~sid ~table ~key ~kind)
+      recon_ops
   done;
   hook t Append_done);
   let t_append = barrier t in
@@ -409,8 +422,8 @@ let run ?(replay = false) t txns =
     let wrote = ref false in
     set_cur_seq i;
     let ctx =
-      make_ctx ?wait_for ?wait_preds t ~core ~sid ~mode:(Exec sid) ~entries_of_txn:entries.(i)
-        ~notes:notes.(i) ~wrote
+      make_ctx ?wait_for ?wait_preds t ~core ~sid ~mode:(Exec sid) ~txn:i ~notes:notes.(i)
+        ~wrote
     in
     (* Validate reconnaissance reads: if any value the recon pass
        observed was changed by an earlier transaction in this epoch,
@@ -433,30 +446,27 @@ let run ?(replay = false) t txns =
       with Txn.Aborted -> true
     in
     if aborted then outcomes.(i) <- `Aborted;
+    let st = t.vstore in
     if aborted then begin
       t.m_aborted.(core) <- t.m_aborted.(core) + 1;
       t.total_aborted.(core) <- t.total_aborted.(core) + 1;
-      List.iter (fun e -> e.e_slot.VA.value <- VA.Ignored) !(entries.(i))
+      iter_entries t i (fun e -> VA.set_value st (slot_of t e ~sid) VA.ignored)
     end
     else t.committed.(core) <- t.committed.(core) + 1;
     (* Declared writes the body never issued are equivalent to aborted
        single writes: mark them IGNORE so readers skip them. *)
-    List.iter
-      (fun e -> if e.e_slot.VA.value = VA.Pending then e.e_slot.VA.value <- VA.Ignored)
-      !(entries.(i));
+    iter_entries t i (fun e ->
+        let slot = slot_of t e ~sid in
+        if VA.value st slot = VA.pending then VA.set_value st slot VA.ignored);
     (* Rows whose last declared writer is this transaction get their
        final version persisted now. *)
-    List.iter
-      (fun e ->
-        match e.e_row.Row.varray with
-        | Some va
-          when Sid.compare (VA.max_sid va) sid = 0
-               && Sid.compare e.e_slot.VA.sid sid = 0
-               && not (VA.finalized va) ->
-            VA.set_finalized va;
-            finalize_row ?wait_for t stats ~core e.e_row
-        | Some _ | None -> ())
-      !(entries.(i));
+    iter_entries t i (fun e ->
+        let row = t.ws.wrows.(e) in
+        let va = row.Row.varray in
+        if Sid.compare (VA.max_sid st va) sid = 0 && not (VA.finalized st va) then begin
+          VA.set_finalized st va;
+          finalize_row ?wait_for t stats ~core row
+        end);
     (if traced || exec_hist <> None then begin
        let dur = Stats.now stats -. ts0 in
        (if traced then begin
@@ -574,11 +584,11 @@ let run ?(replay = false) t txns =
                         let bt = Printexc.get_raw_backtrace () in
                         let j = ref !cur in
                         while !j < n do
-                          List.iter
-                            (fun e ->
-                              if e.e_slot.VA.value = VA.Pending then
-                                e.e_slot.VA.value <- VA.Ignored)
-                            !(entries.(!j));
+                          let sid = Sid.make ~epoch:t.epoch ~seq:!j in
+                          iter_entries t !j (fun e ->
+                              let slot = slot_of t e ~sid in
+                              if VA.value t.vstore slot = VA.pending then
+                                VA.set_value t.vstore slot VA.ignored);
                           j := !j + wide_d
                         done;
                         Atomic.set progress.(s) (n + wide_d);
@@ -598,13 +608,7 @@ let run ?(replay = false) t txns =
       t.last_outcomes <- outcomes;
       hook t Checkpointed);
   (* --- Discard the transient pool and per-epoch row state. --- *)
-  List.iter
-    (fun (row : Row.t) ->
-      row.Row.varray <- None;
-      if row.Row.pv2.Row.fresh then row.Row.pv2 <- { row.Row.pv2 with Row.fresh = false };
-      if row.Row.pv1.Row.fresh then row.Row.pv1 <- { row.Row.pv1 with Row.fresh = false })
-    t.touched;
-  t.touched <- [];
+  release_touched t;
   TP.reset t.tpool;
   if replay && not t.retain_gc_dedup then t.gc_dedup <- Hashtbl.create 16;
   let t_end = barrier t in

@@ -17,16 +17,6 @@ include Cc_intf.S
     Exposed for white-box tests; regular clients should only use
     {!run}. *)
 
-(** Work declared for one transaction on one row: the registry built by
-    the initialization phase, consumed by the execution phase. *)
-type entry = {
-  e_op : [ `Insert | `Update | `Delete ];
-  e_table : int;
-  e_key : int64;
-  e_row : Row.t;
-  e_slot : Version_array.slot;
-}
-
 (** [Init] resolves everything declared so far (how dynamic write sets
     observe insert-step data); [Exec sid] resolves at a serial
     position. *)

@@ -86,18 +86,24 @@ let all_serial_reasons =
    join barrier replays the merged journal in ascending serial position
    (see the [Effects] module at the bottom of this file). Adding an
    effect kind means adding a constructor here and one arm to
-   [Effects.apply] — registration happens exactly once, in that match. *)
+   [Effects.apply] — registration happens exactly once, in that match.
+
+   The three per-write kinds are stored unboxed in the journal's columns
+   (see [stripe] below), so recording one allocates nothing:
+   - k_gc_push row: major-GC list push (serial loop prepends);
+   - k_fill (st, row, vref): epoch-final cache fill from the transient
+     pool; admission runs against the true cache state at apply time (a
+     refused fill copies nothing) and charges [st] — the recording
+     core's meter — exactly as the serial loop would;
+   - k_delete (core, row): the whole persistent delete is deferred:
+     value slots stay readable by earlier serial positions, the index
+     stays immutable during execution, and freelist rings are only
+     written at the (serial) barrier.
+   The rest are recorded as an [effect_] value. *)
 type effect_ =
-  | E_gc_push of Row.t  (* major-GC list push (serial loop prepends) *)
-  | E_cache_fill of { st : Stats.t; row : Row.t; data : bytes }
-      (* committed-value cache insert; admission runs against the true
-         cache state at apply time and charges [st] — the recording
-         core's meter — exactly as the serial loop would *)
-  | E_delete of { core : int; row : Row.t }
-      (* the whole persistent delete is deferred: value slots stay
-         readable by earlier serial positions, the index stays
-         immutable during execution, and freelist rings are only
-         written at the (serial) barrier *)
+  | E_cache_read of { st : Stats.t; row : Row.t; data : bytes }
+      (* cache fill with a committed read's result (which the reader
+         holds too) *)
   | E_hook of phase  (* a deferrable phase hook's delivery *)
   | E_observe of { hist : Metrics.histogram; v : float }
       (* histogram observation (float sums are order-sensitive) *)
@@ -105,10 +111,43 @@ type effect_ =
       (* sampled txn span emission (carries explicit timestamps) *)
 
 (* The per-stripe journal: stripe [s] appends records for serial
-   positions congruent to [s] (mod [d]), newest first. Shards never
-   share a serial position (a transaction executes on one stripe), so a
-   stable ascending merge reproduces the serial loop's effect order. *)
-type effects_journal = { ej_d : int; ej_shards : (int * effect_) list array }
+   positions congruent to [s] (mod [d]), in ascending position. Stripes
+   never share a serial position (a transaction executes on one
+   stripe), so merging them by position reproduces the serial loop's
+   effect order. A record is a row of columns: its position, its kind
+   (one of the [k_] codes) and the fields that kind uses; the columns
+   outlive the epoch and are overwritten, not reallocated. *)
+type stripe = {
+  mutable len : int;
+  mutable seqs : int array;
+  mutable kinds : int array;
+  mutable args : int array;  (* vref (k_fill) or core (k_delete) *)
+  mutable rows : Row.t array;
+  mutable sts : Stats.t array;
+  mutable boxed : effect_ array;  (* k_boxed *)
+}
+
+let k_gc_push = 0
+let k_fill = 1
+let k_delete = 2
+let k_boxed = 3
+
+(* The serial CC's write-set registry: one entry per (transaction, row)
+   declaration, built by the initialization phase and consumed by the
+   execution phase. Entries are columns reused across epochs; each
+   transaction's entries form a chain from [heads.(i)] through [next],
+   newest first. *)
+type wset = {
+  mutable heads : int array;
+  mutable ops : int array; (* ws_insert | ws_update | ws_delete *)
+  mutable wrows : Row.t array;
+  mutable next : int array;
+  mutable wlen : int;
+}
+
+let ws_insert = 0
+let ws_update = 1
+let ws_delete = 2
 
 (* A phase hook and whether its delivery may be deferred to the join
    barrier. Non-deferrable hooks (the default — tests use them to
@@ -134,18 +173,29 @@ type t = {
   cache : Cache.t;
   counters : int64 array;
   mutable epoch : int; (* epoch currently being processed (= last committed between epochs) *)
-  mutable gc_list : Row.t list;
+  mutable gc_rows : Row.t array;
+      (* rows whose stale v1 awaits the major collector: the first
+         [n_gc], in push order; reused across epochs *)
+  mutable n_gc : int;
+  mutable gc_ptrs : int array; (* the collector's scratch *)
   mutable gc_dedup : (int64, unit) Hashtbl.t;
-  mutable touched : Row.t list; (* rows holding a version array this epoch *)
+  vstore : VA.store; (* every version array of the current epoch *)
+  ws : wset;
+  mutable touched : Row.t array;
+      (* rows holding a version array (or written, under Aria) this
+         epoch: the first [n_touched] entries, reset at epoch end *)
+  mutable n_touched : int;
   mutable retain_gc_dedup : bool;
       (* lazy (persistent-index) recovery: stale versions are collected
          on first touch, possibly many epochs later, so the crashed
          epoch's durable-GC dedup set must outlive the replay *)
   mutable loaded : bool;
   pool : Dpool.t; (* domain pool driving eligible per-core phase loops *)
-  mutable effects : effects_journal option;
-      (* installed for the whole execute phase (at every width, so one
-         code path produces one behaviour); [None] outside it *)
+  mutable ej_d : int;
+      (* stripes of the installed effect journal: installed for the
+         whole execute phase (at every width, so one code path produces
+         one behaviour); 0 outside it *)
+  mutable ej : stripe array; (* journal columns, reused across epochs *)
   mutable unmirrored_rows : bool;
       (* lazy (persistent-index) recovery left rows whose DRAM mirror
          loads on first touch — a shared-structure mutation the journal
@@ -243,13 +293,22 @@ let attach (cfg : Config.t) tables pmem =
     cache = Cache.create ~max_entries:cfg.cache_entries_max;
     counters = Array.make cfg.n_counters 0L;
     epoch = 0;
-    gc_list = [];
+    gc_rows = [||];
+    n_gc = 0;
+    gc_ptrs = [||];
     gc_dedup = Hashtbl.create 16;
-    touched = [];
+    vstore =
+      VA.create_store
+        ~nvmm_resident:(not (Config.uses_dram_version_arrays cfg))
+        ~batch_append:cfg.Config.batch_append ();
+    ws = { heads = [||]; ops = [||]; wrows = [||]; next = [||]; wlen = 0 };
+    touched = [||];
+    n_touched = 0;
     retain_gc_dedup = false;
     loaded = false;
     pool = Dpool.shared ~width:cfg.parallelism;
-    effects = None;
+    ej_d = 0;
+    ej = [||];
     unmirrored_rows = false;
     serial_reasons = Array.make (List.length all_serial_reasons) 0;
     wide_execs = 0;
@@ -292,22 +351,64 @@ let set_phase_hook ?(defer = false) t hook =
 let cur_seq_key = Domain.DLS.new_key (fun () -> -1)
 let set_cur_seq seq = Domain.DLS.set cur_seq_key seq
 
-(* Record [e] under the current serial position. Returns false — and
-   records nothing — when no journal is installed or the caller is not
-   inside a transaction body (inspection reads, bulk load, recovery
+(* Placeholders for the journal columns a record's kind leaves unused. *)
+let no_row = Row.make ~key:0L ~table:(-1) ~home_core:0 ~prow_base:0 ~created_epoch:0
+let no_stats = Stats.create Memspec.default
+
+let new_stripe () =
+  {
+    len = 0;
+    seqs = [||];
+    kinds = [||];
+    args = [||];
+    rows = [||];
+    sts = [||];
+    boxed = [||];
+  }
+
+let no_effect = E_hook Log_done
+
+let grow_stripe j =
+  let n = max 64 (2 * Array.length j.seqs) in
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 j.len;
+    b
+  in
+  j.seqs <- extend j.seqs 0;
+  j.kinds <- extend j.kinds 0;
+  j.args <- extend j.args 0;
+  j.rows <- extend j.rows no_row;
+  j.sts <- extend j.sts no_stats;
+  j.boxed <- extend j.boxed no_effect
+
+(* Record one effect under the current serial position. Returns false —
+   and records nothing — when no journal is installed or the caller is
+   not inside a transaction body (inspection reads, bulk load, recovery
    scaffolding); the caller then applies the effect immediately, which
    is exactly the serial semantics those paths want. *)
-let record_effect t e =
-  match t.effects with
-  | None -> false
-  | Some j ->
-      let seq = Domain.DLS.get cur_seq_key in
-      if seq < 0 then false
-      else begin
-        let s = seq mod j.ej_d in
-        j.ej_shards.(s) <- (seq, e) :: j.ej_shards.(s);
-        true
-      end
+let record t ~kind ~arg ~row ~st ~boxed =
+  t.ej_d > 0
+  &&
+  let seq = Domain.DLS.get cur_seq_key in
+  seq >= 0
+  &&
+  let j = t.ej.(seq mod t.ej_d) in
+  if j.len = Array.length j.seqs then grow_stripe j;
+  let i = j.len in
+  j.seqs.(i) <- seq;
+  j.kinds.(i) <- kind;
+  j.args.(i) <- arg;
+  j.rows.(i) <- row;
+  j.sts.(i) <- st;
+  j.boxed.(i) <- boxed;
+  j.len <- i + 1;
+  true
+
+let record_effect t e = record t ~kind:k_boxed ~arg:0 ~row:no_row ~st:no_stats ~boxed:e
+let record_gc_push t row = record t ~kind:k_gc_push ~arg:0 ~row ~st:no_stats ~boxed:no_effect
+let record_fill t st row vref = record t ~kind:k_fill ~arg:vref ~row ~st ~boxed:no_effect
+let record_delete t ~core row = record t ~kind:k_delete ~arg:core ~row ~st:no_stats ~boxed:no_effect
 
 let note_serial_reason t r =
   let i = serial_reason_index r in
@@ -333,13 +434,22 @@ let hook t phase =
   | None -> ()
   | Some h -> if not (h.hk_defer && record_effect t (E_hook phase)) then h.hk_fn phase
 
-(* Insert a finalized value into the committed-value cache: journaled
-   during execution (the join barrier replays fills in ascending serial
-   order, so admission sees the cache state the serial loop would and
-   the DRAM cost lands on the recording core's meter), immediate
-   otherwise. *)
-let cache_insert_final t stats (row : Row.t) ~data =
-  if not (record_effect t (E_cache_fill { st = stats; row; data })) then
+(* Fill the committed-value cache: journaled during execution (the join
+   barrier replays fills in ascending serial order, so admission sees
+   the cache state the serial loop would and the DRAM cost lands on the
+   recording core's meter), immediate otherwise. [cache_fill_final]
+   carries the finalized value's transient-pool reference and copies it
+   only if the cache admits the row; [cache_fill_read] caches a
+   committed read's result, which the reader keeps too. *)
+let apply_fill t stats (row : Row.t) vref =
+  Cache.fill t.cache stats row ~src:(TP.src t.tpool vref) ~src_off:(TP.off vref)
+    ~len:(TP.len vref) ~epoch:t.epoch
+
+let cache_fill_final t stats (row : Row.t) vref =
+  if not (record_fill t stats row vref) then apply_fill t stats row vref
+
+let cache_fill_read t stats (row : Row.t) ~data =
+  if not (record_effect t (E_cache_read { st = stats; row; data })) then
     Cache.insert t.cache stats row ~data ~epoch:t.epoch
 
 (* ------------------------------------------------------------------ *)
@@ -480,8 +590,8 @@ let index_remove t stats ~table ~key =
   | Ord o -> OIdx.remove o stats key
   | Bt b -> BIdx.remove b stats key
 
-let is_pool ptr = match Vptr.classify ptr with Vptr.Pool _ -> true | _ -> false
-let is_inline ptr = match Vptr.classify ptr with Vptr.Inline _ -> true | _ -> false
+let is_pool = Vptr.is_pool
+let is_inline = Vptr.is_inline
 
 (* Charge one [len]-byte version value just placed in the transient
    pool, per the design variant: DRAM for NVCaracal/all-DRAM, NVMM for
@@ -498,7 +608,7 @@ let charge_version_value t stats ~initial ~len =
        NVMM block write — Optane's 256-byte internal write — even for
        small values. *)
     Stats.nvmm_write_blocks stats (Memspec.blocks_touched spec ~off:0 ~len)
-  else Stats.dram_write stats ~lines:(Memspec.lines_touched spec ~off:0 ~len) ();
+  else Stats.dram_write_lines stats (Memspec.lines_touched spec ~off:0 ~len);
   if Config.redo_logs_updates t.config then
     (* Traditional WAL (section 2.1): every committed update is
        redo-logged to NVMM before it is checkpointed in place. *)
@@ -511,16 +621,19 @@ let store_version_value t stats ~core data =
   t.m_version_writes.(core) <- t.m_version_writes.(core) + 1;
   vref
 
-let load_version_value t stats ~initial vref =
-  let nvmm_path =
+(* Charge one read of a version value from the transient pool, per the
+   design variant (the counterpart of [charge_version_value]). *)
+let charge_version_read t stats ~initial vref =
+  if
     Config.writes_all_updates_to_nvmm t.config
     && not (initial && t.config.Config.variant = Config.Hybrid)
-  in
-  let data = TP.read t.tpool stats ~charge:(not nvmm_path) vref in
-  if nvmm_path then
-    Stats.nvmm_read_lines stats
-      (Memspec.lines_touched (Stats.spec stats) ~off:0 ~len:(Bytes.length data));
-  data
+  then Stats.nvmm_read_lines stats (Memspec.lines_touched (Stats.spec stats) ~off:0 ~len:(TP.len vref))
+  else TP.charge_read stats vref
+
+(* A charged copy of a version value, for a transaction's read. *)
+let load_version_value t stats ~initial vref =
+  charge_version_read t stats ~initial vref;
+  TP.read t.tpool stats ~charge:false vref
 
 (* The latest persistent version visible at checkpoint granularity:
    v2 unless it is empty or newer than [max_epoch] — during epoch
@@ -543,9 +656,10 @@ let ensure_mirror t stats (row : Row.t) =
   if not row.Row.mirror_loaded then begin
     let _key, _table, v1, v2 = Prow.read_header t.pmem stats ~base:row.Row.prow_base in
     let base = row.Row.prow_base in
-    (* Torn case 1: equal SIDs = an interrupted GC move; complete it. *)
+    (* Torn case 1: equal SIDs = an interrupted GC move; complete it.
+       (Header words are judged as stored, before decoding.) *)
     let v1, v2 =
-      if (not (Sid.is_none v1.Prow.sid)) && Sid.compare v1.Prow.sid v2.Prow.sid = 0 then begin
+      if v1.Prow.sid <> 0L && Int64.equal v1.Prow.sid v2.Prow.sid then begin
         Prow.repair_case1 t.pmem stats ~base ();
         let v1, v2 = Prow.peek_versions t.pmem ~base in
         (v1, v2)
@@ -554,14 +668,16 @@ let ensure_mirror t stats (row : Row.t) =
     in
     (* Torn case 2: SID nulled but not the pointer. *)
     let v2 =
-      if Sid.is_none v2.Prow.sid && not (Vptr.is_null v2.Prow.ptr) then begin
+      if v2.Prow.sid = 0L && v2.Prow.ptr <> 0L then begin
         Prow.repair_case2 t.pmem stats ~base ();
-        { Prow.sid = Sid.none; ptr = Vptr.null }
+        { Prow.sid = 0L; ptr = 0L }
       end
       else v2
     in
-    row.Row.pv1 <- { Row.psid = v1.Prow.sid; pptr = v1.Prow.ptr; fresh = false };
-    row.Row.pv2 <- { Row.psid = v2.Prow.sid; pptr = v2.Prow.ptr; fresh = false };
+    Row.set_version row.Row.pv1 ~sid:(Int64.to_int v1.Prow.sid) ~ptr:(Vptr.of_word v1.Prow.ptr)
+      ~fresh:false;
+    Row.set_version row.Row.pv2 ~sid:(Int64.to_int v2.Prow.sid) ~ptr:(Vptr.of_word v2.Prow.ptr)
+      ~fresh:false;
     row.Row.mirror_loaded <- true
   end
 
@@ -573,9 +689,11 @@ let committed_read ?max_epoch t stats (row : Row.t) ~fill_cache =
   match row.Row.cached with
   | Some c when caching ->
       Cache.touch t.cache row ~epoch:t.epoch;
-      Stats.dram_read stats
-        ~lines:(Memspec.lines_touched (Stats.spec stats) ~off:0 ~len:(Bytes.length c.Row.data))
-        ();
+      (* The caller gets the cached buffer itself, so the cache must
+         never write into it again. *)
+      if not c.Row.shared then c.Row.shared <- true;
+      Stats.dram_read_lines stats
+        (Memspec.lines_touched (Stats.spec stats) ~off:0 ~len:(Bytes.length c.Row.data));
       Some c.Row.data
   | _ -> (
       match checkpoint_pversion ?max_epoch t row with
@@ -590,22 +708,87 @@ let committed_read ?max_epoch t stats (row : Row.t) ~fill_cache =
           (* Selective caching (section 7 future work): cold reads do
              not populate the cache; only written rows do. *)
           if caching && fill_cache && not t.config.Config.selective_caching then
-            cache_insert_final t stats row ~data;
+            cache_fill_read t stats row ~data;
           Some data)
 
 (* ------------------------------------------------------------------ *)
 (* Version arrays                                                      *)
 
-let ensure_varray t stats ~core (row : Row.t) =
-  if row.Row.varray_epoch <> t.epoch || row.Row.varray = None then begin
-    let va =
-      VA.create ~epoch:t.epoch
-        ~nvmm_resident:(not (Config.uses_dram_version_arrays t.config))
-        ~batch_append:t.config.Config.batch_append ()
+(* Whether the row holds a version array this epoch. *)
+let has_varray t (row : Row.t) = row.Row.varray_epoch = t.epoch
+
+(* Empty the registry for a batch of [n] transactions. *)
+let ws_reset t n =
+  let ws = t.ws in
+  if Array.length ws.heads < n then ws.heads <- Array.make n (-1)
+  else Array.fill ws.heads 0 n (-1);
+  Array.fill ws.wrows 0 ws.wlen no_row;
+  ws.wlen <- 0
+
+let ws_add t i ~op (row : Row.t) =
+  let ws = t.ws in
+  let e = ws.wlen in
+  if e = Array.length ws.ops then begin
+    let size = max 256 (2 * e) in
+    let extend a fill =
+      let b = Array.make size fill in
+      Array.blit a 0 b 0 e;
+      b
     in
-    row.Row.varray <- Some va;
+    ws.ops <- extend ws.ops 0;
+    ws.next <- extend ws.next 0;
+    ws.wrows <- extend ws.wrows no_row
+  end;
+  ws.ops.(e) <- op;
+  ws.wrows.(e) <- row;
+  ws.next.(e) <- ws.heads.(i);
+  ws.heads.(i) <- e;
+  ws.wlen <- e + 1
+
+let push_gc t (row : Row.t) =
+  if t.n_gc = Array.length t.gc_rows then begin
+    let grown = Array.make (max 256 (2 * t.n_gc)) no_row in
+    Array.blit t.gc_rows 0 grown 0 t.n_gc;
+    t.gc_rows <- grown
+  end;
+  t.gc_rows.(t.n_gc) <- row;
+  t.n_gc <- t.n_gc + 1
+
+let touch_row t (row : Row.t) =
+  if t.n_touched = Array.length t.touched then begin
+    let grown = Array.make (max 256 (2 * t.n_touched)) no_row in
+    Array.blit t.touched 0 grown 0 t.n_touched;
+    t.touched <- grown
+  end;
+  t.touched.(t.n_touched) <- row;
+  t.n_touched <- t.n_touched + 1
+
+(* Per-epoch row state is discarded at epoch end: version-array handles
+   go stale with the store's reset, pool slots stop being fresh, and a
+   cache cell the append step set aside and no fill reclaimed (the cache
+   was full when the row's fill came) goes to the cache's free cells,
+   for the next fill of an uncached row. *)
+let release_touched t =
+  for i = 0 to t.n_touched - 1 do
+    let row = t.touched.(i) in
+    row.Row.varray_epoch <- 0;
+    row.Row.pv1.Row.fresh <- false;
+    row.Row.pv2.Row.fresh <- false;
+    if row.Row.spare <> None then begin
+      Cache.keep_free_cell t.cache row.Row.spare;
+      row.Row.spare <- None
+    end;
+    t.touched.(i) <- no_row
+  done;
+  t.n_touched <- 0;
+  VA.reset t.vstore
+
+let ensure_varray t stats ~core (row : Row.t) =
+  if not (has_varray t row) then begin
+    let va = VA.create t.vstore in
+    row.Row.varray <- va;
     row.Row.varray_epoch <- t.epoch;
-    t.touched <- row :: t.touched;
+    touch_row t row;
     ensure_mirror t stats row;
     (* Copy the committed value in as the initial version; the cached
        version, if any, is consumed (paper section 4.1). A value in
@@ -615,55 +798,56 @@ let ensure_varray t stats ~core (row : Row.t) =
       match row.Row.cached with
       | Some c when Config.caching_enabled t.config ->
           let data = c.Row.data in
-          Stats.dram_read stats
-            ~lines:(Memspec.lines_touched (Stats.spec stats) ~off:0 ~len:(Bytes.length data))
-            ();
+          Stats.dram_read_lines stats
+            (Memspec.lines_touched (Stats.spec stats) ~off:0 ~len:(Bytes.length data));
           Cache.drop t.cache stats row;
-          Some (TP.write t.tpool stats ~charge:false ~core data)
+          TP.write t.tpool stats ~charge:false ~core data
       | _ -> (
           match checkpoint_pversion t row with
-          | None -> None
+          | None -> -1
           | Some pv ->
               Stats.nvmm_read_blocks stats 1;
               let ptr = pv.Row.pptr in
-              Some
-                (TP.write_from t.tpool stats ~charge:false ~core ~len:(Vptr.len ptr)
-                   (fun dst dst_off ->
-                     Prow.read_value_into t.pmem stats ~base:row.Row.prow_base ptr
-                       ~header_charged:true ~dst ~dst_off ())))
+              TP.write_from t.tpool stats ~charge:false ~core ~len:(Vptr.len ptr)
+                (fun dst dst_off ->
+                  Prow.read_value_into t.pmem stats ~base:row.Row.prow_base ptr
+                    ~header_charged:true ~dst ~dst_off ()))
     in
-    match init with
-    | None -> ()
-    | Some vref ->
-        VA.append va stats Sid.none;
-        let slot = VA.find va stats Sid.none in
-        (* The copy is bookkeeping, not an update: no version write. *)
-        charge_version_value t stats ~initial:true ~len:vref.TP.len;
-        slot.VA.value <- VA.Written vref;
-        slot.VA.write_time <- Stats.now stats
+    if init >= 0 then begin
+      VA.append t.vstore va stats Sid.none;
+      let slot = VA.find t.vstore va stats Sid.none in
+      (* The copy is bookkeeping, not an update: no version write. *)
+      charge_version_value t stats ~initial:true ~len:(TP.len init);
+      VA.resolve t.vstore slot ~value:init stats
+    end
   end;
-  match row.Row.varray with Some va -> va | None -> assert false
+  row.Row.varray
 
 (* ------------------------------------------------------------------ *)
 (* Final persistent write (sections 4.4–4.6, 5.3)                      *)
 
 let free_pool_value ?(guard_dedup = false) t stats ~core ptr =
-  match Vptr.classify ptr with
-  | Vptr.Pool { off; _ } ->
-      (* A lazily-recovered row may still reference a value the crashed
-         epoch's GC already freed durably (its pass 2 never cleared the
-         version slot): freeing it again would hand the slot out twice. *)
-      if not (guard_dedup && Hashtbl.mem t.gc_dedup (Int64.of_int off)) then
-        VPools.free t.value_pool stats ~core off
-  | Vptr.Null | Vptr.Inline _ -> ()
+  if Vptr.is_pool ptr then begin
+    let off = Vptr.pool_off ptr in
+    (* A lazily-recovered row may still reference a value the crashed
+       epoch's GC already freed durably (its pass 2 never cleared the
+       version slot): freeing it again would hand the slot out twice. *)
+    if not (guard_dedup && Hashtbl.mem t.gc_dedup (Int64.of_int off)) then
+      VPools.free t.value_pool stats ~core off
+  end
 
-(* Write (sid, data) as the row's new recent version, rotating the
+(* Write (sid, value) as the row's new recent version, rotating the
    dual-version slots as required and preserving the previous epoch's
-   checkpointed version. *)
-let do_prow_final_write t stats ~core (row : Row.t) ~sid ~data =
+   checkpointed version. The value is [src.[src_off .. src_off+len-1]]
+   — a transient-pool chunk for the serial CC, so the bytes go from the
+   arena straight into NVMM — and its checksum is taken from that same
+   source range rather than read back from the region. *)
+let do_prow_final_write t stats ~core (row : Row.t) ~sid ~src ~src_off ~len =
   ensure_mirror t stats row;
   let cfg = t.config in
   let charge = not (Config.writes_all_updates_to_nvmm cfg) in
+  (* The optional-argument form of [charge], built without allocating. *)
+  let charge_opt = if charge then None else Some false in
   let base = row.Row.prow_base in
   if Sid.epoch_of row.Row.pv2.Row.psid = t.epoch then begin
     (* Overwrite: the slot was written this epoch (insert-step data
@@ -686,10 +870,7 @@ let do_prow_final_write t stats ~core (row : Row.t) ~sid ~data =
            the major-GC list, so a stale version is collected here, on
            first touch. The dedup set guards against re-freeing a value
            the crashed epoch's GC already made durable. *)
-        (match Vptr.classify v1.Row.pptr with
-        | Vptr.Pool { off; _ } when not (Hashtbl.mem t.gc_dedup (Int64.of_int off)) ->
-            VPools.free t.value_pool stats ~core off
-        | Vptr.Pool _ | Vptr.Null | Vptr.Inline _ -> ());
+        free_pool_value ~guard_dedup:true t stats ~core v1.Row.pptr;
         t.m_major_gc.(core) <- t.m_major_gc.(core) + 1
       end
       else if not (is_inline v1.Row.pptr) then
@@ -697,25 +878,24 @@ let do_prow_final_write t stats ~core (row : Row.t) ~sid ~data =
       else failwith "Db: stale v1 at write time with minor GC disabled"
     end;
     Prow.gc_move t.pmem stats ~base ~charge:false ();
-    row.Row.pv1 <- { row.Row.pv2 with Row.fresh = false };
-    row.Row.pv2 <- Row.no_version
+    Row.rotate row
   end;
-  let len = Bytes.length data in
-  let ptr, fresh =
-    if len <= Prow.half_capacity ~row_size:cfg.Config.row_size then begin
+  let inline = len <= Prow.half_capacity ~row_size:cfg.Config.row_size in
+  let ptr =
+    if inline then begin
       let half = Row.free_half ~row_size:cfg.Config.row_size row.Row.pv1 in
-      ( Prow.write_inline_value t.pmem stats ~base ~row_size:cfg.Config.row_size ~half ~data
-          ~charge (),
-        false )
+      Prow.write_inline_value_from t.pmem stats ~base ~row_size:cfg.Config.row_size ~half ~src
+        ~src_off ~len ?charge:charge_opt ()
     end
     else begin
       let off = VPools.alloc t.value_pool stats ~core ~len in
-      VPools.write_value t.value_pool stats ~charge ~off ~data ();
-      (Vptr.pool ~off ~len, true)
+      VPools.write_value_from t.value_pool stats ?charge:charge_opt ~off ~src ~src_off ~len ();
+      Vptr.pool ~off ~len
     end
   in
-  Prow.set_version t.pmem stats ~base ~slot:`V2 ~sid ~ptr ~charge ();
-  row.Row.pv2 <- { Row.psid = sid; pptr = ptr; fresh };
+  let vcrc = Nv_util.Crc32c.bytes_native src src_off len in
+  Prow.write_version t.pmem stats ~base ~slot:`V2 ~sid ~ptr ~vcrc ?charge:charge_opt ();
+  Row.set_version row.Row.pv2 ~sid ~ptr ~fresh:(not inline);
   t.m_persistent_writes.(core) <- t.m_persistent_writes.(core) + 1;
   (* Track the now-stale v1 for the major collector; inline stale
      versions are left for the minor collector instead. The push mutates
@@ -727,7 +907,7 @@ let do_prow_final_write t stats ~core (row : Row.t) ~sid ~data =
     && (not row.Row.in_gc_list)
     && (is_pool row.Row.pv1.Row.pptr || not cfg.Config.minor_gc)
   then begin
-    if not (record_effect t (E_gc_push row)) then t.gc_list <- row :: t.gc_list;
+    if not (record_gc_push t row) then push_gc t row;
     row.Row.in_gc_list <- true
   end
 
@@ -749,8 +929,8 @@ let do_prow_delete t stats ~core (row : Row.t) =
     | Some `Del | None -> Hashtbl.replace t.pix_delta k `Del
   end;
   Cache.drop t.cache stats row;
-  row.Row.pv1 <- Row.no_version;
-  row.Row.pv2 <- Row.no_version;
+  Row.clear_version row.Row.pv1;
+  Row.clear_version row.Row.pv2;
   t.m_persistent_writes.(core) <- t.m_persistent_writes.(core) + 1
 
 (* Flush the epoch's net index changes to the persistent index in one
@@ -783,49 +963,76 @@ let apply_pindex_delta t stats =
    construction rather than by per-feature argument. *)
 module Effects = struct
   let begin_exec t ~d =
-    assert (t.effects = None);
-    t.effects <- Some { ej_d = d; ej_shards = Array.make d [] };
+    assert (t.ej_d = 0);
+    if Array.length t.ej < d then
+      t.ej <- Array.append t.ej (Array.init (d - Array.length t.ej) (fun _ -> new_stripe ()));
+    for s = 0 to d - 1 do
+      t.ej.(s).len <- 0
+    done;
+    t.ej_d <- d;
     if d > 1 then t.wide_execs <- t.wide_execs + 1
 
   (* Exactly the statement the serial-order loop would have executed in
      the transaction's place. Charges land on the meter captured at
      record time (the executing core's), so per-core costs are
      width-independent. *)
-  let apply t = function
-    | E_gc_push row -> t.gc_list <- row :: t.gc_list
-    | E_cache_fill { st; row; data } -> Cache.insert t.cache st row ~data ~epoch:t.epoch
-    | E_delete { core; row } -> do_prow_delete t (stats_of t core) ~core row
+  let apply_boxed t = function
+    | E_cache_read { st; row; data } -> Cache.insert t.cache st row ~data ~epoch:t.epoch
     | E_hook p -> (match t.phase_hook with Some h -> h.hk_fn p | None -> ())
     | E_observe { hist; v } -> Metrics.observe hist v
     | E_trace emit -> emit ()
 
-  (* Replay and uninstall. Shards are newest-first, so each reverses to
-     ascending serial position; a stable merge then interleaves them.
-     Entries sharing a seq never span shards (a transaction runs on one
-     stripe), so within-transaction record order survives the sort. The
-     journal is uninstalled *before* replay: an effect recorded from
-     inside an apply (none today) would fall through to its immediate
-     serial form instead of landing in a journal being drained. *)
+  (* Apply record [i] of stripe [j], then clear the references it held. *)
+  let apply t j i =
+    let row = j.rows.(i) in
+    let k = j.kinds.(i) in
+    if k = k_gc_push then push_gc t row
+    else if k = k_fill then apply_fill t j.sts.(i) row j.args.(i)
+    else if k = k_delete then begin
+      let core = j.args.(i) in
+      do_prow_delete t (stats_of t core) ~core row
+    end
+    else begin
+      apply_boxed t j.boxed.(i);
+      j.boxed.(i) <- no_effect
+    end
+
+  (* Replay and uninstall. Each stripe's records are in ascending serial
+     position; a merge by position interleaves them. Records sharing a
+     position never span stripes (a transaction runs on one stripe), so
+     within-transaction record order survives the merge. The journal is
+     uninstalled *before* replay: an effect recorded from inside an
+     apply (none today) would fall through to its immediate serial form
+     instead of landing in a journal being drained. *)
   let drain t =
-    match t.effects with
-    | None -> ()
-    | Some j ->
-        t.effects <- None;
-        let merged =
-          if j.ej_d = 1 then List.rev j.ej_shards.(0)
-          else
-            List.stable_sort
-              (fun (a, _) (b, _) -> compare a b)
-              (List.concat_map List.rev (Array.to_list j.ej_shards))
-        in
-        List.iter (fun (_, e) -> apply t e) merged
+    let d = t.ej_d in
+    if d > 0 then begin
+      t.ej_d <- 0;
+      let next = Array.make d 0 in
+      let rec loop () =
+        let best = ref (-1) in
+        for s = 0 to d - 1 do
+          let j = t.ej.(s) in
+          if
+            next.(s) < j.len
+            && (!best < 0 || j.seqs.(next.(s)) < t.ej.(!best).seqs.(next.(!best)))
+          then best := s
+        done;
+        if !best >= 0 then begin
+          let s = !best in
+          apply t t.ej.(s) next.(s);
+          next.(s) <- next.(s) + 1;
+          loop ()
+        end
+      in
+      loop ()
+    end
 
   (* Discard without applying: execution died (crash injection). The
      replacement state is rebuilt by recovery's deterministic replay,
      which re-records and re-applies the same effects. *)
-  let abort t = t.effects <- None
+  let abort t = t.ej_d <- 0
 
-  let record = record_effect
 end
 
 (* ------------------------------------------------------------------ *)
@@ -847,7 +1054,7 @@ let begin_epoch t =
   t.epoch <- t.epoch + 1;
   Profile.epoch_begin t.profile ~epoch:t.epoch;
   reset_epoch_measurements t;
-  t.touched <- []
+  release_touched t
 
 (* Log transaction inputs (section 4.3): length-prefixed records,
    clwb'd, fence, publish the count, fence. Skipped during replay (the
@@ -942,7 +1149,7 @@ let bulk_load_row t idx (table, key, data) =
     end
   in
   Prow.set_version t.pmem stats ~base ~slot:`V2 ~sid ~ptr ();
-  row.Row.pv2 <- { Row.psid = sid; pptr = ptr; fresh = false };
+  Row.set_version row.Row.pv2 ~sid ~ptr ~fresh:false;
   row
 
 let bulk_load t rows =

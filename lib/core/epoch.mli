@@ -67,24 +67,41 @@ val all_serial_reasons : serial_reason list
 (** One journaled side effect of the execution phase — a statement the
     serial-order loop would have executed in place, recorded instead
     and replayed in ascending serial position at the join barrier. See
-    {!Effects}. *)
+    {!Effects}. The per-write effects — major-GC list pushes, epoch-final
+    cache fills and deferred deletes — have their own allocation-free
+    recorders ({!cache_fill_final}, and the finalizer paths); these are
+    the rest. *)
 type effect_ =
-  | E_gc_push of Row.t  (** major-GC list push *)
-  | E_cache_fill of { st : Stats.t; row : Row.t; data : bytes }
-      (** committed-value cache insert; admission runs against the true
-          cache state at apply time and charges [st], the recording
-          core's meter *)
-  | E_delete of { core : int; row : Row.t }
-      (** the whole persistent delete (frees, index removal, cache
-          drop) is deferred to the barrier *)
+  | E_cache_read of { st : Stats.t; row : Row.t; data : bytes }
+      (** cache fill with a committed read's result; admission runs
+          against the true cache state at apply time and charges [st],
+          the recording core's meter *)
   | E_hook of phase  (** a deferrable phase hook's delivery *)
   | E_observe of { hist : Nv_obs.Metrics.histogram; v : float }
       (** histogram observation (float sums are order-sensitive) *)
   | E_trace of (unit -> unit)  (** sampled txn span emission *)
 
-(** The per-stripe journal: stripe [s] holds records of serial
-    positions congruent to [s] (mod [ej_d]), newest first. *)
-type effects_journal = { ej_d : int; ej_shards : (int * effect_) list array }
+(** One stripe of the effect journal: the records of serial positions
+    congruent to the stripe (mod the installed width), in ascending
+    position, held in columns reused across epochs. *)
+type stripe
+
+(** The serial CC's write-set registry: one entry per (transaction,
+    row) declaration, built by the initialization phase and consumed by
+    the execution phase. Entries are columns reused across epochs;
+    transaction [i]'s entries chain from [heads.(i)] through [next]
+    (-1 ends a chain), newest first. *)
+type wset = {
+  mutable heads : int array;
+  mutable ops : int array;  (** {!ws_insert}, {!ws_update} or {!ws_delete} *)
+  mutable wrows : Row.t array;
+  mutable next : int array;
+  mutable wlen : int;
+}
+
+val ws_insert : int
+val ws_update : int
+val ws_delete : int
 
 (** A phase hook and whether its delivery may be deferred to the join
     barrier; non-deferrable hooks force the execute phase serial. *)
@@ -120,10 +137,18 @@ type t = {
   mutable epoch : int;
       (** epoch currently being processed (= last committed between
           epochs) *)
-  mutable gc_list : Row.t list;
+  mutable gc_rows : Row.t array;
+      (** rows whose stale v1 awaits the major collector: the first
+          [n_gc], in push order (see {!push_gc}) *)
+  mutable n_gc : int;
+  mutable gc_ptrs : int array;  (** the collector's scratch *)
   mutable gc_dedup : (int64, unit) Hashtbl.t;
-  mutable touched : Row.t list;
-      (** rows holding a version array this epoch *)
+  vstore : VA.store;  (** every version array of the current epoch *)
+  ws : wset;
+  mutable touched : Row.t array;
+      (** rows holding a version array (or written, under Aria) this
+          epoch: the first [n_touched] entries *)
+  mutable n_touched : int;
   mutable retain_gc_dedup : bool;
       (** lazy (persistent-index) recovery: stale versions are
           collected on first touch, possibly many epochs later, so the
@@ -132,9 +157,11 @@ type t = {
   pool : Dpool.t;
       (** domain pool driving eligible per-core phase loops (width =
           {!Config.t.parallelism}) *)
-  mutable effects : effects_journal option;
-      (** the execute phase's effect journal; installed at every width
-          (one code path, one behaviour), [None] outside the phase *)
+  mutable ej_d : int;
+      (** stripes of the execute phase's effect journal; installed at
+          every width (one code path, one behaviour), 0 outside the
+          phase *)
+  mutable ej : stripe array;
   mutable unmirrored_rows : bool;
       (** lazy (persistent-index) recovery left rows whose DRAM mirror
           loads on first touch; execution stays serial until cleared *)
@@ -254,6 +281,10 @@ val store_version_value : t -> Stats.t -> core:int -> bytes -> TP.vref
 (** Load a version value back, with the matching charge. *)
 val load_version_value : t -> Stats.t -> initial:bool -> TP.vref -> bytes
 
+(** The charge of {!load_version_value} without the copy (the final
+    persistent write reads the value in place). *)
+val charge_version_read : t -> Stats.t -> initial:bool -> TP.vref -> unit
+
 (** The latest persistent version visible at checkpoint granularity
     (bounded by [max_epoch], default the previous epoch). *)
 val checkpoint_pversion : ?max_epoch:int -> t -> Row.t -> Row.pversion option
@@ -267,19 +298,48 @@ val ensure_mirror : t -> Stats.t -> Row.t -> unit
 val committed_read :
   ?max_epoch:int -> t -> Stats.t -> Row.t -> fill_cache:bool -> bytes option
 
+(** Whether the row holds a version array this epoch. *)
+val has_varray : t -> Row.t -> bool
+
 (** Get (or create, registering the row in [touched] and seeding the
     initial version) the row's version array for the current epoch. *)
 val ensure_varray : t -> Stats.t -> core:int -> Row.t -> VA.t
+
+(** Empty the write-set registry for a batch of [n] transactions. *)
+val ws_reset : t -> int -> unit
+
+(** Declare an [op] by transaction [i] on [row]. *)
+val ws_add : t -> int -> op:int -> Row.t -> unit
+
+(** Queue a row for the major collector. *)
+val push_gc : t -> Row.t -> unit
+
+(** Register a row as touched this epoch (Aria's written rows). *)
+val touch_row : t -> Row.t -> unit
+
+(** Discard the epoch's per-row state: version arrays (and the store
+    holding them), fresh-slot marks, set-aside cache cells. *)
+val release_touched : t -> unit
 
 (** Free a pool value (no-op for inline/null pointers); [guard_dedup]
     skips values the crashed epoch's GC already freed durably. *)
 val free_pool_value :
   ?guard_dedup:bool -> t -> Stats.t -> core:int -> Vptr.t -> unit
 
-(** Write (sid, data) as the row's new recent version, rotating the
-    dual-version slots as required (sections 4.4–4.6, 5.3). *)
+(** Write (sid, value) as the row's new recent version, rotating the
+    dual-version slots as required (sections 4.4–4.6, 5.3). The value
+    is [src.[src_off .. src_off+len-1]], copied once into NVMM; its
+    checksum is taken from the same range. *)
 val do_prow_final_write :
-  t -> Stats.t -> core:int -> Row.t -> sid:Sid.t -> data:bytes -> unit
+  t ->
+  Stats.t ->
+  core:int ->
+  Row.t ->
+  sid:Sid.t ->
+  src:bytes ->
+  src_off:int ->
+  len:int ->
+  unit
 
 (** Persistently delete a row: free its values and slot, unhook the
     DRAM state. *)
@@ -312,9 +372,14 @@ val set_cur_seq : int -> unit
     immediately (serial semantics). *)
 val record_effect : t -> effect_ -> bool
 
-(** Insert a finalized value into the committed-value cache: journaled
-    during execution, immediate otherwise. *)
-val cache_insert_final : t -> Stats.t -> Row.t -> data:bytes -> unit
+(** Record a deferred persistent delete ({!do_prow_delete} on [core]'s
+    meter at the barrier); [false] as for {!record_effect}. *)
+val record_delete : t -> core:int -> Row.t -> bool
+
+(** Fill the committed-value cache with a finalized value from the
+    transient pool: journaled during execution, immediate otherwise.
+    The value is copied only if the cache admits the row. *)
+val cache_fill_final : t -> Stats.t -> Row.t -> TP.vref -> unit
 
 module Effects : sig
   (** Install a fresh [d]-stripe journal (and count a wide execution
@@ -329,9 +394,6 @@ module Effects : sig
   (** Discard the journal without applying (execution died; recovery's
       deterministic replay rebuilds the state). *)
   val abort : t -> unit
-
-  (** Alias of {!record_effect}. *)
-  val record : t -> effect_ -> bool
 end
 
 (** {1 Shared epoch scaffolding}

@@ -13,12 +13,17 @@ module Tracer = Nv_obs.Tracer
 open Epoch
 
 let major_gc t =
-  let list = t.gc_list in
-  t.gc_list <- [];
-  if list <> [] then begin
-    let n = List.length list in
-    let rows = Array.of_list list in
-    let stale_ptrs = Array.map (fun (row : Row.t) -> row.Row.pv1.Row.pptr) rows in
+  let n = t.n_gc in
+  t.n_gc <- 0;
+  if n > 0 then begin
+    (* Newest push first, the order the collector has always used. *)
+    let queued = t.gc_rows in
+    let row_at i = queued.(n - 1 - i) in
+    if Array.length t.gc_ptrs < n then t.gc_ptrs <- Array.make (Array.length queued) 0;
+    let stale_ptrs = t.gc_ptrs in
+    for i = 0 to n - 1 do
+      stale_ptrs.(i) <- (row_at i).Row.pv1.Row.pptr
+    done;
     let cores = t.config.Config.cores in
     (* Both passes charge item [i] to core [i mod cores] and touch only
        that core's freelist (or row [i]'s own bytes), so striping by
@@ -57,10 +62,9 @@ let major_gc t =
       striped_iter (fun i ->
           let core = i mod cores in
           let stats = stats_of t core in
-          match Vptr.classify stale_ptrs.(i) with
-          | Vptr.Pool { off; _ } ->
-              VPools.free_gc t.value_pool stats ~core off ~dedup:t.gc_dedup
-          | Vptr.Null | Vptr.Inline _ -> ());
+          let ptr = stale_ptrs.(i) in
+          if Vptr.is_pool ptr then
+            VPools.free_gc t.value_pool stats ~core (Vptr.pool_off ptr) ~dedup:t.gc_dedup);
       VPools.persist_gc_tail t.value_pool (stats_of t 0) ~epoch:t.epoch;
       Pmem.fence t.pmem (stats_of t 0);
       hook t Gc_pass1_done
@@ -68,11 +72,10 @@ let major_gc t =
     let rotate_rows () =
       (* Rotate each row so v2 is free for this epoch's write. *)
       striped_iter (fun i ->
-          let row = rows.(i) in
+          let row = row_at i in
           let stats = stats_of t (i mod cores) in
           Prow.gc_move t.pmem stats ~base:row.Row.prow_base ~charge:true ();
-          row.Row.pv1 <- { row.Row.pv2 with Row.fresh = false };
-          row.Row.pv2 <- Row.no_version;
+          Row.rotate row;
           row.Row.in_gc_list <- false)
     in
     if t.config.Config.persistent_index then begin

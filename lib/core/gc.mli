@@ -11,6 +11,6 @@
     at most one epoch's stale values instead of leaving dangling
     pointers a later lazy recovery could double-free. *)
 
-(** Collect [t.gc_list], firing [Gc_pass1_done] between the two passes.
+(** Collect the rows queued by {!Epoch.push_gc}, firing [Gc_pass1_done] between the two passes.
     No-op when the list is empty. *)
 val major_gc : Epoch.t -> unit

@@ -26,6 +26,13 @@ let crash ?faults t ~rng =
 
 (* The CC strategy that produced (and therefore replays) the crashed
    epoch. *)
+(* The scan judges torn and corrupt headers on the version words as
+   stored (a rotted bit 63 must not vanish in decoding), and decodes
+   only what it keeps into the row's mirror. *)
+let empty = { Prow.sid = 0L; ptr = 0L }
+let word_epoch w = Int64.to_int (Int64.shift_right_logical w 32)
+let word_is_pool w = w <> 0L && Int64.logand w 1L = 0L
+
 let cc_of_mode = function
   | `Caracal -> (module Cc_serial : Cc_intf.S)
   | `Aria -> (module Cc_aria : Cc_intf.S)
@@ -168,10 +175,7 @@ let recover ~config ~tables ~pmem ~rebuild ?(replay_mode = `Caracal) ?phase_hook
       (* Torn case 1: a GC move copied the SID (and possibly the
          pointer) to v1 but did not finish nulling v2. Complete it. *)
       let v1, v2 =
-        if
-          (not (Sid.is_none v1.Prow.sid))
-          && Sid.compare v1.Prow.sid v2.Prow.sid = 0
-          && Sid.epoch_of v1.Prow.sid <> crashed
+        if v1.Prow.sid <> 0L && Int64.equal v1.Prow.sid v2.Prow.sid && word_epoch v1.Prow.sid <> crashed
         then begin
           Prow.repair_case1 t.pmem stats0 ~base ();
           Prow.peek_versions t.pmem ~base
@@ -180,9 +184,9 @@ let recover ~config ~tables ~pmem ~rebuild ?(replay_mode = `Caracal) ?phase_hook
       in
       (* Torn case 2: v2's SID was nulled but not its pointer. *)
       let v2 =
-        if Sid.is_none v2.Prow.sid && not (Vptr.is_null v2.Prow.ptr) then begin
+        if v2.Prow.sid = 0L && v2.Prow.ptr <> 0L then begin
           Prow.repair_case2 t.pmem stats0 ~base ();
-          { Prow.sid = Sid.none; ptr = Vptr.null }
+          empty
         end
         else v2
       in
@@ -191,8 +195,7 @@ let recover ~config ~tables ~pmem ~rebuild ?(replay_mode = `Caracal) ?phase_hook
       let suspect = ref false in
       let v2 =
         if not scrub then v2
-        else if (not (Sid.is_none v2.Prow.sid)) && Sid.epoch_of v2.Prow.sid = crashed
-        then begin
+        else if v2.Prow.sid <> 0L && word_epoch v2.Prow.sid = crashed then begin
           if Prow.check_slot t.pmem ~base ~slot:`V2 = Prow.Slot_corrupt then
             suspect := true;
           v2
@@ -210,21 +213,19 @@ let recover ~config ~tables ~pmem ~rebuild ?(replay_mode = `Caracal) ?phase_hook
                  to absence) and report the damage loudly. *)
               report_damage ~table ~key `Current_version;
               Prow.set_version t.pmem stats0 ~base ~slot:`V2 ~sid:Sid.none ~ptr:Vptr.null ();
-              { Prow.sid = Sid.none; ptr = Vptr.null }
+              empty
       in
       (* Revert of crashed-epoch writes: configured (TPC-C, section
          6.2.3) or forced because the epoch's log was dropped. *)
       let v2 =
         if
-          do_revert && (not !suspect)
-          && (not (Sid.is_none v2.Prow.sid))
-          && Sid.epoch_of v2.Prow.sid = crashed
+          do_revert && (not !suspect) && v2.Prow.sid <> 0L && word_epoch v2.Prow.sid = crashed
         then begin
           let r0 = Stats.now stats0 in
           Prow.set_version t.pmem stats0 ~base ~slot:`V2 ~sid:Sid.none ~ptr:Vptr.null ();
           incr reverted;
           revert_ns := !revert_ns +. (Stats.now stats0 -. r0);
-          { Prow.sid = Sid.none; ptr = Vptr.null }
+          empty
         end
         else v2
       in
@@ -240,7 +241,7 @@ let recover ~config ~tables ~pmem ~rebuild ?(replay_mode = `Caracal) ?phase_hook
               incr crc_repaired;
               v1
           | Prow.Slot_corrupt ->
-              let was_current = Sid.is_none v2.Prow.sid && not !suspect in
+              let was_current = v2.Prow.sid = 0L && not !suspect in
               (* A stale version whose value bytes were in flight at the
                  crash was being overwritten by the crashed epoch (half
                  or pool-slot reuse behind a torn-back header): drop it
@@ -248,30 +249,31 @@ let recover ~config ~tables ~pmem ~rebuild ?(replay_mode = `Caracal) ?phase_hook
                  version survives. Anything else is media damage. *)
               let turnover =
                 (not was_current)
-                && Prow.value_in_crash_turnover t.pmem ~base v1.Prow.ptr
+                && Prow.value_in_crash_turnover t.pmem ~base (Vptr.of_word v1.Prow.ptr)
               in
               if not turnover then
                 report_damage ~table ~key
                   (if was_current then `Current_version else `Stale_version);
               if not was_current then incr stale_dropped;
               Prow.set_version t.pmem stats0 ~base ~slot:`V1 ~sid:Sid.none ~ptr:Vptr.null ();
-              { Prow.sid = Sid.none; ptr = Vptr.null }
+              empty
       in
       let row = Row.make ~key ~table ~home_core:0 ~prow_base:base ~created_epoch:0 in
-      row.Row.pv1 <- { Row.psid = v1.Prow.sid; pptr = v1.Prow.ptr; fresh = false };
-      row.Row.pv2 <- { Row.psid = v2.Prow.sid; pptr = v2.Prow.ptr; fresh = false };
+      Row.set_version row.Row.pv1 ~sid:(Int64.to_int v1.Prow.sid) ~ptr:(Vptr.of_word v1.Prow.ptr)
+        ~fresh:false;
+      Row.set_version row.Row.pv2 ~sid:(Int64.to_int v2.Prow.sid) ~ptr:(Vptr.of_word v2.Prow.ptr)
+        ~fresh:false;
       index_insert t stats0 ~table ~key row;
       if !suspect then suspects := (base, table, key, row) :: !suspects;
       (* Rebuild the GC list (section 5.5): two live versions whose
          recent one predates the crash and whose stale one needs the
          major collector. *)
       if
-        (not (Sid.is_none v1.Prow.sid))
-        && (not (Sid.is_none v2.Prow.sid))
-        && Sid.epoch_of v2.Prow.sid <> crashed
-        && (is_pool v1.Prow.ptr || not config.Config.minor_gc)
+        v1.Prow.sid <> 0L && v2.Prow.sid <> 0L
+        && word_epoch v2.Prow.sid <> crashed
+        && (word_is_pool v1.Prow.ptr || not config.Config.minor_gc)
       then begin
-        t.gc_list <- row :: t.gc_list;
+        push_gc t row;
         row.Row.in_gc_list <- true
       end
       end)
@@ -317,7 +319,7 @@ let recover ~config ~tables ~pmem ~rebuild ?(replay_mode = `Caracal) ?phase_hook
       | Prow.Slot_corrupt ->
           report_damage ~table ~key `Current_version;
           Prow.set_version t.pmem stats0 ~base ~slot:`V2 ~sid:Sid.none ~ptr:Vptr.null ();
-          row.Row.pv2 <- { Row.psid = Sid.none; pptr = Vptr.null; fresh = false })
+          Row.clear_version row.Row.pv2)
     !suspects;
   if Tracer.enabled t.tracer then
     Tracer.complete t.tracer ~core:0 ~name:"replay" ~cat:"recovery"

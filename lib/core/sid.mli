@@ -5,9 +5,13 @@
     transaction's position within its epoch's batch, so comparing SIDs
     compares (epoch, position) lexicographically, and recovery can test
     which epoch wrote a persistent version. SID 0 is reserved to mean
-    "no version". *)
+    "no version".
 
-type t = int64
+    An SID is an immediate [int] (epoch below 2{^30}), so storing one
+    in a version slot or a row's mirror allocates nothing; the
+    persistent row stores it as the 64-bit word [Int64.of_int sid]. *)
+
+type t = int
 
 val make : epoch:int -> seq:int -> t
 (** [seq] is 0-based within the epoch; epochs start at 1. *)
@@ -16,6 +20,9 @@ val epoch_of : t -> int
 val seq_of : t -> int
 val none : t
 (** The reserved empty SID (0). *)
+
+val max_epoch : int
+(** Largest epoch an SID can carry (2{^30} - 1). *)
 
 val is_none : t -> bool
 val compare : t -> t -> int

@@ -1,68 +1,151 @@
 module Stats = Nv_nvmm.Stats
 
-type value =
-  | Pending
-  | Written of Nv_storage.Transient_pool.vref
-  | Tombstone
-  | Ignored
+(* Every version array of an epoch lives in one flat store: parallel
+   slot columns (sid, value, write time) and per-array descriptors
+   (start, capacity, length, finalized), all immediates in arrays that
+   outlive the epoch. [reset] empties the store at epoch end, so a
+   steady-state epoch allocates nothing here. An array that outgrows
+   its capacity moves to the end of the slot columns (its old slots are
+   dead until the reset); the store only grows and moves during the
+   serial initialization phases, never while transactions execute. *)
 
-type slot = { sid : Sid.t; mutable value : value; mutable write_time : float }
+type t = int
 
-type t = {
-  mutable slots : slot array;
-  mutable n : int;
-  epoch : int;
+let pending = -1
+let ignored = -2
+let tombstone = -3
+let is_written v = v >= 0
+
+type store = {
   nvmm_resident : bool;
   batch_append : bool;
-  mutable finalized : bool;
+  mutable sids : int array;
+  mutable vals : int array;
+  mutable times : Float.Array.t;
+  mutable used : int; (* slot columns in use *)
+  mutable start : int array;
+  mutable cap : int array;
+  mutable len : int array;
+  mutable fin : Bytes.t; (* finalized flag per array *)
+  mutable count : int; (* arrays in use *)
 }
 
-let create ~epoch ~nvmm_resident ?(batch_append = false) () =
-  { slots = [||]; n = 0; epoch; nvmm_resident; batch_append; finalized = false }
+let create_store ~nvmm_resident ?(batch_append = false) () =
+  {
+    nvmm_resident;
+    batch_append;
+    sids = Array.make 1024 0;
+    vals = Array.make 1024 0;
+    times = Float.Array.make 1024 0.0;
+    used = 0;
+    start = Array.make 256 0;
+    cap = Array.make 256 0;
+    len = Array.make 256 0;
+    fin = Bytes.make 256 '\000';
+    count = 0;
+  }
 
-let finalized t = t.finalized
-let set_finalized t = t.finalized <- true
+let reset s =
+  s.used <- 0;
+  s.count <- 0
 
-let epoch t = t.epoch
-let length t = t.n
+let grow_int a n = if n <= Array.length a then a else Array.append a (Array.make (max n (Array.length a)) 0)
+
+let create s =
+  let h = s.count in
+  if h >= Array.length s.start then begin
+    let n = h + 1 in
+    s.start <- grow_int s.start n;
+    s.cap <- grow_int s.cap n;
+    s.len <- grow_int s.len n;
+    s.fin <- Bytes.extend s.fin 0 (Array.length s.start - Bytes.length s.fin)
+  end;
+  s.start.(h) <- s.used;
+  s.cap.(h) <- 0;
+  s.len.(h) <- 0;
+  Bytes.set s.fin h '\000';
+  s.count <- h + 1;
+  h
+
+let length s h = s.len.(h)
+let finalized s h = Bytes.get s.fin h <> '\000'
+let set_finalized s h = Bytes.set s.fin h '\001'
+
+(* Slot accessors: [i] is an absolute slot index, stable from the end
+   of the initialization phases to the reset. *)
+let sid s i = s.sids.(i)
+let value s i = s.vals.(i)
+let set_value s i v = s.vals.(i) <- v
+
+let resolve s i ~value stats =
+  s.vals.(i) <- value;
+  Stats.save_now stats s.times i
+
+let advance_to_write s i stats = Stats.set_now_saved stats s.times i
 
 (* Charge [units] structure touches: DRAM cache lines normally, NVMM
    blocks for the all-NVMM baseline. *)
-let charge t stats ~write units =
+let charge s stats ~write units =
   if units > 0 then
-    if t.nvmm_resident then
+    if s.nvmm_resident then
       (* NVMM-resident arrays: slot lines are hot within the epoch, so
          traffic coalesces; charge at line granularity. *)
       if write then Stats.nvmm_write_lines stats units else Stats.nvmm_read_lines stats units
-    else if write then Stats.dram_write stats ~lines:units ()
-    else Stats.dram_read stats ~lines:units ()
+    else if write then Stats.dram_write_lines stats units
+    else Stats.dram_read_lines stats units
 
-(* Index of the first slot with sid >= key (binary search). *)
-let lower_bound t key =
-  let lo = ref 0 and hi = ref t.n in
+(* Index (relative to the array start) of the first slot with
+   sid >= key (binary search). *)
+let lower_bound s h key =
+  let base = s.start.(h) in
+  let lo = ref 0 and hi = ref s.len.(h) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Sid.compare t.slots.(mid).sid key < 0 then lo := mid + 1 else hi := mid
+    if Sid.compare s.sids.(base + mid) key < 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
-let grow t =
-  if t.n >= Array.length t.slots then begin
-    let ncap = max 4 (Array.length t.slots * 2) in
-    let ns = Array.make ncap { sid = Sid.none; value = Pending; write_time = 0.0 } in
-    Array.blit t.slots 0 ns 0 t.n;
-    t.slots <- ns
+(* Room for one more slot: a full array moves to the end of the slot
+   columns with twice the capacity (at least 4), growing the columns
+   when they are full. *)
+let grow s h =
+  let n = s.len.(h) in
+  if n >= s.cap.(h) then begin
+    let ncap = max 4 (s.cap.(h) * 2) in
+    let need = s.used + ncap in
+    if need > Array.length s.sids then begin
+      let size = max need (2 * Array.length s.sids) in
+      let extend a = Array.append a (Array.make (size - Array.length a) 0) in
+      s.sids <- extend s.sids;
+      s.vals <- extend s.vals;
+      let times = Float.Array.make size 0.0 in
+      Float.Array.blit s.times 0 times 0 s.used;
+      s.times <- times
+    end;
+    let src = s.start.(h) and dst = s.used in
+    Array.blit s.sids src s.sids dst n;
+    Array.blit s.vals src s.vals dst n;
+    Float.Array.blit s.times src s.times dst n;
+    s.start.(h) <- dst;
+    s.cap.(h) <- ncap;
+    s.used <- need
   end
 
-let append t stats sid =
-  grow t;
-  let pos = lower_bound t sid in
-  if pos < t.n && Sid.compare t.slots.(pos).sid sid = 0 then
+let append s h stats sid =
+  grow s h;
+  let pos = lower_bound s h sid in
+  let base = s.start.(h) and n = s.len.(h) in
+  if pos < n && Sid.compare s.sids.(base + pos) sid = 0 then
     invalid_arg "Version_array.append: duplicate SID";
-  let shifted = t.n - pos in
-  Array.blit t.slots pos t.slots (pos + 1) shifted;
-  t.slots.(pos) <- { sid; value = Pending; write_time = 0.0 };
-  t.n <- t.n + 1;
+  let shifted = n - pos in
+  Array.blit s.sids (base + pos) s.sids (base + pos + 1) shifted;
+  Array.blit s.vals (base + pos) s.vals (base + pos + 1) shifted;
+  Float.Array.blit s.times (base + pos) s.times (base + pos + 1) shifted;
+  s.sids.(base + pos) <- sid;
+  s.vals.(base + pos) <- pending;
+  Float.Array.set s.times (base + pos) 0.0;
+  s.len.(h) <- n + 1;
+  let n = n + 1 in
   (* Cost model: concurrent appends binary-search the sorted array
      (log n cache-line touches on a cold, growing array) and displace a
      bounded number of slots (per-core streams are individually
@@ -70,74 +153,71 @@ let append t stats sid =
      append step — the section 6.9 effect. (The host-serial simulation
      inserts in SID order, so the actual displacement is usually zero;
      charge the expected cost.) *)
-  (if t.batch_append then
+  (if s.batch_append then
      (* Caracal's batch-append optimization: appends accumulate in
         per-core buffers and are merged into the sorted array in one
         pass, so each append costs O(1) regardless of array length. *)
-     charge t stats ~write:true 2
+     charge s stats ~write:true 2
    else begin
      let search_lines =
        (* ~log2 n *)
        let rec bits acc n = if n <= 1 then acc else bits (acc + 1) (n / 2) in
-       bits 0 (t.n + 1)
+       bits 0 (n + 1)
      in
      (* Expected displacement with 8-way out-of-order arrival is a
         fraction of the array. *)
-     let displaced_lines = t.n * 24 / 64 / 4 in
-     charge t stats ~write:true (2 + search_lines + displaced_lines)
+     let displaced_lines = n * 24 / 64 / 4 in
+     charge s stats ~write:true (2 + search_lines + displaced_lines)
    end);
   Stats.compute stats ()
 
-let find t stats sid =
-  let pos = lower_bound t sid in
-  charge t stats ~write:false 1;
-  if pos < t.n && Sid.compare t.slots.(pos).sid sid = 0 then t.slots.(pos) else raise Not_found
+(* Absolute index of the slot holding [sid], or -1. *)
+let locate s h sid =
+  let pos = lower_bound s h sid in
+  if pos < s.len.(h) && Sid.compare s.sids.(s.start.(h) + pos) sid = 0 then s.start.(h) + pos
+  else -1
+
+let find s h stats sid =
+  let i = locate s h sid in
+  charge s stats ~write:false 1;
+  if i < 0 then raise Not_found else i
 
 (* When the execution phase runs wide, a reader may reach a slot whose
    writer transaction is still executing on another domain; [wait_for]
    blocks until that writer has published its outcome (it is the
-   caller's happens-before edge, so the subsequent plain reads of
-   [value]/[write_time] are well-defined). The initial slot (Sid.none)
+   caller's happens-before edge, so the subsequent plain reads of the
+   value and write time are well-defined). The initial slot (Sid.none)
    was published by the serial append phase and needs no wait. *)
-let wait_slot wait_for (s : slot) =
-  match wait_for with
-  | Some w when not (Sid.is_none s.sid) -> w s.sid
-  | _ -> ()
+let wait_slot wait_for sid =
+  match wait_for with Some w when not (Sid.is_none sid) -> w sid | _ -> ()
 
-let latest_visible ?wait_for t stats ~before =
-  let pos = lower_bound t before in
-  charge t stats ~write:false 1;
-  let rec scan i =
-    if i < 0 then None
-    else begin
-      wait_slot wait_for t.slots.(i);
-      match t.slots.(i).value with
-      | Ignored -> scan (i - 1)
-      | Pending ->
-          invalid_arg "Version_array.latest_visible: PENDING predecessor (serial order violated)"
-      | Written _ | Tombstone -> Some t.slots.(i)
-    end
-  in
-  scan (pos - 1)
+(* Scan down from slot [i] (relative) for the first one [stop] accepts
+   (-1 if none); a PENDING slot is skipped, or raises when [pending_ok]
+   is false. *)
+let scan_down ?wait_for s h i ~pending_ok =
+  let base = s.start.(h) in
+  let i = ref i and found = ref (-1) in
+  while !found < 0 && !i >= 0 do
+    wait_slot wait_for s.sids.(base + !i);
+    let v = s.vals.(base + !i) in
+    if v = pending && not pending_ok then
+      invalid_arg "Version_array.latest_visible: PENDING predecessor (serial order violated)";
+    if v = ignored || v = pending then decr i else found := base + !i
+  done;
+  !found
 
-let latest_resolved ?wait_for t stats =
-  charge t stats ~write:false 1;
-  let rec scan i =
-    if i < 0 then None
-    else begin
-      wait_slot wait_for t.slots.(i);
-      match t.slots.(i).value with
-      | Ignored | Pending -> scan (i - 1)
-      | Written _ | Tombstone -> Some t.slots.(i)
-    end
-  in
-  scan (t.n - 1)
+let latest_visible ?wait_for s h stats ~before =
+  let pos = lower_bound s h before in
+  charge s stats ~write:false 1;
+  scan_down ?wait_for s h (pos - 1) ~pending_ok:false
 
-let max_sid t = if t.n = 0 then Sid.none else t.slots.(t.n - 1).sid
+let latest_resolved ?wait_for s h stats =
+  charge s stats ~write:false 1;
+  scan_down ?wait_for s h (s.len.(h) - 1) ~pending_ok:true
 
-let iter t f =
-  for i = 0 to t.n - 1 do
-    f t.slots.(i)
+let max_sid s h = if s.len.(h) = 0 then Sid.none else s.sids.(s.start.(h) + s.len.(h) - 1)
+
+let iter s h f =
+  for i = s.start.(h) to s.start.(h) + s.len.(h) - 1 do
+    f i
   done
-
-let dram_bytes t = Array.length t.slots * 24

@@ -28,7 +28,7 @@ let create () = { root = Leaf (new_leaf ()); count = 0 }
 let length t = t.count
 
 (* A node visit costs ~3 cache lines (binary search over a wide node). *)
-let touch stats = Stats.dram_read stats ~lines:3 ()
+let touch stats = Stats.dram_read_lines stats 3
 
 (* Index of the first key >= [key] in a sorted prefix. *)
 let lower_bound keys n key =
@@ -106,7 +106,7 @@ let rec insert_node t stats node key value =
           target.lvals.(pos) <- Some value;
           target.ln <- target.ln + 1;
           t.count <- t.count + 1;
-          Stats.dram_write stats ~lines:3 ();
+          Stats.dram_write_lines stats 3;
           Some (sep, Leaf r)
         end
         else begin

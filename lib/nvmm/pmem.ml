@@ -280,6 +280,52 @@ let set_i32 t off v =
   log_store t ~off ~len:4;
   Bytes.set_int32_le t.data off v
 
+(* Unboxed forms of the word accessors: the same checks and the same
+   single logged store, with the value as a native int (a non-negative
+   int's [Int64.of_int] is its 64-bit word; [set_u32] stores the low 32
+   bits). [copy_i64]/[copy_i32] store a word read from elsewhere in the
+   region. *)
+let set_int t off v =
+  if !checks then begin
+    assert (off land 7 = 0);
+    check_bounds t off 8
+  end;
+  log_store t ~off ~len:8;
+  Bytes.set_int64_le t.data off (Int64.of_int v)
+
+let set_u32 t off v =
+  if !checks then begin
+    assert (off land 3 = 0);
+    check_bounds t off 4
+  end;
+  log_store t ~off ~len:4;
+  Bytes.set_int32_le t.data off (Int32.of_int v)
+
+let get_u32 t off =
+  if !checks then begin
+    assert (off land 3 = 0);
+    check_bounds t off 4
+  end;
+  Int32.to_int (Bytes.get_int32_le t.data off) land 0xFFFFFFFF
+
+let copy_i64 t ~src ~dst =
+  if !checks then begin
+    assert (src land 7 = 0 && dst land 7 = 0);
+    check_bounds t src 8;
+    check_bounds t dst 8
+  end;
+  log_store t ~off:dst ~len:8;
+  Bytes.set_int64_le t.data dst (Bytes.get_int64_le t.data src)
+
+let copy_i32 t ~src ~dst =
+  if !checks then begin
+    assert (src land 3 = 0 && dst land 3 = 0);
+    check_bounds t src 4;
+    check_bounds t dst 4
+  end;
+  log_store t ~off:dst ~len:4;
+  Bytes.set_int32_le t.data dst (Bytes.get_int32_le t.data src)
+
 let get_u8 t off =
   if !checks then check_bounds t off 1;
   Char.code (Bytes.get t.data off)
@@ -307,6 +353,10 @@ let blit_from t ~src_off ~dst ~dst_off ~len =
 let crc32c t ~off ~len =
   if !checks then check_bounds t off len;
   Nv_util.Crc32c.bytes t.data off len
+
+let crc32c_native t ~off ~len =
+  if !checks then check_bounds t off len;
+  Nv_util.Crc32c.bytes_native t.data off len
 
 let fill t ~off ~len c =
   if !checks then check_bounds t off len;

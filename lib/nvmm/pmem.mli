@@ -56,6 +56,22 @@ val get_i64 : t -> int -> int64
 val set_i64 : t -> int -> int64 -> unit
 val get_i32 : t -> int -> int32
 val set_i32 : t -> int -> int32 -> unit
+
+val set_int : t -> int -> int -> unit
+(** [set_i64 t off (Int64.of_int v)] without boxing the word. *)
+
+val set_u32 : t -> int -> int -> unit
+(** [set_i32 t off (Int32.of_int v)] without boxing the word. *)
+
+val get_u32 : t -> int -> int
+(** The 32-bit word at [off] as a non-negative int (no boxing). *)
+
+val copy_i64 : t -> src:int -> dst:int -> unit
+(** [set_i64 t dst (get_i64 t src)]: one logged store, no boxing. *)
+
+val copy_i32 : t -> src:int -> dst:int -> unit
+(** [set_i32 t dst (get_i32 t src)]: one logged store, no boxing. *)
+
 val get_u8 : t -> int -> int
 val set_u8 : t -> int -> int -> unit
 val read_bytes : t -> off:int -> len:int -> bytes
@@ -68,6 +84,9 @@ val crc32c : t -> off:int -> len:int -> int32
 (** [Nv_util.Crc32c.bytes] of the volatile view's range, computed in
     place: equal to checksumming [read_bytes t ~off ~len], without the
     copy. Host-side only, like every checksum; charges nothing. *)
+
+val crc32c_native : t -> off:int -> len:int -> int
+(** [crc32c] as a non-negative int (no boxing). *)
 
 (** {1 Persistence} *)
 

@@ -48,6 +48,8 @@ let spec t = t.spec
 let now t = t.clock.ns
 let set_now t v = if v > t.clock.ns then t.clock.ns <- v
 let advance t ns = t.clock.ns <- t.clock.ns +. ns
+let save_now t a i = Float.Array.set a i t.clock.ns
+let set_now_saved t a i = set_now t (Float.Array.get a i)
 
 let counters t =
   {
@@ -69,6 +71,9 @@ let dram_read t ?(lines = 1) () =
 let dram_write t ?(lines = 1) () =
   t.dram_writes <- t.dram_writes + lines;
   t.clock.ns <- t.clock.ns +. (float_of_int lines *. t.spec.Memspec.dram_write_ns)
+
+let dram_read_lines t lines = dram_read t ~lines ()
+let dram_write_lines t lines = dram_write t ~lines ()
 
 let nvmm_read t ~off ~len =
   let blocks = Memspec.blocks_touched t.spec ~off ~len in

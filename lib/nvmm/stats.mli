@@ -27,6 +27,13 @@ val now : t -> float
 (** Current simulated time of this core, in nanoseconds. *)
 
 val set_now : t -> float -> unit
+
+val save_now : t -> Float.Array.t -> int -> unit
+(** [Float.Array.set a i (now t)], and [set_now_saved t a i] is
+    [set_now t (Float.Array.get a i)]: clock reads and writes through a
+    float array, which callers in other modules make without boxing. *)
+
+val set_now_saved : t -> Float.Array.t -> int -> unit
 (** Move this core's clock forward (scheduler use: waking a blocked core
     at the writer's timestamp). Never moves the clock backwards. *)
 
@@ -39,6 +46,12 @@ val counters : t -> counters
 
 val dram_read : t -> ?lines:int -> unit -> unit
 val dram_write : t -> ?lines:int -> unit -> unit
+
+val dram_read_lines : t -> int -> unit
+val dram_write_lines : t -> int -> unit
+(** [dram_read t ~lines ()] and [dram_write t ~lines ()] without the
+    optional argument, which a caller in another module pays for with
+    an allocation. *)
 
 val nvmm_read : t -> off:int -> len:int -> unit
 (** Charge a random NVMM read touching the given byte range (cost is per

@@ -225,13 +225,16 @@ let pp_table ppf t =
   let open Format in
   let total = Float.max t.total_wall_ns 1.0 in
   fprintf ppf "@[<v>";
-  fprintf ppf "phase                      calls     wall ms   %%wall   minor Mw   major Mw@,";
-  fprintf ppf "-------------------------  ------  ---------  ------  ---------  ---------@,";
+  fprintf ppf
+    "phase                      calls     wall ms   %%wall   minor Mw   major Mw   promo Mw@,";
+  fprintf ppf
+    "-------------------------  ------  ---------  ------  ---------  ---------  ---------@,";
   List.iter
     (fun (name, s) ->
-      fprintf ppf "%-25s  %6d  %9.2f  %5.1f%%  %9.2f  %9.2f@," name s.calls (s.wall_ns /. 1e6)
+      fprintf ppf "%-25s  %6d  %9.2f  %5.1f%%  %9.2f  %9.2f  %9.2f@," name s.calls
+        (s.wall_ns /. 1e6)
         (100.0 *. s.wall_ns /. total)
-        (s.minor_words /. 1e6) (s.major_words /. 1e6))
+        (s.minor_words /. 1e6) (s.major_words /. 1e6) (s.promoted_words /. 1e6))
     (stats t);
   fprintf ppf "epochs %d, total wall %.2f ms" t.epochs (t.total_wall_ns /. 1e6);
   if t.n_slow > 0 then fprintf ppf ", slow epochs %d" t.n_slow;

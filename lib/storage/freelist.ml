@@ -44,18 +44,18 @@ let allocatable t = t.allowed_tail - t.head
 let entry_off t counter = t.ring_off + (counter mod t.capacity * 8)
 
 let rec alloc t stats =
-  if t.head >= t.allowed_tail then None
+  if t.head >= t.allowed_tail then -1
   else begin
     let off = entry_off t t.head in
-    let w = Pmem.get_i64 t.pmem off in
+    let lo = Pmem.get_u32 t.pmem off and hi = Pmem.get_u32 t.pmem (off + 4) in
     Pmem.charge_read t.pmem stats ~off ~len:8;
     t.head <- t.head + 1;
-    match Crc.unpack ~salt:salt_entry w with
-    | Some v -> Some v
-    | None ->
-        (* Corrupt entry (counted by [recover]): skip it — the slot it
-           named is leaked, never double-allocated. *)
-        alloc t stats
+    let v = Crc.unpack_halves ~salt:salt_entry ~lo ~hi in
+    if v >= 0 then v
+    else
+      (* Corrupt entry (counted by [recover]): skip it — the slot it
+         named is leaked, never double-allocated. *)
+      alloc t stats
   end
 
 let free t stats v =

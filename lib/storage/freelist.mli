@@ -38,8 +38,9 @@ val length : t -> int
 val allocatable : t -> int
 (** Entries the current epoch may still pop. *)
 
-val alloc : t -> Nv_nvmm.Stats.t -> int64 option
-(** Pop the entry at the head, or [None] if none is allocatable. *)
+val alloc : t -> Nv_nvmm.Stats.t -> int
+(** Pop the entry at the head, or -1 if none is allocatable (entries
+    are non-negative offsets). Allocation-free. *)
 
 val free : t -> Nv_nvmm.Stats.t -> int64 -> unit
 (** Append a pointer at the tail. Raises [Failure] on ring overflow. *)

@@ -3,7 +3,7 @@ module Stats = Nv_nvmm.Stats
 module Memspec = Nv_nvmm.Memspec
 module Crc = Nv_util.Crc32c
 
-type version = { sid : int64; ptr : Vptr.t }
+type version = { sid : int64; ptr : int64 }
 
 let header_bytes = 88
 let min_row_size = header_bytes + 8
@@ -42,19 +42,34 @@ let slot_crc ~sid ~ptr ~vcrc =
   let c = Crc.int32 c vcrc in
   Crc.finish c
 
-let empty_slot_crc = slot_crc ~sid:0L ~ptr:Vptr.null ~vcrc:0l
+let empty_slot_crc = slot_crc ~sid:0L ~ptr:0L ~vcrc:0l
+
+(* [slot_crc] on the engine's immediates (a non-negative SID and
+   pointer are their own media words), as a native int. *)
+let slot_crc_native ~sid ~ptr ~vcrc =
+  Crc.(finish_native (update_u32 (update_int (update_int init_native sid) ptr) vcrc))
+
+let empty_slot_crc_native = Int32.to_int empty_slot_crc land 0xFFFFFFFF
 
 (* Value checksum for a version pointer, read back from the region's
    volatile view (callers store the value before the version). Null
    pointers checksum as 0. *)
 let value_crc pmem ~base ptr =
-  match Vptr.classify ptr with
-  | Vptr.Null -> 0l
-  | Vptr.Inline { heap_off = hoff; len } -> Pmem.crc32c pmem ~off:(heap_off base + hoff) ~len
-  | Vptr.Pool { off; len } -> Pmem.crc32c pmem ~off ~len
+  if Vptr.is_null ptr then 0l
+  else if Vptr.is_inline ptr then
+    Pmem.crc32c pmem ~off:(heap_off base + Vptr.inline_off ptr) ~len:(Vptr.len ptr)
+  else Pmem.crc32c pmem ~off:(Vptr.pool_off ptr) ~len:(Vptr.len ptr)
 
+(* [sid] and [ptr] are the media words. *)
 let store_slot_crc pmem ~base slot ~sid ~ptr =
-  Pmem.set_i32 pmem (slot_crc_off base slot) (slot_crc ~sid ~ptr ~vcrc:(value_crc pmem ~base ptr))
+  Pmem.set_i32 pmem (slot_crc_off base slot)
+    (slot_crc ~sid ~ptr ~vcrc:(value_crc pmem ~base (Vptr.of_word ptr)))
+
+let value_crc_native pmem ~base ptr =
+  if Vptr.is_null ptr then 0
+  else if Vptr.is_inline ptr then
+    Pmem.crc32c_native pmem ~off:(heap_off base + Vptr.inline_off ptr) ~len:(Vptr.len ptr)
+  else Pmem.crc32c_native pmem ~off:(Vptr.pool_off ptr) ~len:(Vptr.len ptr)
 
 let init pmem stats ~base ~key ~table =
   Pmem.set_i64 pmem (key_off base) key;
@@ -82,32 +97,39 @@ let read_header pmem stats ~base =
   let v1, v2 = peek_versions pmem ~base in
   (peek_key pmem ~base, peek_table pmem ~base, v1, v2)
 
-let set_version pmem stats ~base ~slot ~sid ~ptr ?(charge = true) () =
+(* [vcrc] is the value's checksum, or -1 to read the value back. *)
+let store_version pmem stats ~base ~slot ~sid ~ptr ~vcrc ~charge =
   (* SID strictly before pointer: recovery relies on this order. *)
-  Pmem.set_i64 pmem (sid_off base slot) sid;
-  Pmem.set_i64 pmem (ptr_off base slot) ptr;
-  store_slot_crc pmem ~base slot ~sid ~ptr;
+  Pmem.set_int pmem (sid_off base slot) sid;
+  Pmem.set_int pmem (ptr_off base slot) ptr;
+  let vcrc = if vcrc >= 0 then vcrc else value_crc_native pmem ~base ptr in
+  Pmem.set_u32 pmem (slot_crc_off base slot) (slot_crc_native ~sid ~ptr ~vcrc);
   if charge then Stats.nvmm_write_blocks stats 1;
   flush_header pmem stats ~base
 
+let set_version pmem stats ~base ~slot ~sid ~ptr ?(charge = true) () =
+  store_version pmem stats ~base ~slot ~sid ~ptr ~vcrc:(-1) ~charge
+
+let write_version pmem stats ~base ~slot ~sid ~ptr ~vcrc ?(charge = true) () =
+  store_version pmem stats ~base ~slot ~sid ~ptr ~vcrc ~charge
+
 let set_version_ptr pmem stats ~base ~slot ~ptr ?(charge = true) () =
+  let ptr = Vptr.to_word ptr in
   Pmem.set_i64 pmem (ptr_off base slot) ptr;
   store_slot_crc pmem ~base slot ~sid:(Pmem.get_i64 pmem (sid_off base slot)) ~ptr;
   if charge then Stats.nvmm_write_blocks stats 1;
   flush_header pmem stats ~base
 
 let gc_move pmem stats ~base ?(charge = true) () =
-  let v2 = peek_version pmem ~base `V2 in
-  let v2_crc = Pmem.get_i32 pmem (slot_crc_off base `V2) in
-  Pmem.set_i64 pmem (sid_off base `V1) v2.sid;
-  Pmem.set_i64 pmem (ptr_off base `V1) v2.ptr;
+  Pmem.copy_i64 pmem ~src:(sid_off base `V2) ~dst:(sid_off base `V1);
+  Pmem.copy_i64 pmem ~src:(ptr_off base `V2) ~dst:(ptr_off base `V1);
   (* Adopt v2's stored checksum word rather than recomputing: the slot
      crc has no slot identity folded in, so it stays valid across the
      move even if the stored word had itself gone stale. *)
-  Pmem.set_i32 pmem (slot_crc_off base `V1) v2_crc;
-  Pmem.set_i64 pmem (sid_off base `V2) 0L;
-  Pmem.set_i64 pmem (ptr_off base `V2) 0L;
-  Pmem.set_i32 pmem (slot_crc_off base `V2) empty_slot_crc;
+  Pmem.copy_i32 pmem ~src:(slot_crc_off base `V2) ~dst:(slot_crc_off base `V1);
+  Pmem.set_int pmem (sid_off base `V2) 0;
+  Pmem.set_int pmem (ptr_off base `V2) 0;
+  Pmem.set_u32 pmem (slot_crc_off base `V2) empty_slot_crc_native;
   if charge then Stats.nvmm_write_blocks stats 1;
   flush_header pmem stats ~base
 
@@ -134,7 +156,7 @@ let repair_case1 pmem stats ~base ?(charge = true) () =
     (* Pointer already copied before the crash; adopt the checksum word
        (host-side store, persisted by the flush below). *)
     Pmem.set_i32 pmem (slot_crc_off base `V1) (Pmem.get_i32 pmem (slot_crc_off base `V2));
-  set_version pmem stats ~base ~slot:`V2 ~sid:0L ~ptr:Vptr.null ~charge ()
+  set_version pmem stats ~base ~slot:`V2 ~sid:0 ~ptr:Vptr.null ~charge ()
 
 let repair_case2 pmem stats ~base ?(charge = true) () =
   set_version_ptr pmem stats ~base ~slot:`V2 ~ptr:Vptr.null ~charge ()
@@ -153,11 +175,11 @@ let check_id pmem ~base = Pmem.get_i32 pmem (id_crc_off base) = id_crc pmem ~bas
 let check_slot pmem ~base ~slot =
   let v = peek_version pmem ~base slot in
   let stored = Pmem.get_i32 pmem (slot_crc_off base slot) in
-  if v.sid = 0L && Vptr.classify v.ptr = Vptr.Null then
+  if v.sid = 0L && v.ptr = 0L then
     if stored = empty_slot_crc then Slot_ok else Slot_stale_crc
   else
     (* A corrupt pointer can point anywhere, including out of bounds. *)
-    match value_crc pmem ~base v.ptr with
+    match value_crc pmem ~base (Vptr.of_word v.ptr) with
     | vcrc -> if stored = slot_crc ~sid:v.sid ~ptr:v.ptr ~vcrc then Slot_ok else Slot_corrupt
     | exception Invalid_argument _ -> Slot_corrupt
 
@@ -191,30 +213,37 @@ let extra_blocks stats ~base ~off ~len =
     let n = last - first + 1 in
     if first = header_block then n - 1 else n
 
-let write_inline_value pmem stats ~base ~row_size ~half ~data ?(charge = true) () =
-  let len = Bytes.length data in
+let write_inline_value_from pmem stats ~base ~row_size ~half ~src ~src_off ~len
+    ?(charge = true) () =
   assert (len > 0 && len <= half_capacity ~row_size);
   let hoff = inline_half_off ~row_size ~half in
   let abs = heap_off base + hoff in
-  Pmem.blit_to pmem ~src:data ~src_off:0 ~dst_off:abs ~len;
+  Pmem.blit_to pmem ~src ~src_off ~dst_off:abs ~len;
   if charge then Stats.nvmm_write_blocks stats (extra_blocks stats ~base ~off:abs ~len);
   Pmem.flush pmem stats ~off:abs ~len;
   Vptr.inline ~heap_off:hoff ~len
 
+let write_inline_value pmem stats ~base ~row_size ~half ~data ?charge () =
+  write_inline_value_from pmem stats ~base ~row_size ~half ~src:data ~src_off:0
+    ~len:(Bytes.length data) ?charge ()
+
 let read_value_into pmem stats ~base ptr ?(header_charged = true) ~dst ~dst_off () =
-  match Vptr.classify ptr with
-  | Vptr.Null -> invalid_arg "Prow.read_value: null pointer"
-  | Vptr.Inline { heap_off = hoff; len } ->
-      let abs = heap_off base + hoff in
-      let blocks =
-        if header_charged then extra_blocks stats ~base ~off:abs ~len
-        else Memspec.blocks_touched (Stats.spec stats) ~off:abs ~len
-      in
-      Stats.nvmm_read_blocks stats blocks;
-      Pmem.blit_from pmem ~src_off:abs ~dst ~dst_off ~len
-  | Vptr.Pool { off; len } ->
-      Pmem.charge_read pmem stats ~off ~len;
-      Pmem.blit_from pmem ~src_off:off ~dst ~dst_off ~len
+  let len = Vptr.len ptr in
+  if Vptr.is_null ptr then invalid_arg "Prow.read_value: null pointer"
+  else if Vptr.is_inline ptr then begin
+    let abs = heap_off base + Vptr.inline_off ptr in
+    let blocks =
+      if header_charged then extra_blocks stats ~base ~off:abs ~len
+      else Memspec.blocks_touched (Stats.spec stats) ~off:abs ~len
+    in
+    Stats.nvmm_read_blocks stats blocks;
+    Pmem.blit_from pmem ~src_off:abs ~dst ~dst_off ~len
+  end
+  else begin
+    let off = Vptr.pool_off ptr in
+    Pmem.charge_read pmem stats ~off ~len;
+    Pmem.blit_from pmem ~src_off:off ~dst ~dst_off ~len
+  end
 
 let read_value pmem stats ~base ptr ?header_charged () =
   let dst = Bytes.create (Vptr.len ptr) in

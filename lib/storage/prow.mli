@@ -42,7 +42,11 @@
     header access, so a fully-inline row costs exactly one block per
     access — the locality benefit section 6.4 measures. *)
 
-type version = { sid : int64; ptr : Vptr.t }
+type version = { sid : int64; ptr : int64 }
+(** A version slot's two media words as stored. Recovery and scrub
+    judge torn and corrupt headers on these exact words; the engine's
+    DRAM mirror holds them as an int SID and a {!Vptr.t}
+    ([Int64.to_int sid], [Vptr.of_word ptr]). *)
 
 val header_bytes : int
 (** 88. *)
@@ -89,11 +93,27 @@ val set_version :
   Nv_nvmm.Stats.t ->
   base:int ->
   slot:[ `V1 | `V2 ] ->
-  sid:int64 ->
+  sid:int ->
   ptr:Vptr.t ->
   ?charge:bool ->
   unit ->
   unit
+
+val write_version :
+  Nv_nvmm.Pmem.t ->
+  Nv_nvmm.Stats.t ->
+  base:int ->
+  slot:[ `V1 | `V2 ] ->
+  sid:int ->
+  ptr:Vptr.t ->
+  vcrc:int ->
+  ?charge:bool ->
+  unit ->
+  unit
+(** [set_version] where [vcrc] is the crc32c of the value [ptr] refers
+    to (as {!Nv_util.Crc32c.bytes_native} gives it), taken by the
+    caller from the bytes it just stored, so the value is not read back
+    to checksum it. *)
 
 val set_version_ptr :
   Nv_nvmm.Pmem.t ->
@@ -164,6 +184,20 @@ val write_inline_value :
   Vptr.t
 (** Store [data] into inline half [half], flush it, and return the
     pointer to record. Charges only blocks beyond the header block. *)
+
+val write_inline_value_from :
+  Nv_nvmm.Pmem.t ->
+  Nv_nvmm.Stats.t ->
+  base:int ->
+  row_size:int ->
+  half:int ->
+  src:bytes ->
+  src_off:int ->
+  len:int ->
+  ?charge:bool ->
+  unit ->
+  Vptr.t
+(** [write_inline_value] of [src.[src_off .. src_off+len-1]]. *)
 
 val read_value :
   Nv_nvmm.Pmem.t ->

@@ -58,10 +58,10 @@ let cores t = t.spec.cores
 let alloc t stats ~core =
   let cs = t.per_core.(core) in
   match Freelist.alloc cs.fl stats with
-  | Some off -> Int64.to_int off
-  | None ->
+  | -1 ->
       let idx = Bump.alloc cs.bump in
       cs.arena_off + (idx * t.spec.slot_size)
+  | off -> off
 
 let free t stats ~core off = Freelist.free t.per_core.(core).fl stats (Int64.of_int off)
 
@@ -114,12 +114,14 @@ let recover t ~last_checkpointed_epoch ~crashed_epoch ?(row_scan = false) () =
     t.per_core;
   { dedup; meta_salvaged = !salvaged; corrupt_entries = !corrupt }
 
-let write_value t stats ?(charge = true) ~off ~data () =
-  let len = Bytes.length data in
+let write_value_from t stats ?(charge = true) ~off ~src ~src_off ~len () =
   assert (len > 0 && len <= t.spec.slot_size);
-  Pmem.blit_to t.pmem ~src:data ~src_off:0 ~dst_off:off ~len;
+  Pmem.blit_to t.pmem ~src ~src_off ~dst_off:off ~len;
   if charge then Pmem.charge_write t.pmem stats ~off ~len;
   Pmem.flush t.pmem stats ~off ~len
+
+let write_value t stats ?charge ~off ~data () =
+  write_value_from t stats ?charge ~off ~src:data ~src_off:0 ~len:(Bytes.length data) ()
 
 let read_slot t stats ~off ~len =
   Pmem.charge_read t.pmem stats ~off ~len;

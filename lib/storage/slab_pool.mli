@@ -89,6 +89,18 @@ val write_value :
     touched unless [charge] is false (design variants that bill update
     traffic elsewhere). [data] must fit the slot. *)
 
+val write_value_from :
+  t ->
+  Nv_nvmm.Stats.t ->
+  ?charge:bool ->
+  off:int ->
+  src:bytes ->
+  src_off:int ->
+  len:int ->
+  unit ->
+  unit
+(** [write_value] of [src.[src_off .. src_off+len-1]]. *)
+
 val read_slot : t -> Nv_nvmm.Stats.t -> off:int -> len:int -> bytes
 
 (** {1 Introspection} *)

@@ -1,21 +1,46 @@
 module Stats = Nv_nvmm.Stats
 module Memspec = Nv_nvmm.Memspec
 
-(* A vref captures the arena buffer it was written into, not just the
-   offset: arenas grow by swapping in a bigger buffer, and when cores
-   run on real domains a reader must not chase [arenas.(core).buf]
-   while the owning core is mid-swap. The captured buffer keeps the
-   value readable either way (growth copies the live prefix). *)
-type vref = { buf : bytes; core : int; off : int; len : int }
+(* Each core's arena is a directory of byte chunks that never move: a
+   value is written once into the current chunk and stays at that
+   address until the epoch-end reset, so a reader on another domain
+   needs no snapshot of the arena. The directory has a fixed number of
+   entries and is never reallocated; chunk [k] holds
+   [base lsl min k grow_steps] bytes (or one oversized value), so a
+   core can bump through far more than one epoch ever writes.
 
-type arena = { mutable buf : bytes; mutable used : int }
-type t = { arenas : arena array; mutable peak : int }
+   A vref is an immediate int: len (bits 0-19), offset in its chunk
+   (20-43), chunk (44-53), core (54-61). *)
+type vref = int
+
+let max_chunks = 1 lsl 10
+let grow_steps = 8
+let max_len = (1 lsl 20) - 1
+
+type arena = {
+  dir : bytes array; (* [max_chunks] entries; [Bytes.empty] until first use *)
+  mutable cur : int; (* chunk being filled *)
+  mutable pos : int; (* next free byte in it *)
+  mutable used : int; (* bytes bumped this epoch (8-aligned per value) *)
+}
+
+type t = { arenas : arena array; base : int; mutable peak : int }
 
 let create ~cores ~initial_capacity =
+  assert (cores < 1 lsl 8 && initial_capacity > 0 && initial_capacity lsl grow_steps <= 1 lsl 24);
   {
-    arenas = Array.init cores (fun _ -> { buf = Bytes.create initial_capacity; used = 0 });
+    arenas =
+      Array.init cores (fun _ ->
+          { dir = Array.make max_chunks Bytes.empty; cur = 0; pos = 0; used = 0 });
+    base = initial_capacity;
     peak = 0;
   }
+
+let len v = v land max_len
+let off v = (v lsr 20) land 0xFFFFFF
+let chunk_of v = (v lsr 44) land 0x3FF
+let core_of v = v lsr 54
+let src t v = t.arenas.(core_of v).dir.(chunk_of v)
 
 let used_bytes t = Array.fold_left (fun acc a -> acc + a.used) 0 t.arenas
 
@@ -25,34 +50,54 @@ let used_bytes t = Array.fold_left (fun acc a -> acc + a.used) 0 t.arenas
    hot path, where other cores' [used] fields would race. *)
 let peak_bytes t = max t.peak (used_bytes t)
 
-let ensure a len =
-  let cap = Bytes.length a.buf in
-  if a.used + len > cap then begin
-    let ncap = max (cap * 2) (a.used + len) in
-    let nb = Bytes.create ncap in
-    Bytes.blit a.buf 0 nb 0 a.used;
-    a.buf <- nb
+(* Make room for [len] bytes at [a.pos] of chunk [a.cur], moving to the
+   next chunk (allocated on first use) when the current one is full. *)
+let ensure t a len =
+  if a.pos + len > Bytes.length a.dir.(a.cur) then begin
+    if Bytes.length a.dir.(a.cur) > 0 then a.cur <- a.cur + 1;
+    if a.cur >= max_chunks then failwith "Transient_pool: arena directory exhausted";
+    if Bytes.length a.dir.(a.cur) < len then
+      a.dir.(a.cur) <- Bytes.create (max len (t.base lsl min a.cur grow_steps));
+    a.pos <- 0
   end
 
 let lines stats len = Memspec.lines_touched (Stats.spec stats) ~off:0 ~len
 
-let write_from t stats ?(charge = true) ~core ~len fill =
+let alloc t ~core ~len =
+  assert (len >= 0 && len <= max_len);
   let a = t.arenas.(core) in
-  ensure a len;
-  let off = a.used in
-  fill a.buf off;
-  a.used <- a.used + ((len + 7) land lnot 7);
-  if charge then Stats.dram_write stats ~lines:(lines stats len) ();
-  { buf = a.buf; core; off; len }
+  ensure t a len;
+  let o = a.pos in
+  let aligned = (len + 7) land lnot 7 in
+  a.pos <- a.pos + aligned;
+  a.used <- a.used + aligned;
+  len lor (o lsl 20) lor (a.cur lsl 44) lor (core lsl 54)
 
-let write t stats ?charge ~core data =
+let write_from t stats ?(charge = true) ~core ~len fill =
+  let v = alloc t ~core ~len in
+  fill (src t v) (off v);
+  if charge then Stats.dram_write_lines stats (lines stats len);
+  v
+
+let write t stats ?(charge = true) ~core data =
   let len = Bytes.length data in
-  write_from t stats ?charge ~core ~len (fun buf off -> Bytes.blit data 0 buf off len)
+  let v = alloc t ~core ~len in
+  Bytes.blit data 0 (src t v) (off v) len;
+  if charge then Stats.dram_write_lines stats (lines stats len);
+  v
 
-let read _t stats ?(charge = true) { buf; off; len; _ } =
-  if charge then Stats.dram_read stats ~lines:(lines stats len) ();
-  Bytes.sub buf off len
+let charge_read stats v = Stats.dram_read_lines stats (lines stats (len v))
+
+let read t stats ?(charge = true) v =
+  if charge then charge_read stats v;
+  Bytes.sub (src t v) (off v) (len v)
+
 
 let reset t =
   t.peak <- peak_bytes t;
-  Array.iter (fun a -> a.used <- 0) t.arenas
+  Array.iter
+    (fun a ->
+      a.cur <- 0;
+      a.pos <- 0;
+      a.used <- 0)
+    t.arenas

@@ -37,15 +37,19 @@ let attach pmem spec =
 let classes t = List.map (fun c -> c.size) t.cls
 let max_value t = List.fold_left (fun acc c -> max acc c.size) 0 t.cls
 
-let class_for t len =
-  match List.find_opt (fun c -> len <= c.size) t.cls with
-  | Some c -> c
-  | None -> failwith (Printf.sprintf "Value_pools: value of %d bytes exceeds largest class" len)
+(* Both lookups run on every value write and free; plain recursion over
+   the (short) class list allocates nothing. *)
+let rec class_in len = function
+  | c :: rest -> if len <= c.size then c else class_in len rest
+  | [] -> failwith (Printf.sprintf "Value_pools: value of %d bytes exceeds largest class" len)
 
-let owner t off =
-  match List.find_opt (fun c -> off >= c.lo && off < c.hi) t.cls with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "Value_pools: offset %d not in any class arena" off)
+let class_for t len = class_in len t.cls
+
+let rec owner_in off = function
+  | c :: rest -> if off >= c.lo && off < c.hi then c else owner_in off rest
+  | [] -> invalid_arg (Printf.sprintf "Value_pools: offset %d not in any class arena" off)
+
+let owner t off = owner_in off t.cls
 
 let debug_live : (int, unit) Hashtbl.t = Hashtbl.create 64
 let debug = Sys.getenv_opt "NVDBG" <> None
@@ -76,6 +80,9 @@ let free_gc t stats ~core off ~dedup =
 
 let write_value t stats ?charge ~off ~data () =
   Slab_pool.write_value (owner t off).pool stats ?charge ~off ~data ()
+
+let write_value_from t stats ?charge ~off ~src ~src_off ~len () =
+  Slab_pool.write_value_from (owner t off).pool stats ?charge ~off ~src ~src_off ~len ()
 
 let persist_gc_tail t stats ~epoch =
   List.iter (fun c -> Slab_pool.persist_gc_tail c.pool stats ~epoch) t.cls

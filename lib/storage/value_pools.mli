@@ -39,6 +39,19 @@ val free_gc :
   t -> Nv_nvmm.Stats.t -> core:int -> int -> dedup:(int64, unit) Hashtbl.t -> unit
 
 val write_value : t -> Nv_nvmm.Stats.t -> ?charge:bool -> off:int -> data:bytes -> unit -> unit
+
+val write_value_from :
+  t ->
+  Nv_nvmm.Stats.t ->
+  ?charge:bool ->
+  off:int ->
+  src:bytes ->
+  src_off:int ->
+  len:int ->
+  unit ->
+  unit
+(** [write_value] straight from a source range (no intermediate copy). *)
+
 val persist_gc_tail : t -> Nv_nvmm.Stats.t -> epoch:int -> unit
 val checkpoint : t -> (int -> Nv_nvmm.Stats.t) -> epoch:int -> unit
 

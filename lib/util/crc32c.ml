@@ -1,10 +1,12 @@
 (* CRC-32C (Castagnoli), the polynomial used by SSE4.2 [crc32] and by
    most storage formats (iSCSI, ext4, Btrfs). On real hardware this is
    one instruction per word, which is why checksum computation is never
-   charged to the simulated clock (see docs/FAULTS.md). The host-side
-   stand-in is table-driven slicing-by-8: eight bytes per step through
-   eight 256-entry tables, on native ints, so the loop allocates
-   nothing and the only boxing is the [int32] result.
+   charged to the simulated clock (see docs/FAULTS.md). On an x86-64
+   host with SSE4.2 the byte kernel is that instruction (a C stub,
+   crc32c_stubs.c, chosen once at startup by CPU feature); elsewhere it
+   is table-driven slicing-by-8: eight bytes per step through eight
+   256-entry tables, on native ints, so the loop allocates nothing. The
+   software kernel is also the reference the tests hold the stub to.
 
    The checksum state is kept pre- and post-inverted as usual, so
    [finish (update (init ()) b 0 (Bytes.length b))] matches the
@@ -65,9 +67,9 @@ let[@inline] step8 c lo hi =
 
 let[@inline] step1 c b = tbl ((c lxor b) land 0xff) lxor (c lsr 8)
 
-(* The kernel: register [c] is a native int in [0, 2^32); the caller
-   has checked the range. *)
-let update_native c buf off len =
+(* The software kernel: register [c] is a native int in [0, 2^32); the
+   caller has checked the range. *)
+let update_sw c buf off len =
   let c = ref c and i = ref off in
   let stop8 = off + (len land lnot 7) in
   while !i < stop8 do
@@ -80,6 +82,17 @@ let update_native c buf off len =
     i := !i + 1
   done;
   !c
+
+external hw_available : unit -> bool = "nv_crc32c_hw_available"
+
+external update_hw : (int[@untagged]) -> bytes -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "nv_crc32c_update_byte" "nv_crc32c_update"
+[@@noalloc]
+
+let hardware = hw_available ()
+
+(* The byte kernel in use. *)
+let update_native c buf off len = if hardware then update_hw c buf off len else update_sw c buf off len
 
 let to_native crc = Int32.to_int crc land 0xFFFFFFFF
 let init () = 0xFFFFFFFFl
@@ -103,9 +116,21 @@ let bytes buf off len =
 
 let string s = bytes (Bytes.unsafe_of_string s) 0 (String.length s)
 
+let bytes_native buf off len =
+  check_range buf off len;
+  update_native 0xFFFFFFFF buf off len lxor 0xFFFFFFFF
+
+let bytes_reference buf off len =
+  check_range buf off len;
+  Int32.of_int (update_sw 0xFFFFFFFF buf off len lxor 0xFFFFFFFF)
+
 let int64_native c v =
   step8 c (Int64.to_int v land 0xFFFFFFFF) (Int64.to_int (Int64.shift_right_logical v 32))
 
+let init_native = 0xFFFFFFFF
+let finish_native c = c lxor 0xFFFFFFFF
+let update_int c v = step8 c (v land 0xFFFFFFFF) ((v lsr 32) land 0xFFFFFFFF)
+let update_u32 c v = step4 c (v land 0xFFFFFFFF)
 let int64 crc v = Int32.of_int (int64_native (to_native crc) v)
 let int32 crc v = Int32.of_int (step4 (to_native crc) (to_native v))
 let int64_crc v = Int32.of_int (int64_native 0xFFFFFFFF v lxor 0xFFFFFFFF)
@@ -133,6 +158,11 @@ let unpack ?(salt = 0) w =
   else
     let v = Int64.logand w 0xFFFFFFFFL in
     if Int64.to_int (Int64.shift_right_logical w 32) = mix ~salt v then Some v else None
+
+let unpack_halves ~salt ~lo ~hi =
+  if lo = 0 && hi = 0 then 0
+  else if hi = step4 (step4 0xFFFFFFFF lo) (salt land 0xFFFFFFFF) lxor 0xFFFFFFFF then lo
+  else -1
 
 let pack_int ?salt v = pack ?salt (Int64.of_int v)
 

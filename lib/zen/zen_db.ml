@@ -253,7 +253,7 @@ let exec_txn t ~core (txn : Txn.t) =
   in
   let ctx =
     {
-      Txn.Ctx.sid = 0L;
+      Txn.Ctx.sid = 0;
       core;
       read;
       write;

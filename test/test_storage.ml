@@ -46,7 +46,7 @@ let prop_vptr_pool_roundtrip =
     QCheck.(pair (int_range 1 1_000_000_000) (int_range 1 1_000_000))
     (fun (off, len) ->
       let off = off * 2 in
-      QCheck.assume (len <= (1 lsl 20) - 1);
+      QCheck.assume (len <= Vptr.max_pool_len);
       match Vptr.classify (Vptr.pool ~off ~len) with
       | Vptr.Pool { off = o; len = l } -> o = off && l = len
       | _ -> false)
@@ -102,16 +102,16 @@ let mk_freelist ?(capacity = 64) () =
 let test_freelist_basic () =
   let s = stats () in
   let p, fl = mk_freelist () in
-  Alcotest.(check (option int64)) "empty" None (Freelist.alloc fl s);
+  Alcotest.(check int) "empty" (-1) (Freelist.alloc fl s);
   Freelist.free fl s 111L;
   Freelist.free fl s 222L;
   (* Freed this epoch: not yet allocatable. *)
-  Alcotest.(check (option int64)) "not allocatable yet" None (Freelist.alloc fl s);
+  Alcotest.(check int) "not allocatable yet" (-1) (Freelist.alloc fl s);
   Freelist.checkpoint fl s ~epoch:2;
   Pmem.fence p s;
-  Alcotest.(check (option int64)) "fifo 1" (Some 111L) (Freelist.alloc fl s);
-  Alcotest.(check (option int64)) "fifo 2" (Some 222L) (Freelist.alloc fl s);
-  Alcotest.(check (option int64)) "drained" None (Freelist.alloc fl s)
+  Alcotest.(check int) "fifo 1" 111 (Freelist.alloc fl s);
+  Alcotest.(check int) "fifo 2" 222 (Freelist.alloc fl s);
+  Alcotest.(check int) "drained" (-1) (Freelist.alloc fl s)
 
 let test_freelist_crash_reverts_txn_frees () =
   let s = stats () in
@@ -121,13 +121,13 @@ let test_freelist_crash_reverts_txn_frees () =
   Pmem.fence p s;
   (* Epoch 3: free 2L (revertible), alloc 1L. *)
   Freelist.free fl s 2L;
-  Alcotest.(check (option int64)) "alloc 1" (Some 1L) (Freelist.alloc fl s);
+  Alcotest.(check int) "alloc 1" 1 (Freelist.alloc fl s);
   Pmem.crash_all_persisted p;
   let gc = Freelist.recover fl ~last_checkpointed_epoch:2 ~crashed_epoch:3 in
   Alcotest.(check int) "no gc frees" 0 (List.length gc.Freelist.gc_frees);
   (* The free of 2L is gone; the alloc of 1L is undone. *)
-  Alcotest.(check (option int64)) "1L back" (Some 1L) (Freelist.alloc fl s);
-  Alcotest.(check (option int64)) "2L gone" None (Freelist.alloc fl s)
+  Alcotest.(check int) "1L back" 1 (Freelist.alloc fl s);
+  Alcotest.(check int) "2L gone" (-1) (Freelist.alloc fl s)
 
 let test_freelist_gc_tail_survives () =
   let s = stats () in
@@ -140,7 +140,7 @@ let test_freelist_gc_tail_survives () =
   Freelist.persist_gc_tail fl s ~epoch:3;
   Pmem.fence p s;
   (* GC frees are immediately allocatable within the epoch. *)
-  Alcotest.(check (option int64)) "gc free allocatable" (Some 7L) (Freelist.alloc fl s);
+  Alcotest.(check int) "gc free allocatable" 7 (Freelist.alloc fl s);
   (* Transaction free during execution. *)
   Freelist.free fl s 9L;
   Pmem.crash_all_persisted p;
@@ -148,9 +148,9 @@ let test_freelist_gc_tail_survives () =
   Alcotest.(check (list int64)) "gc dedup set" [ 7L; 8L ] gc.Freelist.gc_frees;
   (* GC frees survive; the txn free of 9L is reverted; the alloc of 7L
      is reverted (replay will redo it deterministically). *)
-  Alcotest.(check (option int64)) "7L still there" (Some 7L) (Freelist.alloc fl s);
-  Alcotest.(check (option int64)) "8L still there" (Some 8L) (Freelist.alloc fl s);
-  Alcotest.(check (option int64)) "9L reverted" None (Freelist.alloc fl s)
+  Alcotest.(check int) "7L still there" 7 (Freelist.alloc fl s);
+  Alcotest.(check int) "8L still there" 8 (Freelist.alloc fl s);
+  Alcotest.(check int) "9L reverted" (-1) (Freelist.alloc fl s)
 
 let test_freelist_gc_tail_stale_epoch_ignored () =
   let s = stats () in
@@ -164,7 +164,7 @@ let test_freelist_gc_tail_stale_epoch_ignored () =
   Pmem.crash_all_persisted p;
   let gc = Freelist.recover fl ~last_checkpointed_epoch:3 ~crashed_epoch:4 in
   Alcotest.(check int) "no gc frees of epoch 4" 0 (List.length gc.Freelist.gc_frees);
-  Alcotest.(check (option int64)) "epoch-3 free intact" (Some 7L) (Freelist.alloc fl s)
+  Alcotest.(check int) "epoch-3 free intact" 7 (Freelist.alloc fl s)
 
 let test_freelist_wraparound () =
   let s = stats () in
@@ -173,10 +173,7 @@ let test_freelist_wraparound () =
     Freelist.free fl s (Int64.of_int round);
     Freelist.checkpoint fl s ~epoch:(round + 2);
     Pmem.fence p s;
-    Alcotest.(check (option int64))
-      (Printf.sprintf "round %d" round)
-      (Some (Int64.of_int round))
-      (Freelist.alloc fl s)
+    Alcotest.(check int) (Printf.sprintf "round %d" round) round (Freelist.alloc fl s)
   done
 
 let test_freelist_overflow () =
@@ -197,7 +194,7 @@ let test_prow_init_and_versions () =
   Alcotest.(check int64) "key" 77L key;
   Alcotest.(check int) "table" 3 table;
   Alcotest.(check bool) "versions empty" true (v1.Prow.sid = 0L && v2.Prow.sid = 0L);
-  Prow.set_version p s ~base:256 ~slot:`V2 ~sid:5L ~ptr:(Vptr.inline ~heap_off:0 ~len:8) ();
+  Prow.set_version p s ~base:256 ~slot:`V2 ~sid:5 ~ptr:(Vptr.inline ~heap_off:0 ~len:8) ();
   let _, _, _, v2 = Prow.read_header p s ~base:256 in
   Alcotest.(check int64) "sid set" 5L v2.Prow.sid
 
@@ -215,14 +212,14 @@ let test_prow_gc_move () =
   let p = Pmem.create ~size:4096 () in
   Prow.init p s ~base:0 ~key:1L ~table:0;
   let ptr = Vptr.inline ~heap_off:0 ~len:4 in
-  Prow.set_version p s ~base:0 ~slot:`V1 ~sid:3L ~ptr:(Vptr.inline ~heap_off:84 ~len:4) ();
-  Prow.set_version p s ~base:0 ~slot:`V2 ~sid:9L ~ptr ();
+  Prow.set_version p s ~base:0 ~slot:`V1 ~sid:3 ~ptr:(Vptr.inline ~heap_off:84 ~len:4) ();
+  Prow.set_version p s ~base:0 ~slot:`V2 ~sid:9 ~ptr ();
   Prow.gc_move p s ~base:0 ();
   let v1, v2 = Prow.peek_versions p ~base:0 in
   Alcotest.(check int64) "v1 now recent" 9L v1.Prow.sid;
-  Alcotest.(check bool) "v1 ptr moved" true (Vptr.equal v1.Prow.ptr ptr);
+  Alcotest.(check bool) "v1 ptr moved" true (Vptr.equal (Vptr.of_word v1.Prow.ptr) ptr);
   Alcotest.(check int64) "v2 cleared" 0L v2.Prow.sid;
-  Alcotest.(check bool) "v2 ptr cleared" true (Vptr.is_null v2.Prow.ptr)
+  Alcotest.(check bool) "v2 ptr cleared" true (Vptr.is_null (Vptr.of_word v2.Prow.ptr))
 
 let test_prow_sid_before_pointer_on_crash () =
   (* Crash between the SID store and the pointer store of a version
@@ -235,11 +232,11 @@ let test_prow_sid_before_pointer_on_crash () =
     Prow.init p s ~base:0 ~key:1L ~table:0;
     Pmem.persist p s ~off:0 ~len:256;
     let new_ptr = Vptr.inline ~heap_off:0 ~len:4 in
-    Prow.set_version p s ~base:0 ~slot:`V2 ~sid:9L ~ptr:new_ptr ();
+    Prow.set_version p s ~base:0 ~slot:`V2 ~sid:9 ~ptr:new_ptr ();
     Pmem.crash p ~rng:(Nv_util.Rng.create seed);
     let _, v2 = Prow.peek_versions p ~base:0 in
     let state =
-      match (v2.Prow.sid, Vptr.is_null v2.Prow.ptr) with
+      match (v2.Prow.sid, Vptr.is_null (Vptr.of_word v2.Prow.ptr)) with
       | 0L, true -> "old-old"
       | 9L, true -> "new-old"
       | 9L, false -> "new-new"

@@ -91,82 +91,105 @@ let prop_histogram_percentile_bounded =
 
 module VA = Nvcaracal.Version_array
 
+let new_va ?batch_append ?(nvmm_resident = false) () =
+  let st = VA.create_store ~nvmm_resident ?batch_append () in
+  (st, VA.create st)
+
 let test_version_array_basics () =
   let s = stats () in
-  let va = VA.create ~epoch:3 ~nvmm_resident:false () in
-  Alcotest.(check int) "empty" 0 (VA.length va);
-  Alcotest.(check bool) "max of empty" true (Sid.is_none (VA.max_sid va));
+  let st, va = new_va () in
+  Alcotest.(check int) "empty" 0 (VA.length st va);
+  Alcotest.(check bool) "max of empty" true (Sid.is_none (VA.max_sid st va));
   let sid i = Sid.make ~epoch:3 ~seq:i in
   (* Out-of-order appends stay sorted. *)
-  List.iter (fun i -> VA.append va s (sid i)) [ 5; 1; 9; 3 ];
-  Alcotest.(check int) "length" 4 (VA.length va);
-  Alcotest.(check bool) "max sid" true (Sid.compare (VA.max_sid va) (sid 9) = 0);
+  List.iter (fun i -> VA.append st va s (sid i)) [ 5; 1; 9; 3 ];
+  Alcotest.(check int) "length" 4 (VA.length st va);
+  Alcotest.(check bool) "max sid" true (Sid.compare (VA.max_sid st va) (sid 9) = 0);
   let order = ref [] in
-  VA.iter va (fun slot -> order := Sid.seq_of slot.VA.sid :: !order);
+  VA.iter st va (fun slot -> order := Sid.seq_of (VA.sid st slot) :: !order);
   Alcotest.(check (list int)) "sorted" [ 1; 3; 5; 9 ] (List.rev !order);
   Alcotest.check_raises "duplicate sid"
-    (Invalid_argument "Version_array.append: duplicate SID") (fun () -> VA.append va s (sid 5))
+    (Invalid_argument "Version_array.append: duplicate SID") (fun () -> VA.append st va s (sid 5));
+  (* Arrays interleave in one store and survive each other's growth;
+     the store empties on reset. *)
+  let other = VA.create st in
+  for i = 0 to 20 do
+    VA.append st other s (sid (100 + i))
+  done;
+  Alcotest.(check (list int)) "first array intact" [ 1; 3; 5; 9 ]
+    (let l = ref [] in
+     VA.iter st va (fun slot -> l := Sid.seq_of (VA.sid st slot) :: !l);
+     List.rev !l);
+  Alcotest.(check int) "second array" 21 (VA.length st other);
+  VA.reset st;
+  Alcotest.(check int) "fresh after reset" 0 (VA.length st (VA.create st))
 
 let test_version_array_visibility () =
   let s = stats () in
   let tp = TP.create ~cores:1 ~initial_capacity:256 in
-  let va = VA.create ~epoch:3 ~nvmm_resident:false () in
+  let st, va = new_va () in
   let sid i = Sid.make ~epoch:3 ~seq:i in
-  List.iter (fun i -> VA.append va s (sid i)) [ 0; 2; 4 ];
+  List.iter (fun i -> VA.append st va s (sid i)) [ 0; 2; 4 ];
   let fill i tag state =
-    let slot = VA.find va s (sid i) in
-    slot.VA.value <-
+    let slot = VA.find st va s (sid i) in
+    VA.set_value st slot
       (match state with
-      | `W -> VA.Written (TP.write tp s ~core:0 (Bytes.make 4 tag))
-      | `I -> VA.Ignored
-      | `T -> VA.Tombstone)
+      | `W -> TP.write tp s ~core:0 (Bytes.make 4 tag)
+      | `I -> VA.ignored
+      | `T -> VA.tombstone)
   in
   fill 0 'a' `W;
   fill 2 'b' `I;
   fill 4 'c' `W;
+  let seq_at slot = Sid.seq_of (VA.sid st slot) in
   (* Reader at seq 3 skips the IGNORE at 2 and sees 0's write. *)
-  (match VA.latest_visible va s ~before:(sid 3) with
-  | Some slot -> Alcotest.(check bool) "visible is sid 0" true (Sid.compare slot.VA.sid (sid 0) = 0)
-  | None -> Alcotest.fail "expected a visible version");
+  (match VA.latest_visible st va s ~before:(sid 3) with
+  | -1 -> Alcotest.fail "expected a visible version"
+  | slot -> Alcotest.(check int) "visible is sid 0" 0 (seq_at slot));
   (* Reader at seq 1 also sees 0. *)
-  (match VA.latest_visible va s ~before:(sid 1) with
-  | Some slot -> Alcotest.(check bool) "sid 0 again" true (Sid.compare slot.VA.sid (sid 0) = 0)
-  | None -> Alcotest.fail "expected a visible version");
+  (match VA.latest_visible st va s ~before:(sid 1) with
+  | -1 -> Alcotest.fail "expected a visible version"
+  | slot -> Alcotest.(check int) "sid 0 again" 0 (seq_at slot));
   (* Reader below everything sees nothing. *)
-  Alcotest.(check bool) "nothing below" true (VA.latest_visible va s ~before:(sid 0) = None);
+  Alcotest.(check int) "nothing below" (-1) (VA.latest_visible st va s ~before:(sid 0));
   (* latest_resolved skips the trailing... 4 is written, so it wins. *)
-  (match VA.latest_resolved va s with
-  | Some slot -> Alcotest.(check bool) "resolved is 4" true (Sid.compare slot.VA.sid (sid 4) = 0)
-  | None -> Alcotest.fail "expected resolved");
+  (match VA.latest_resolved st va s with
+  | -1 -> Alcotest.fail "expected resolved"
+  | slot -> Alcotest.(check int) "resolved is 4" 4 (seq_at slot));
+  (* The written value reads back from the transient pool. *)
+  (match VA.latest_visible st va s ~before:(sid 3) with
+  | -1 -> Alcotest.fail "expected a visible version"
+  | slot ->
+      Alcotest.(check string) "value bytes" "aaaa" (Bytes.to_string (TP.read tp s (VA.value st slot))));
   (* Tombstone counts as resolved. *)
   fill 4 '_' `T;
-  match VA.latest_resolved va s with
-  | Some { VA.value = VA.Tombstone; _ } -> ()
-  | _ -> Alcotest.fail "expected tombstone"
+  match VA.latest_resolved st va s with
+  | -1 -> Alcotest.fail "expected tombstone"
+  | slot -> Alcotest.(check int) "tombstone" VA.tombstone (VA.value st slot)
 
 let test_version_array_pending_violation () =
   let s = stats () in
-  let va = VA.create ~epoch:3 ~nvmm_resident:false () in
-  VA.append va s (Sid.make ~epoch:3 ~seq:0);
+  let st, va = new_va () in
+  VA.append st va s (Sid.make ~epoch:3 ~seq:0);
   Alcotest.check_raises "pending predecessor"
     (Invalid_argument "Version_array.latest_visible: PENDING predecessor (serial order violated)")
-    (fun () -> ignore (VA.latest_visible va s ~before:(Sid.make ~epoch:3 ~seq:5)))
+    (fun () -> ignore (VA.latest_visible st va s ~before:(Sid.make ~epoch:3 ~seq:5)))
 
 let test_version_array_charging_modes () =
   (* Batch append is O(1); sorted insert grows with array length.
      NVMM-resident arrays charge NVMM instead of DRAM. *)
   let grow_cost ~batch =
     let s = stats () in
-    let va = VA.create ~epoch:2 ~nvmm_resident:false ~batch_append:batch () in
+    let st, va = new_va ~batch_append:batch () in
     for i = 0 to 199 do
-      VA.append va s (Sid.make ~epoch:2 ~seq:i)
+      VA.append st va s (Sid.make ~epoch:2 ~seq:i)
     done;
     Stats.now s
   in
   Alcotest.(check bool) "batch append cheaper" true (grow_cost ~batch:true < grow_cost ~batch:false);
   let s = stats () in
-  let va = VA.create ~epoch:2 ~nvmm_resident:true () in
-  VA.append va s (Sid.make ~epoch:2 ~seq:0);
+  let st, va = new_va ~nvmm_resident:true () in
+  VA.append st va s (Sid.make ~epoch:2 ~seq:0);
   Alcotest.(check bool) "nvmm-resident charges nvmm" true
     ((Stats.counters s).Stats.nvmm_block_writes > 0)
 
@@ -216,10 +239,10 @@ let test_row_halves () =
   let cap = Nv_storage.Prow.half_capacity ~row_size in
   Alcotest.(check int) "half capacity" 84 cap;
   let v0 =
-    { Row.psid = 1L; pptr = Nv_storage.Vptr.inline ~heap_off:0 ~len:8; fresh = false }
+    { Row.psid = 1; pptr = Nv_storage.Vptr.inline ~heap_off:0 ~len:8; fresh = false }
   in
   let v1 =
-    { Row.psid = 2L; pptr = Nv_storage.Vptr.inline ~heap_off:cap ~len:8; fresh = false }
+    { Row.psid = 2; pptr = Nv_storage.Vptr.inline ~heap_off:cap ~len:8; fresh = false }
   in
   Alcotest.(check int) "free half vs half0" 1 (Row.free_half ~row_size v0);
   Alcotest.(check int) "free half vs half1" 0 (Row.free_half ~row_size v1);

@@ -201,7 +201,12 @@ let check_crc msg expected got = Alcotest.(check int32) msg expected got
    value. *)
 let test_crc32c_vectors () =
   let all n f = Bytes.init n (fun i -> Char.chr (f i)) in
-  let v msg expected b = check_crc msg expected (Crc.bytes b 0 (Bytes.length b)) in
+  (* Through the kernel in use and through the software reference, so
+     the vectors hold for both whatever the host CPU offers. *)
+  let v msg expected b =
+    check_crc msg expected (Crc.bytes b 0 (Bytes.length b));
+    check_crc (msg ^ " (software)") expected (Crc.bytes_reference b 0 (Bytes.length b))
+  in
   v "32 x 00" 0x8A9136AAl (Bytes.make 32 '\000');
   v "32 x ff" 0x62A8AB43l (Bytes.make 32 '\255');
   v "bytes 0..31" 0x46DD794El (all 32 (fun i -> i));
@@ -230,6 +235,38 @@ let prop_crc32c_reference =
           let len = (8 * words) + tail in
           Crc.bytes b off len = ref_crc b off len)
         [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+
+(* The kernel in use (the SSE4.2 stub on x86-64 hosts that have it)
+   against the software slicing-by-8 reference: random buffers of 0 to
+   4096 bytes at any offset. *)
+let prop_crc32c_hardware =
+  QCheck.Test.make ~name:"crc32c kernel = software reference (0..4096 B, any offset)" ~count:500
+    QCheck.(triple (int_bound 1_000_000) (int_bound 4096) (int_bound 63))
+    (fun (seed, len, off) ->
+      let rng = Nv_util.Rng.create seed in
+      let b = Bytes.init (off + len) (fun _ -> Char.chr (Nv_util.Rng.int rng 256)) in
+      Crc.bytes b off len = Crc.bytes_reference b off len
+      && Crc.bytes_native b off len = Int32.to_int (Crc.bytes_reference b off len) land 0xFFFFFFFF)
+
+(* The unboxed forms the engine's hot paths use agree with the boxed
+   ones. *)
+let test_crc32c_native_forms () =
+  let rng = Nv_util.Rng.create 5 in
+  let u32 c = Int32.to_int c land 0xFFFFFFFF in
+  for _ = 1 to 500 do
+    let a = Int64.to_int (Nv_util.Rng.next_int64 rng) land max_int in
+    let b = Int64.to_int (Nv_util.Rng.next_int64 rng) land 0xFFFFFFFF in
+    let boxed = Crc.(finish (int32 (int64 (init ()) (Int64.of_int a)) (Int32.of_int b))) in
+    Alcotest.(check int) "update_int/update_u32 = int64/int32" (u32 boxed)
+      Crc.(finish_native (update_u32 (update_int init_native a) b));
+    let v = Int64.of_int (Nv_util.Rng.int rng 1_000_000) and salt = Nv_util.Rng.int rng 64 in
+    let w = Crc.pack ~salt v in
+    let lo = Int64.to_int (Int64.logand w 0xFFFFFFFFL)
+    and hi = Int64.to_int (Int64.shift_right_logical w 32) in
+    Alcotest.(check int) "unpack_halves = unpack" (Int64.to_int v) (Crc.unpack_halves ~salt ~lo ~hi);
+    Alcotest.(check int) "corrupt half detected" (-1)
+      (Crc.unpack_halves ~salt ~lo:(lo lxor 1) ~hi)
+  done
 
 let test_crc32c_composition () =
   let rng = Nv_util.Rng.create 11 in
@@ -321,5 +358,7 @@ let suites =
           test_crc32c_composition;
         Alcotest.test_case "out-of-range calls rejected" `Quick test_crc32c_range_checked;
         Alcotest.test_case "64 KiB checksum allocation-free" `Quick test_crc32c_allocation_free;
+        QCheck_alcotest.to_alcotest prop_crc32c_hardware;
+        Alcotest.test_case "unboxed forms agree" `Quick test_crc32c_native_forms;
       ] );
   ]
