@@ -196,19 +196,8 @@ let parallel_snapshot file =
 let micro () =
   let open Bechamel in
   let stats () = Nv_nvmm.Stats.create Nv_nvmm.Memspec.default in
-  let pmem_write =
-    let p = Nv_nvmm.Pmem.create ~size:(1 lsl 20) () in
-    let s = stats () in
-    let i = ref 0 in
-    Test.make ~name:"pmem.set_i64+flush"
-      (Staged.stage (fun () ->
-           let off = !i land 0xFFFF8 in
-           incr i;
-           Nv_nvmm.Pmem.set_i64 p off 42L;
-           Nv_nvmm.Pmem.flush p s ~off ~len:8))
-  in
   let pmem_write_cs =
-    let p = Nv_nvmm.Pmem.create ~mode:Nv_nvmm.Pmem.Crash_safe ~size:(1 lsl 20) () in
+    let p = Nv_nvmm.Pmem.create ~size:(1 lsl 20) () in
     let s = stats () in
     let i = ref 0 in
     Test.make ~name:"pmem.set_i64+flush (crash-safe)"
@@ -224,7 +213,7 @@ let micro () =
   (* One value write's persistence cycle on a crash-safe region: 16
      dirty lines tracked, captured by clwb and retired by the fence. *)
   let pmem_blit_cs =
-    let p = Nv_nvmm.Pmem.create ~mode:Nv_nvmm.Pmem.Crash_safe ~size:(1 lsl 20) () in
+    let p = Nv_nvmm.Pmem.create ~size:(1 lsl 20) () in
     let s = stats () in
     let src = Bytes.make 1000 'v' in
     let i = ref 0 in
@@ -299,9 +288,7 @@ let micro () =
   let prow_set_version =
     let rows = 1024 and row_size = 256 in
     let values = rows * row_size in
-    let p =
-      Nv_nvmm.Pmem.create ~mode:Nv_nvmm.Pmem.Crash_safe ~size:(values + (rows * 1024)) ()
-    in
+    let p = Nv_nvmm.Pmem.create ~size:(values + (rows * 1024)) () in
     let s = stats () in
     for r = 0 to rows - 1 do
       Nv_storage.Prow.init p s ~base:(r * row_size) ~key:(Int64.of_int r) ~table:0;
@@ -322,7 +309,6 @@ let micro () =
   let tests =
     Test.make_grouped ~name:"nvcaracal-micro"
       [
-        pmem_write;
         pmem_write_cs;
         pmem_blit_cs;
         hash_index;

@@ -196,9 +196,6 @@ let serve_shard ~workload ~contention ~engine ~seed ~capacity ~batch_target ~jou
     ~recover ~journal_mb ~listen ~shards ~sid =
   let w, growth = Cli.resolve_workload workload contention in
   let spec = Cli.resolve_engine engine in
-  let spec =
-    if journal_path <> None then { spec with Nv_harness.Engine.crash_safe = true } else spec
-  in
   let address = Cli.parse_address listen in
   let setup =
     Nv_harness.Engine.setup
@@ -492,9 +489,8 @@ let serve_cmd =
       & info [ "journal" ] ~docv:"FILE"
           ~doc:
             "Persist every formed batch to a CRC-guarded admission journal at $(docv) before \
-             it runs, and run the engine with the crash-safe persistence discipline. A crashed \
-             server restarted with $(b,--recover) replays it to reproduce the exact pre-crash \
-             state.")
+             it runs. A crashed server restarted with $(b,--recover) replays it to reproduce \
+             the exact pre-crash state.")
   in
   let recover_flag =
     Arg.(
@@ -536,9 +532,6 @@ let serve_cmd =
     | None ->
     let w, growth = Cli.resolve_workload workload contention in
     let spec = Cli.resolve_engine engine in
-    let spec =
-      if journal_path <> None then { spec with Nv_harness.Engine.crash_safe = true } else spec
-    in
     let address = Cli.parse_address listen in
     if checkpoint_every > 0 && journal_path = None then
       failwith "nvdb serve: --checkpoint-every requires --journal";

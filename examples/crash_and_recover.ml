@@ -34,8 +34,8 @@ let add key delta = txn_of_input (encode key delta)
 exception Power_failure
 
 let () =
-  (* crash_safe tracks exactly which stores are persistent. *)
-  let config = Config.make ~cores:4 ~crash_safe:true () in
+  (* The NVMM region tracks exactly which stores are persistent. *)
+  let config = Config.make ~cores:4 () in
   let tables = [ Table.make ~id:table ~name:"counters" () ] in
   let db = Db.create ~config ~tables () in
   Db.bulk_load db

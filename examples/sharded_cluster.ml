@@ -30,7 +30,7 @@ let transfer ~src ~dst ~amount =
       ctx.Txn.Ctx.write ~table:0 ~key:dst (balance_bytes (Int64.add d amount)))
 
 let () =
-  let config = Config.make ~cores:4 ~row_size:128 ~crash_safe:true () in
+  let config = Config.make ~cores:4 ~row_size:128 () in
   let tables = [ Table.make ~id:0 ~name:"accounts" () ] in
   (* Each member is an ordinary Db; the calls it receives are the
      transactions themselves. *)

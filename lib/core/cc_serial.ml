@@ -513,7 +513,7 @@ let run ?(replay = false) t txns =
       else if match t.phase_hook with Some h -> not h.hk_defer | None -> false then
         Some R_phase_hook
       else if t.unmirrored_rows then Some R_unmirrored_rows
-      else if cfg.Config.crash_safe && cfg.Config.row_size mod 64 <> 0 then
+      else if cfg.Config.row_size mod 64 <> 0 then
         (* Adjacent row slots in one arena may share a cache line, and
            rows finalize on their last writer's stripe — only line-
            aligned rows make stripes' stores line-disjoint. *)
@@ -546,9 +546,9 @@ let run ?(replay = false) t txns =
                incr spins
              done
            in
-           if cfg.Config.crash_safe then Pmem.begin_stripes t.pmem ~n:wide_d;
+           Pmem.begin_stripes t.pmem ~n:wide_d;
            Fun.protect
-             ~finally:(fun () -> if cfg.Config.crash_safe then Pmem.end_stripes t.pmem)
+             ~finally:(fun () -> Pmem.end_stripes t.pmem)
              (fun () ->
                ignore
                  (Dpool.run (pool t) ~n:wide_d (fun s ->

@@ -10,7 +10,6 @@ type t = {
   cache_k : int;
   minor_gc : bool;
   cached_versions : bool;
-  crash_safe : bool;
   rows_per_core : int;
   values_per_core : int;
   freelist_capacity : int;
@@ -37,7 +36,6 @@ let default =
     cache_k = 20;
     minor_gc = true;
     cached_versions = true;
-    crash_safe = false;
     rows_per_core = 65536;
     values_per_core = 65536;
     freelist_capacity = 65536;
@@ -58,7 +56,7 @@ let make ?(variant = default.variant) ?(cores = default.cores) ?(row_size = defa
     ?(value_slot_size = default.value_slot_size)
     ?(value_size_classes = default.value_size_classes) ?(cache_k = default.cache_k)
     ?(minor_gc = default.minor_gc) ?(cached_versions = default.cached_versions)
-    ?(crash_safe = default.crash_safe) ?(rows_per_core = default.rows_per_core)
+    ?(rows_per_core = default.rows_per_core)
     ?(values_per_core = default.values_per_core)
     ?(freelist_capacity = default.freelist_capacity) ?(log_capacity = default.log_capacity)
     ?(n_counters = default.n_counters) ?(revert_on_recovery = default.revert_on_recovery)
@@ -76,7 +74,6 @@ let make ?(variant = default.variant) ?(cores = default.cores) ?(row_size = defa
     cache_k;
     minor_gc;
     cached_versions;
-    crash_safe;
     rows_per_core;
     values_per_core;
     freelist_capacity;

@@ -37,7 +37,6 @@ type t = {
   cache_k : int;  (** evict cached versions unused for K epochs (20) *)
   minor_gc : bool;  (** minor collector enabled (section 4.4) *)
   cached_versions : bool;  (** DRAM cached versions enabled (section 4.2) *)
-  crash_safe : bool;  (** track persistence for crash injection *)
   rows_per_core : int;  (** persistent row pool capacity per core *)
   values_per_core : int;  (** persistent value pool capacity per core *)
   freelist_capacity : int;  (** ring entries per core per pool *)
@@ -83,7 +82,6 @@ val make :
   ?cache_k:int ->
   ?minor_gc:bool ->
   ?cached_versions:bool ->
-  ?crash_safe:bool ->
   ?rows_per_core:int ->
   ?values_per_core:int ->
   ?freelist_capacity:int ->

@@ -21,9 +21,9 @@
 
     {2 Crash and recovery}
 
-    With [config.crash_safe], the underlying {!Nv_nvmm.Pmem} region
-    tracks persistence exactly, [crash] tears it to a legal crash
-    image, and [recover] rebuilds a database from the bytes alone:
+    The underlying {!Nv_nvmm.Pmem} region tracks persistence exactly,
+    [crash] tears it to a legal crash image, and [recover] rebuilds a
+    database from the bytes alone:
     reload allocator checkpoints, scan persistent rows (fixing torn
     version updates), rebuild the DRAM index and GC list, and
     deterministically replay the crashed epoch from the input log.
@@ -184,8 +184,7 @@ val crash : ?faults:Nv_nvmm.Pmem.fault_model -> t -> rng:Nv_util.Rng.t -> Nv_nvm
     must not be used afterwards. Without [faults] the image is a random
     {e legal} one; with a {!Nv_nvmm.Pmem.fault_model} it additionally
     suffers torn lines, bit-rot and dead lines (recover with
-    [~scrub:true] to detect them). Requires [config.crash_safe].
-    @raise Invalid_argument otherwise. *)
+    [~scrub:true] to detect them). *)
 
 val recover :
   config:Config.t ->
@@ -222,7 +221,6 @@ val recover :
     corrupt allocator or counter checkpoints are salvaged conservatively
     (leaking slots, never double-allocating). See docs/FAULTS.md.
 
-    Requires [config.crash_safe]. @raise Invalid_argument otherwise.
     @raise Nv_storage.Meta_region.Corrupt if the epoch commit record
     itself is unreadable — the one unrecoverable corruption. *)
 

@@ -136,8 +136,7 @@ module type S = sig
 
   val crash : ?faults:Nv_nvmm.Pmem.fault_model -> t -> rng:Nv_util.Rng.t -> Nv_nvmm.Pmem.t
   (** Tear the arena to a legal crash image and return it; the engine
-      must not be used afterwards. Requires a crash-safe config.
-      @raise Invalid_argument otherwise. *)
+      must not be used afterwards. *)
 
   val recover :
     config:config ->

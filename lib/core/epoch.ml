@@ -58,7 +58,7 @@ type serial_reason =
   | R_nested  (* started from inside a pool task; domains must not nest *)
   | R_phase_hook  (* a non-deferrable hook observes intermediate state *)
   | R_unmirrored_rows  (* lazy pindex recovery left rows mirror-less *)
-  | R_row_align  (* crash-safe mode with rows not cache-line aligned *)
+  | R_row_align  (* rows not cache-line aligned *)
 
 let serial_reason_label = function
   | R_width -> "width"
@@ -333,8 +333,7 @@ let attach (cfg : Config.t) tables pmem =
 
 let create ~config ~tables () =
   let size, _, _, _, _, _ = build_layout config in
-  let mode = if config.Config.crash_safe then Pmem.Crash_safe else Pmem.Fast in
-  attach config tables (Pmem.create ~mode ~size ())
+  attach config tables (Pmem.create ~size ())
 
 let epoch t = t.epoch
 
@@ -1152,6 +1151,11 @@ let bulk_load_row t idx (table, key, data) =
   Row.set_version row.Row.pv2 ~sid ~ptr ~fresh:false;
   row
 
+(* Rows are flushed as they load, so a fence after each round of
+   [load_round] rows keeps the crash-state log to one round, not the
+   whole dataset. Load costs are reset below, fences included. *)
+let load_round = 8192
+
 let bulk_load t rows =
   if t.loaded then invalid_arg "Db.bulk_load: already loaded";
   t.epoch <- 1;
@@ -1160,48 +1164,45 @@ let bulk_load t rows =
   let n = Array.length arr in
   let wide =
     Dpool.width t.pool > 1 && n > 1
-    && ((not cfg.Config.crash_safe) || cfg.Config.row_size mod 64 = 0)
+    && cfg.Config.row_size mod 64 = 0
     && not (Dpool.in_task ())
   in
-  if not wide then
+  (* A wide load stripes each round: stripes own disjoint cores, so
+     allocators, clocks and row bytes are domain-confined (aligned rows
+     never share a line across cores — the row-size gate above), and
+     their dirty lines are unioned at the join. The DRAM index and
+     persistent-index delta are then built in ascending order, the
+     structures the serial loop builds. *)
+  let made = if wide then Array.make n None else [||] in
+  let d = if wide then Dpool.stripes t.pool ~cores:cfg.Config.cores else 1 in
+  let index idx (table, key, _) row =
+    index_insert t (stats_of t (core_of t idx)) ~table ~key row;
+    if t.pindex <> None then Hashtbl.replace t.pix_delta (table, key) (`Ins row.Row.prow_base)
+  in
+  for r = 0 to (n - 1) / load_round do
+    let lo = r * load_round and hi = min n ((r + 1) * load_round) in
+    if not wide then
+      for idx = lo to hi - 1 do
+        index idx arr.(idx) (bulk_load_row t idx arr.(idx))
+      done
+    else begin
+      Pmem.begin_stripes t.pmem ~n:d;
+      ignore
+        (Dpool.run t.pool ~n:d (fun s ->
+             Pmem.set_stripe t.pmem s;
+             let i = ref (lo + ((s - (lo mod d) + d) mod d)) in
+             while !i < hi do
+               made.(!i) <- Some (bulk_load_row t !i arr.(!i));
+               i := !i + d
+             done));
+      Pmem.end_stripes t.pmem
+    end;
+    Pmem.fence t.pmem (stats_of t 0)
+  done;
+  if wide then
     Array.iteri
-      (fun idx ((table, key, _) as spec) ->
-        let row = bulk_load_row t idx spec in
-        index_insert t (stats_of t (core_of t idx)) ~table ~key row;
-        if t.pindex <> None then
-          Hashtbl.replace t.pix_delta (table, key) (`Ins row.Row.prow_base))
-      arr
-  else begin
-    (* Wide load: stripes own disjoint cores, so allocators, clocks and
-       persistent row bytes are domain-confined (rows on one core's
-       arena load on one stripe, and cache-line-aligned rows never share
-       a line across cores — the crash-safe gate above); newly-dirtied
-       pmem lines accumulate per stripe and are unioned at the join. The
-       DRAM index and persistent-index delta are then built serially in
-       ascending order — the exact structures the serial loop builds.
-       (Load-time access charges are reset below either way.) *)
-    let made = Array.make n None in
-    let d = Dpool.stripes t.pool ~cores:cfg.Config.cores in
-    Pmem.begin_stripes t.pmem ~n:d;
-    ignore
-      (Dpool.run t.pool ~n:d (fun s ->
-           Pmem.set_stripe t.pmem s;
-           let i = ref s in
-           while !i < n do
-             made.(!i) <- Some (bulk_load_row t !i arr.(!i));
-             i := !i + d
-           done));
-    Pmem.end_stripes t.pmem;
-    Array.iteri
-      (fun idx (table, key, _) ->
-        match made.(idx) with
-        | Some row ->
-            index_insert t (stats_of t (core_of t idx)) ~table ~key row;
-            if t.pindex <> None then
-              Hashtbl.replace t.pix_delta (table, key) (`Ins row.Row.prow_base)
-        | None -> assert false)
-      arr
-  end;
+      (fun idx spec -> match made.(idx) with Some row -> index idx spec row | None -> assert false)
+      arr;
   let stats0 = stats_of t 0 in
   Slab.checkpoint t.row_pool (stats_of t) ~epoch:1;
   VPools.checkpoint t.value_pool (stats_of t) ~epoch:1;

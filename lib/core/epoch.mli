@@ -59,7 +59,7 @@ type serial_reason =
   | R_nested  (** started from inside a pool task; domains must not nest *)
   | R_phase_hook  (** a non-deferrable hook observes intermediate state *)
   | R_unmirrored_rows  (** lazy pindex recovery left rows mirror-less *)
-  | R_row_align  (** crash-safe mode with rows not cache-line aligned *)
+  | R_row_align  (** rows not cache-line aligned *)
 
 val serial_reason_label : serial_reason -> string
 val all_serial_reasons : serial_reason list

@@ -28,14 +28,14 @@ let major_gc t =
     (* Both passes charge item [i] to core [i mod cores] and touch only
        that core's freelist (or row [i]'s own bytes), so striping by
        [i mod d] with [d] dividing [cores] keeps every core's work on
-       one stripe, in list order — identical charges at any width. Under
-       crash-safe tracking, newly-dirtied lines accumulate per stripe
-       and are unioned at the join; that needs the stripes' stores to be
-       line-disjoint, which holds whenever rows are cache-line aligned
+       one stripe, in list order — identical charges at any width.
+       Newly-dirtied lines accumulate per stripe and are unioned at the
+       join; that needs the stripes' stores to be line-disjoint, which
+       holds whenever rows are cache-line aligned
        (list neighbours may be arena neighbours on different stripes).
        The dedup table is read-only here. *)
     let d =
-      if t.config.Config.crash_safe && t.config.Config.row_size mod 64 <> 0 then 1
+      if t.config.Config.row_size mod 64 <> 0 then 1
       else Dpool.stripes (pool t) ~cores
     in
     let striped_iter f =

@@ -17,8 +17,6 @@ module Tracer = Nv_obs.Tracer
 open Epoch
 
 let crash ?faults t ~rng =
-  if not t.config.Config.crash_safe then
-    invalid_arg "Db.crash: requires a crash_safe configuration";
   (match faults with
   | None -> Pmem.crash t.pmem ~rng
   | Some model -> ignore (Pmem.crash_with_faults t.pmem ~rng ~model));
@@ -39,8 +37,6 @@ let cc_of_mode = function
 
 let recover ~config ~tables ~pmem ~rebuild ?(replay_mode = `Caracal) ?phase_hook
     ?recovery_hook ?(scrub = false) ?tracer ?metrics () =
-  if not config.Config.crash_safe then
-    invalid_arg "Db.recover: requires a crash_safe configuration";
   let t = attach config tables pmem in
   (match phase_hook with Some h -> set_phase_hook t h | None -> ());
   let rhook p = match recovery_hook with Some f -> f p | None -> () in

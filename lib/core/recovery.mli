@@ -13,8 +13,7 @@
 (** Tear the region to a crash image and return it; the engine state
     must not be used afterwards. Without [faults] the image is a random
     {e legal} one; with a {!Nv_nvmm.Pmem.fault_model} it additionally
-    suffers torn lines, bit-rot and dead lines. Requires
-    [config.crash_safe]. @raise Invalid_argument otherwise. *)
+    suffers torn lines, bit-rot and dead lines. *)
 val crash :
   ?faults:Nv_nvmm.Pmem.fault_model -> Epoch.t -> rng:Nv_util.Rng.t -> Nv_nvmm.Pmem.t
 

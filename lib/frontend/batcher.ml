@@ -2,6 +2,7 @@ module Engine_intf = Nvcaracal.Engine_intf
 module Metrics = Nv_obs.Metrics
 module Tracer = Nv_obs.Tracer
 module Pmem = Nv_nvmm.Pmem
+module Txn = Nvcaracal.Txn
 
 type config = {
   batch_target : int;
@@ -61,6 +62,7 @@ type t = {
   mutable next_client : int;
   mutable carryover : entry list;  (** engine-deferred; lead the next batch *)
   mutable pending_total : int;
+  mutable reserved : int;  (** journal bytes the pending entries' records will take *)
   mutable tick : int;
   mutable open_since : int;  (** tick the oldest pending txn arrived; -1 when idle *)
   mutable epochs : int;
@@ -104,6 +106,7 @@ let create ?(cfg = config ()) ?(tracer = Tracer.null) ?(metrics = Metrics.null) 
     next_client = 0;
     carryover = [];
     pending_total = 0;
+    reserved = 0;
     tick = 0;
     open_since = -1;
     epochs = 0;
@@ -226,6 +229,30 @@ let send c resp = match c.reply with Some f -> f resp | None -> ()
 
 let depth_gauge t = Metrics.set_gauge t.m_depth (float_of_int t.pending_total)
 
+(* Journal reservation: every pending entry, carryover included, holds
+   the bytes its next batch record will take, so admission can refuse
+   a call the journal could not hold instead of letting [Journal.append]
+   fail once the call is in a batch. *)
+let reserve t sign e = t.reserved <- t.reserved + (sign * Journal.entry_bytes e.e_txn.Txn.input)
+
+let journal_holds j ~bytes ~records =
+  bytes + (records * Journal.record_overhead) <= Journal.free_bytes j
+
+(* Room for every pending entry plus [txn], in one record per batch. *)
+let journal_admits t (txn : Txn.t) =
+  match t.journal with
+  | None -> true
+  | Some j ->
+      journal_holds j
+        ~bytes:(t.reserved + Journal.entry_bytes txn.Txn.input)
+        ~records:((t.pending_total + t.cfg.batch_target) / t.cfg.batch_target)
+
+let reject t c req (reason : [ `Overloaded | `Unknown_proc ]) =
+  t.rejected <- t.rejected + 1;
+  Metrics.add t.m_rejected 1;
+  send c (Wire.Rejected { req; reason = (reason :> Wire.reject_reason) });
+  `Rejected reason
+
 (* Record an acknowledged outcome in the session's dedup window. *)
 let ack t c seq outcome =
   Hashtbl.remove c.inflight seq;
@@ -291,7 +318,9 @@ let form t =
       ids
   done;
   t.pending_total <- t.pending_total - !n;
-  Array.of_list (List.rev !out)
+  let batch = Array.of_list (List.rev !out) in
+  Array.iter (reserve t (-1)) batch;
+  batch
 
 (* Execute one formed batch as an engine epoch and fire its replies.
    Shared between live serving and journal replay — recovery runs the
@@ -328,6 +357,7 @@ let exec_batch t batch =
       | (`Committed | `Aborted) as o -> reply_entry t e o)
     batch;
   t.carryover <- List.rev !deferred;
+  List.iter (reserve t 1) t.carryover;
   t.deferred_total <- t.deferred_total + List.length t.carryover;
   t.pending_total <- t.pending_total + List.length t.carryover
 
@@ -370,25 +400,47 @@ let maybe_checkpoint t =
     && t.batches_run - t.last_checkpoint >= t.cfg.checkpoint_every
   then ignore (checkpoint_now t)
 
+(* Answer an admitted entry that will not run with [Overloaded]. *)
+let refuse t e =
+  match Hashtbl.find_opt t.clients e.e_client with
+  | Some c when e.e_gen = c.gen ->
+      c.outstanding <- c.outstanding - 1;
+      Hashtbl.remove c.inflight e.e_req;
+      ignore (reject t c e.e_req `Overloaded)
+  | Some _ | None -> ()
+
+(* A batch runs only once its record is durable. Admission reserved
+   that record, unless carryover re-journaled since outgrew it: such a
+   batch is refused unrun, so a full journal never stops the loop. *)
 let run t =
   let batch = form t in
   if Array.length batch > 0 then begin
     Nv_util.Crashpoint.hit "post-admit";
-    (match t.journal with
-    | Some j ->
-        let entries =
-          List.map
-            (fun e ->
-              let proc, args = e.e_call in
-              { Journal.j_client = e.e_client; j_seq = e.e_req;
-                j_call = Proc.encode_call ~proc ~args })
-            (Array.to_list batch)
-        in
-        Journal.append j ~batch:t.batches_run ~entries;
-        Nv_util.Crashpoint.hit "post-journal"
-    | None -> ());
-    exec_batch t batch;
-    maybe_checkpoint t
+    let journaled =
+      match t.journal with
+      | None -> true
+      | Some j ->
+          let entries =
+            List.map
+              (fun e ->
+                { Journal.j_client = e.e_client; j_seq = e.e_req; j_call = e.e_txn.Txn.input })
+              (Array.to_list batch)
+          in
+          let bytes =
+            List.fold_left (fun n e -> n + Journal.entry_bytes e.Journal.j_call) 0 entries
+          in
+          journal_holds j ~bytes ~records:1
+          && begin
+               Journal.append j ~batch:t.batches_run ~entries;
+               Nv_util.Crashpoint.hit "post-journal";
+               true
+             end
+    in
+    if journaled then begin
+      exec_batch t batch;
+      maybe_checkpoint t
+    end
+    else Array.iter (refuse t) batch
   end;
   t.open_since <- (if t.pending_total > 0 then t.tick else -1);
   depth_gauge t
@@ -411,19 +463,11 @@ let submit t c ~req ~proc ~args =
         (* Already admitted and still executing: the original reply
            will answer this seq; sending nothing avoids duplicates. *)
         `Duplicate
-      else if t.pending_total >= t.cfg.max_pending then begin
-        t.rejected <- t.rejected + 1;
-        Metrics.add t.m_rejected 1;
-        send c (Wire.Rejected { req; reason = `Overloaded });
-        `Rejected `Overloaded
-      end
+      else if t.pending_total >= t.cfg.max_pending then reject t c req `Overloaded
       else
         match Proc.build t.registry ~proc ~args with
-        | Error `Unknown_proc ->
-            t.rejected <- t.rejected + 1;
-            Metrics.add t.m_rejected 1;
-            send c (Wire.Rejected { req; reason = `Unknown_proc });
-            `Rejected `Unknown_proc
+        | Error `Unknown_proc -> reject t c req `Unknown_proc
+        | Ok txn when not (journal_admits t txn) -> reject t c req `Overloaded
         | Ok txn ->
             let e =
               {
@@ -442,6 +486,7 @@ let submit t c ~req ~proc ~args =
             c.outstanding <- c.outstanding + 1;
             t.admitted <- t.admitted + 1;
             t.pending_total <- t.pending_total + 1;
+            reserve t 1 e;
             if t.open_since < 0 then t.open_since <- t.tick;
             depth_gauge t;
             `Admitted
@@ -564,6 +609,7 @@ let recover t ~records ~sessions:restored ~batches_done =
            that carryover as [form] would, or [pending_total] keeps every
            replayed batch's deferrals. *)
         t.pending_total <- t.pending_total - List.length t.carryover;
+        List.iter (reserve t (-1)) t.carryover;
         t.carryover <- [];
         exec_batch t batch
       end)

@@ -9,8 +9,12 @@
     {e deadline} (in ticks of the caller's event loop) expires, runs it
     as one engine epoch, and only then — after the epoch's checkpoint —
     fires the replies (paper section 6.2.3). Admission is bounded:
-    beyond [max_pending] queued transactions a submit is answered
-    [Rejected `Overloaded], never silently dropped.
+    beyond [max_pending] queued transactions, or once an attached
+    journal could not hold the pending calls' records plus this one, a
+    submit is answered [Rejected `Overloaded], never silently dropped.
+    (Carryover re-journaled after admission can still outgrow the
+    journal; that batch is then answered [Rejected `Overloaded]
+    unrun.)
 
     Clients are {e sessions}, not connections: a session keeps its
     per-seq dedup window and last-acked sequence number across

@@ -194,7 +194,6 @@ let int_of tbl key = Option.bind (Hashtbl.find_opt tbl key) int_of_string_opt
 let oracle cfg ~journal_path =
   let w, growth = Nv_harness.Cli.resolve_workload cfg.workload cfg.contention in
   let spec = Nv_harness.Cli.resolve_engine cfg.engine in
-  let spec = { spec with Nv_harness.Engine.crash_safe = true } in
   let setup =
     Nv_harness.Engine.setup
       ~epochs:((capacity / batch_target) + 1)
@@ -233,7 +232,6 @@ let oracle cfg ~journal_path =
 let cluster_oracle cfg ~journal_path =
   let w, growth = Nv_harness.Cli.resolve_workload cfg.workload cfg.contention in
   let spec = Nv_harness.Cli.resolve_engine cfg.engine in
-  let spec = { spec with Nv_harness.Engine.crash_safe = true } in
   let setup =
     Nv_harness.Engine.setup
       ~epochs:((capacity / batch_target) + 1)

@@ -1,6 +1,6 @@
 (** Seeded kill-9 chaos campaigns against a real served instance.
 
-    A campaign runs [nvdb serve] (journaled, crash-safe) and a
+    A campaign runs [nvdb serve] (journaled) and a
     reconnecting [nvdb loadgen] as child processes, arms each server
     generation with one {!Nv_util.Crashpoint} drawn from a seeded plan
     ([NVC_CRASHPOINT=point:n]), and supervises: every SIGKILL death is

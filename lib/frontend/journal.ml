@@ -318,6 +318,10 @@ let load_checkpoint ~path ~meta =
 (* ------------------------------------------------------------------ *)
 (* Append                                                              *)
 
+let entry_bytes call = 16 + Bytes.length call
+let record_overhead = 8 + 12 + 7
+let free_bytes t = t.size - records_offset - t.used
+
 let append t ~batch ~entries =
   let r = encode_record ~batch ~entries in
   let off = records_offset + t.used in

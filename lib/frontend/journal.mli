@@ -80,6 +80,15 @@ val append : t -> batch:int -> entries:entry list -> unit
     when the record would take the file past its [size] (size the
     journal up or enable checkpointing). *)
 
+val entry_bytes : bytes -> int
+(** Bytes one call ({!Proc.encode_call} record) adds to a batch record. *)
+
+val record_overhead : int
+(** Most bytes a record takes beyond its entries: frame, header, padding. *)
+
+val free_bytes : t -> int
+(** Record-area bytes left before the file reaches its [size]. *)
+
 val write_checkpoint : t -> batches:int -> sessions:session_state list -> image:bytes -> unit
 (** Write a covering checkpoint durably ([path.ckpt], tmp+rename,
     fsync before rename). The journal itself is not touched — call

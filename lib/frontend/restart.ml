@@ -23,9 +23,7 @@ let boot spec setup (w : W.t) ~registry (opened : Journal.opened) =
   match opened.Journal.checkpoint with
   | Some ck ->
       let image = ck.Journal.ck_image in
-      let pmem = Pmem.create ~mode:Pmem.Crash_safe ~size:(Bytes.length image) () in
-      Pmem.write_bytes pmem ~off:0 image;
-      Pmem.crash_all_persisted pmem;
+      let pmem = Pmem.of_image image in
       let engine = Nv_harness.Engine.recover spec setup w ~pmem ~rebuild in
       {
         engine;

@@ -32,4 +32,4 @@ val boot :
   boot
 (** Build the starting engine for a recovery. The spec/setup/workload
     must be the ones the journal's meta fingerprints (the crashed
-    server's); NVCaracal specs must be crash-safe. *)
+    server's). *)

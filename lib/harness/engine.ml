@@ -47,14 +47,14 @@ type spec = {
   record_size : int option;
 }
 
-let spec ?(minor_gc = true) ?(cached_versions = true) ?(crash_safe = false)
-    ?(batch_append = false) ?(selective_caching = false)
-    ?(ordered_index = Config.Btree) ?(persistent_index = false) ?record_size backend =
+let spec ?(minor_gc = true) ?(cached_versions = true) ?(batch_append = false)
+    ?(selective_caching = false) ?(ordered_index = Config.Btree) ?(persistent_index = false)
+    ?record_size backend =
   {
     backend;
     minor_gc;
     cached_versions;
-    crash_safe;
+    crash_safe = true;
     batch_append;
     selective_caching;
     ordered_index;
@@ -109,7 +109,7 @@ let caracal_config s (w : W.t) sp =
     Config.make ~variant:(variant_of sp) ~cores ~row_size:s.row_size
       ~value_slot_size:(max 1024 (w.W.typical_value + 24))
       ~minor_gc:sp.minor_gc ~cached_versions:sp.cached_versions
-      ~crash_safe:sp.crash_safe ~rows_per_core ~values_per_core ~freelist_capacity
+      ~rows_per_core ~values_per_core ~freelist_capacity
       ~log_capacity:(max (1 lsl 20) (s.epoch_txns * 256))
       ~n_counters:w.W.n_counters ~revert_on_recovery:w.W.revert_on_recovery
       ~cache_entries_max:cache_entries ~ordered_index:sp.ordered_index
@@ -134,7 +134,6 @@ let zen_config s (w : W.t) sp =
     record_size;
     cache_entries;
     slots_per_core;
-    crash_safe = sp.crash_safe;
     spec = Nv_nvmm.Memspec.default;
   }
 

@@ -55,6 +55,9 @@ type spec = {
   minor_gc : bool;
   cached_versions : bool;
   crash_safe : bool;
+      (** Read by nothing: every region tracks persistence. Kept only
+          because the served benchmark's child sets it; delete it at
+          the next change to that benchmark. *)
   batch_append : bool;
   selective_caching : bool;
   ordered_index : Nvcaracal.Config.ordered_index;
@@ -65,7 +68,6 @@ type spec = {
 val spec :
   ?minor_gc:bool ->
   ?cached_versions:bool ->
-  ?crash_safe:bool ->
   ?batch_append:bool ->
   ?selective_caching:bool ->
   ?ordered_index:Nvcaracal.Config.ordered_index ->
@@ -115,8 +117,7 @@ val recover :
 (** Reconstruct an engine of the spec from an existing arena image
     (a crash image or a checkpoint's saved pmem). The derived
     configuration must match the one the arena was created under —
-    same spec, setup and workload — and for NVCaracal backends that
-    configuration must be crash-safe. *)
+    same spec, setup and workload. *)
 
 val introspect : Nvcaracal.Engine_intf.packed -> Nvcaracal.Engine_intf.introspection
 (** The engine's uniform inspection snapshot (wide-execution telemetry

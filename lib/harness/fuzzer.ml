@@ -27,7 +27,7 @@ let fuzz_cluster rng iter ~jobs failures =
   let nodes = 2 + Rng.int rng 3 in
   let accounts = 40 + Rng.int rng 80 in
   let config =
-    Config.make ~cores:(Rng.pick rng [| 2; 4 |]) ~row_size:128 ~crash_safe:true
+    Config.make ~cores:(Rng.pick rng [| 2; 4 |]) ~row_size:128
       ~rows_per_core:4096 ~values_per_core:4096 ~freelist_capacity:8192 ~parallelism:jobs ()
   in
   let tables = [ Nvcaracal.Table.make ~id:0 ~name:"a" () ] in
@@ -155,7 +155,7 @@ let pick_workload rng =
 let pick_config rng (w : W.t) ~jobs =
   Config.make ~cores:(Rng.pick rng [| 1; 2; 4; 8 |])
     ~row_size:(Rng.pick rng [| 128; 256; 512 |])
-    ~crash_safe:true ~cache_k:(1 + Rng.int rng 4) ~minor_gc:(Rng.bool rng)
+    ~cache_k:(1 + Rng.int rng 4) ~minor_gc:(Rng.bool rng)
     ~cached_versions:(Rng.bool rng) ~batch_append:(Rng.bool rng)
     ~selective_caching:(Rng.bool rng) ~persistent_index:(Rng.bool rng)
     ~pindex_capacity:8192

@@ -117,10 +117,10 @@ let run ?label ?tracer ?metrics ?profile (sp : Engine.spec) s (w : W.t) =
 (* Thin spec-building wrappers keeping the experiment code's call sites
    stable. *)
 
-let nvcaracal_config s w ~variant ?minor_gc ?cached_versions ?crash_safe ?batch_append
+let nvcaracal_config s w ~variant ?minor_gc ?cached_versions ?batch_append
     ?selective_caching ?ordered_index () =
   Engine.caracal_config s w
-    (Engine.spec ?minor_gc ?cached_versions ?crash_safe ?batch_append ?selective_caching
+    (Engine.spec ?minor_gc ?cached_versions ?batch_append ?selective_caching
        ?ordered_index (Engine.Caracal variant))
 
 let run_nvcaracal s w ~variant ?minor_gc ?cached_versions ?batch_append
@@ -144,7 +144,7 @@ let run_recovery s (w : W.t) ~crash_after_txns ?(persistent_index = false) ?faul
     ?tracer ?metrics () =
   let config =
     Engine.caracal_config s w
-      (Engine.spec ~crash_safe:true ~persistent_index (Engine.Caracal Config.Nvcaracal))
+      (Engine.spec ~persistent_index (Engine.Caracal Config.Nvcaracal))
   in
   let db = Db.create ~config ~tables:w.W.tables () in
   Db.bulk_load db (w.W.load ());

@@ -74,7 +74,7 @@ val run :
 
 val nvcaracal_config :
   setup -> Nv_workloads.Workload.t -> variant:Nvcaracal.Config.variant ->
-  ?minor_gc:bool -> ?cached_versions:bool -> ?crash_safe:bool -> ?batch_append:bool ->
+  ?minor_gc:bool -> ?cached_versions:bool -> ?batch_append:bool ->
   ?selective_caching:bool -> ?ordered_index:Nvcaracal.Config.ordered_index -> unit ->
   Nvcaracal.Config.t
 (** The derived engine configuration (exposed for the recovery

@@ -1,8 +1,6 @@
-type mode = Fast | Crash_safe
-
 let line_size = 64
 
-(* Crash-state log (Crash_safe mode only).
+(* Crash-state log.
 
    A line with unpersisted stores has a slot of [slot_ints] ints: the
    line number shifted left one bit (the low bit is the [corrupt_range]
@@ -25,13 +23,16 @@ let line_size = 64
    reads the volatile view for flagged slots only.
 
    Slots live in slot tables and records in arenas: fixed-size chunks
-   that grow a chunk at a time and are emptied, not freed. Serial code
-   uses table and arena 0; in a wide phase stripe s uses table and
-   arena s, and a line's chain may run through several arenas. An id
-   carries its table or arena in its low [log_bits] bits. *)
+   that grow a chunk at a time and are emptied, not freed ([trim] says
+   when they are given back). Serial code uses table and arena 0; in a
+   wide phase stripe s uses table and arena s, and a line's chain may
+   run through several arenas. An id carries its table or arena in its
+   low [log_bits] bits. *)
 type 'a chunked = {
   mutable dir : 'a array; (* chunks of [chunk] entries; empty past the last *)
   mutable len : int; (* entries in use *)
+  mutable peak : int; (* most chunks in use when emptied, this window *)
+  mutable prev_peak : int; (* the same, the window before *)
 }
 
 let slot_ints = 4
@@ -40,7 +41,7 @@ let chunk = 1 lsl chunk_bits
 let log_bits = 8
 let log_mask = (1 lsl log_bits) - 1
 let rec_bytes = line_size + 8
-let chunked () = { dir = [||]; len = 0 }
+let chunked () = { dir = [||]; len = 0; peak = 0; prev_peak = 0 }
 
 (* Media-fault bookkeeping. All fields stay at their zero state unless a
    fault-injection entry point was called, so fault-free runs (including
@@ -62,15 +63,14 @@ type fault_model = {
 let no_faults = { torn_frac = 0.0; rot_lines = 0; rot_max_bits = 0; dead = 0 }
 
 (* [slot_of] maps each line to its slot id, tagged with the generation
-   that wrote it: an array load is the per-store membership probe, the
-   hottest operation in Crash_safe mode. [fence] and [crash] start a
-   new generation, so a line turning clean needs no write: its entry
-   simply goes stale. Fast mode allocates no tracking. *)
+   that wrote it: one word load is the per-store membership probe, the
+   hottest operation of a store. [fence] and [crash] start a new
+   generation, so a line turning clean needs no write: its entry simply
+   goes stale. *)
 type t = {
-  mode : mode;
   data : bytes; (* volatile view *)
   size : int;
-  slot_of : int array; (* per line; empty in Fast mode *)
+  slot_of : bytes; (* an int64 per line; bytes, so the GC never scans it *)
   mutable gen : int;
   mutable tabs : int array chunked array; (* slot tables: 0, then one per stripe *)
   mutable arenas : bytes chunked array; (* record arenas, likewise *)
@@ -81,28 +81,18 @@ type t = {
   mutable faults : fault_report;
 }
 
+external get64 : bytes -> int -> int64 = "%caml_bytes_get64"
+external set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64"
+
 let zero_faults = { torn_lines = 0; rotted_lines = 0; flipped_bits = 0; dead_lines = 0 }
 
-(* Alignment/bounds precondition checks on every typed accessor. The
-   byte layer below stays memory-safe without them (OCaml [Bytes]
-   bounds-checks its own accesses), so the engine may turn them off for
-   throughput runs; keep them on when debugging layout code for the
-   precise range in the error. *)
-let checks =
-  ref (match Sys.getenv_opt "NVC_PMEM_CHECKS" with Some ("0" | "false") -> false | _ -> true)
-
-let set_checks b = checks := b
-let checks_enabled () = !checks
-
-let create ?(mode = Fast) ~size () =
-  let crash_safe = mode = Crash_safe in
+let create ~size () =
   {
-    mode;
     data = Bytes.make size '\000';
     size;
-    slot_of = (if crash_safe then Array.make ((size + line_size - 1) / line_size) (-1) else [||]);
-    tabs = (if crash_safe then [| chunked () |] else [||]);
-    arenas = (if crash_safe then [| chunked () |] else [||]);
+    slot_of = Bytes.make (((size + line_size - 1) / line_size) * 8) '\xff';
+    tabs = [| chunked () |];
+    arenas = [| chunked () |];
     spare_arena = chunked ();
     gen = 0;
     striped = false;
@@ -111,7 +101,11 @@ let create ?(mode = Fast) ~size () =
     faults = zero_faults;
   }
 
-let mode t = t.mode
+let of_image image =
+  let t = create ~size:(Bytes.length image) () in
+  Bytes.blit image 0 t.data 0 t.size;
+  t
+
 let size t = t.size
 
 (* Chunk directories double; only their pointers are ever copied. *)
@@ -129,17 +123,17 @@ let id_mask = (1 lsl gen_shift) - 1
 (* Line [li]'s slot id, or -1 while the line is clean. An entry of -1
    shifts to above any generation. *)
 let slot_id t li =
-  let e = t.slot_of.(li) in
+  let e = Int64.to_int (get64 t.slot_of (li lsl 3)) in
   if e lsr gen_shift = t.gen then e land id_mask else -1
 
-let set_slot t li ~gen id = t.slot_of.(li) <- (gen lsl gen_shift) lor id
+let set_slot t li ~gen id = set64 t.slot_of (li lsl 3) (Int64.of_int ((gen lsl gen_shift) lor id))
 
 (* The generation after the current one; on wrap-around every entry is
    cleared, so none from a past generation can look current. *)
 let next_gen t =
   if t.gen + 1 < gen_limit then t.gen + 1
   else begin
-    Array.fill t.slot_of 0 (Array.length t.slot_of) (-1);
+    Bytes.fill t.slot_of 0 (Bytes.length t.slot_of) '\xff';
     0
   end
 
@@ -158,9 +152,6 @@ let push_slot tab l ~w0 ~n ~top =
   s.(b + 3) <- top;
   tab.len <- i + 1;
   (i lsl log_bits) lor l
-
-external get64 : bytes -> int -> int64 = "%caml_bytes_get64"
-external set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64"
 
 (* Append the line at [src_off] of [src] to [arena] (number [l]) as a
    record after [link]. *)
@@ -181,19 +172,32 @@ let rec_chunk t id = t.arenas.(id land log_mask).dir.(id lsr (log_bits + chunk_b
 let rec_off id = ((id lsr log_bits) land (chunk - 1)) * rec_bytes
 let rec_link t id = Int64.to_int (get64 (rec_chunk t id) (rec_off id + line_size))
 
-(* Drop a table's or arena's chunks past those in use and its first
-   [keep_chunks] (about 6.5 MB for a table and an arena once filled):
-   enough for the lines one large epoch dirties, so epochs find their
-   chunks in place, while a bulk load's burst is given back. *)
-let keep_chunks = 64
+(* A table or arena keeps its chunks up to a decaying high-water mark:
+   the most it had in use when emptied during this window of [window]
+   generations or the one before. An epoch fences about six times, so
+   steady epochs find every chunk in place, while a burst is given back
+   within two windows of its fence. *)
+let window = 16
+
+let used c = (c.len + chunk - 1) lsr chunk_bits
+let note c = c.peak <- max c.peak (used c)
+
+let rotate c =
+  c.prev_peak <- c.peak;
+  c.peak <- 0
 
 let trim c =
-  let keep = max keep_chunks ((c.len + chunk - 1) lsr chunk_bits) in
+  let keep = max (used c) (max c.peak c.prev_peak) in
   if Array.length c.dir > keep then c.dir <- Array.sub c.dir 0 keep
 
 let empty c =
+  note c;
   c.len <- 0;
   trim c
+
+(* Arenas holding over twice the kept records plus this many are
+   compacted (see [fence]). *)
+let compact_slack = 64 * chunk
 
 (* Stripe identity of the current domain while striping is active. A
    plain domain-local: each pool task announces its stripe once via
@@ -209,7 +213,7 @@ let cur_log t = if t.striped then Domain.DLS.get stripe_key else 0
    lines (the caller's eligibility contract), so a slot in another log
    is still mutated by one domain only. *)
 let log_store t ~off ~len =
-  if t.mode = Crash_safe && len > 0 then begin
+  if len > 0 then begin
     let l = cur_log t in
     for li = off / line_size to (off + len - 1) / line_size do
       let id = slot_id t li in
@@ -227,22 +231,19 @@ let log_store t ~off ~len =
 
 (* Striped dirty tracking: NVTraverse-style quiescence. Stripe s keeps
    its slots and records in log s, and [fence] walks every log; the
-   join copies nothing. Only meaningful in Crash_safe mode; a Fast
-   region makes all three no-ops. [fence]/[crash]/inspection must not
+   join copies nothing. [fence]/[crash]/inspection must not
    run between [begin_stripes] and [end_stripes]. Slot order differs
    from serial execution's, which is unobservable: every consumer
    either sorts ([sorted_dirty], [crash], [unpersisted_ranges]) or is
    per-line commutative ([fence]). *)
 let begin_stripes t ~n =
-  if t.mode = Crash_safe then begin
-    if n > log_mask then invalid_arg "Pmem.begin_stripes: too many stripes";
-    let grow a = Array.append a (Array.init (max 0 (n - Array.length a)) (fun _ -> chunked ())) in
-    t.tabs <- grow t.tabs;
-    t.arenas <- grow t.arenas;
-    t.striped <- true
-  end
+  if n > log_mask then invalid_arg "Pmem.begin_stripes: too many stripes";
+  let grow a = Array.append a (Array.init (max 0 (n - Array.length a)) (fun _ -> chunked ())) in
+  t.tabs <- grow t.tabs;
+  t.arenas <- grow t.arenas;
+  t.striped <- true
 
-let set_stripe t s = if t.mode = Crash_safe then Domain.DLS.set stripe_key s
+let set_stripe _t s = Domain.DLS.set stripe_key s
 let end_stripes t = t.striped <- false
 
 let check_bounds t off len =
@@ -251,32 +252,24 @@ let check_bounds t off len =
       (Printf.sprintf "Pmem: range [%d, %d) out of bounds (size %d)" off (off + len) t.size)
 
 let get_i64 t off =
-  if !checks then begin
-    assert (off land 7 = 0);
-    check_bounds t off 8
-  end;
+  assert (off land 7 = 0);
+  check_bounds t off 8;
   Bytes.get_int64_le t.data off
 
 let set_i64 t off v =
-  if !checks then begin
-    assert (off land 7 = 0);
-    check_bounds t off 8
-  end;
+  assert (off land 7 = 0);
+  check_bounds t off 8;
   log_store t ~off ~len:8;
   Bytes.set_int64_le t.data off v
 
 let get_i32 t off =
-  if !checks then begin
-    assert (off land 3 = 0);
-    check_bounds t off 4
-  end;
+  assert (off land 3 = 0);
+  check_bounds t off 4;
   Bytes.get_int32_le t.data off
 
 let set_i32 t off v =
-  if !checks then begin
-    assert (off land 3 = 0);
-    check_bounds t off 4
-  end;
+  assert (off land 3 = 0);
+  check_bounds t off 4;
   log_store t ~off ~len:4;
   Bytes.set_int32_le t.data off v
 
@@ -286,96 +279,84 @@ let set_i32 t off v =
    bits). [copy_i64]/[copy_i32] store a word read from elsewhere in the
    region. *)
 let set_int t off v =
-  if !checks then begin
-    assert (off land 7 = 0);
-    check_bounds t off 8
-  end;
+  assert (off land 7 = 0);
+  check_bounds t off 8;
   log_store t ~off ~len:8;
   Bytes.set_int64_le t.data off (Int64.of_int v)
 
 let set_u32 t off v =
-  if !checks then begin
-    assert (off land 3 = 0);
-    check_bounds t off 4
-  end;
+  assert (off land 3 = 0);
+  check_bounds t off 4;
   log_store t ~off ~len:4;
   Bytes.set_int32_le t.data off (Int32.of_int v)
 
 let get_u32 t off =
-  if !checks then begin
-    assert (off land 3 = 0);
-    check_bounds t off 4
-  end;
+  assert (off land 3 = 0);
+  check_bounds t off 4;
   Int32.to_int (Bytes.get_int32_le t.data off) land 0xFFFFFFFF
 
 let copy_i64 t ~src ~dst =
-  if !checks then begin
-    assert (src land 7 = 0 && dst land 7 = 0);
-    check_bounds t src 8;
-    check_bounds t dst 8
-  end;
+  assert (src land 7 = 0 && dst land 7 = 0);
+  check_bounds t src 8;
+  check_bounds t dst 8;
   log_store t ~off:dst ~len:8;
   Bytes.set_int64_le t.data dst (Bytes.get_int64_le t.data src)
 
 let copy_i32 t ~src ~dst =
-  if !checks then begin
-    assert (src land 3 = 0 && dst land 3 = 0);
-    check_bounds t src 4;
-    check_bounds t dst 4
-  end;
+  assert (src land 3 = 0 && dst land 3 = 0);
+  check_bounds t src 4;
+  check_bounds t dst 4;
   log_store t ~off:dst ~len:4;
   Bytes.set_int32_le t.data dst (Bytes.get_int32_le t.data src)
 
 let get_u8 t off =
-  if !checks then check_bounds t off 1;
+  check_bounds t off 1;
   Char.code (Bytes.get t.data off)
 
 let set_u8 t off v =
-  if !checks then check_bounds t off 1;
+  check_bounds t off 1;
   log_store t ~off ~len:1;
   Bytes.set t.data off (Char.chr (v land 0xFF))
 
 let read_bytes t ~off ~len =
-  if !checks then check_bounds t off len;
+  check_bounds t off len;
   Bytes.sub t.data off len
 
 let blit_to t ~src ~src_off ~dst_off ~len =
-  if !checks then check_bounds t dst_off len;
+  check_bounds t dst_off len;
   log_store t ~off:dst_off ~len;
   Bytes.blit src src_off t.data dst_off len
 
 let write_bytes t ~off b = blit_to t ~src:b ~src_off:0 ~dst_off:off ~len:(Bytes.length b)
 
 let blit_from t ~src_off ~dst ~dst_off ~len =
-  if !checks then check_bounds t src_off len;
+  check_bounds t src_off len;
   Bytes.blit t.data src_off dst dst_off len
 
 let crc32c t ~off ~len =
-  if !checks then check_bounds t off len;
+  check_bounds t off len;
   Nv_util.Crc32c.bytes t.data off len
 
 let crc32c_native t ~off ~len =
-  if !checks then check_bounds t off len;
+  check_bounds t off len;
   Nv_util.Crc32c.bytes_native t.data off len
 
 let fill t ~off ~len c =
-  if !checks then check_bounds t off len;
+  check_bounds t off len;
   log_store t ~off ~len;
   Bytes.fill t.data off len c
 
 (* The clwb capture is the line's newest state, so its count is enough. *)
 let flush ?(charge = true) t stats ~off ~len =
   if len > 0 then begin
-    if !checks then check_bounds t off len;
+    check_bounds t off len;
     for li = off / line_size to (off + len - 1) / line_size do
       if charge then Stats.flush stats;
-      if t.mode = Crash_safe then begin
-        let id = slot_id t li in
-        (* clean line: clwb is a no-op *)
-        if id >= 0 then begin
-          let s = slot_chunk t id and b = slot_base id in
-          s.(b + 2) <- s.(b + 1)
-        end
+      let id = slot_id t li in
+      (* clean line: clwb is a no-op *)
+      if id >= 0 then begin
+        let s = slot_chunk t id and b = slot_base id in
+        s.(b + 2) <- s.(b + 1)
       end
     done
   end
@@ -395,48 +376,51 @@ let volatile_is_rec t li r =
    and is re-pushed onto table 0, which compacts it in place, while its
    records stay put. The arenas are emptied when no slot is kept;
    otherwise they are compacted into the spare arena only once they
-   hold over twice the kept records plus [keep_chunks] chunks, so a
-   line left dirty across fences costs no copy per fence. *)
+   hold over twice the kept records plus [compact_slack], so a line left
+   dirty across fences costs no copy per fence. *)
 let fence t stats =
   Stats.fence stats;
-  if t.mode = Crash_safe then begin
-    let t0 = t.tabs.(0) and gen = next_gen t and live = ref 0 in
-    for l = 0 to Array.length t.tabs - 1 do
-      let tab = t.tabs.(l) in
-      let len = tab.len in
-      tab.len <- 0;
-      for i = 0 to len - 1 do
-        let s = tab.dir.(i lsr chunk_bits) and b = (i land (chunk - 1)) * slot_ints in
-        let w0 = s.(b) and n = s.(b + 1) and q = s.(b + 2) and top = s.(b + 3) in
-        if q <> n || (w0 land 1 = 1 && not (volatile_is_rec t (w0 lsr 1) top)) then begin
-          let lo = Int.max q 0 in
-          live := !live + n + (w0 land 1) - lo;
-          set_slot t (w0 lsr 1) ~gen (push_slot t0 0 ~w0 ~n:(n - lo) ~top)
-        end
-      done;
-      trim tab
+  let t0 = t.tabs.(0) and gen = next_gen t and live = ref 0 in
+  if gen land (window - 1) = 0 then begin
+    Array.iter rotate t.tabs;
+    Array.iter rotate t.arenas
+  end;
+  for l = 0 to Array.length t.tabs - 1 do
+    let tab = t.tabs.(l) in
+    let len = tab.len in
+    note tab;
+    tab.len <- 0;
+    for i = 0 to len - 1 do
+      let s = tab.dir.(i lsr chunk_bits) and b = (i land (chunk - 1)) * slot_ints in
+      let w0 = s.(b) and n = s.(b + 1) and q = s.(b + 2) and top = s.(b + 3) in
+      if q <> n || (w0 land 1 = 1 && not (volatile_is_rec t (w0 lsr 1) top)) then begin
+        let lo = Int.max q 0 in
+        live := !live + n + (w0 land 1) - lo;
+        set_slot t (w0 lsr 1) ~gen (push_slot t0 0 ~w0 ~n:(n - lo) ~top)
+      end
     done;
-    let held = Array.fold_left (fun acc a -> acc + a.len) 0 t.arenas in
-    if !live = 0 then Array.iter empty t.arenas
-    else if held > (2 * !live) + (keep_chunks * chunk) then begin
-      (* Compaction: each kept chain is copied newest first. *)
-      let spa = t.spare_arena in
-      for i = 0 to t0.len - 1 do
-        let s = t0.dir.(i lsr chunk_bits) and b = (i land (chunk - 1)) * slot_ints in
-        let m = s.(b + 1) + (s.(b) land 1) and r = ref s.(b + 3) and r0 = spa.len in
-        for j = 0 to m - 1 do
-          let link = if j = m - 1 then -1 else (r0 + j + 1) lsl log_bits in
-          ignore (push_rec spa 0 ~src:(rec_chunk t !r) ~src_off:(rec_off !r) ~link);
-          if j < m - 1 then r := rec_link t !r
-        done;
-        s.(b + 3) <- r0 lsl log_bits
+    trim tab
+  done;
+  let held = Array.fold_left (fun acc a -> acc + a.len) 0 t.arenas in
+  if !live = 0 then Array.iter empty t.arenas
+  else if held > (2 * !live) + compact_slack then begin
+    (* Compaction: each kept chain is copied newest first. *)
+    let spa = t.spare_arena in
+    for i = 0 to t0.len - 1 do
+      let s = t0.dir.(i lsr chunk_bits) and b = (i land (chunk - 1)) * slot_ints in
+      let m = s.(b + 1) + (s.(b) land 1) and r = ref s.(b + 3) and r0 = spa.len in
+      for j = 0 to m - 1 do
+        let link = if j = m - 1 then -1 else (r0 + j + 1) lsl log_bits in
+        ignore (push_rec spa 0 ~src:(rec_chunk t !r) ~src_off:(rec_off !r) ~link);
+        if j < m - 1 then r := rec_link t !r
       done;
-      Array.iter empty t.arenas;
-      t.spare_arena <- t.arenas.(0);
-      t.arenas.(0) <- spa
-    end;
-    t.gen <- gen
-  end
+      s.(b + 3) <- r0 lsl log_bits
+    done;
+    Array.iter empty t.arenas;
+    t.spare_arena <- t.arenas.(0);
+    t.arenas.(0) <- spa
+  end;
+  t.gen <- gen
 
 let persist t stats ~off ~len =
   flush t stats ~off ~len;
@@ -490,9 +474,6 @@ let sorted_dirty t =
   Array.sort Int.compare a;
   a
 
-let require_crash_safe t =
-  if t.mode <> Crash_safe then invalid_arg "Pmem.crash: region is in Fast mode"
-
 (* Crash: [f li n surface] picks each dirty line's surviving state, in
    ascending line order so callbacks see a deterministic sequence
    whatever the store order; then the region is clean. The lines are
@@ -501,7 +482,6 @@ let require_crash_safe t =
    this to tell legitimate epoch turnover (a stale version whose value
    bytes were being overwritten) apart from media damage to cold data. *)
 let crash_lines t f =
-  require_crash_safe t;
   let lines = sorted_dirty t in
   Array.iter
     (fun li ->
@@ -537,7 +517,7 @@ let flip_bit t ~bit_off =
   let mask = 1 lsl (bit_off mod 8) in
   Bytes.set t.data off (Char.chr (Char.code (Bytes.get t.data off) lxor mask))
 
-let is_clean t li = t.mode <> Crash_safe || slot_id t li < 0
+let is_clean t li = slot_id t li < 0
 
 (* Flip random bits in up to [lines] randomly chosen *clean* (persisted)
    lines. Returns (lines hit, bits flipped). *)
@@ -609,7 +589,7 @@ let crash_with_faults t ~rng ~model =
    the line's next store. *)
 let corrupt_range t ~off ~len ~mask =
   check_bounds t off len;
-  if t.mode = Crash_safe && len > 0 then
+  if len > 0 then
     for li = off / line_size to (off + len - 1) / line_size do
       let id = slot_id t li in
       if id >= 0 then begin

@@ -10,14 +10,12 @@
     freedom real hardware has (cache lines may be evicted at any time,
     and stores to one line become visible in program order).
 
-    Two modes:
-    - [Fast]: a single byte array plus accounting; [crash] is not
-      available. Used by the simulated-time experiments.
-    - [Crash_safe]: full persistence tracking; [crash] replaces the
-      volatile view with a legal crash image chosen by an RNG or an
-      adversarial callback. Used by recovery tests, fuzzing, and every
-      journaled server. A store copies one line into a crash-state
-      record and [fence] reads only the slot tables (docs/INTERNALS.md).
+    Every region tracks persistence exactly: [crash] replaces the
+    volatile view with a legal crash image chosen by an RNG or an
+    adversarial callback. A store copies one line into a crash-state
+    record and [fence] reads only the slot tables; the record chunks
+    are kept across fences up to a decaying high-water mark
+    (docs/INTERNALS.md).
 
     Accessor functions do NOT charge simulated time — charging is
     explicit via [charge_read] / [charge_write] / [charge_seq_write] so
@@ -26,31 +24,25 @@
     same-line traffic. Higher layers ({!Nv_storage}) encapsulate the
     pairing so engine code cannot forget it. *)
 
-type mode = Fast | Crash_safe
-
 type t
 
-val create : ?mode:mode -> size:int -> unit -> t
-(** Fresh zeroed region of [size] bytes. Default mode is [Fast]. *)
+val create : size:int -> unit -> t
+(** Fresh zeroed region of [size] bytes, every line clean. *)
 
-val mode : t -> mode
+val of_image : bytes -> t
+(** A region holding [image] with every line clean, as a reboot after
+    a crash that persisted every store would find it. No line is
+    tracked and none counts as dirty at a crash ({!dirty_at_crash}). *)
+
 val size : t -> int
-
-val set_checks : bool -> unit
-(** Toggle the per-call alignment/bounds precondition checks on the
-    typed accessors (process-wide; default on, or off when
-    [NVC_PMEM_CHECKS=0] is set). With checks off, a bad access still
-    fails safely on the underlying [Bytes] bounds check — what is lost
-    is only the precise range diagnostic, so throughput runs may turn
-    them off. *)
-
-val checks_enabled : unit -> bool
 
 (** {1 Typed volatile-view accessors}
 
     Offsets are absolute byte offsets into the region. Multi-byte
     accessors use little-endian layout and require natural alignment
-    (asserted), which guarantees single-store atomicity as on x86. *)
+    (asserted), which guarantees single-store atomicity as on x86.
+    Every accessor checks its range against the region and raises
+    [Invalid_argument] with the range on a miss. *)
 
 val get_i64 : t -> int -> int64
 val set_i64 : t -> int -> int64 -> unit
@@ -116,7 +108,7 @@ val persist : t -> Stats.t -> off:int -> len:int -> unit
     the NVTraverse-style "persist bookkeeping only at quiescence
     points" trick. The caller guarantees stripes store to disjoint cache lines;
     [fence], [crash] and dirty-line inspection must not run while
-    striping is active. All three are no-ops on a [Fast] region. *)
+    striping is active. *)
 
 val begin_stripes : t -> n:int -> unit
 val set_stripe : t -> int -> unit
@@ -128,7 +120,7 @@ val charge_read : t -> Stats.t -> off:int -> len:int -> unit
 val charge_write : t -> Stats.t -> off:int -> len:int -> unit
 val charge_seq_write : t -> Stats.t -> bytes:int -> unit
 
-(** {1 Crash simulation — [Crash_safe] mode only} *)
+(** {1 Crash simulation} *)
 
 val crash : t -> rng:Nv_util.Rng.t -> unit
 (** Replace the volatile view with a random legal crash image: for every
@@ -151,7 +143,7 @@ val dirty_line_count : t -> int
 val unpersisted_ranges : t -> (int * int) list
 (** Sorted [(line_offset, line_size)] list of dirty lines (testing aid). *)
 
-(** {1 Media-fault injection — [Crash_safe] mode only}
+(** {1 Media-fault injection}
 
     Everything above produces only {e legal} crash images. The entry
     points below inject the failure modes real NVMM adds on top of

@@ -27,11 +27,6 @@ type config = {
   record_size : int;  (** Table 4: 1024 for YCSB, 32 for SmallBank *)
   cache_entries : int;
   slots_per_core : int;
-  crash_safe : bool;
-      (** Allocate the arena in {!Nv_nvmm.Pmem.Crash_safe} mode so
-          {!crash} can tear it to a legal crash image. Off by default:
-          persistence tracking costs host time the throughput
-          experiments don't need. *)
   spec : Nv_nvmm.Memspec.t;
 }
 
@@ -82,8 +77,7 @@ val pmem : t -> Nv_nvmm.Pmem.t
 val crash :
   ?faults:Nv_nvmm.Pmem.fault_model -> t -> rng:Nv_util.Rng.t -> Nv_nvmm.Pmem.t
 (** Tear the arena to a crash image and return it; the engine must not
-    be used afterwards. Requires [config.crash_safe].
-    @raise Invalid_argument otherwise. *)
+    be used afterwards. *)
 
 val set_observability :
   ?tracer:Nv_obs.Tracer.t ->

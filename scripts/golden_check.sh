@@ -8,7 +8,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-dune build bin/nvdb.exe
+dune build bin/nvdb.exe bench/main.exe
 
 rm -rf _golden_tmp
 mkdir -p _golden_tmp
@@ -35,6 +35,16 @@ diff -u test/golden/run_ycsb_metrics.jsonl _golden_tmp/metrics.jsonl
 
 diff -u test/golden/servesim_ycsb_stdout.txt _golden_tmp/servesim_stdout.txt
 diff -u test/golden/servesim_ycsb_metrics.jsonl _golden_tmp/servesim_metrics.jsonl
+
+# The simulated paper axis: two experiments' tables, without their
+# "(… took …s wall)" line, the one host-time reading in the output.
+# Regenerate with:
+#   ./_build/default/bench/main.exe --only fig8 | grep -v '^(.* took .*s wall)$'
+for fig in fig8 fig11; do
+  ./_build/default/bench/main.exe --only "$fig" | grep -v '^(.* took .*s wall)$' \
+    > "_golden_tmp/bench_$fig.txt"
+  diff -u "test/golden/bench_$fig.txt" "_golden_tmp/bench_$fig.txt"
+done
 
 rm -rf _golden_tmp
 echo "golden outputs byte-identical"

@@ -7,7 +7,7 @@ open Nvcaracal
 let bytes_of_string = Bytes.of_string
 
 let config =
-  Config.make ~cores:4 ~crash_safe:true ~cache_k:3 ~rows_per_core:4096 ~values_per_core:4096
+  Config.make ~cores:4 ~cache_k:3 ~rows_per_core:4096 ~values_per_core:4096
     ~freelist_capacity:4096 ()
 
 let one_table = [ Table.make ~id:0 ~name:"t" () ]

@@ -6,16 +6,16 @@ open Nvcaracal
 
 let bytes_of_string = Bytes.of_string
 
-let small_config ?(variant = Config.Nvcaracal) ?(crash_safe = false) ?(cores = 4)
+let small_config ?(variant = Config.Nvcaracal) ?(cores = 4)
     ?(minor_gc = true) ?(cached_versions = true) ?(row_size = 256) () =
-  Config.make ~variant ~cores ~row_size ~cache_k:3 ~minor_gc ~cached_versions ~crash_safe
+  Config.make ~variant ~cores ~row_size ~cache_k:3 ~minor_gc ~cached_versions
     ~rows_per_core:4096 ~values_per_core:4096 ~freelist_capacity:4096
     ~log_capacity:(1 lsl 20) ()
 
 let one_table = [ Table.make ~id:0 ~name:"t" () ]
 
-let mk_db ?variant ?crash_safe ?cores ?minor_gc ?cached_versions ?row_size () =
-  let config = small_config ?variant ?crash_safe ?cores ?minor_gc ?cached_versions ?row_size () in
+let mk_db ?variant ?cores ?minor_gc ?cached_versions ?row_size () =
+  let config = small_config ?variant ?cores ?minor_gc ?cached_versions ?row_size () in
   let db = Db.create ~config ~tables:one_table () in
   db
 
@@ -498,7 +498,7 @@ let test_size_classed_value_pools () =
   (* Mixed value sizes across three classes, including growth across
      epochs and crash recovery. *)
   let config =
-    Config.make ~cores:2 ~crash_safe:true ~rows_per_core:1024 ~values_per_core:256
+    Config.make ~cores:2 ~rows_per_core:1024 ~values_per_core:256
       ~freelist_capacity:1024
       ~value_size_classes:[ 256; 1024; 4096 ]
       ()
@@ -611,7 +611,7 @@ let test_promoted_words_bounded () =
   let module E = Nv_harness.Engine in
   let module W = Nv_workloads.Workload in
   let w = Nv_workloads.Ycsb.(make { default with rows = 10_000 }) in
-  let sp = E.spec ~crash_safe:true (E.Caracal Config.Nvcaracal) in
+  let sp = E.spec (E.Caracal Config.Nvcaracal) in
   let s = E.setup ~epochs:60 ~epoch_txns:256 ~cache_entries:3_125 () in
   let (Engine_intf.Packed ((module M), db)) = E.instantiate sp s w in
   M.bulk_load db (w.W.load ());

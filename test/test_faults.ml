@@ -50,7 +50,7 @@ let test_torn_lines () =
      legal image) the second store can survive without the first. *)
   let seen_illegal = ref false in
   for seed = 1 to 100 do
-    let p = Pmem.create ~mode:Pmem.Crash_safe ~size:4096 () in
+    let p = Pmem.create ~size:4096 () in
     Pmem.set_i64 p 0 1L;
     Pmem.set_i64 p 8 2L;
     let fr =
@@ -65,13 +65,13 @@ let test_torn_lines () =
   done;
   Alcotest.(check bool) "some image was prefix-inconsistent" true !seen_illegal;
   (* torn_frac 0 over the same stores is exactly the legal model. *)
-  let p = Pmem.create ~mode:Pmem.Crash_safe ~size:4096 () in
+  let p = Pmem.create ~size:4096 () in
   Pmem.set_i64 p 0 1L;
   let fr = Pmem.crash_with_faults p ~rng:(Rng.create 1) ~model:Pmem.no_faults in
   Alcotest.(check int) "no torn lines" 0 fr.Pmem.torn_lines
 
 let test_bit_rot () =
-  let p = Pmem.create ~mode:Pmem.Crash_safe ~size:4096 () in
+  let p = Pmem.create ~size:4096 () in
   let s = stats () in
   Pmem.set_i64 p 256 0xAAAAAAAAAAAAAAAAL;
   Pmem.persist p s ~off:256 ~len:8;
@@ -88,7 +88,7 @@ let test_bit_rot () =
     && (Pmem.faults p).Pmem.flipped_bits = flipped)
 
 let test_dead_lines () =
-  let p = Pmem.create ~mode:Pmem.Crash_safe ~size:4096 () in
+  let p = Pmem.create ~size:4096 () in
   let killed = Pmem.kill_lines p ~rng:(Rng.create 7) ~n:2 in
   Alcotest.(check bool) "lines killed" true (killed >= 1);
   Alcotest.(check int) "reported" killed (Pmem.faults p).Pmem.dead_lines;
@@ -111,7 +111,7 @@ let test_dead_lines () =
 let test_dead_lines_skip_dirty () =
   (* Like bit-rot, a dead line hits cold media: a line with stores in
      flight keeps its content and its crash states. *)
-  let p = Pmem.create ~mode:Pmem.Crash_safe ~size:256 () in
+  let p = Pmem.create ~size:256 () in
   Pmem.fill p ~off:0 ~len:256 'd';
   Alcotest.(check int) "no dirty line killed" 0 (Pmem.kill_lines p ~rng:(Rng.create 7) ~n:8);
   Alcotest.(check int) "nothing reported" 0 (Pmem.faults p).Pmem.dead_lines;
@@ -120,7 +120,7 @@ let test_dead_lines_skip_dirty () =
     (Bytes.to_string (Pmem.read_bytes p ~off:0 ~len:256))
 
 let test_corrupt_range () =
-  let p = Pmem.create ~mode:Pmem.Crash_safe ~size:4096 () in
+  let p = Pmem.create ~size:4096 () in
   Pmem.write_bytes p ~off:128 (Bytes.of_string "payload");
   Pmem.corrupt_range p ~off:128 ~len:7 ~mask:0x5A;
   Alcotest.(check bool) "xor applied" true
@@ -130,7 +130,7 @@ let test_corrupt_range () =
     (Bytes.to_string (Pmem.read_bytes p ~off:128 ~len:7))
 
 let test_faults_empty_without_injection () =
-  let p = Pmem.create ~mode:Pmem.Crash_safe ~size:4096 () in
+  let p = Pmem.create ~size:4096 () in
   Pmem.set_i64 p 0 1L;
   Pmem.crash p ~rng:(Rng.create 1);
   Alcotest.(check bool) "legal crash injects nothing" false (Pmem.faults_injected p)
@@ -210,23 +210,6 @@ let test_scrub_clean_on_legal_images () =
       (fun ~line:_ ~options -> options - 1);
       (fun ~line ~options -> if line mod 3 = 0 then 0 else options - 1);
     ]
-
-(* ------------------------------------------------------------------ *)
-(* Guards                                                              *)
-
-let test_requires_crash_safe () =
-  let config = Config.make ~cores:2 () in
-  let db = Db.create ~config ~tables:Test_recovery.tables () in
-  Db.bulk_load db Test_recovery.load_rows;
-  Alcotest.check_raises "crash guarded"
-    (Invalid_argument "Db.crash: requires a crash_safe configuration") (fun () ->
-      ignore (Db.crash db ~rng:(Rng.create 1)));
-  let pmem = Pmem.create ~size:4096 () in
-  Alcotest.check_raises "recover guarded"
-    (Invalid_argument "Db.recover: requires a crash_safe configuration") (fun () ->
-      ignore
-        (Db.recover ~config ~tables:Test_recovery.tables ~pmem
-           ~rebuild:Test_recovery.rebuild ()))
 
 (* ------------------------------------------------------------------ *)
 (* Crash in the middle of recovery (recovery_hook)                     *)
@@ -475,7 +458,6 @@ let suites =
           test_crash_all_persisted_recovers;
         Alcotest.test_case "scrub clean on legal images" `Quick
           test_scrub_clean_on_legal_images;
-        Alcotest.test_case "crash/recover require crash_safe" `Quick test_requires_crash_safe;
         Alcotest.test_case "crash during recovery (each phase)" `Quick
           test_crash_during_recovery_each_phase;
         Alcotest.test_case "scrub reports corrupt current version" `Quick

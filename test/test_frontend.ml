@@ -877,6 +877,58 @@ let test_batcher_try_replay () =
   assert (F_batcher.try_replay b c ~req:9 = `New);
   Alcotest.(check int) "probe admits nothing" 1 (F_batcher.admitted b)
 
+(* A journal too small for the offered load: once the pending calls'
+   records would not fit, submits are answered [Rejected `Overloaded]
+   and the loop runs on. Every admitted call executes, or (an Aria
+   carryover that outgrew its reservation) is answered [Overloaded]
+   unrun, and replaying the journal reproduces the served state. *)
+let test_batcher_journal_full spec () =
+  let w =
+    Nv_workloads.Ycsb.(
+      make
+        (with_contention `High
+           { default with rows = 256; value_size = 64; update_bytes = 32; hot_rows = 8;
+             ops_per_txn = 4 }))
+  in
+  let cfg = F_batcher.config ~batch_target:4 ~deadline_ticks:2 ~max_pending:64 () in
+  let registry = F_proc.of_workload w in
+  let path = tmpfile "journal-full" in
+  let j = F_journal.create ~size:4096 ~path ~meta:jmeta () in
+  let b =
+    F_batcher.create ~cfg ~journal:j
+      ~shards:(local_set (loaded_engine spec w) w)
+      ~registry ~tables:w.W.tables ()
+  in
+  let clients = Array.init 3 (fun i -> mk_client ~seed:(70 + i) b) in
+  let overloaded = ref 0 in
+  for round = 0 to 39 do
+    Array.iteri
+      (fun i cl ->
+        match submit_one b w cl ~req:(round + (i * 1000)) with
+        | `Rejected `Overloaded -> incr overloaded
+        | `Admitted -> ()
+        | `Rejected _ | `Replayed _ | `Duplicate -> Alcotest.fail "unexpected submit outcome")
+      clients;
+    F_batcher.tick b
+  done;
+  F_batcher.drain b;
+  Alcotest.(check bool) "calls past capacity refused" true (!overloaded > 0);
+  Alcotest.(check bool) "the journal took batches first" true (F_batcher.batches_run b > 4);
+  Alcotest.(check bool) "journal within its size" true
+    (F_journal.used_bytes j <= F_journal.size j - F_journal.records_offset);
+  Alcotest.(check int) "every admitted call ran or was refused" (F_batcher.admitted b)
+    (F_batcher.committed b + F_batcher.aborted b + F_batcher.rejected b - !overloaded);
+  Alcotest.(check int) "every call answered" 120
+    (Array.fold_left (fun n cl -> n + List.length !(cl.results)) 0 clients);
+  let records = journaled_batches j ~path in
+  let b2 =
+    F_batcher.create ~cfg ~shards:(local_set (loaded_engine spec w) w) ~registry
+      ~tables:w.W.tables ()
+  in
+  F_batcher.recover b2 ~records ~sessions:[] ~batches_done:0;
+  Alcotest.(check int64) "digest after replay" (F_batcher.state_digest b)
+    (F_batcher.state_digest b2)
+
 (* ------------------------------------------------------------------ *)
 (* Crash-replay determinism: a journaled run, then a fresh engine fed
    the journal through Batcher.recover — digests, counters and the raw
@@ -919,7 +971,7 @@ let test_batcher_journal_replay spec () =
    journal — the composition must equal the uncrashed original.       *)
 let test_restart_checkpoint_twin () =
   let w = small_ycsb () in
-  let spec = { spec_serial with Engine.crash_safe = true } in
+  let spec = spec_serial in
   let setup = Engine.setup ~epochs:64 ~epoch_txns:64 () in
   let registry = F_proc.of_workload w in
   let path = tmpfile "journal-twin" in
@@ -980,7 +1032,7 @@ let test_restart_checkpoint_twin () =
    then loads and recovers it. *)
 let test_restart_files_match_recorded () =
   let w = small_ycsb () in
-  let spec = { spec_serial with Engine.crash_safe = true } in
+  let spec = spec_serial in
   let setup = Engine.setup ~epochs:64 ~epoch_txns:64 () in
   let registry = F_proc.of_workload w in
   let path = tmpfile "journal-recorded" in
@@ -1561,6 +1613,10 @@ let suites =
           test_batcher_try_replay;
         Alcotest.test_case "aria carryover drains under sustained overload" `Quick
           test_batcher_aria_overload_carryover;
+        Alcotest.test_case "full journal refuses, loop survives, replay matches" `Quick
+          (test_batcher_journal_full spec_serial);
+        Alcotest.test_case "full journal refuses, loop survives, replay matches (aria)" `Quick
+          (test_batcher_journal_full spec_aria);
       ] );
     ( "frontend.recovery",
       [

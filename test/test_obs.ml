@@ -13,13 +13,13 @@ module Histogram = Nv_util.Histogram
 
 let bytes_of_string = Bytes.of_string
 
-let config ?(crash_safe = false) () =
-  Config.make ~cores:4 ~crash_safe ~cache_k:3 ~rows_per_core:2048 ~values_per_core:2048
+let config () =
+  Config.make ~cores:4 ~cache_k:3 ~rows_per_core:2048 ~values_per_core:2048
     ~freelist_capacity:2048 ~log_capacity:(1 lsl 20) ()
 
 let tables = [ Table.make ~id:0 ~name:"t" () ]
 
-let mk_db ?crash_safe () = Db.create ~config:(config ?crash_safe ()) ~tables ()
+let mk_db () = Db.create ~config:(config ()) ~tables ()
 
 let load_n db n =
   Db.bulk_load db
@@ -207,7 +207,7 @@ let test_trace_export_roundtrip () =
   Alcotest.(check int) "event count" (Tracer.event_count tr) (List.length data_events)
 
 let test_recovery_spans () =
-  let db = mk_db ~crash_safe:true () in
+  let db = mk_db () in
   load_n db 32;
   ignore (Db.run_epoch db (batch ~epoch:1 40));
   let exception Crash_now in
@@ -217,7 +217,7 @@ let test_recovery_spans () =
   let tr = Tracer.create () in
   let m = Metrics.create () in
   let _db2, report =
-    Db.recover ~config:(config ~crash_safe:true ()) ~tables ~pmem ~rebuild ~tracer:tr
+    Db.recover ~config:(config ()) ~tables ~pmem ~rebuild ~tracer:tr
       ~metrics:m ()
   in
   Alcotest.(check bool) "replayed" true (report.Report.replayed_txns > 0);

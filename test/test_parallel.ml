@@ -179,8 +179,8 @@ let test_partition_determinism () =
       Alcotest.(check (float 0.0)) (Printf.sprintf "jobs=%d time" jobs) t0 time_ns)
     jobs_sweep
 
-(* --- Crash + recovery under a wide pool: crash-safe mode always runs
-   serial, so a parallelism setting must change nothing. --- *)
+(* --- Crash + recovery under a wide pool: a parallelism setting must
+   change nothing. --- *)
 
 let run_recovery ~jobs =
   with_jobs jobs (fun () ->
@@ -302,7 +302,7 @@ let check_shape sh =
       Alcotest.(check bool) (tag "ran wide") true (fp.s_wide > 0))
     (List.filter (fun j -> j > 1) jobs_sweep)
 
-let ycsb_shape ?(crash_safe = false) ?(persistent_index = false) ?(metrics = false) name =
+let ycsb_shape ?(crash = false) ?(persistent_index = false) ?(metrics = false) name =
   let w = tiny_ycsb in
   {
     sh_name = name;
@@ -310,11 +310,11 @@ let ycsb_shape ?(crash_safe = false) ?(persistent_index = false) ?(metrics = fal
     sh_config =
       (fun () ->
         Engine.caracal_config shape_setup w
-          (Engine.spec ~crash_safe ~persistent_index (Engine.Caracal Config.Nvcaracal)));
+          (Engine.spec ~persistent_index (Engine.Caracal Config.Nvcaracal)));
     sh_load = w.W.load;
     sh_gen = (fun ~epoch:_ rng n -> w.W.gen_batch rng n);
     sh_metrics = metrics;
-    sh_rebuild = (if crash_safe then Some w.W.rebuild else None);
+    sh_rebuild = (if crash then Some w.W.rebuild else None);
   }
 
 (* Counter draws serialize through their predecessors, so a workload
@@ -407,7 +407,7 @@ let deletes_shape =
     sh_tables = [ Table.make ~id:0 ~name:"rows" () ];
     sh_config =
       (fun () ->
-        Config.make ~cores:4 ~crash_safe:true ~rows_per_core:2048 ~values_per_core:2048
+        Config.make ~cores:4 ~rows_per_core:2048 ~values_per_core:2048
           ~freelist_capacity:4096 ~parallelism:!Engine.default_jobs ());
     sh_load =
       (fun () -> Seq.init shape_rows (fun i -> (0, Int64.of_int i, balance_bytes 100L)));
@@ -445,10 +445,10 @@ let deletes_shape =
     sh_rebuild = Some dd_rebuild;
   }
 
-let test_crash_safe_shape () = check_shape (ycsb_shape ~crash_safe:true "crash-safe")
+let test_crash_safe_shape () = check_shape (ycsb_shape ~crash:true "crash-safe")
 
 let test_pindex_shape () =
-  check_shape (ycsb_shape ~crash_safe:true ~persistent_index:true "persistent-index")
+  check_shape (ycsb_shape ~crash:true ~persistent_index:true "persistent-index")
 
 let test_metrics_shape () = check_shape (ycsb_shape ~metrics:true "metrics-enabled")
 let test_counters_shape () = check_shape counters_shape

@@ -157,11 +157,11 @@ let model_load () =
 let tables = [ Table.make ~id:0 ~name:"t" () ]
 
 let test_config =
-  Config.make ~cores:4 ~crash_safe:true ~cache_k:3 ~rows_per_core:2048 ~values_per_core:2048
+  Config.make ~cores:4 ~cache_k:3 ~rows_per_core:2048 ~values_per_core:2048
     ~freelist_capacity:2048 ()
 
 let pindex_config =
-  Config.make ~cores:4 ~crash_safe:true ~cache_k:3 ~rows_per_core:2048 ~values_per_core:2048
+  Config.make ~cores:4 ~cache_k:3 ~rows_per_core:2048 ~values_per_core:2048
     ~freelist_capacity:2048 ~persistent_index:true ~pindex_capacity:512 ()
 
 let db_state db =
@@ -507,7 +507,7 @@ let test_crash_fingerprint () =
   in
   let tables = w.Nv_workloads.Workload.tables in
   let config =
-    Config.make ~cores:2 ~row_size:256 ~crash_safe:true ~rows_per_core:4096
+    Config.make ~cores:2 ~row_size:256 ~rows_per_core:4096
       ~values_per_core:4096 ~freelist_capacity:8192 ~log_capacity:(1 lsl 20)
       ~n_counters:w.Nv_workloads.Workload.n_counters ()
   in

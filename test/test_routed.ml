@@ -6,7 +6,7 @@
 open Nvcaracal
 
 let config =
-  Config.make ~cores:4 ~crash_safe:true ~rows_per_core:4096 ~values_per_core:4096
+  Config.make ~cores:4 ~rows_per_core:4096 ~values_per_core:4096
     ~freelist_capacity:4096 ()
 
 let tables = [ Table.make ~id:0 ~name:"accounts" () ]

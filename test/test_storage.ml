@@ -55,7 +55,7 @@ let prop_vptr_pool_roundtrip =
 
 let test_bump_checkpoint_recover () =
   let s = stats () in
-  let p = Pmem.create ~mode:Pmem.Crash_safe ~size:1024 () in
+  let p = Pmem.create ~size:1024 () in
   let b = Bump.create p ~meta_off:0 ~capacity:100 in
   for _ = 1 to 5 do
     ignore (Bump.alloc b)
@@ -96,7 +96,7 @@ let test_bump_capacity () =
 (* --- Freelist --- *)
 
 let mk_freelist ?(capacity = 64) () =
-  let p = Pmem.create ~mode:Pmem.Crash_safe ~size:8192 () in
+  let p = Pmem.create ~size:8192 () in
   (p, Freelist.create p ~meta_off:0 ~ring_off:1024 ~capacity)
 
 let test_freelist_basic () =
@@ -228,7 +228,7 @@ let test_prow_sid_before_pointer_on_crash () =
   let observed_states = Hashtbl.create 4 in
   for seed = 1 to 100 do
     let s = stats () in
-    let p = Pmem.create ~mode:Pmem.Crash_safe ~size:4096 () in
+    let p = Pmem.create ~size:4096 () in
     Prow.init p s ~base:0 ~key:1L ~table:0;
     Pmem.persist p s ~off:0 ~len:256;
     let new_ptr = Vptr.inline ~heap_off:0 ~len:4 in
@@ -269,7 +269,7 @@ let mk_slab ?(cores = 2) ?(slots = 16) ?(slot_size = 256) () =
   let spec =
     Slab.reserve b ~name:"t" ~cores ~slots_per_core:slots ~slot_size ~freelist_capacity:32
   in
-  let p = Pmem.create ~mode:Pmem.Crash_safe ~size:(Layout.total_size b) () in
+  let p = Pmem.create ~size:(Layout.total_size b) () in
   (p, Slab.attach p spec)
 
 let test_slab_alloc_unique () =
@@ -334,7 +334,7 @@ module VP = Nv_storage.Value_pools
 let mk_vpools ?(classes = [ 256; 1024; 4096 ]) () =
   let b = Layout.builder () in
   let spec = VP.reserve b ~cores:2 ~slots_per_core:16 ~classes ~freelist_capacity:64 in
-  let p = Pmem.create ~mode:Pmem.Crash_safe ~size:(Layout.total_size b) () in
+  let p = Pmem.create ~size:(Layout.total_size b) () in
   (p, VP.attach p spec)
 
 let test_vpools_class_selection () =
@@ -400,7 +400,7 @@ module PIdx = Nv_storage.Pindex
 let mk_pindex ?(capacity = 64) () =
   let b = Layout.builder () in
   let r = PIdx.reserve b ~capacity in
-  let p = Pmem.create ~mode:Pmem.Crash_safe ~size:(Layout.total_size b) () in
+  let p = Pmem.create ~size:(Layout.total_size b) () in
   (p, PIdx.attach p r)
 
 let recovered_entries pix s ~crashed_epoch =
@@ -510,7 +510,7 @@ let prop_pindex_matches_model =
 let mk_log () =
   let b = Layout.builder () in
   let r = Log.reserve b ~capacity_bytes:4096 in
-  let p = Pmem.create ~mode:Pmem.Crash_safe ~size:(Layout.total_size b) () in
+  let p = Pmem.create ~size:(Layout.total_size b) () in
   (p, Log.attach p r)
 
 let test_log_roundtrip () =

@@ -379,7 +379,7 @@ let test_workload_total_rows () =
 
 let test_pmem_fill_and_ranges () =
   let s = stats () in
-  let p = Pmem.create ~mode:Pmem.Crash_safe ~size:1024 () in
+  let p = Pmem.create ~size:1024 () in
   Pmem.fill p ~off:100 ~len:50 'x';
   Alcotest.(check string) "fill" (String.make 50 'x')
     (Bytes.to_string (Pmem.read_bytes p ~off:100 ~len:50));

@@ -18,13 +18,13 @@ let small_smallbank =
 let small_tpcc =
   { Tpcc.default with Tpcc.warehouses = 2; customers_per_district = 10; items = 50 }
 
-let config_for (w : W.t) ~crash_safe =
-  Config.make ~cores:4 ~crash_safe ~rows_per_core:32768 ~values_per_core:8192
+let config_for (w : W.t) =
+  Config.make ~cores:4 ~rows_per_core:32768 ~values_per_core:8192
     ~freelist_capacity:16384 ~n_counters:w.W.n_counters
     ~revert_on_recovery:w.W.revert_on_recovery ~log_capacity:(1 lsl 20) ()
 
-let mk_db ?(crash_safe = false) (w : W.t) =
-  let db = Db.create ~config:(config_for w ~crash_safe) ~tables:w.W.tables () in
+let mk_db (w : W.t) =
+  let db = Db.create ~config:(config_for w) ~tables:w.W.tables () in
   Db.bulk_load db (w.W.load ());
   db
 
@@ -177,7 +177,7 @@ let test_tpcc_crash_recovery_matches_oracle () =
   let oracle = mk_db w in
   List.iter (fun b -> ignore (Db.run_epoch oracle b)) all;
   (* Crash run. *)
-  let db = mk_db ~crash_safe:true w in
+  let db = mk_db w in
   List.iteri (fun i b -> if i < epochs_before then ignore (Db.run_epoch db b)) all;
   let exception Crash_now in
   Db.set_phase_hook db (fun p -> if p = Db.Exec_txn 25 then raise Crash_now);
@@ -185,7 +185,7 @@ let test_tpcc_crash_recovery_matches_oracle () =
   let pmem = Db.crash db ~rng:(Nv_util.Rng.create 31) in
   let db2, report =
     Db.recover
-      ~config:(config_for w ~crash_safe:true)
+      ~config:(config_for w)
       ~tables:w.W.tables ~pmem ~rebuild:w.W.rebuild ()
   in
   Alcotest.(check int) "replayed" txns report.Report.replayed_txns;
