@@ -93,6 +93,7 @@ module Serial_engine : Engine_intf.S with type t = t and type config = Config.t 
   include Engine_common
 
   let name = "nvcaracal"
+  let defers = false
   let run_batch t txns = (Some (run_epoch t txns), [||])
 
   let recover ~config ~tables ~pmem ~rebuild () =
@@ -103,6 +104,7 @@ module Aria_engine : Engine_intf.S with type t = t and type config = Config.t = 
   include Engine_common
 
   let name = "aria"
+  let defers = true
 
   let run_batch t txns =
     let stats, deferred = run_epoch_aria t txns in

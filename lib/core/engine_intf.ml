@@ -85,6 +85,11 @@ module type S = sig
       transactions deferred to the next batch ([[||]] for
       non-deferring engines). *)
 
+  val defers : bool
+  (** Whether [run_batch] may return deferred transactions. A front end
+      that forms the next batch while this one runs may do so only when
+      it cannot: deferrals must lead the next batch. *)
+
   val read_committed : t -> table:int -> key:int64 -> bytes option
   (** Committed value of a key as of the last batch boundary
       (uncharged; tests and validation). *)

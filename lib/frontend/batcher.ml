@@ -51,9 +51,24 @@ type client = {
   inflight : (int, unit) Hashtbl.t;  (** admitted seqs awaiting their outcome *)
 }
 
+(* A formed, journaled batch on its way through the engine. [f_result]
+   is written by whichever domain executes the batch and read by the
+   I/O loop only after the engine domain reported the job finished. *)
+type flight = {
+  f_batch : entry array;
+  f_calls : Shard_set.call array;
+  mutable f_result : result;
+}
+
+and result =
+  | Running
+  | Ran of [ `Committed | `Aborted | `Deferred ] array * float  (** outcomes, simulated ns *)
+  | Failed of exn * Printexc.raw_backtrace
+
 type t = {
   cfg : config;
   shards : Shard_set.t;
+  domain : Engine_domain.t option;  (** [None]: batches run inline in [launch] *)
   registry : Proc.t;
   tables : Nvcaracal.Table.t list;
   tracer : Tracer.t;
@@ -61,8 +76,13 @@ type t = {
   clients : (int, client) Hashtbl.t;
   mutable next_client : int;
   mutable carryover : entry list;  (** engine-deferred; lead the next batch *)
-  mutable pending_total : int;
-  mutable reserved : int;  (** journal bytes the pending entries' records will take *)
+  mutable pending_total : int;  (** queued plus carryover: calls no formed batch holds *)
+  mutable executing : int;  (** calls in formed batches that have not landed *)
+  mutable reserved : int;  (** journal bytes of admitted calls no record holds yet *)
+  mutable flight : flight option;  (** the batch the engine domain is running *)
+  mutable ahead : flight option;  (** formed and journaled while [flight] runs *)
+  boundary : (unit -> unit) Queue.t;  (** engine-state reads waiting for [flight] to land *)
+  mutable next_batch : int;  (** number the next formed batch is journaled under *)
   mutable tick : int;
   mutable open_since : int;  (** tick the oldest pending txn arrived; -1 when idle *)
   mutable epochs : int;
@@ -88,7 +108,7 @@ type t = {
 }
 
 let create ?(cfg = config ()) ?(tracer = Tracer.null) ?(metrics = Metrics.null) ?journal
-    ~shards ~registry ~tables () =
+    ?engine_domain ~shards ~registry ~tables () =
   if cfg.checkpoint_every > 0 && journal = None then
     invalid_arg "Batcher.create: checkpoint_every needs a journal";
   if cfg.checkpoint_every > 0 && Shard_set.local_engine shards = None then
@@ -98,6 +118,7 @@ let create ?(cfg = config ()) ?(tracer = Tracer.null) ?(metrics = Metrics.null) 
   {
     cfg;
     shards;
+    domain = engine_domain;
     registry;
     tables;
     tracer;
@@ -106,7 +127,12 @@ let create ?(cfg = config ()) ?(tracer = Tracer.null) ?(metrics = Metrics.null) 
     next_client = 0;
     carryover = [];
     pending_total = 0;
+    executing = 0;
     reserved = 0;
+    flight = None;
+    ahead = None;
+    boundary = Queue.create ();
+    next_batch = 0;
     tick = 0;
     open_since = -1;
     epochs = 0;
@@ -229,23 +255,24 @@ let send c resp = match c.reply with Some f -> f resp | None -> ()
 
 let depth_gauge t = Metrics.set_gauge t.m_depth (float_of_int t.pending_total)
 
-(* Journal reservation: every pending entry, carryover included, holds
-   the bytes its next batch record will take, so admission can refuse
-   a call the journal could not hold instead of letting [Journal.append]
-   fail once the call is in a batch. *)
+(* Journal reservation, so that [Journal.append] never fails on a call
+   already admitted. A call is journaled once, in the record of the
+   first batch that holds it, so admission reserves its entry bytes
+   until that record is written. Every batch writes one record and
+   answers its first call (a deferral needs an earlier conflicting call
+   in the same batch), so the unanswered calls bound the records still
+   to come. *)
 let reserve t sign e = t.reserved <- t.reserved + (sign * Journal.entry_bytes e.e_txn.Txn.input)
 
-let journal_holds j ~bytes ~records =
-  bytes + (records * Journal.record_overhead) <= Journal.free_bytes j
-
-(* Room for every pending entry plus [txn], in one record per batch. *)
+(* Room for every unjournaled call plus [txn], and a record for each
+   unanswered call plus [txn]. *)
 let journal_admits t (txn : Txn.t) =
   match t.journal with
   | None -> true
   | Some j ->
-      journal_holds j
-        ~bytes:(t.reserved + Journal.entry_bytes txn.Txn.input)
-        ~records:((t.pending_total + t.cfg.batch_target) / t.cfg.batch_target)
+      t.reserved + Journal.entry_bytes txn.Txn.input
+      + ((t.pending_total + t.executing + 1) * Journal.record_overhead)
+      <= Journal.free_bytes j
 
 let reject t c req (reason : [ `Overloaded | `Unknown_proc ]) =
   t.rejected <- t.rejected + 1;
@@ -266,8 +293,8 @@ let ack t c seq outcome =
   end;
   if seq > c.last_acked then c.last_acked <- seq
 
-(* Reply to one finished entry; fires only after the entry's epoch has
-   been checkpointed by [exec_batch]. *)
+(* Reply to one finished entry; fires only once the entry's batch has
+   landed, after its epoch was checkpointed. *)
 let reply_entry t e (outcome : [ `Committed | `Aborted ]) =
   (match outcome with
   | `Committed -> t.committed <- t.committed + 1
@@ -293,15 +320,37 @@ let reply_entry t e (outcome : [ `Committed | `Aborted ]) =
         send c (Wire.Result { req = e.e_req; outcome })
       end
 
-(* Form the next batch: engine-deferred carryover first (oldest serial
-   order), then round-robin over the per-client FIFOs in client-id
-   order — a deterministic function of queue contents, independent of
-   hash-table iteration order. *)
+(* ------------------------------------------------------------------ *)
+(* The batch lifecycle: form -> journal -> launch -> land -> reply      *)
+
+(* Close a batch over [batch] (carryover first): stamp its close tick
+   and build the calls the engine runs. *)
+let seal t batch =
+  Array.iter (fun e -> e.e_close_tick <- t.tick) batch;
+  Metrics.observe t.m_batch_size (float_of_int (Array.length batch));
+  t.executing <- t.executing + Array.length batch;
+  let calls =
+    Array.map
+      (fun e ->
+        let proc, args = e.e_call in
+        { Shard_set.c_client = e.e_client; c_seq = e.e_req; c_proc = proc; c_args = args;
+          c_txn = e.e_txn })
+      batch
+  in
+  { f_batch = batch; f_calls = calls; f_result = Running }
+
+(* Form the next batch and journal it: engine-deferred carryover first
+   (oldest serial order), then round-robin over the per-client FIFOs in
+   client-id order — a deterministic function of queue contents,
+   independent of hash-table iteration order. The record holds only the
+   calls taken from the FIFOs; the carryover is already journaled. The
+   batch number is the pipeline's, not the count of landed batches: a
+   batch formed while another runs is numbered after it. *)
 let form t =
-  let target = max t.cfg.batch_target (List.length t.carryover) in
-  let out = ref (List.rev t.carryover) in
-  let n = ref (List.length t.carryover) in
-  t.carryover <- [];
+  let carried = List.length t.carryover in
+  let target = max t.cfg.batch_target carried in
+  let fresh = ref [] in
+  let n = ref carried in
   let ids = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.clients []) in
   let progress = ref true in
   while !n < target && !progress do
@@ -311,43 +360,57 @@ let form t =
         if !n < target then
           let c = Hashtbl.find t.clients id in
           if not (Queue.is_empty c.q) then begin
-            out := Queue.pop c.q :: !out;
+            fresh := Queue.pop c.q :: !fresh;
             incr n;
             progress := true
           end)
       ids
   done;
-  t.pending_total <- t.pending_total - !n;
-  let batch = Array.of_list (List.rev !out) in
-  Array.iter (reserve t (-1)) batch;
-  batch
+  if !n = 0 then None
+  else begin
+    let fresh = List.rev !fresh in
+    let batch = Array.of_list (t.carryover @ fresh) in
+    t.carryover <- [];
+    t.pending_total <- t.pending_total - !n;
+    List.iter (reserve t (-1)) fresh;
+    Nv_util.Crashpoint.hit "post-admit";
+    (* A batch runs only once its record is durable. *)
+    (match t.journal with
+    | None -> ()
+    | Some j ->
+        Journal.append j ~batch:t.next_batch
+          ~entries:
+            (List.map
+               (fun e ->
+                 { Journal.j_client = e.e_client; j_seq = e.e_req; j_call = e.e_txn.Txn.input })
+               fresh);
+        Nv_util.Crashpoint.hit "post-journal");
+    t.next_batch <- t.next_batch + 1;
+    Some (seal t batch)
+  end
 
-(* Execute one formed batch as an engine epoch and fire its replies.
-   Shared between live serving and journal replay — recovery runs the
-   exact code an uncrashed server ran, which is what makes the
-   replayed pmem image bit-identical. *)
-let exec_batch t batch =
-  Array.iter (fun e -> e.e_close_tick <- t.tick) batch;
-  Metrics.observe t.m_batch_size (float_of_int (Array.length batch));
-  let calls =
-    Array.map
-      (fun e ->
-        let proc, args = e.e_call in
-        { Shard_set.c_client = e.e_client; c_seq = e.e_req; c_proc = proc; c_args = args;
-          c_txn = e.e_txn })
-      batch
-  in
+(* Run a batch's calls to their outcome vector. On the engine domain
+   when there is one: everything here reads or writes engine state, and
+   the I/O loop's own reads of that state wait for a batch boundary. *)
+let execute t calls =
   let before = Shard_set.total_time_ns t.shards in
   let outcomes =
     Tracer.span t.tracer ~core:0 ~name:"frontend.batch" ~cat:"frontend" (fun () ->
         Shard_set.exec t.shards calls)
   in
-  Metrics.observe t.m_exec_ns (Shard_set.total_time_ns t.shards -. before);
+  (outcomes, Shard_set.total_time_ns t.shards -. before)
+
+(* Land a batch that ran: the epoch is checkpointed, so outcomes are
+   visible (section 6.2.3) and replies may flow. Deferred conflict
+   victims stay unanswered and head the next batch under their original
+   order. Shared between live serving and journal replay — recovery
+   runs the exact code an uncrashed server ran, which is what makes the
+   replayed pmem image bit-identical. *)
+let land_batch t f outcomes exec_ns =
+  Metrics.observe t.m_exec_ns exec_ns;
   t.epochs <- t.epochs + 1;
   t.batches_run <- t.batches_run + 1;
-  (* The epoch is checkpointed: outcomes are now visible (section
-     6.2.3) and replies may flow. Deferred conflict victims stay
-     unanswered and head the next batch under their original order. *)
+  t.executing <- t.executing - Array.length f.f_batch;
   Nv_util.Crashpoint.hit "pre-reply";
   let deferred = ref [] in
   Array.iteri
@@ -355,11 +418,11 @@ let exec_batch t batch =
       match outcomes.(i) with
       | `Deferred -> deferred := e :: !deferred
       | (`Committed | `Aborted) as o -> reply_entry t e o)
-    batch;
+    f.f_batch;
   t.carryover <- List.rev !deferred;
-  List.iter (reserve t 1) t.carryover;
   t.deferred_total <- t.deferred_total + List.length t.carryover;
-  t.pending_total <- t.pending_total + List.length t.carryover
+  t.pending_total <- t.pending_total + List.length t.carryover;
+  if t.pending_total > 0 && t.open_since < 0 then t.open_since <- t.tick
 
 let session_states t =
   let ids = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.clients []) in
@@ -373,77 +436,114 @@ let session_states t =
       { Journal.ss_client = id; ss_last_acked = c.last_acked; ss_window = window })
     ids
 
-(* Checkpoint: engine pmem image + session table, durable before the
-   journal truncates to the covering batch. Only when no carryover is
-   outstanding — a deferred entry's call lives only in journal records,
-   and the truncation must never orphan it. *)
-let checkpoint_now t =
-  match t.journal with
-  | None -> false
-  | Some j ->
-      if t.carryover <> [] then false
-      else begin
-        match Shard_set.local_engine t.shards with
-        | None -> false
-        | Some (Engine_intf.Packed ((module E), db)) ->
-        let pm = E.pmem db in
-        let image = Pmem.read_bytes pm ~off:0 ~len:(Pmem.size pm) in
-        Journal.write_checkpoint j ~batches:t.batches_run ~sessions:(session_states t) ~image;
-        Journal.truncate_to j ~batch:t.batches_run;
-        t.last_checkpoint <- t.batches_run;
-        true
-      end
+(* A checkpoint pairs the engine's pmem image with the session table of
+   exactly [batches_run] batches, so it is taken while no batch runs;
+   writing it and truncating the journal need no engine state and may
+   overlap the next batch. Only when no carryover is outstanding — a
+   deferred entry's call lives only in journal records, and the
+   truncation must never orphan it. *)
+let capture_checkpoint t =
+  match (t.journal, Shard_set.local_engine t.shards) with
+  | Some j, Some (Engine_intf.Packed ((module E), db)) when t.carryover = [] ->
+      let pm = E.pmem db in
+      let image = Pmem.read_bytes pm ~off:0 ~len:(Pmem.size pm) in
+      Some (j, t.batches_run, session_states t, image)
+  | _ -> None
 
-let maybe_checkpoint t =
-  if
-    t.cfg.checkpoint_every > 0
-    && t.batches_run - t.last_checkpoint >= t.cfg.checkpoint_every
-  then ignore (checkpoint_now t)
+let write_checkpoint t (j, batches, sessions, image) =
+  Journal.write_checkpoint j ~batches ~sessions ~image;
+  Journal.truncate_to j ~batch:batches;
+  t.last_checkpoint <- batches
 
-(* Answer an admitted entry that will not run with [Overloaded]. *)
-let refuse t e =
-  match Hashtbl.find_opt t.clients e.e_client with
-  | Some c when e.e_gen = c.gen ->
-      c.outstanding <- c.outstanding - 1;
-      Hashtbl.remove c.inflight e.e_req;
-      ignore (reject t c e.e_req `Overloaded)
-  | Some _ | None -> ()
+let rec launch t f =
+  match t.domain with
+  | None ->
+      let outcomes, exec_ns = execute t f.f_calls in
+      advance t f outcomes exec_ns
+  | Some d ->
+      t.flight <- Some f;
+      Engine_domain.run d (fun () ->
+          f.f_result <-
+            (match execute t f.f_calls with
+            | outcomes, exec_ns -> Ran (outcomes, exec_ns)
+            | exception e -> Failed (e, Printexc.get_raw_backtrace ())))
 
-(* A batch runs only once its record is durable. Admission reserved
-   that record, unless carryover re-journaled since outgrew it: such a
-   batch is refused unrun, so a full journal never stops the loop. *)
+(* After a batch ran: land it, then — with the engine idle — take a due
+   checkpoint's image and serve the reads that waited for this boundary,
+   then launch the batch formed ahead, and only then write the
+   checkpoint. *)
+and advance t f outcomes exec_ns =
+  land_batch t f outcomes exec_ns;
+  let ck =
+    if
+      t.cfg.checkpoint_every > 0
+      && t.batches_run - t.last_checkpoint >= t.cfg.checkpoint_every
+    then capture_checkpoint t
+    else None
+  in
+  while not (Queue.is_empty t.boundary) do
+    (Queue.pop t.boundary) ()
+  done;
+  (match t.ahead with
+  | Some a ->
+      t.ahead <- None;
+      launch t a
+  | None -> ());
+  Option.iter (write_checkpoint t) ck
+
+(* The flight's job has finished: land it, or re-raise the engine's
+   exception here, on the I/O loop, so the process dies loudly. *)
+let complete t f =
+  t.flight <- None;
+  match f.f_result with
+  | Ran (outcomes, exec_ns) -> advance t f outcomes exec_ns
+  | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
+  | Running -> assert false
+
+let poll t =
+  match (t.flight, t.domain) with
+  | Some f, Some d -> if Engine_domain.poll d then complete t f
+  | _ -> ()
+
+(* Block until the running batch lands (which launches the one formed
+   ahead, if any). *)
+let settle t =
+  match (t.flight, t.domain) with
+  | Some f, Some d ->
+      Engine_domain.wait d;
+      complete t f
+  | _ -> ()
+
+let quiesce t =
+  while t.flight <> None do
+    settle t
+  done
+
+(* At most one batch runs while the next is formed and journaled, and
+   only when the running one cannot defer: deferrals lead the next
+   batch, so a deferring engine runs one batch at a time. *)
+let can_form t =
+  t.ahead = None && (t.flight = None || not (Shard_set.defers t.shards))
+
 let run t =
-  let batch = form t in
-  if Array.length batch > 0 then begin
-    Nv_util.Crashpoint.hit "post-admit";
-    let journaled =
-      match t.journal with
-      | None -> true
-      | Some j ->
-          let entries =
-            List.map
-              (fun e ->
-                { Journal.j_client = e.e_client; j_seq = e.e_req; j_call = e.e_txn.Txn.input })
-              (Array.to_list batch)
-          in
-          let bytes =
-            List.fold_left (fun n e -> n + Journal.entry_bytes e.Journal.j_call) 0 entries
-          in
-          journal_holds j ~bytes ~records:1
-          && begin
-               Journal.append j ~batch:t.batches_run ~entries;
-               Nv_util.Crashpoint.hit "post-journal";
-               true
-             end
-    in
-    if journaled then begin
-      exec_batch t batch;
-      maybe_checkpoint t
-    end
-    else Array.iter (refuse t) batch
-  end;
+  (match form t with
+  | None -> ()
+  | Some f -> if t.flight = None then launch t f else t.ahead <- Some f);
   t.open_since <- (if t.pending_total > 0 then t.tick else -1);
   depth_gauge t
+
+let checkpoint_now t =
+  quiesce t;
+  match capture_checkpoint t with
+  | None -> false
+  | Some ck ->
+      write_checkpoint t ck;
+      true
+
+let at_boundary t f = if t.flight = None then f () else Queue.push f t.boundary
+
+let in_flight t =
+  (match t.flight with Some _ -> 1 | None -> 0) + match t.ahead with Some _ -> 1 | None -> 0
 
 (* A submit on a disconnected session (reply = None) is admitted
    normally — [send] just drops the replies. It happens when a stale
@@ -506,32 +606,46 @@ let try_replay t c ~req =
 
 (* Batches close on ticks, not inside [submit]: submissions arriving
    within one event-loop round pile up (bounded by [max_pending]), and
-   the next tick closes a batch once the size target is met or the
-   oldest arrival has waited out the deadline. *)
+   the next tick first lands a batch that finished running, then closes
+   a batch once the size target is met or the oldest arrival has waited
+   out the deadline — if the pipeline has room for it. *)
 let tick t =
   t.tick <- t.tick + 1;
+  poll t;
   if
-    t.pending_total >= t.cfg.batch_target
-    || (t.pending_total > 0 && t.tick - t.open_since >= t.cfg.deadline_ticks)
+    (t.pending_total >= t.cfg.batch_target
+    || (t.pending_total > 0 && t.tick - t.open_since >= t.cfg.deadline_ticks))
+    && can_form t
   then run t
 
-let flush t = if t.pending_total > 0 then run t
+let flush t =
+  if t.pending_total > 0 then begin
+    while not (can_form t) do
+      settle t
+    done;
+    run t
+  end
 
 let drain t =
   let guard = ref 0 in
-  while t.pending_total > 0 do
+  while t.pending_total > 0 || t.flight <> None do
     incr guard;
     if !guard > 100_000 then failwith "Batcher.drain: no progress";
-    run t
+    if t.pending_total > 0 && can_form t then run t else settle t
   done
 
-let state_digest t = Shard_set.digest t.shards
+let state_digest t =
+  if t.flight <> None then
+    invalid_arg "Batcher.state_digest: a batch is executing (read it at a batch boundary)";
+  Shard_set.digest t.shards
 
 (* ------------------------------------------------------------------ *)
 (* Restart recovery                                                    *)
 
 (* Replay journaled batches the crash un-happened, in admission order,
-   through the same [exec_batch] the live path uses. [batches_done] is
+   through the same [seal]/[execute]/[land_batch] the live path uses, run
+   inline. Each batch is the previous one's deferrals followed by its
+   record's calls, as [form] built it. [batches_done] is
    how many batches the starting engine image already covers (0 for a
    fresh engine, the checkpoint's count otherwise); records below it
    are skipped, records above it must be gapless. Sessions restored
@@ -558,6 +672,7 @@ let recover t ~records ~sessions:restored ~batches_done =
       t.next_client <- max t.next_client (c.id + 1))
     restored;
   t.batches_run <- batches_done;
+  t.next_batch <- batches_done;
   t.last_checkpoint <- batches_done;
   List.iter
     (fun (r : Journal.record) ->
@@ -566,9 +681,8 @@ let recover t ~records ~sessions:restored ~batches_done =
           failwith
             (Printf.sprintf "Batcher.recover: journal gap (record %d, expected %d)"
                r.Journal.r_batch t.batches_run);
-        let batch =
-          Array.of_list
-            (List.map
+        let fresh =
+            List.map
                (fun (je : Journal.entry) ->
                  let proc, args =
                    match Proc.decode_call je.Journal.j_call with
@@ -585,14 +699,9 @@ let recover t ~records ~sessions:restored ~batches_done =
                        t.next_client <- max t.next_client (c.id + 1);
                        c
                  in
-                 (* Carryover re-admissions appear in consecutive
-                    records under the same seq: count each admission
-                    once, keyed by the in-flight set. *)
-                 if not (Hashtbl.mem c.inflight je.Journal.j_seq) then begin
-                   Hashtbl.replace c.inflight je.Journal.j_seq ();
-                   c.outstanding <- c.outstanding + 1;
-                   t.admitted <- t.admitted + 1
-                 end;
+                 Hashtbl.replace c.inflight je.Journal.j_seq ();
+                 c.outstanding <- c.outstanding + 1;
+                 t.admitted <- t.admitted + 1;
                  {
                    e_client = je.Journal.j_client;
                    e_req = je.Journal.j_seq;
@@ -603,15 +712,15 @@ let recover t ~records ~sessions:restored ~batches_done =
                    e_wall = Nv_util.Clock.now_ns ();
                    e_close_tick = -1;
                  })
-               r.Journal.r_entries)
+               r.Journal.r_entries
         in
-        (* The record re-admits the previous record's deferrals: consume
-           that carryover as [form] would, or [pending_total] keeps every
-           replayed batch's deferrals. *)
+        let batch = Array.of_list (t.carryover @ fresh) in
         t.pending_total <- t.pending_total - List.length t.carryover;
-        List.iter (reserve t (-1)) t.carryover;
         t.carryover <- [];
-        exec_batch t batch
+        t.next_batch <- t.next_batch + 1;
+        let f = seal t batch in
+        let outcomes, exec_ns = execute t f.f_calls in
+        land_batch t f outcomes exec_ns
       end)
     records;
   (* Entries the final journaled batch deferred are live carryover:

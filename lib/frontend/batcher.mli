@@ -10,11 +10,18 @@
     as one engine epoch, and only then — after the epoch's checkpoint —
     fires the replies (paper section 6.2.3). Admission is bounded:
     beyond [max_pending] queued transactions, or once an attached
-    journal could not hold the pending calls' records plus this one, a
-    submit is answered [Rejected `Overloaded], never silently dropped.
-    (Carryover re-journaled after admission can still outgrow the
-    journal; that batch is then answered [Rejected `Overloaded]
-    unrun.)
+    journal could not hold every unanswered call's records plus this
+    one, a submit is answered [Rejected `Overloaded], never silently
+    dropped; an admitted call always fits its record.
+
+    Every batch goes through one lifecycle: {e form} (carryover first,
+    then the FIFOs) → {e journal} → {e launch} → {e land} → {e reply}.
+    Without an {!Engine_domain.t}, launch runs the batch inline and it
+    lands at once. With one, launch hands it to the engine domain and a
+    later {!tick} lands it; meanwhile the next batch may be formed and
+    journaled, provided the running batch cannot defer (see
+    {!Shard_set.defers}). Reads of engine state wait for a batch
+    boundary ({!at_boundary}).
 
     Clients are {e sessions}, not connections: a session keeps its
     per-seq dedup window and last-acked sequence number across
@@ -27,8 +34,9 @@
     Batch forming is deterministic given queue contents: engine-deferred
     carryover first (original serial order), then round-robin over the
     per-client FIFOs in client-id order. With a {!Journal.t} attached,
-    each formed batch is persisted {e before} it runs, so replaying the
-    journaled batches through a fresh engine must reproduce the same
+    each formed batch's new calls are persisted {e before} it runs, so
+    replaying the journaled batches (each led by the previous one's
+    deferrals) through a fresh engine must reproduce the same
     committed state — the end-to-end determinism check — and
     {!recover} replays a reopened journal through the same execution
     path, reproducing the crashed server's pmem image bit for bit. The
@@ -63,6 +71,7 @@ val create :
   ?tracer:Nv_obs.Tracer.t ->
   ?metrics:Nv_obs.Metrics.t ->
   ?journal:Journal.t ->
+  ?engine_domain:Engine_domain.t ->
   shards:Shard_set.t ->
   registry:Proc.t ->
   tables:Nvcaracal.Table.t list ->
@@ -75,7 +84,9 @@ val create :
     epoch-execution and checkpoint-to-reply histograms under the
     [frontend.] prefix. [checkpoint_every > 0] without a [journal], or
     on a cluster-backed set (whose durability is each shard's own
-    journal, never one pmem image), raises [Invalid_argument]. *)
+    journal, never one pmem image), raises [Invalid_argument]. With
+    [engine_domain], batches run there and the engine belongs to that
+    domain while one executes; without, they run inline. *)
 
 val connect : ?id:int -> ?resume:bool -> t -> reply:(Wire.response -> unit) option -> client
 (** Attach to a session. Without [id] a fresh unused id is assigned.
@@ -126,25 +137,47 @@ val try_replay :
     only [`New] means the caller should reject. *)
 
 val tick : t -> unit
-(** Advance the batcher's clock one tick; closes and runs the open
-    batch once the size target is met or the deadline has expired with
-    transactions pending. Batches never close inside {!submit}, so
-    admissions within one tick pile up to [max_pending]. *)
+(** Advance the batcher's clock one tick: land the executing batch if
+    the engine domain finished it (replies fire), then close and launch
+    the open batch once the size target is met or the deadline has
+    expired with transactions pending, if the pipeline has room.
+    Batches never close inside {!submit}, so admissions within one tick
+    pile up to [max_pending]. An exception the engine raised is
+    re-raised here, when its batch lands. *)
 
 val flush : t -> unit
-(** Close and run the open batch now, if non-empty. *)
+(** Close and launch the open batch now, if non-empty (first waiting
+    for a running batch to land when the pipeline is full). Inline, the
+    batch has landed on return. *)
 
 val drain : t -> unit
-(** Run batches until nothing is pending (deferred transactions are
-    resubmitted until they commit); what [Shutdown] triggers. *)
+(** Run batches until nothing is pending or executing (deferred
+    transactions are resubmitted until they commit); what [Shutdown]
+    triggers. *)
+
+val in_flight : t -> int
+(** Formed batches that have not landed: 0, 1 (executing on the engine
+    domain), or 2 (one executing, the next formed and journaled). Always
+    0 inline. *)
+
+val settle : t -> unit
+(** Block until the executing batch (if any) lands; the batch formed
+    ahead of it then launches. *)
+
+val at_boundary : t -> (unit -> unit) -> unit
+(** Run [f] where no batch executes: now when none does, else once the
+    executing batch has landed, before the next one launches. Every
+    read of engine state — digests, introspection, pmem images — made
+    while serving goes through here. *)
 
 val checkpoint_now : t -> bool
-(** Write a covering checkpoint (engine pmem image + session table) and
-    truncate the journal to it. A no-op returning [false] without a
-    journal, on a cluster-backed set (no single pmem image exists), or
-    while conflict-deferred carryover is outstanding —
-    truncation must never orphan a deferred call whose bytes live only
-    in the journal. *)
+(** Wait for executing batches to land, then write a covering
+    checkpoint (engine pmem image + session table of exactly
+    {!batches_run} batches) and truncate the journal to it. A no-op
+    returning [false] without a journal, on a cluster-backed set (no
+    single pmem image exists), or while conflict-deferred carryover is
+    outstanding — truncation must never orphan a deferred call whose
+    bytes live only in the journal. *)
 
 val recover :
   t ->
@@ -157,9 +190,10 @@ val recover :
     checkpoint's count for a restored one). Records below
     [batches_done] are skipped; the rest must be gapless and run
     through the live batch path, so the resulting pmem image matches an
-    uncrashed run's. [sessions] (from the checkpoint) seed the dedup
-    windows; replayed outcomes re-ack on top. The final batch's
-    deferrals become live carryover. *)
+    uncrashed run's. Each batch is the previous one's deferrals
+    followed by the record's calls, and runs inline. [sessions] (from
+    the checkpoint) seed the dedup windows; replayed outcomes re-ack on
+    top. The final batch's deferrals become live carryover. *)
 
 val client_id : client -> int
 val outstanding : client -> int
@@ -174,7 +208,9 @@ val shard_set : t -> Shard_set.t
 val engine : t -> Nvcaracal.Engine_intf.packed
 (** The local engine of a {!Shard_set.local}-backed batcher. Raises
     [Invalid_argument] on a cluster-backed one — checkpointing and
-    pmem oracles have no single engine to reach there. *)
+    pmem oracles have no single engine to reach there. While a batch
+    executes the engine belongs to the engine domain: read it at a
+    batch boundary ({!at_boundary}). *)
 
 val journal : t -> Journal.t option
 val pending : t -> int
@@ -215,4 +251,5 @@ val proc_latencies : t -> (string * Nv_util.Histogram.t) list
 
 val state_digest : t -> int64
 (** {!Shard_set.digest} of the committed state: the engine's FNV-chain
-    digest on a local set, the XOR cluster digest on a routed one. *)
+    digest on a local set, the XOR cluster digest on a routed one.
+    Raises [Invalid_argument] while a batch executes ({!in_flight}). *)

@@ -48,7 +48,11 @@ let salt_base = 0x4A32
 let salt_used = 0x4A33
 let salt_meta = 0x4A34
 let salt_size = 0x4A35
-let magic = 0x4E564A31L (* "NVJ1" *)
+(* "NVJ2": a record holds only the calls admitted since the previous
+   record. "NVJ1" records repeated engine-deferred carryover, which the
+   current replay would execute twice, so such a journal is refused. *)
+let magic = 0x4E564A32L
+let magic_v1 = 0x4E564A31L
 let max_meta = 255
 let pad8 n = (n + 7) land lnot 7
 
@@ -379,6 +383,11 @@ let load ~path ~meta =
   in
   (match Crc.unpack ~salt:salt_magic (Bytes.get_int64_le b off_magic) with
   | Some m when m = magic -> ()
+  | Some m when m = magic_v1 ->
+      fail
+        "Journal.load: %s was written in the NVJ1 format, whose records repeat deferred \
+         carryover; this server cannot replay it"
+        path
   | Some _ | None -> fail "Journal.load: %s is not a journal (bad magic)" path);
   (match word off_meta_crc salt_meta with
   | Some c when c = Int32.to_int (Crc.string meta) land 0xFFFFFFFF -> ()

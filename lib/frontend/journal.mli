@@ -29,8 +29,10 @@ type entry = { j_client : int; j_seq : int; j_call : bytes }
     framed call record ({!Proc.encode_call}). *)
 
 type record = { r_batch : int; r_entries : entry list }
-(** One journaled batch, in admission order (carryover re-admissions
-    included, exactly as the batch was formed). *)
+(** One journaled batch: the calls it admitted, in batch order. Each
+    call is journaled once. Engine-deferred carryover, which leads the
+    batch, is not repeated: replay rebuilds it by executing the
+    previous record, as the live server did. *)
 
 type session_state = {
   ss_client : int;
@@ -63,7 +65,9 @@ val load : path:string -> meta:string -> opened
 (** Reopen a journal file: validate header and meta, scan the
     CRC-guarded records (stopping at — and healing — any torn tail),
     and load the covering checkpoint from [path.ckpt] if one is valid.
-    Raises [Failure] on a missing/corrupt header or a meta mismatch. *)
+    Raises [Failure] on a missing/corrupt header, a meta mismatch, or a
+    journal in the older NVJ1 format (whose records repeat deferred
+    carryover). *)
 
 val attach :
   recover:bool -> size:int -> path:string -> meta:string -> [ `Created of t | `Loaded of opened ]

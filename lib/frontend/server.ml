@@ -30,16 +30,17 @@ type stats = {
   digest : int64;
 }
 
-(* Per-connection state: an incremental frame reader in, a frame queue
-   out (flushed to completion whenever select reports writability), and
-   the batcher client once Hello arrived. [closing] marks a connection
-   being flushed for the last time — no more reads; closed once the
-   queue drains (or the peer drops). *)
+(* Per-connection state: an incremental frame reader in, the encoded
+   reply frames out, back to back in one buffer so a round writes them
+   with one call, and the batcher client once Hello arrived. [closing]
+   marks a connection being flushed for the last time — no more reads;
+   closed once the buffer drains (or the peer drops). *)
 type conn = {
   fd : Unix.file_descr;
   reader : Wire.Reader.t;
-  out : bytes Queue.t;
-  mutable out_off : int;  (** bytes of the head frame already written *)
+  mutable out : bytes;
+  mutable out_len : int;  (** bytes of [out] queued *)
+  mutable out_off : int;  (** bytes of [out] already written *)
   mutable client : Batcher.client option;
   mutable owner : int;  (** {!Batcher.owner_token} at this conn's Hello *)
   mutable said_bye : bool;
@@ -50,7 +51,9 @@ type conn = {
 type t = {
   cfg : config;
   batcher : Batcher.t;
+  engine : Engine_domain.t;  (** where batches run; its pipe wakes [select] *)
   listen_fd : Unix.file_descr;
+  rbuf : bytes;  (** one read buffer for every connection *)
   conns : (Unix.file_descr, conn) Hashtbl.t;
   mutable served : int;
   mutable protocol_errors : int;
@@ -59,6 +62,7 @@ type t = {
   start_wall : float;  (** host wall ns at creation (uptime base) *)
   on_stats : (string -> unit) option;  (** periodic live-stats sink *)
   mutable last_stats : float;  (** wall ns of the last periodic flush *)
+  mutable stop_poll : bool;  (** a [should_stop] poll waits for a batch boundary *)
 }
 
 let bind_listen = function
@@ -80,8 +84,10 @@ let bind_listen = function
       fd
 
 let create ?tracer ?metrics ?journal ?on_stats ~shards ~registry ~tables (cfg : config) =
+  let engine = Engine_domain.create () in
   let batcher =
-    Batcher.create ~cfg:cfg.batcher ?tracer ?metrics ?journal ~shards ~registry ~tables ()
+    Batcher.create ~cfg:cfg.batcher ?tracer ?metrics ?journal ~engine_domain:engine ~shards
+      ~registry ~tables ()
   in
   let listen_fd = bind_listen cfg.address in
   Unix.set_nonblock listen_fd;
@@ -89,7 +95,9 @@ let create ?tracer ?metrics ?journal ?on_stats ~shards ~registry ~tables (cfg : 
   {
     cfg;
     batcher;
+    engine;
     listen_fd;
+    rbuf = Bytes.create 65536;
     conns = Hashtbl.create 64;
     served = 0;
     protocol_errors = 0;
@@ -98,11 +106,31 @@ let create ?tracer ?metrics ?journal ?on_stats ~shards ~registry ~tables (cfg : 
     start_wall = now;
     on_stats;
     last_stats = now;
+    stop_poll = false;
   }
 
 let push t conn resp =
   ignore t;
-  if not conn.dead then Queue.push (Wire.encode_response resp) conn.out
+  if not conn.dead then begin
+    let frame = Wire.encode_response resp in
+    let len = Bytes.length frame in
+    if conn.out_len + len > Bytes.length conn.out then begin
+      let live = conn.out_len - conn.out_off in
+      let grown =
+        if live + len > Bytes.length conn.out then
+          Bytes.create (max (live + len) (2 * Bytes.length conn.out))
+        else conn.out
+      in
+      Bytes.blit conn.out conn.out_off grown 0 live;
+      conn.out <- grown;
+      conn.out_off <- 0;
+      conn.out_len <- live
+    end;
+    Bytes.blit frame 0 conn.out conn.out_len len;
+    conn.out_len <- conn.out_len + len
+  end
+
+let has_output conn = conn.out_off < conn.out_len
 
 let close_conn t conn =
   if not conn.dead then begin
@@ -117,33 +145,27 @@ let close_conn t conn =
     (try Unix.close conn.fd with Unix.Unix_error _ -> ())
   end
 
-(* Write queued frames until the queue drains or the socket would
-   block. Partial writes resume at [out_off] next round; EINTR retries
-   immediately; EAGAIN waits for the next select round. A [closing]
-   connection is closed once its queue empties. *)
+(* Write every queued frame in one call, or as much as the socket
+   takes. A partial write resumes at [out_off] next round; EINTR
+   retries immediately; EAGAIN waits for the next select round. A
+   [closing] connection is closed once its buffer drains. *)
 let rec handle_writable t conn =
   if conn.dead then ()
-  else if Queue.is_empty conn.out then begin
+  else if not (has_output conn) then begin
     if conn.closing then close_conn t conn
   end
-  else begin
-    let head = Queue.peek conn.out in
-    let len = Bytes.length head - conn.out_off in
-    match Unix.write conn.fd head conn.out_off len with
+  else
+    match Unix.write conn.fd conn.out conn.out_off (conn.out_len - conn.out_off) with
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> handle_writable t conn
     | exception Unix.Unix_error _ -> close_conn t conn
     | n ->
-        if n = len then begin
-          ignore (Queue.pop conn.out);
+        conn.out_off <- conn.out_off + n;
+        if not (has_output conn) then begin
           conn.out_off <- 0;
-          handle_writable t conn
+          conn.out_len <- 0;
+          if conn.closing then close_conn t conn
         end
-        else
-          (* Partial write: the kernel buffer is full; pushing more now
-             would only spin. Resume when select says writable. *)
-          conn.out_off <- conn.out_off + n
-  end
 
 (* A protocol error costs the connection, but the error frame should
    still reach the peer: queue it, stop reading, and let the write path
@@ -160,7 +182,9 @@ let digest t = Batcher.state_digest t.batcher
 (* Live statistics snapshot: serving counters, per-procedure wall
    latency percentiles, and domain-pool telemetry, as one JSON object.
    Everything here is monitoring-grade — wall-clock readings and racy
-   telemetry — and never feeds the deterministic metrics registry. *)
+   telemetry — and never feeds the deterministic metrics registry. It
+   reads engine state (introspection, digest, pmem CRC), so callers run
+   it at a batch boundary. *)
 let live_stats_json t =
   let module J = Nv_obs.Jsonx in
   let module H = Nv_util.Histogram in
@@ -251,12 +275,14 @@ let live_stats_json t =
 
 (* Bye completes only once every admitted transaction of the
    connection has been answered; then the client sees a state digest
-   covering everything it was told about. *)
+   covering everything it was told about, read at the next batch
+   boundary. *)
 let maybe_finish_bye t conn =
   match conn.client with
   | Some c when conn.said_bye && Batcher.outstanding c = 0 ->
-      push t conn (Wire.Bye_ok { digest = digest t });
-      conn.said_bye <- false
+      conn.said_bye <- false;
+      Batcher.at_boundary t.batcher (fun () ->
+          push t conn (Wire.Bye_ok { digest = digest t }))
   | _ -> ()
 
 let handle_request t conn (req : Wire.request) =
@@ -297,7 +323,9 @@ let handle_request t conn (req : Wire.request) =
       maybe_finish_bye t conn
   | Wire.Shutdown, _ -> t.shutdown <- true
   (* Stats needs no Hello: monitoring tools connect, ask, disconnect. *)
-  | Wire.Stats, _ -> push t conn (Wire.Stats_ok { json = live_stats_json t })
+  | Wire.Stats, _ ->
+      Batcher.at_boundary t.batcher (fun () ->
+          push t conn (Wire.Stats_ok { json = live_stats_json t }))
   (* The shard plane is router-to-shard traffic ({!Shard.serve} owns
      it); on the client endpoint it is as malformed as a bad tag. *)
   | Wire.(Shard_hello _ | Route _ | Fence _), _ ->
@@ -306,7 +334,7 @@ let handle_request t conn (req : Wire.request) =
 let handle_readable t conn =
   if conn.closing then ()
   else
-    let buf = Bytes.create 65536 in
+    let buf = t.rbuf in
     match Unix.read conn.fd buf 0 (Bytes.length buf) with
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error _ -> close_conn t conn
@@ -338,7 +366,8 @@ let accept_new t =
           {
             fd;
             reader = Wire.Reader.create ();
-            out = Queue.create ();
+            out = Bytes.create 4096;
+            out_len = 0;
             out_off = 0;
             client = None;
             owner = 0;
@@ -348,44 +377,63 @@ let accept_new t =
           }
   done
 
+(* Engine-state reads the loop makes on its own — the periodic stats
+   flush and the [should_stop] poll (an embedder's hook may read the
+   engine too) — wait for a batch boundary, and at most one of each is
+   pending. *)
+let poll_stop t should_stop =
+  if not t.stop_poll then begin
+    t.stop_poll <- true;
+    Batcher.at_boundary t.batcher (fun () ->
+        t.stop_poll <- false;
+        if should_stop () then t.shutdown <- true)
+  end
+
+let periodic_stats t =
+  match t.on_stats with
+  | Some f when t.cfg.stats_interval_s > 0.0 ->
+      let now = Nv_util.Clock.now_ns () in
+      if now -. t.last_stats >= t.cfg.stats_interval_s *. 1e9 then begin
+        (* Stamped now, so a batch still running does not queue a
+           second flush behind this one. *)
+        t.last_stats <- now;
+        Batcher.at_boundary t.batcher (fun () -> f (live_stats_json t))
+      end
+  | Some _ | None -> ()
+
+(* Collected first: a failed write closes its connection, which removes
+   it from [conns]. *)
+let write_pending t =
+  Hashtbl.fold (fun _ c acc -> if has_output c then c :: acc else acc) t.conns []
+  |> List.iter (handle_writable t)
+
 let step t =
   let reads =
-    t.listen_fd
+    Engine_domain.wake_fd t.engine :: t.listen_fd
     :: Hashtbl.fold (fun fd c acc -> if c.closing then acc else fd :: acc) t.conns []
   in
   let writes =
-    Hashtbl.fold (fun fd c acc -> if not (Queue.is_empty c.out) then fd :: acc else acc) t.conns []
+    Hashtbl.fold (fun fd c acc -> if has_output c then fd :: acc else acc) t.conns []
   in
-  let readable, writable, _ =
+  let readable, _, _ =
     try Unix.select reads writes [] t.cfg.tick_interval_s
     with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
   in
   if List.mem t.listen_fd readable then accept_new t;
   List.iter
     (fun fd ->
-      if fd <> t.listen_fd then
-        match Hashtbl.find_opt t.conns fd with
-        | Some conn -> handle_readable t conn
-        | None -> ())
+      match Hashtbl.find_opt t.conns fd with
+      | Some conn -> handle_readable t conn
+      | None -> ())
     readable;
   (* One select round is one batcher tick: the deadline that closes an
-     under-filled batch is measured in event-loop rounds. *)
+     under-filled batch is measured in event-loop rounds. The tick lands
+     a batch the engine domain finished (its pipe woke this round), so
+     the replies it queued go out below, in this same round. *)
   Batcher.tick t.batcher;
-  (match t.on_stats with
-  | Some f when t.cfg.stats_interval_s > 0.0 ->
-      let now = Nv_util.Clock.now_ns () in
-      if now -. t.last_stats >= t.cfg.stats_interval_s *. 1e9 then begin
-        t.last_stats <- now;
-        f (live_stats_json t)
-      end
-  | Some _ | None -> ());
+  periodic_stats t;
   Hashtbl.iter (fun _ conn -> maybe_finish_bye t conn) t.conns;
-  List.iter
-    (fun fd ->
-      match Hashtbl.find_opt t.conns fd with
-      | Some conn -> handle_writable t conn
-      | None -> ())
-    writable
+  write_pending t
 
 let stats t =
   {
@@ -406,7 +454,7 @@ let stats t =
 let flush_all t ~deadline_s =
   let t0 = Unix.gettimeofday () in
   let pending () =
-    Hashtbl.fold (fun fd c acc -> if not (Queue.is_empty c.out) then fd :: acc else acc) t.conns []
+    Hashtbl.fold (fun fd c acc -> if has_output c then fd :: acc else acc) t.conns []
   in
   let rec loop () =
     match pending () with
@@ -428,10 +476,19 @@ let flush_all t ~deadline_s =
   in
   loop ()
 
+let close_all t =
+  let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
+  List.iter (fun c -> close_conn t c) conns;
+  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+  match t.cfg.address with
+  | `Unix path -> ( try Sys.remove path with Sys_error _ -> ())
+  | `Tcp _ -> ()
+
 let finish t =
   (* Graceful stop: sweep any already-received requests (Submits are
-     answered Overloaded in draining mode), drain everything admitted,
-     push the final replies, checkpoint if journaled, close up. *)
+     answered Overloaded in draining mode), drain everything admitted
+     (the batch executing included), push the final replies, checkpoint
+     if journaled, join the engine domain, close up. *)
   t.draining <- true;
   Hashtbl.iter (fun _ conn -> handle_readable t conn) t.conns;
   Batcher.drain t.batcher;
@@ -446,14 +503,19 @@ let finish t =
   (match t.on_stats with
   | Some f when t.cfg.stats_interval_s > 0.0 -> f (live_stats_json t)
   | Some _ | None -> ());
-  let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-  List.iter (fun c -> close_conn t c) conns;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.cfg.address with
-  | `Unix path -> ( try Sys.remove path with Sys_error _ -> ())
-  | `Tcp _ -> ());
+  Engine_domain.stop t.engine;
+  close_all t;
   let d = digest t in
   { (stats t) with digest = d }
+
+(* A failure out of the loop — an engine exception re-raised as its
+   batch lands, or one of the loop's own — ends the server: the engine
+   domain is joined (after the batch it may still be running) and every
+   connection closed, so clients see the server go instead of hanging,
+   and the exception reaches the caller. *)
+let abort t =
+  (try Engine_domain.stop t.engine with _ -> ());
+  close_all t
 
 let serve ?tracer ?metrics ?journal ?recovery ?should_stop ?on_stats ~shards ~registry
     ~tables cfg =
@@ -461,16 +523,23 @@ let serve ?tracer ?metrics ?journal ?recovery ?should_stop ?on_stats ~shards ~re
      write path (handled as a dropped connection) over SIGPIPE. *)
   if not Sys.win32 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let t = create ?tracer ?metrics ?journal ?on_stats ~shards ~registry ~tables cfg in
-  (match recovery with
-  | Some r ->
-      Batcher.recover t.batcher ~records:r.rec_records ~sessions:r.rec_sessions
-        ~batches_done:r.rec_batches_done
-  | None -> ());
-  let finished = ref false in
-  while not !finished do
-    step t;
-    if t.shutdown then finished := true
-    else if match should_stop with Some f -> f () | None -> false then finished := true
-    else if t.cfg.once && t.served > 0 && Hashtbl.length t.conns = 0 then finished := true
-  done;
-  finish t
+  match
+    (match recovery with
+    | Some r ->
+        Batcher.recover t.batcher ~records:r.rec_records ~sessions:r.rec_sessions
+          ~batches_done:r.rec_batches_done
+    | None -> ());
+    let finished = ref false in
+    while not !finished do
+      step t;
+      Option.iter (poll_stop t) should_stop;
+      if t.shutdown then finished := true
+      else if t.cfg.once && t.served > 0 && Hashtbl.length t.conns = 0 then finished := true
+    done;
+    finish t
+  with
+  | stats -> stats
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      abort t;
+      Printexc.raise_with_backtrace e bt

@@ -1,15 +1,27 @@
 (** The serving loop: {!Wire} frames over Unix-domain or TCP sockets,
     feeding one {!Batcher}.
 
-    Single-threaded, non-blocking, [Unix.select]-driven — every select
-    round is one batcher tick, so the batch deadline is measured in
-    event-loop rounds. Malformed frames and out-of-order requests are
+    Two domains. The I/O loop is non-blocking and [Unix.select]-driven
+    — every select round is one batcher tick, so the batch deadline is
+    measured in event-loop rounds — and it reads, admits, forms and
+    journals batches and writes replies. Each journaled batch runs on
+    an {!Engine_domain}, which owns the engine while it executes; its
+    wake pipe sits in the select read set, so a finished batch lands
+    (and its replies go out) in the round it finishes. The next batch
+    may be formed and journaled meanwhile unless the engine defers.
+    Everything that reads engine state — [Bye_ok] digests, [Stats]
+    snapshots, the periodic stats flush, the [should_stop] poll and
+    checkpoints — waits for a batch boundary ({!Batcher.at_boundary}).
+    Malformed frames and out-of-order requests are
     counted as protocol errors, answered with [Server_error] (flushed,
     not fire-and-forget), and cost the offending connection — never the
     server. A [Shutdown] request, or [should_stop] turning true
     (SIGTERM/SIGINT in [nvdb serve]), drains every admitted transaction,
     answers stragglers [Rejected `Overloaded], writes a covering
-    checkpoint when a journal is attached, and exits cleanly. *)
+    checkpoint when a journal is attached, joins the engine domain and
+    exits cleanly. An exception the engine raises ends the server: it
+    is re-raised from {!serve} once its batch lands, after the engine
+    domain is joined and every connection closed. *)
 
 type address = [ `Unix of string | `Tcp of string * int ]
 
@@ -65,6 +77,9 @@ val serve :
   stats
 (** Bind, serve until [Shutdown] / [should_stop] (or, with [once], until
     the first wave of clients has disconnected), drain, and report.
+    [should_stop] is polled once per loop round while no batch
+    executes (else when the executing one lands), so it may read
+    engine state.
     [shards] is the execution seam: {!Shard_set.local} over a loaded
     engine for classic single-shard serving, {!Shard_set.cluster} to
     route every batch across a multi-shard deployment — the serving

@@ -55,6 +55,12 @@ let cluster members =
   Cluster { members; epoch = 0 }
 
 let shards = function Local _ -> 1 | Cluster c -> Array.length c.members
+
+(* A routed epoch defers on cross-shard conflicts whatever the members
+   run (see {!Nvcaracal.Routed}); a local engine says for itself. *)
+let defers = function
+  | Local { engine = Engine_intf.Packed ((module E), _); _ } -> E.defers
+  | Cluster _ -> true
 let local_engine = function Local { engine; _ } -> Some engine | Cluster _ -> None
 
 let epoch = function Local _ -> 0 | Cluster c -> c.epoch

@@ -59,6 +59,11 @@ val exec : t -> call array -> [ `Committed | `Aborted | `Deferred ] array
     [Failure] when a member stays unreachable or verdict vectors
     diverge. *)
 
+val defers : t -> bool
+(** Whether {!exec} may answer [`Deferred]: the local engine's
+    [defers], and always for a cluster (routed epochs defer cross-shard
+    conflicts). *)
+
 val digest : t -> int64
 (** Local: the engine's FNV-chain state digest (the value golden
     outputs pin, {!Nv_harness.Engine.state_digest}). Cluster: XOR of

@@ -401,38 +401,43 @@ let decode_response payload =
   else err "unknown response tag 0x%02x" tag
 
 module Reader = struct
-  type t = { mutable buf : bytes; mutable len : int }
+  (* Unconsumed bytes are [buf.[start .. len-1]]. Taking a frame only
+     advances [start]; [feed] moves the remainder to the front once, so
+     a read holding many frames costs one move, not one per frame. *)
+  type t = { mutable buf : bytes; mutable start : int; mutable len : int }
 
-  let create () = { buf = Bytes.create 4096; len = 0 }
+  let create () = { buf = Bytes.create 4096; start = 0; len = 0 }
 
-  let ensure t extra =
-    let need = t.len + extra in
+  let feed t src ~off ~len =
+    let live = t.len - t.start in
+    let need = live + len in
     if Bytes.length t.buf < need then begin
       let cap = ref (Bytes.length t.buf) in
       while !cap < need do
         cap := !cap * 2
       done;
       let b = Bytes.create !cap in
-      Bytes.blit t.buf 0 b 0 t.len;
+      Bytes.blit t.buf t.start b 0 live;
       t.buf <- b
     end
-
-  let feed t src ~off ~len =
-    ensure t len;
-    Bytes.blit src off t.buf t.len len;
-    t.len <- t.len + len
+    else if t.start > 0 then Bytes.blit t.buf t.start t.buf 0 live;
+    t.start <- 0;
+    Bytes.blit src off t.buf live len;
+    t.len <- need
 
   let next_payload t =
-    if t.len < 4 then None
+    if t.len - t.start < 4 then None
     else
-      let plen = get_u32 t.buf 0 in
+      let plen = get_u32 t.buf t.start in
       if plen = 0 || plen > max_frame then err "bad frame length %d" plen
-      else if t.len < 4 + plen then None
+      else if t.len - t.start < 4 + plen then None
       else begin
-        let payload = Bytes.sub t.buf 4 plen in
-        let rest = t.len - 4 - plen in
-        Bytes.blit t.buf (4 + plen) t.buf 0 rest;
-        t.len <- rest;
+        let payload = Bytes.sub t.buf (t.start + 4) plen in
+        t.start <- t.start + 4 + plen;
+        if t.start = t.len then begin
+          t.start <- 0;
+          t.len <- 0
+        end;
         Some payload
       end
 end

@@ -434,6 +434,7 @@ module Engine :
   type nonrec config = config
 
   let name = "zen"
+  let defers = false
   let create = create
   let bulk_load = bulk_load
 

@@ -94,14 +94,16 @@ sed -n 's/^/  server: /p' "$SERVER_OUT"
 # --- Second leg: graceful SIGTERM shutdown of a journaled server. ---
 # No client ever sends Shutdown here; the operator does, with a signal.
 # The server must drain, flush its journal, remove the socket, and
-# exit 0.
+# exit 0. It runs the engine 2 wide (--jobs 2): the engine domain
+# drives the domain pool, and the restart below replays at the default
+# width to the same digest and pmem crc.
 SOCK2="${TMPDIR:-/tmp}/nvdb-serve-term-$$.sock"
 JOURNAL2="${TMPDIR:-/tmp}/nvdb-serve-term-$$.journal"
 SERVER2_OUT="$(mktemp)"
 CLIENT2_OUT="$(mktemp)"
 trap 'kill $SERVER_PID $SERVER2_PID 2>/dev/null || true; rm -f "$SOCK" "$SERVER_OUT" "$CLIENT_OUT" "$STATS_OUT" "$STATS_JSONL" "$SOCK2" "$JOURNAL2" "$JOURNAL2.ckpt" "$SERVER2_OUT" "$CLIENT2_OUT"' EXIT
 
-"$NVDB" serve --workload ycsb --listen "$SOCK2" \
+"$NVDB" serve --workload ycsb --listen "$SOCK2" --jobs 2 \
   --batch-target 64 --deadline-ticks 4 --capacity 20000 \
   --journal "$JOURNAL2" \
   >"$SERVER2_OUT" 2>&1 &

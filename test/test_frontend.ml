@@ -492,16 +492,22 @@ let test_batcher_determinism spec () =
   (* Offline replay of the same admitted batches. *)
   let replay = loaded_engine spec w in
   let registry = F_proc.of_workload w in
+  (* A record holds the calls its batch admitted; the batch itself is
+     led by the previous batch's deferrals (Aria's carryover). *)
   (match replay with
   | Engine_intf.Packed ((module E), db) ->
-      List.iter
-        (fun r ->
-          let txns =
-            Array.of_list
-              (List.map (fun e -> F_proc.rebuild registry e.F_journal.j_call) r.F_journal.r_entries)
-          in
-          ignore (E.run_batch db txns))
-        batches);
+      ignore
+        (List.fold_left
+           (fun carry r ->
+             let txns =
+               Array.append carry
+                 (Array.of_list
+                    (List.map
+                       (fun e -> F_proc.rebuild registry e.F_journal.j_call)
+                       r.F_journal.r_entries))
+             in
+             snd (E.run_batch db txns))
+           [||] batches));
   let digest_replayed = Engine.state_digest replay in
   Alcotest.(check int64) "served vs replayed digest" digest_served digest_replayed;
   (* Byte-identical persistent images. *)
@@ -877,11 +883,11 @@ let test_batcher_try_replay () =
   assert (F_batcher.try_replay b c ~req:9 = `New);
   Alcotest.(check int) "probe admits nothing" 1 (F_batcher.admitted b)
 
-(* A journal too small for the offered load: once the pending calls'
-   records would not fit, submits are answered [Rejected `Overloaded]
-   and the loop runs on. Every admitted call executes, or (an Aria
-   carryover that outgrew its reservation) is answered [Overloaded]
-   unrun, and replaying the journal reproduces the served state. *)
+(* A journal too small for the offered load: once the unanswered
+   calls' records would not fit, submits are answered
+   [Rejected `Overloaded] and the loop runs on. Every admitted call
+   executes — Aria's carryover too, since each call is journaled once —
+   and replaying the journal reproduces the served state. *)
 let test_batcher_journal_full spec () =
   let w =
     Nv_workloads.Ycsb.(
@@ -918,6 +924,8 @@ let test_batcher_journal_full spec () =
     (F_journal.used_bytes j <= F_journal.size j - F_journal.records_offset);
   Alcotest.(check int) "every admitted call ran or was refused" (F_batcher.admitted b)
     (F_batcher.committed b + F_batcher.aborted b + F_batcher.rejected b - !overloaded);
+  Alcotest.(check int) "no admitted call refused unrun" (F_batcher.admitted b)
+    (F_batcher.committed b + F_batcher.aborted b);
   Alcotest.(check int) "every call answered" 120
     (Array.fold_left (fun n cl -> n + List.length !(cl.results)) 0 clients);
   let records = journaled_batches j ~path in
@@ -1029,7 +1037,8 @@ let test_restart_checkpoint_twin () =
    (length and CRC of every byte, engine image included) and recovered
    state were recorded with the byte-at-a-time CRC kernel. Matching
    bytes mean a file written by that kernel is this file, and the test
-   then loads and recovers it. *)
+   then loads and recovers it. (The journal's CRC was recorded again
+   when its magic became "NVJ2"; its length did not change.) *)
 let test_restart_files_match_recorded () =
   let w = small_ycsb () in
   let spec = spec_serial in
@@ -1065,7 +1074,7 @@ let test_restart_files_match_recorded () =
     Alcotest.(check int) (name ^ " length") len (String.length s);
     Alcotest.(check int32) (name ^ " crc") crc (Nv_util.Crc32c.string s)
   in
-  file_is "journal" ~len:1952 ~crc:0xe003d229l path;
+  file_is "journal" ~len:1952 ~crc:0x96c19260l path;
   file_is "checkpoint" ~len:5153645 ~crc:0x48674bc7l (path ^ ".ckpt");
   let o = F_journal.load ~path ~meta:jmeta in
   let boot = F_restart.boot spec setup w ~registry o in
@@ -1423,23 +1432,29 @@ let raw_recv_until_eof fd reader =
   Unix.close fd;
   List.rev !out
 
-let start_unix_server ?should_stop w path =
+(* A serving thread (over a fresh serial engine unless [engine] is
+   given); returns the thread and what [serve] returned or raised. *)
+let start_unix_server ?should_stop ?engine ?journal ?(batch_target = 8) w path =
   if Sys.file_exists path then Sys.remove path;
-  let engine = loaded_engine spec_serial w in
+  let engine = match engine with Some e -> e | None -> loaded_engine spec_serial w in
   let registry = F_proc.of_workload w in
   let scfg =
     F_server.config
-      ~batcher:(F_batcher.config ~batch_target:8 ~deadline_ticks:2 ())
+      ~batcher:(F_batcher.config ~batch_target ~deadline_ticks:2 ())
       ~tick_interval_s:0.001 (`Unix path)
   in
-  let stats = ref None in
+  let result = ref None in
   let th =
     Thread.create
       (fun () ->
-        stats :=
+        result :=
           Some
-            (F_server.serve ?should_stop ~shards:(local_set engine w) ~registry
-               ~tables:w.W.tables scfg))
+            (match
+               F_server.serve ?should_stop ?journal ~shards:(local_set engine w) ~registry
+                 ~tables:w.W.tables scfg
+             with
+            | s -> Ok s
+            | exception e -> Error e))
       ()
   in
   let waited = ref 0 in
@@ -1447,7 +1462,13 @@ let start_unix_server ?should_stop w path =
     Thread.delay 0.001;
     incr waited
   done;
-  (th, stats)
+  (th, result)
+
+let server_stats result =
+  match !result with
+  | Some (Ok s) -> s
+  | Some (Error e) -> Alcotest.fail ("server raised " ^ Printexc.to_string e)
+  | None -> Alcotest.fail "server thread left no result"
 
 (* Session takeover at the socket level: two connections share one
    session id (last Hello wins), then the stale connection closes. The
@@ -1459,7 +1480,7 @@ let start_unix_server ?should_stop w path =
 let test_server_session_takeover () =
   let w = small_ycsb () in
   let path = tmpfile "takeover.sock" in
-  let th, stats = start_unix_server w path in
+  let th, result = start_unix_server w path in
   let rng = Rng.create 21 in
   let proc, args = w.W.gen_call rng in
   let fd1 = raw_dial path in
@@ -1497,7 +1518,7 @@ let test_server_session_takeover () =
   raw_send fd2 (F_wire.encode_request F_wire.Shutdown);
   ignore (raw_recv_until_eof fd2 rd2);
   Thread.join th;
-  let sstats = match !stats with Some s -> s | None -> Alcotest.fail "server died" in
+  let sstats = server_stats result in
   Alcotest.(check int) "no protocol errors" 0 sstats.F_server.protocol_errors;
   Alcotest.(check int) "one execution" 1
     (sstats.F_server.committed + sstats.F_server.aborted)
@@ -1512,7 +1533,7 @@ let test_server_drain_retransmit () =
   let w = small_ycsb () in
   let path = tmpfile "drain-retx.sock" in
   let stop = ref false in
-  let th, stats = start_unix_server ~should_stop:(fun () -> !stop) w path in
+  let th, result = start_unix_server ~should_stop:(fun () -> !stop) w path in
   let rng = Rng.create 23 in
   let proc, args = w.W.gen_call rng in
   let fd = raw_dial path in
@@ -1542,10 +1563,273 @@ let test_server_drain_retransmit () =
           Alcotest.fail "acked seq answered Rejected during shutdown"
       | _ -> Alcotest.fail "unexpected late response")
     late;
-  let sstats = match !stats with Some s -> s | None -> Alcotest.fail "server died" in
+  let sstats = server_stats result in
   Alcotest.(check int) "executed exactly once" 1
     (sstats.F_server.committed + sstats.F_server.aborted);
   Alcotest.(check int) "no protocol errors" 0 sstats.F_server.protocol_errors
+
+(* ------------------------------------------------------------------ *)
+(* The pipelined lifecycle: batches run on an engine domain while the
+   next one is formed and journaled.                                   *)
+
+module F_engine_domain = Nv_frontend.Engine_domain
+
+(* An engine whose [run_batch] waits for a permit, so a test decides
+   when the engine domain gets through a batch. *)
+type gate = { g_mu : Mutex.t; g_cond : Condition.t; mutable permits : int }
+
+let gate () = { g_mu = Mutex.create (); g_cond = Condition.create (); permits = 0 }
+
+let grant ?(n = 1) g =
+  Mutex.lock g.g_mu;
+  g.permits <- g.permits + n;
+  Condition.broadcast g.g_cond;
+  Mutex.unlock g.g_mu
+
+let gated g (Engine_intf.Packed ((module E), db)) =
+  let module G = struct
+    include E
+
+    let run_batch db txns =
+      Mutex.lock g.g_mu;
+      while g.permits = 0 do
+        Condition.wait g.g_cond g.g_mu
+      done;
+      g.permits <- g.permits - 1;
+      Mutex.unlock g.g_mu;
+      E.run_batch db txns
+  end in
+  Engine_intf.Packed ((module G), db)
+
+(* An engine whose [run_batch] raises. *)
+let exploding (Engine_intf.Packed ((module E), db)) =
+  let module X = struct
+    include E
+
+    let run_batch _ _ = failwith "engine exploded"
+  end in
+  Engine_intf.Packed ((module X), db)
+
+(* Whether the next tick may form a batch: the rule the batcher keeps,
+   seen from outside. *)
+let room b =
+  match F_batcher.in_flight b with
+  | 0 -> true
+  | 1 -> not (F_shard_set.defers (F_batcher.shard_set b))
+  | _ -> false
+
+let outcomes_of clients =
+  Array.to_list clients
+  |> List.concat_map (fun cl ->
+         List.map
+           (function
+             | F_wire.Result { req; outcome } -> (F_batcher.client_id cl.c, req, outcome)
+             | _ -> Alcotest.fail "not a Result")
+           !(cl.results))
+  |> List.sort compare
+
+(* One journaled run over a fixed call stream. Pipelined, every batch
+   waits at the gate, so a tick forms the next batch while the previous
+   one is still executing whenever the engine allows it; the loop
+   frees the pipeline only when it has no room, so batches close at the
+   same ticks as inline. *)
+let pipeline_run ~pipelined spec (w : W.t) ~rounds =
+  let cfg = F_batcher.config ~batch_target:16 ~deadline_ticks:2 ~max_pending:4096 () in
+  let path = tmpfile (if pipelined then "pipeline-p" else "pipeline-i") in
+  let j = F_journal.create ~path ~meta:jmeta () in
+  let g = gate () in
+  let engine = loaded_engine spec w in
+  let engine = if pipelined then gated g engine else engine in
+  let dom = if pipelined then Some (F_engine_domain.create ()) else None in
+  let b =
+    F_batcher.create ~cfg ~journal:j ?engine_domain:dom ~shards:(local_set engine w)
+      ~registry:(F_proc.of_workload w) ~tables:w.W.tables ()
+  in
+  let clients = Array.init 8 (fun i -> mk_client ~seed:(50 + i) b) in
+  let overlapped = ref 0 in
+  for round = 0 to rounds - 1 do
+    Array.iteri
+      (fun i cl ->
+        for k = 0 to 2 do
+          ignore (submit_one b w cl ~req:((round * 10) + k + (i * 1000)))
+        done)
+      clients;
+    while not (room b) do
+      grant g;
+      F_batcher.settle b
+    done;
+    F_batcher.tick b;
+    if F_batcher.in_flight b = 2 then incr overlapped
+  done;
+  grant ~n:1_000_000 g;
+  F_batcher.drain b;
+  Option.iter F_engine_domain.stop dom;
+  let digest = F_batcher.state_digest b in
+  let image = pmem_image (F_batcher.engine b) in
+  (outcomes_of clients, digest, image, journaled_batches j ~path, !overlapped, b)
+
+let test_pipeline_equals_inline spec () =
+  let w = small_ycsb () in
+  let o_p, d_p, img_p, rec_p, overlapped, b = pipeline_run ~pipelined:true spec w ~rounds:24 in
+  let o_i, d_i, img_i, rec_i, _, _ = pipeline_run ~pipelined:false spec w ~rounds:24 in
+  Alcotest.(check int) "every call answered" (24 * 8 * 3) (List.length o_p);
+  Alcotest.(check bool) "same outcome per (client, seq)" true (o_p = o_i);
+  Alcotest.(check int64) "same digest" d_i d_p;
+  Alcotest.(check bool) "same pmem image" true (Bytes.equal img_i img_p);
+  Alcotest.(check bool) "same journal records" true (rec_p = rec_i);
+  if F_shard_set.defers (F_batcher.shard_set b) then begin
+    Alcotest.(check bool) "conflicts deferred" true (F_batcher.deferred_total b > 0);
+    Alcotest.(check int) "a deferring engine never runs ahead" 0 overlapped
+  end
+  else Alcotest.(check bool) "batches formed while one executed" true (overlapped > 0)
+
+(* A kill with batch N executing and N+1 journaled: the journal file at
+   that instant, replayed through a fresh engine, reaches the digest
+   of the run that went on to finish. SmallBank balances carry every
+   batch forward, so a lost or doubled batch shows in the digest. *)
+let test_pipeline_kill_mid_batch () =
+  let w = small_smallbank () in
+  let spec = spec_serial in
+  let cfg = F_batcher.config ~batch_target:8 ~deadline_ticks:100 () in
+  let registry = F_proc.of_workload w in
+  let path = tmpfile "pipeline-kill" in
+  let j = F_journal.create ~path ~meta:jmeta () in
+  let g = gate () in
+  let dom = F_engine_domain.create () in
+  let b =
+    F_batcher.create ~cfg ~journal:j ~engine_domain:dom
+      ~shards:(local_set (gated g (loaded_engine spec w)) w)
+      ~registry ~tables:w.W.tables ()
+  in
+  let clients = Array.init 4 (fun i -> mk_client ~seed:(90 + i) b) in
+  let round r =
+    Array.iteri
+      (fun i cl ->
+        ignore (submit_one b w cl ~req:((2 * r) + (i * 1000)));
+        ignore (submit_one b w cl ~req:((2 * r) + 1 + (i * 1000))))
+      clients;
+    F_batcher.tick b
+  in
+  round 0;
+  grant g;
+  F_batcher.settle b;
+  round 1;
+  (* Batch 1 is executing (held at the gate), batch 2 formed and
+     journaled behind it. *)
+  round 2;
+  Alcotest.(check int) "N executing, N+1 journaled" 2 (F_batcher.in_flight b);
+  let crashed = In_channel.with_open_bin path In_channel.input_all in
+  grant ~n:1_000 g;
+  F_batcher.drain b;
+  F_engine_domain.stop dom;
+  let digest_live = F_batcher.state_digest b in
+  Alcotest.(check int) "all three batches ran" 3 (F_batcher.batches_run b);
+  F_journal.close j;
+  Sys.remove path;
+  let path2 = tmpfile "pipeline-kill-restart" in
+  Out_channel.with_open_bin path2 (fun oc -> output_string oc crashed);
+  let o = F_journal.load ~path:path2 ~meta:jmeta in
+  Alcotest.(check int) "both records durable" 3 (List.length o.F_journal.records);
+  let b2 =
+    F_batcher.create ~cfg ~shards:(local_set (loaded_engine spec w) w) ~registry
+      ~tables:w.W.tables ()
+  in
+  F_batcher.recover b2 ~records:o.F_journal.records ~sessions:[] ~batches_done:0;
+  F_batcher.drain b2;
+  F_journal.close o.F_journal.journal;
+  Sys.remove path2;
+  Alcotest.(check int64) "restart digest = crash-free digest" digest_live
+    (F_batcher.state_digest b2)
+
+let hello fd rd ~client =
+  raw_send fd
+    (F_wire.encode_request (F_wire.Hello { client; version = 2; resume = false; last_seq = 0 }));
+  match raw_recv_one fd rd with
+  | F_wire.Hello_ok _ -> ()
+  | _ -> Alcotest.fail "expected Hello_ok"
+
+(* An exception on the engine domain is re-raised when its batch lands:
+   the server ends, its clients see the connection close instead of
+   waiting forever, and the caller gets the exception. *)
+let test_pipeline_engine_exception () =
+  let w = small_ycsb () in
+  let path = tmpfile "explode.sock" in
+  let th, result = start_unix_server ~engine:(exploding (loaded_engine spec_serial w)) w path in
+  let fd = raw_dial path in
+  let rd = F_wire.Reader.create () in
+  hello fd rd ~client:1;
+  let proc, args = w.W.gen_call (Rng.create 3) in
+  raw_send fd (F_wire.encode_request (F_wire.Submit { req = 1; proc; args }));
+  Alcotest.(check int) "no reply, just the close" 0 (List.length (raw_recv_until_eof fd rd));
+  Thread.join th;
+  (match !result with
+  | Some (Error (Failure msg)) -> Alcotest.(check string) "the engine's exception" "engine exploded" msg
+  | Some (Error e) -> Alcotest.fail ("unexpected exception " ^ Printexc.to_string e)
+  | Some (Ok _) -> Alcotest.fail "server returned normally"
+  | None -> Alcotest.fail "server thread left no result");
+  Alcotest.(check bool) "socket removed" false (Sys.file_exists path)
+
+(* Every server spawns an engine domain and [finish] joins it: far more
+   servers than the runtime has domain slots run one after another. *)
+let test_pipeline_many_servers () =
+  let w = small_ycsb () in
+  let engine = loaded_engine spec_serial w in
+  let path = tmpfile "cycles.sock" in
+  let proc, args = w.W.gen_call (Rng.create 4) in
+  for i = 1 to 200 do
+    let th, result = start_unix_server ~engine w path in
+    let fd = raw_dial path in
+    let rd = F_wire.Reader.create () in
+    hello fd rd ~client:i;
+    raw_send fd (F_wire.encode_request (F_wire.Submit { req = 1; proc; args }));
+    (match raw_recv_one fd rd with
+    | F_wire.Result { req = 1; _ } -> ()
+    | _ -> Alcotest.fail "expected the Result");
+    raw_send fd (F_wire.encode_request F_wire.Shutdown);
+    ignore (raw_recv_until_eof fd rd);
+    Thread.join th;
+    Alcotest.(check int) "one epoch per server" 1 (server_stats result).F_server.epochs
+  done
+
+(* [nvdb serve --jobs 2]: the engine domain drives the domain pool. The
+   served run is journaled; replaying its journal inline on a serial
+   engine reaches the same digest and pmem image. *)
+let test_pipeline_wide_engine () =
+  let w = small_ycsb () in
+  let saved = !Engine.default_jobs in
+  let engine =
+    Fun.protect
+      ~finally:(fun () -> Engine.default_jobs := saved)
+      (fun () ->
+        Engine.default_jobs := 2;
+        loaded_engine spec_serial w)
+  in
+  let jpath = tmpfile "wide-journal" in
+  let journal = F_journal.create ~path:jpath ~meta:jmeta () in
+  let path = tmpfile "wide.sock" in
+  let th, result = start_unix_server ~batch_target:64 ~engine ~journal w path in
+  let lstats =
+    F_loadgen.run
+      (F_loadgen.config ~clients:8 ~txns_per_client:64 ~seed:13 ~window:8 ~shutdown:true
+         (`Unix path))
+      w
+  in
+  Thread.join th;
+  let sstats = server_stats result in
+  Alcotest.(check int) "client protocol errors" 0 lstats.F_loadgen.protocol_errors;
+  Alcotest.(check int) "all committed" (8 * 64) sstats.F_server.committed;
+  let (Engine_intf.Packed ((module E), db)) = engine in
+  Alcotest.(check bool) "batches ran wide" true ((E.introspect db).Engine_intf.wide_execs > 0);
+  let records = journaled_batches journal ~path:jpath in
+  let b2 =
+    F_batcher.create
+      ~shards:(local_set (loaded_engine spec_serial w) w)
+      ~registry:(F_proc.of_workload w) ~tables:w.W.tables ()
+  in
+  F_batcher.recover b2 ~records ~sessions:[] ~batches_done:0;
+  Alcotest.(check int64) "replayed digest" sstats.F_server.digest (F_batcher.state_digest b2);
+  Alcotest.(check bool) "replayed pmem image" true
+    (Bytes.equal (pmem_image engine) (pmem_image (F_batcher.engine b2)))
 
 let suites =
   [
@@ -1643,5 +1927,20 @@ let suites =
           test_server_session_takeover;
         Alcotest.test_case "acked retransmit is never Rejected at shutdown" `Quick
           test_server_drain_retransmit;
+      ] );
+    ( "frontend.pipeline",
+      [
+        Alcotest.test_case "pipelined = inline: outcomes, digest, journal (serial)" `Quick
+          (test_pipeline_equals_inline spec_serial);
+        Alcotest.test_case "pipelined = inline: outcomes, digest, journal (aria)" `Quick
+          (test_pipeline_equals_inline spec_aria);
+        Alcotest.test_case "kill with N executing, N+1 journaled: restart digest" `Quick
+          test_pipeline_kill_mid_batch;
+        Alcotest.test_case "engine exception ends the server, clients see the close" `Quick
+          test_pipeline_engine_exception;
+        Alcotest.test_case "200 servers in one process join their engine domains" `Quick
+          test_pipeline_many_servers;
+        Alcotest.test_case "served --jobs 2 from the engine domain = inline replay" `Quick
+          test_pipeline_wide_engine;
       ] );
   ]
