@@ -23,6 +23,27 @@ diff -u test/golden/run_ycsb_stdout.txt _golden_tmp/stdout.txt
 diff -u test/golden/run_ycsb_trace.json _golden_tmp/trace.json
 diff -u test/golden/run_ycsb_metrics.jsonl _golden_tmp/metrics.jsonl
 
+# Three more seeded runs, stdout only. The YCSB run above never hits
+# the cache, so these pin what it cannot see: cache fills (SmallBank),
+# deletes, counter draws and inserts (TPC-C), and Aria's snapshot
+# execution with deferrals.
+for spec in "smallbank:-w smallbank" "tpcc:-w tpcc" "aria_ycsb:-e aria -w ycsb"; do
+  name=${spec%%:*}
+  # shellcheck disable=SC2086
+  ./_build/default/bin/nvdb.exe run ${spec#*:} --epochs 3 --txns 300 \
+    > "_golden_tmp/run_${name}_stdout.txt"
+  diff -u "test/golden/run_${name}_stdout.txt" "_golden_tmp/run_${name}_stdout.txt"
+done
+
+# Two seeded fuzz campaigns: crash/recovery with media faults, and the
+# plain crash-recovery campaign (every fifth iteration an in-process
+# routed cluster). Each prints one line per iteration plus totals.
+./_build/default/bin/nvdb.exe fuzz --faults --seed 3 --iterations 20 \
+  > _golden_tmp/fuzz_faults_seed3_stdout.txt
+diff -u test/golden/fuzz_faults_seed3_stdout.txt _golden_tmp/fuzz_faults_seed3_stdout.txt
+./_build/default/bin/nvdb.exe fuzz --iterations 60 --seed 7 > _golden_tmp/fuzz_seed7_stdout.txt
+diff -u test/golden/fuzz_seed7_stdout.txt _golden_tmp/fuzz_seed7_stdout.txt
+
 # Front-end golden: the serving pipeline driven deterministically in
 # process (seeded clients, manual tick clock — `nvdb serve-sim`). Only
 # simulated-clock/tick-valued fields appear in this output; wall-clock
