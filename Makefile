@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test test-parallel fmt-check golden serve-check examples check bench profile fuzz diff-fuzz chaos clean
+.PHONY: all build test fmt-check golden serve-check examples check bench profile fuzz diff-fuzz chaos clean
 
 all: build
 
@@ -10,11 +10,6 @@ build:
 test:
 	dune runtest
 
-# Same suite with the engine's domain pool at width 4; all results are
-# byte-identical to the serial run, so every test passes unmodified.
-test-parallel:
-	NVC_JOBS=4 dune runtest --force
-
 # ocamlformat is optional in the dev image; enforce only when present.
 fmt-check:
 	@if command -v ocamlformat >/dev/null 2>&1; then \
@@ -23,7 +18,7 @@ fmt-check:
 	  echo "ocamlformat not installed; skipping format check"; \
 	fi
 
-# Byte-identity check of a seeded run against the committed golden
+# Byte-identity check of seeded runs against the committed golden
 # stdout/trace/metrics (see scripts/golden_check.sh).
 golden:
 	bash scripts/golden_check.sh
@@ -44,7 +39,7 @@ examples:
 	  dune exec examples/$$e.exe || exit 1; \
 	done
 
-check: build test test-parallel fmt-check golden serve-check examples
+check: build test fmt-check golden serve-check examples
 
 bench:
 	dune exec bench/main.exe

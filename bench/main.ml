@@ -83,114 +83,6 @@ let write_snapshot file =
   Format.fprintf ppf "wrote %d benchmark metrics to %s@." (List.length metrics) file
 
 (* ------------------------------------------------------------------ *)
-(* Wall-clock scaling of the domain pool: run the headline workloads
-   at --jobs 1, 2 and 4 and record host wall-clock seconds. The
-   committed copy (BENCH_pr8.json) documents the scaling a clean
-   checkout reproduces. Simulated-time results are byte-identical at
-   any width, so committed counts and simulated time are asserted
-   equal across widths as a sanity check — and every workload must
-   report wide_execs > 0 at jobs >= 2 with its default configuration:
-   SmallBank (undeclared reads) and TPC-C (generated inserts, dynamic
-   write sets, deletes, counters) used to gate out of the wide path
-   and must not silently do so again.
-
-   Each width reports its own speedup over jobs=1; the headline is the
-   widest width the host has cores for, since a width past
-   [host_cpus] measures oversubscription, not scaling. *)
-
-let parallel_snapshot file =
-  let module W = Nv_workloads.Workload in
-  let module Db = Nvcaracal.Db in
-  let module Engine = Nv_harness.Engine in
-  let widths = [ 1; 2; 4 ] in
-  let run_once (w : W.t) (s : Engine.setup) jobs =
-    let saved = !Engine.default_jobs in
-    Engine.default_jobs := jobs;
-    Fun.protect ~finally:(fun () -> Engine.default_jobs := saved) @@ fun () ->
-    let config = Engine.caracal_config s w (Engine.spec (Engine.Caracal Nvcaracal.Config.Nvcaracal)) in
-    let db = Db.create ~config ~tables:w.W.tables () in
-    Db.bulk_load db (w.W.load ());
-    let rng = Nv_util.Rng.create s.Engine.seed in
-    let batches = Array.init s.Engine.epochs (fun _ -> w.W.gen_batch rng s.Engine.epoch_txns) in
-    let t0 = wall_now () in
-    Array.iter (fun b -> ignore (Db.run_epoch db b)) batches;
-    let wall = wall_now () -. t0 in
-    (wall, Db.committed_txns db, Db.total_time_ns db, (Db.introspect db).wide_execs)
-  in
-  let cases =
-    [
-      ( "ycsb-default",
-        Nv_workloads.Ycsb.make Nv_workloads.Ycsb.default,
-        Nv_harness.Runner.setup ~epochs:6 ~epoch_txns:6000 () );
-      ( "smallbank",
-        Nv_workloads.Smallbank.make Nv_workloads.Smallbank.default,
-        Nv_harness.Runner.setup ~epochs:8 ~epoch_txns:6000 ~row_size:128 () );
-      ( "tpcc",
-        Nv_workloads.Tpcc.make Nv_workloads.Tpcc.default,
-        Nv_harness.Runner.setup ~epochs:6 ~epoch_txns:1500 ~insert_growth:15 () );
-    ]
-  in
-  let host_cpus = Domain.recommended_domain_count () in
-  let headline_jobs =
-    List.fold_left (fun acc j -> if j <= host_cpus then max acc j else acc) 1 widths
-  in
-  let rows =
-    List.map
-      (fun (name, w, s) ->
-        let runs = List.map (fun jobs -> (jobs, run_once w s jobs)) widths in
-        let _, (_, c1, sim1, _) = List.hd runs in
-        List.iter
-          (fun (jobs, (_, c, sim, wide)) ->
-            if c <> c1 || sim <> sim1 then (
-              Format.eprintf
-                "nvcaracal-bench: %s diverged at jobs=%d (%d vs %d txns, %g vs %g ns)@." name
-                jobs c c1 sim sim1;
-              exit 1);
-            if jobs > 1 && wide = 0 then (
-              Format.eprintf
-                "nvcaracal-bench: %s never ran wide at jobs=%d — a serial gate has regressed@."
-                name jobs;
-              exit 1))
-          runs;
-        let wall jobs = let w, _, _, _ = List.assoc jobs runs in w in
-        let wide jobs = let _, _, _, n = List.assoc jobs runs in n in
-        Format.fprintf ppf
-          "%-14s jobs=1 %6.2fs   jobs=2 %6.2fs   jobs=4 %6.2fs   speedup x2 %.2fx  x4 %.2fx   \
-           wide epochs %d/%d@."
-          name (wall 1) (wall 2) (wall 4)
-          (wall 1 /. wall 2) (wall 1 /. wall 4)
-          (wide 2) (wide 4);
-        (name, runs, c1))
-      cases
-  in
-  Format.fprintf ppf "headline speedup: jobs=%d (the widest width within host_cpus = %d)@."
-    headline_jobs host_cpus;
-  let oc = open_out file in
-  Printf.fprintf oc
-    "{\n  \"jobs_compared\": [1, 2, 4],\n  \"host_cpus\": %d,\n  \"headline_jobs\": %d,\n  \
-     \"workloads\": [\n"
-    host_cpus headline_jobs;
-  List.iteri
-    (fun i (name, runs, committed) ->
-      let wall jobs = let w, _, _, _ = List.assoc jobs runs in w in
-      let wide jobs = let _, _, _, n = List.assoc jobs runs in n in
-      Printf.fprintf oc
-        "    { \"name\": %S, \"jobs1_wall_s\": %.3f, \"jobs2_wall_s\": %.3f, \
-         \"jobs4_wall_s\": %.3f, \"speedup_jobs2\": %.2f, \"speedup_jobs4\": %.2f, \
-         \"speedup\": %.2f, \"committed_txns\": %d, \
-         \"wide_epochs_jobs2\": %d, \"wide_epochs_jobs4\": %d }%s\n"
-        name (wall 1) (wall 2) (wall 4)
-        (wall 1 /. wall 2) (wall 1 /. wall 4)
-        (wall 1 /. wall headline_jobs)
-        committed (wide 2) (wide 4)
-        (if i = List.length rows - 1 then "" else ",")
-    )
-    rows;
-  output_string oc "  ]\n}\n";
-  close_out oc;
-  Format.fprintf ppf "wrote %d workload scaling records to %s@." (List.length rows) file
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks: host-level costs of hot primitives.       *)
 
 let micro () =
@@ -363,26 +255,14 @@ let () =
             "Write the headline fig5/fig8 metrics (deterministic simulated-time numbers) as \
              JSON to $(docv) and exit.")
   in
-  let parallel_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "parallel-snapshot" ] ~docv:"FILE"
-          ~doc:
-            "Measure wall-clock scaling of the engine's domain pool (jobs 1 vs 4 on the \
-             headline workloads), write the results as JSON to $(docv) and exit.")
-  in
-  let jobs_arg = Nv_harness.Cli.jobs in
   let main only list_it micro_it trace_file metrics_file trace_wall profile profile_out
-      slow_epoch_ms snapshot_file parallel_file jobs =
-    Nv_harness.Cli.set_jobs jobs;
+      slow_epoch_ms snapshot_file =
     if list_it then list_experiments ()
     else if micro_it then micro ()
     else
-      match (snapshot_file, parallel_file) with
-      | Some file, _ -> write_snapshot file
-      | None, Some file -> parallel_snapshot file
-      | None, None ->
+      match snapshot_file with
+      | Some file -> write_snapshot file
+      | None ->
           let flush_obs =
             setup_observability ~trace_file ~metrics_file ~trace_wall ~profile ~profile_out
               ~slow_epoch_ms
@@ -396,6 +276,6 @@ let () =
       Term.(
         const main $ only $ list_flag $ micro_flag $ trace_file $ metrics_file
         $ Nv_harness.Cli.trace_wall $ Nv_harness.Cli.profile $ Nv_harness.Cli.profile_out
-        $ Nv_harness.Cli.slow_epoch_ms $ snapshot_file $ parallel_file $ jobs_arg)
+        $ Nv_harness.Cli.slow_epoch_ms $ snapshot_file)
   in
   exit (Cmd.eval cmd)

@@ -47,9 +47,8 @@ let print_result (r : Runner.result) =
       r.Runner.last_epoch_phases
 
 let run_cmd =
-  let run workload contention engine epochs txns seed jobs trace_file metrics_file trace_wall
+  let run workload contention engine epochs txns seed trace_file metrics_file trace_wall
       profile profile_out slow_epoch_ms =
-    Cli.set_jobs jobs;
     let w, growth = Cli.resolve_workload workload contention in
     let setup = Runner.setup ~epochs ~epoch_txns:txns ~seed ~insert_growth:growth () in
     let o =
@@ -66,12 +65,11 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a benchmark workload")
     Term.(
       const run $ Cli.workload $ Cli.contention $ Cli.engine $ Cli.epochs $ Cli.txns $ Cli.seed
-      $ Cli.jobs $ Cli.trace $ Cli.metrics $ Cli.trace_wall $ Cli.profile $ Cli.profile_out
+      $ Cli.trace $ Cli.metrics $ Cli.trace_wall $ Cli.profile $ Cli.profile_out
       $ Cli.slow_epoch_ms)
 
 let recover_cmd =
-  let run workload contention epochs txns seed jobs trace_file metrics_file =
-    Cli.set_jobs jobs;
+  let run workload contention epochs txns seed trace_file metrics_file =
     let w, growth = Cli.resolve_workload workload contention in
     let setup = Runner.setup ~epochs ~epoch_txns:txns ~seed ~insert_growth:growth () in
     let o = Cli.observability ~trace:trace_file ~metrics:metrics_file () in
@@ -86,12 +84,11 @@ let recover_cmd =
   Cmd.v
     (Cmd.info "recover" ~doc:"Crash a run mid-epoch and measure recovery")
     Term.(
-      const run $ Cli.workload $ Cli.contention $ Cli.epochs $ Cli.txns $ Cli.seed $ Cli.jobs
+      const run $ Cli.workload $ Cli.contention $ Cli.epochs $ Cli.txns $ Cli.seed
       $ Cli.trace $ Cli.metrics)
 
 let mem_cmd =
-  let run workload contention epochs txns seed jobs =
-    Cli.set_jobs jobs;
+  let run workload contention epochs txns seed =
     let w, growth = Cli.resolve_workload workload contention in
     let setup = Runner.setup ~epochs ~epoch_txns:txns ~seed ~insert_growth:growth () in
     let r = Runner.run_nvcaracal setup w ~variant:Config.Nvcaracal () in
@@ -100,7 +97,7 @@ let mem_cmd =
   Cmd.v
     (Cmd.info "mem" ~doc:"Report DRAM/NVMM consumption for a workload")
     Term.(
-      const run $ Cli.workload $ Cli.contention $ Cli.epochs $ Cli.txns $ Cli.seed $ Cli.jobs)
+      const run $ Cli.workload $ Cli.contention $ Cli.epochs $ Cli.txns $ Cli.seed)
 
 let fuzz_cmd =
   let iters =
@@ -120,10 +117,9 @@ let fuzz_cmd =
     in
     Arg.(value & flag & info [ "diff" ] ~doc)
   in
-  let run seed iterations faults diff jobs =
-    Cli.set_jobs jobs;
+  let run seed iterations faults diff =
     let outcome =
-      Nv_harness.Fuzzer.run ~seed ~iterations ~faults ~diff ~jobs:(max 1 jobs)
+      Nv_harness.Fuzzer.run ~seed ~iterations ~faults ~diff
         ~log:(fun line -> Format.fprintf ppf "%s@." line)
         ()
     in
@@ -144,15 +140,14 @@ let fuzz_cmd =
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Randomized crash-recovery fuzzing against an oracle")
-    Term.(const run $ Cli.seed $ iters $ faults_flag $ diff_flag $ Cli.jobs)
+    Term.(const run $ Cli.seed $ iters $ faults_flag $ diff_flag)
 
 let scrub_cmd =
   let fault_arg =
     let doc = "Fault model for the crash: legal, torn, rot, or dead." in
     Arg.(value & opt string "rot" & info [ "fault" ] ~docv:"KIND" ~doc)
   in
-  let run workload contention epochs txns seed jobs fault =
-    Cli.set_jobs jobs;
+  let run workload contention epochs txns seed fault =
     let w, growth = Cli.resolve_workload workload contention in
     let setup = Runner.setup ~epochs ~epoch_txns:txns ~seed ~insert_growth:growth () in
     let faults =
@@ -182,7 +177,7 @@ let scrub_cmd =
     (Cmd.info "scrub"
        ~doc:"Crash through a media-fault model and recover with checksum scrubbing")
     Term.(
-      const run $ Cli.workload $ Cli.contention $ Cli.epochs $ Cli.txns $ Cli.seed $ Cli.jobs
+      const run $ Cli.workload $ Cli.contention $ Cli.epochs $ Cli.txns $ Cli.seed
       $ fault_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -251,7 +246,7 @@ let serve_shard ~workload ~contention ~engine ~seed ~capacity ~batch_target ~jou
    them. Recovery is records-only replay: sessions are not
    checkpointed (clients re-resume), and the shards answer re-driven
    epochs from their own recovered state. *)
-let serve_router ~workload ~contention ~engine ~seed ~jobs ~listen ~batch_target ~deadline
+let serve_router ~workload ~contention ~engine ~seed ~listen ~batch_target ~deadline
     ~max_pending ~capacity ~once ~stats_interval ~stats_out ~journal_path ~recover
     ~checkpoint_every ~journal_mb ~shards:n ~trace_file ~metrics_file =
   let journal_base =
@@ -330,7 +325,7 @@ let serve_router ~workload ~contention ~engine ~seed ~jobs ~listen ~batch_target
       [
         Sys.executable_name; "serve"; "--shard-id"; string_of_int i; "--shards";
         string_of_int n; "--listen"; sock; "--workload"; workload; "--contention"; contention;
-        "--engine"; engine; "--seed"; string_of_int seed; "--jobs"; string_of_int jobs;
+        "--engine"; engine; "--seed"; string_of_int seed;
         "--capacity"; string_of_int capacity; "--batch-target"; string_of_int batch_target;
         "--journal"; Printf.sprintf "%s.shard%d" journal_base i; "--journal-mb";
         string_of_int journal_mb; "--recover";
@@ -517,16 +512,15 @@ let serve_cmd =
             "Cap on a freshly created journal file: an append that would grow the file past it \
              fails (enable checkpointing to truncate the journal).")
   in
-  let run workload contention engine seed jobs listen batch_target deadline max_pending capacity
+  let run workload contention engine seed listen batch_target deadline max_pending capacity
       once stats_interval stats_out journal_path recover checkpoint_every journal_mb shards_n
       shard_id trace_file metrics_file =
-    Cli.set_jobs jobs;
     match shard_id with
     | Some sid ->
         serve_shard ~workload ~contention ~engine ~seed ~capacity ~batch_target ~journal_path
           ~recover ~journal_mb ~listen ~shards:(max shards_n 1) ~sid
     | None when shards_n > 1 ->
-        serve_router ~workload ~contention ~engine ~seed ~jobs ~listen ~batch_target ~deadline
+        serve_router ~workload ~contention ~engine ~seed ~listen ~batch_target ~deadline
           ~max_pending ~capacity ~once ~stats_interval ~stats_out ~journal_path ~recover
           ~checkpoint_every ~journal_mb ~shards:shards_n ~trace_file ~metrics_file
     | None ->
@@ -656,7 +650,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc:"Serve the wire protocol on a socket, batching clients into epochs")
     Term.(
-      const run $ Cli.workload $ Cli.contention $ Cli.engine $ Cli.seed $ Cli.jobs $ Cli.listen
+      const run $ Cli.workload $ Cli.contention $ Cli.engine $ Cli.seed $ Cli.listen
       $ batch_target_arg $ deadline_arg $ max_pending_arg $ capacity_arg $ once_flag
       $ stats_interval_arg $ stats_out_arg $ journal_arg $ recover_flag $ checkpoint_arg
       $ journal_mb_arg $ Cli.shards $ Cli.shard_id $ Cli.trace $ Cli.metrics)
@@ -847,8 +841,7 @@ let serve_sim_cmd =
       & info [ "deadline-ticks" ] ~docv:"N"
           ~doc:"Close an under-filled batch $(docv) ticks after its oldest arrival.")
   in
-  let run workload contention engine seed jobs clients txns batch_target deadline metrics_file =
-    Cli.set_jobs jobs;
+  let run workload contention engine seed clients txns batch_target deadline metrics_file =
     let w, growth = Cli.resolve_workload workload contention in
     let spec = Cli.resolve_engine engine in
     let o = Cli.observability ~trace:None ~metrics:metrics_file () in
@@ -902,7 +895,7 @@ let serve_sim_cmd =
          "Drive the serving pipeline in process with seeded clients and a manual tick clock \
           (deterministic; used for front-end golden checks)")
     Term.(
-      const run $ Cli.workload $ Cli.contention $ Cli.engine $ Cli.seed $ Cli.jobs $ clients_arg
+      const run $ Cli.workload $ Cli.contention $ Cli.engine $ Cli.seed $ clients_arg
       $ txns_arg $ batch_target_arg $ deadline_arg $ Cli.metrics)
 
 (* Kill-9 chaos campaign: serve + loadgen as child processes, a seeded

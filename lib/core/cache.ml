@@ -19,12 +19,8 @@ type t = {
   mutable n_free : int;
   mutable entries : int;
   mutable data_bytes : int;
-  (* Hit/miss counters are atomic: wide execution touches rows from
-     several domains at once, and the per-epoch report only needs the
-     (commutative) totals. Structural state stays plain — inserts,
-     drops and eviction run serially between or around executions. *)
-  hits : int Atomic.t;
-  misses : int Atomic.t;
+  mutable hits : int;
+  mutable misses : int;
 }
 
 let create ~max_entries =
@@ -36,8 +32,8 @@ let create ~max_entries =
     n_free = 0;
     entries = 0;
     data_bytes = 0;
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
+    hits = 0;
+    misses = 0;
   }
 
 let push_list t epoch row =
@@ -145,13 +141,11 @@ let fill t stats (row : Row.t) ~src ~src_off ~len ~epoch =
 let touch t (row : Row.t) ~epoch =
   match row.Row.cached with
   | Some c ->
-      Atomic.incr t.hits;
-      (* Concurrent touches of a hot row may race here; they all write
-         the same (current) epoch, so the outcome is unaffected. *)
+      t.hits <- t.hits + 1;
       if c.Row.last_epoch < epoch then c.Row.last_epoch <- epoch
   | None -> ()
 
-let note_miss t = Atomic.incr t.misses
+let note_miss t = t.misses <- t.misses + 1
 
 let drop t stats (row : Row.t) =
   match row.Row.cached with
@@ -208,5 +202,5 @@ let evict t stats ~current_epoch ~k =
 let entries t = t.entries
 let data_bytes t = t.data_bytes
 let dram_bytes t = t.data_bytes + (t.entries * 32)
-let hits t = Atomic.get t.hits
-let misses t = Atomic.get t.misses
+let hits t = t.hits
+let misses t = t.misses

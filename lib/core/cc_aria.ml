@@ -41,12 +41,11 @@ let run ?(replay = false) t txns =
   let buffers = Array.init n (fun _ -> Hashtbl.create 8) in
   let read_sets = Array.init n (fun _ -> Hashtbl.create 8) in
   let user_aborted = Array.make n false in
-  let exec_one ?wait_preds i =
+  let exec_one i =
     let core = core_of t i in
     let stats = stats_of t core in
     let sid = Sid.make ~epoch:t.epoch ~seq:i in
     let buffer = buffers.(i) and rset = read_sets.(i) in
-    set_cur_seq i;
     let snapshot_read ~table ~key =
       match find_row t stats ~table ~key with
       | None -> None
@@ -126,10 +125,6 @@ let run ?(replay = false) t txns =
         counter_next =
           (fun ~idx ->
             Stats.compute stats ();
-            (* Shared-array draws serialize in serial position order:
-               under wide execution, wait for every earlier transaction
-               to finish first. *)
-            (match wait_preds with Some wait -> wait () | None -> ());
             let v = t.counters.(idx) in
             t.counters.(idx) <- Int64.add v 1L;
             v);
@@ -141,72 +136,14 @@ let run ?(replay = false) t txns =
     | exception Txn.Aborted ->
         user_aborted.(i) <- true;
         Hashtbl.reset buffer);
-    hook t (Exec_txn i);
-    set_cur_seq (-1)
-  in
-  (* Snapshot execution has no cross-transaction dependencies: reads hit
-     the epoch-start snapshot, writes buffer privately, and nothing here
-     stores to pmem — so there is no row-alignment concern. The effect
-     journal carries the order-sensitive outputs (cache fills, deferred
-     hook deliveries) to the join, and counter draws serialize through
-     the stripes' progress atomics; only the structural gates below
-     force the serial loop. *)
-  let wide_d =
-    let d = Dpool.stripes (pool t) ~cores:cfg.Config.cores in
-    let gate =
-      if n <= 1 then Some R_small_batch
-      else if d <= 1 then Some R_width
-      else if Dpool.in_task () then Some R_nested
-      else if match t.phase_hook with Some h -> not h.hk_defer | None -> false then
-        Some R_phase_hook
-      else if t.unmirrored_rows then Some R_unmirrored_rows
-      else None
-    in
-    match gate with
-    | None -> d
-    | Some r ->
-        note_serial_reason t r;
-        1
+    hook t (Exec_txn i)
   in
   phase_span t "execute" (fun () ->
-      Effects.begin_exec t ~d:wide_d;
+      Effects.begin_exec t;
       (try
-         if wide_d = 1 then
-           for i = 0 to n - 1 do
-             exec_one i
-           done
-         else begin
-           let progress = Array.init wide_d (fun _ -> Atomic.make (-1)) in
-           let await s bound =
-             let spins = ref 0 in
-             while Atomic.get progress.(s) < bound do
-               Dpool.backoff !spins;
-               incr spins
-             done
-           in
-           ignore
-             (Dpool.run (pool t) ~n:wide_d (fun s ->
-                  let cur = ref s in
-                  let wait_preds () =
-                    let i = !cur in
-                    for p = 0 to wide_d - 1 do
-                      if p <> s && i - 1 >= p then
-                        await p (i - 1 - ((i - 1 - p) mod wide_d))
-                    done
-                  in
-                  try
-                    while !cur < n do
-                      exec_one ~wait_preds !cur;
-                      Atomic.set progress.(s) !cur;
-                      cur := !cur + wide_d
-                    done
-                  with e ->
-                    (* Release any stripe stuck in a counter wait before
-                       re-raising (Dpool re-raises after the join). *)
-                    let bt = Printexc.get_raw_backtrace () in
-                    Atomic.set progress.(s) (n + wide_d);
-                    Printexc.raise_with_backtrace e bt))
-         end
+         for i = 0 to n - 1 do
+           exec_one i
+         done
        with e ->
          Effects.abort t;
          raise e);

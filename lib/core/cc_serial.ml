@@ -62,14 +62,13 @@ type ctx_mode = Init | Exec of Sid.t
 
 (* Visibility of a row's value at a serial position (Exec) or at
    initialization time (Init: everything resolved so far, which is how
-   dynamic write sets observe insert-step data). [wait_for] is the wide
-   execution hook: it blocks until the slot's writer has resolved it. *)
-let visible_value ?wait_for t stats (row : Row.t) ~mode =
+   dynamic write sets observe insert-step data). *)
+let visible_value t stats (row : Row.t) ~mode =
   if has_varray t row then begin
     let st = t.vstore and va = row.Row.varray in
     let slot =
       match mode with
-      | Exec before -> VA.latest_visible ?wait_for st va stats ~before
+      | Exec before -> VA.latest_visible st va stats ~before
       | Init -> VA.latest_resolved st va stats
     in
     if slot < 0 then
@@ -89,7 +88,7 @@ let visible_value ?wait_for t stats (row : Row.t) ~mode =
 
 exception Found of (int64 * bytes)
 
-let make_ctx ?wait_for ?wait_preds t ~core ~sid ~mode ~txn ~notes ~wrote =
+let make_ctx t ~core ~sid ~mode ~txn ~notes ~wrote =
   let stats = stats_of t core in
   let read ~table ~key =
     Stats.compute stats ();
@@ -101,8 +100,8 @@ let make_ctx ?wait_for ?wait_preds t ~core ~sid ~mode ~txn ~notes ~wrote =
     | -1 -> (
         match find_row t stats ~table ~key with
         | None -> None
-        | Some row -> visible_value ?wait_for t stats row ~mode)
-    | e -> visible_value ?wait_for t stats t.ws.wrows.(e) ~mode
+        | Some row -> visible_value t stats row ~mode)
+    | e -> visible_value t stats t.ws.wrows.(e) ~mode
   in
   let write ~table ~key data =
     (match mode with Exec _ -> () | Init -> invalid_arg "Txn.Ctx.write: not in execution phase");
@@ -143,7 +142,7 @@ let make_ctx ?wait_for ?wait_preds t ~core ~sid ~mode ~txn ~notes ~wrote =
   let range_read ~table ~lo ~hi =
     List.rev
       (ordered_fold table ~lo ~hi ~init:[] ~f:(fun acc key row ->
-           match visible_value ?wait_for t stats row ~mode with
+           match visible_value t stats row ~mode with
            | Some data -> (key, data) :: acc
            | None -> acc))
   in
@@ -151,7 +150,7 @@ let make_ctx ?wait_for ?wait_preds t ~core ~sid ~mode ~txn ~notes ~wrote =
     (* Ascending scan with early exit on the first visible entry. *)
     try
       ordered_fold table ~lo:bound ~hi:Int64.max_int ~init:() ~f:(fun () key row ->
-          match visible_value ?wait_for t stats row ~mode with
+          match visible_value t stats row ~mode with
           | Some data -> raise (Found (key, data))
           | None -> ());
       None
@@ -164,7 +163,7 @@ let make_ctx ?wait_for ?wait_preds t ~core ~sid ~mode ~txn ~notes ~wrote =
       match ordered_max_below table bound with
       | None -> None
       | Some (key, row) -> (
-          match visible_value ?wait_for t stats row ~mode with
+          match visible_value t stats row ~mode with
           | Some data -> Some (key, data)
           | None -> if key = Int64.min_int then None else go (Int64.pred key))
     in
@@ -177,12 +176,6 @@ let make_ctx ?wait_for ?wait_preds t ~core ~sid ~mode ~txn ~notes ~wrote =
   let compute ~ops = Stats.compute stats ~ops () in
   let counter_next ~idx =
     Stats.compute stats ();
-    (* Counters draw from a shared array in serial order. Under wide
-       execution the draw runs only after every earlier transaction has
-       finished ([wait_preds]), which serializes all draws in serial
-       position order — the progress atomics make the predecessors'
-       draws visible. *)
-    (match wait_preds with Some wait -> wait () | None -> ());
     let v = t.counters.(idx) in
     t.counters.(idx) <- Int64.add v 1L;
     v
@@ -251,14 +244,11 @@ let worth_caching t va =
 
 (* Resolve the epoch-final version of a row once its last declared
    writer has executed (handles aborted final writers, section 4.6).
-   [wait_for] blocks on slots whose writers — earlier transactions the
-   finalizer never read from, e.g. before a blind write — are still in
-   flight. Order-sensitive outcomes (cache fills, deletes) go through
-   the effect journal; the final persistent write itself is row-local,
-   so it runs here, on the finalizing stripe. *)
-let finalize_row ?wait_for t stats ~core (row : Row.t) =
+   Cache fills and deletes go through the effect journal; the final
+   persistent write runs here. *)
+let finalize_row t stats ~core (row : Row.t) =
   let st = t.vstore and va = row.Row.varray in
-  let slot = VA.latest_resolved ?wait_for st va stats in
+  let slot = VA.latest_resolved st va stats in
   if slot >= 0 (* else a fresh insert whose every version aborted *) then begin
     let v = VA.value st slot and sid = VA.sid st slot in
     let cache = Config.caching_enabled t.config && worth_caching t va in
@@ -406,25 +396,15 @@ let run ?(replay = false) t txns =
   let exec_hist =
     if Metrics.enabled t.metrics then Some (Metrics.histogram t.metrics "txn_exec_ns") else None
   in
-  (* One transaction at serial position [i]. [wait_for] is the wide
-     execution hook (block until an earlier transaction's slot is
-     resolved); [wait_preds] blocks until every earlier transaction has
-     finished (counter draws). Order-sensitive outputs — sampled txn
-     spans, histogram observations, deferred hook deliveries, cache
-     fills, deletes — are recorded in the effect journal under serial
-     position [i] and replayed in order at the join. *)
-  let exec_one ?wait_for ?wait_preds i =
+  (* One transaction at serial position [i]. *)
+  let exec_one i =
     let core = core_of t i in
     let stats = stats_of t core in
     let sid = Sid.make ~epoch:t.epoch ~seq:i in
     let traced = txn_sample > 0 && i mod txn_sample = 0 in
     let ts0 = if traced || exec_hist <> None then Stats.now stats else 0.0 in
     let wrote = ref false in
-    set_cur_seq i;
-    let ctx =
-      make_ctx ?wait_for ?wait_preds t ~core ~sid ~mode:(Exec sid) ~txn:i ~notes:notes.(i)
-        ~wrote
-    in
+    let ctx = make_ctx t ~core ~sid ~mode:(Exec sid) ~txn:i ~notes:notes.(i) ~wrote in
     (* Validate reconnaissance reads: if any value the recon pass
        observed was changed by an earlier transaction in this epoch,
        abort deterministically. *)
@@ -465,135 +445,24 @@ let run ?(replay = false) t txns =
         let va = row.Row.varray in
         if Sid.compare (VA.max_sid st va) sid = 0 && not (VA.finalized st va) then begin
           VA.set_finalized st va;
-          finalize_row ?wait_for t stats ~core row
+          finalize_row t stats ~core row
         end);
     (if traced || exec_hist <> None then begin
        let dur = Stats.now stats -. ts0 in
-       (if traced then begin
-          (* Sampled txn spans carry explicit timestamps, so emitting
-             from the journal in ascending serial position reproduces
-             the serial event stream byte for byte. *)
-          let emit () =
-            Tracer.complete t.tracer ~core ~name:"txn" ~cat:"txn"
-              ~args:[ ("seq", Nv_obs.Jsonx.Int i); ("aborted", Nv_obs.Jsonx.Bool aborted) ]
-              ~ts:ts0 ~dur ()
-          in
-          if not (record_effect t (E_trace emit)) then emit ()
-        end);
-       match exec_hist with
-       | Some hist ->
-           if not (record_effect t (E_observe { hist; v = dur })) then Metrics.observe hist dur
-       | None -> ()
+       if traced then
+         Tracer.complete t.tracer ~core ~name:"txn" ~cat:"txn"
+           ~args:[ ("seq", Nv_obs.Jsonx.Int i); ("aborted", Nv_obs.Jsonx.Bool aborted) ]
+           ~ts:ts0 ~dur ();
+       match exec_hist with Some hist -> Metrics.observe hist dur | None -> ()
      end);
-    hook t (Exec_txn i);
-    set_cur_seq (-1)
-  in
-  (* Wide execution is a pure performance path: it must be bit-for-bit
-     equivalent to the serial-order loop at any pool width. The effect
-     journal carries everything order-sensitive to the join barrier, so
-     the gate no longer depends on what the batch does — only on
-     structural conditions the journal cannot absorb (each noted in the
-     serial-reason telemetry). Transactions synchronize through
-     version-array slots: stripe [s] runs positions congruent to [s]
-     modulo [wide_d] in ascending order, and a read of a slot written by
-     another stripe spins on that stripe's progress counter. Declared
-     reads, undeclared probes and finalizer scans all wait only on
-     earlier serial positions, so every stripe is always runnable
-     (docs/PARALLELISM.md develops the full argument). *)
-  let wide_d =
-    let d = Dpool.stripes (pool t) ~cores:cfg.Config.cores in
-    let gate =
-      if n <= 1 then Some R_small_batch
-      else if d <= 1 then Some R_width
-      else if Dpool.in_task () then
-        (* Nested in a pool task: Dpool.run would
-           inline-serialize the stripes, deadlocking any cross-stripe
-           wait. *)
-        Some R_nested
-      else if match t.phase_hook with Some h -> not h.hk_defer | None -> false then
-        Some R_phase_hook
-      else if t.unmirrored_rows then Some R_unmirrored_rows
-      else if cfg.Config.row_size mod 64 <> 0 then
-        (* Adjacent row slots in one arena may share a cache line, and
-           rows finalize on their last writer's stripe — only line-
-           aligned rows make stripes' stores line-disjoint. *)
-        Some R_row_align
-      else None
-    in
-    match gate with
-    | None -> d
-    | Some r ->
-        note_serial_reason t r;
-        1
+    hook t (Exec_txn i)
   in
   phase_span t "execute" (fun () ->
-      Effects.begin_exec t ~d:wide_d;
+      Effects.begin_exec t;
       (try
-         if wide_d = 1 then
-           for i = 0 to n - 1 do
-             exec_one i
-           done
-         else begin
-           (* progress.(s) = highest serial position stripe [s] has
-              finished (-1 initially): one atomic per stripe instead of
-              a done flag per transaction, so the common wait is a
-              single load that usually already satisfies. *)
-           let progress = Array.init wide_d (fun _ -> Atomic.make (-1)) in
-           let await s bound =
-             let spins = ref 0 in
-             while Atomic.get progress.(s) < bound do
-               Dpool.backoff !spins;
-               incr spins
-             done
-           in
-           Pmem.begin_stripes t.pmem ~n:wide_d;
-           Fun.protect
-             ~finally:(fun () -> Pmem.end_stripes t.pmem)
-             (fun () ->
-               ignore
-                 (Dpool.run (pool t) ~n:wide_d (fun s ->
-                      Pmem.set_stripe t.pmem s;
-                      let cur = ref s in
-                      let wait_for sid =
-                        let seq = Sid.seq_of sid in
-                        if Sid.epoch_of sid = t.epoch && seq <> !cur && seq < n then
-                          await (seq mod wide_d) seq
-                      in
-                      (* Block until every serial position below [cur]
-                         has finished: stripe [p] is done with them once
-                         it has finished its largest position below
-                         [cur]. *)
-                      let wait_preds () =
-                        let i = !cur in
-                        for p = 0 to wide_d - 1 do
-                          if p <> s && i - 1 >= p then
-                            await p (i - 1 - ((i - 1 - p) mod wide_d))
-                        done
-                      in
-                      try
-                        while !cur < n do
-                          exec_one ~wait_for ~wait_preds !cur;
-                          Atomic.set progress.(s) !cur;
-                          cur := !cur + wide_d
-                        done
-                      with e ->
-                        (* Poison the rest of the stripe — resolve its
-                           slots and push its progress past every
-                           position — so the other stripes' waits
-                           terminate; Dpool re-raises after the join. *)
-                        let bt = Printexc.get_raw_backtrace () in
-                        let j = ref !cur in
-                        while !j < n do
-                          let sid = Sid.make ~epoch:t.epoch ~seq:!j in
-                          iter_entries t !j (fun e ->
-                              let slot = slot_of t e ~sid in
-                              if VA.value t.vstore slot = VA.pending then
-                                VA.set_value t.vstore slot VA.ignored);
-                          j := !j + wide_d
-                        done;
-                        Atomic.set progress.(s) (n + wide_d);
-                        Printexc.raise_with_backtrace e bt)))
-         end
+         for i = 0 to n - 1 do
+           exec_one i
+         done
        with e ->
          Effects.abort t;
          raise e);

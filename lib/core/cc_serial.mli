@@ -23,11 +23,8 @@ include Cc_intf.S
 type ctx_mode = Init | Exec of Sid.t
 
 (** The value of [row] visible under [mode]: the version array when the
-    row was touched this epoch, the committed read otherwise. [wait_for]
-    is the wide-execution hook — it receives the SID of every non-empty
-    slot inspected and blocks until that writer has resolved it. *)
+    row was touched this epoch, the committed read otherwise. *)
 val visible_value :
-  ?wait_for:(Sid.t -> unit) ->
   Epoch.t ->
   Nv_nvmm.Stats.t ->
   Row.t ->

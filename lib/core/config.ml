@@ -22,7 +22,6 @@ type t = {
   selective_caching : bool;
   persistent_index : bool;
   pindex_capacity : int;
-  parallelism : int;
   spec : Nv_nvmm.Memspec.t;
 }
 
@@ -48,7 +47,6 @@ let default =
     selective_caching = false;
     persistent_index = false;
     pindex_capacity = 0;
-    parallelism = 1;
     spec = Nv_nvmm.Memspec.default;
   }
 
@@ -63,7 +61,7 @@ let make ?(variant = default.variant) ?(cores = default.cores) ?(row_size = defa
     ?(cache_entries_max = default.cache_entries_max) ?(ordered_index = default.ordered_index)
     ?(batch_append = default.batch_append) ?(selective_caching = default.selective_caching)
     ?(persistent_index = default.persistent_index)
-    ?(pindex_capacity = default.pindex_capacity) ?(parallelism = default.parallelism) () =
+    ?(pindex_capacity = default.pindex_capacity) () =
   assert (row_size >= Nv_storage.Prow.min_row_size);
   {
     variant;
@@ -86,7 +84,6 @@ let make ?(variant = default.variant) ?(cores = default.cores) ?(row_size = defa
     selective_caching;
     persistent_index;
     pindex_capacity;
-    parallelism = max 1 parallelism;
     spec = (if variant = All_dram then Nv_nvmm.Memspec.dram_only else Nv_nvmm.Memspec.default);
   }
 

@@ -62,10 +62,6 @@ type t = {
   pindex_capacity : int;
       (** buckets in the persistent index; 0 derives 2x the row-pool
           capacity *)
-  parallelism : int;
-      (** run eligible per-core phase loops on up to this many OCaml
-          domains ({!Nv_util.Dpool}); 1 (the default) is the serial
-          engine, and seeded outputs are identical at any setting *)
   spec : Nv_nvmm.Memspec.t;
 }
 
@@ -94,7 +90,6 @@ val make :
   ?selective_caching:bool ->
   ?persistent_index:bool ->
   ?pindex_capacity:int ->
-  ?parallelism:int ->
   unit ->
   t
 (** [default] with overrides. The [All_dram] variant forces the

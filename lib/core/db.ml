@@ -53,15 +53,9 @@ let set_observability = Epoch.set_observability
 let set_phase_hook = Epoch.set_phase_hook
 let crash = Recovery.crash
 
-let introspect t =
-  {
-    Engine_intf.wide_execs = Epoch.wide_execs t;
-    serial_reasons = Epoch.serial_reasons t;
-    state_digest =
-      Engine_intf.digest_committed
-        ~tables:(Array.to_list (tables t))
-        ~iter:(fun ~table f -> iter_committed t ~table f);
-  }
+let state_digest t =
+  Engine_intf.digest_committed ~tables:(Array.to_list (tables t)) ~iter:(fun ~table f ->
+      iter_committed t ~table f)
 let recover = Recovery.recover
 
 (* ------------------------------------------------------------------ *)
@@ -80,7 +74,7 @@ module Engine_common = struct
   let aborted_txns = aborted_txns
   let total_time_ns = total_time_ns
 
-  let introspect = introspect
+  let state_digest = state_digest
   let mem_report = mem_report
   let counters_total = counters_total
   let set_observability = set_observability

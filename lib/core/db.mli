@@ -93,14 +93,9 @@ val iter_committed : t -> table:int -> (int64 -> bytes -> unit) -> unit
 (** Visit all live keys of a table with their committed values,
     in unspecified order (uncharged). *)
 
-val introspect : t -> Engine_intf.introspection
-(** One inspection snapshot ({!Engine_intf.type-introspection}):
-    [wide_execs] counts epochs whose execute phase ran on more than one
-    domain (always 0 under [config.parallelism = 1]); [serial_reasons]
-    counts epochs forced onto one stripe, by reason (labels in
-    docs/PARALLELISM.md); [state_digest] fingerprints committed state.
-    Inspection only — seeded results are identical whether or not an
-    epoch ran wide. *)
+val state_digest : t -> int64
+(** Fingerprint of the committed state across all tables
+    ({!Engine_intf.digest_committed}). *)
 
 val mem_report : t -> Report.mem_report
 val committed_txns : t -> int
@@ -161,14 +156,10 @@ type phase = Epoch.phase =
       (** Epoch-processing milestones, in order. [Exec_txn i] fires
           after transaction [i] finishes (commit or abort). *)
 
-val set_phase_hook : ?defer:bool -> t -> (phase -> unit) -> unit
+val set_phase_hook : t -> (phase -> unit) -> unit
 (** Test instrumentation: called at each milestone of every epoch.
     Crash-injection tests raise from the hook to stop the epoch at a
-    precise point and then call [crash]. [defer] (default false) marks
-    the hook as blind to intermediate engine state: its [Exec_txn]
-    deliveries may then be journaled and fired at the execute phase's
-    join barrier, in serial order, instead of forcing the execute phase
-    onto one stripe. *)
+    precise point and then call [crash]. *)
 
 
 type recovery_phase = Epoch.recovery_phase =

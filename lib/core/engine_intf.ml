@@ -19,30 +19,11 @@
     - {b Committed reads see checkpoint state.} [read_committed] /
       [iter_committed] observe the last batch boundary, uncharged. *)
 
-(** One uniform inspection snapshot of an engine: everything harness
-    code may want to know about committed state and execution shape
-    without reaching into engine-specific accessors.
-
-    - [wide_execs]: batches whose execute phase ran on more than one
-      domain (cumulative). Results are identical whether or not a batch
-      ran wide; engines without wide execution report 0.
-    - [serial_reasons]: cumulative [(reason, count)] telemetry of
-      batches forced onto one stripe, nonzero reasons only (labels in
-      docs/PARALLELISM.md). Always empty for engines without wide
-      execution.
-    - [state_digest]: deterministic fingerprint of the committed state
-      across all tables; equal committed states give equal digests (the
-      same value {!Nv_harness.Engine.state_digest} reports). *)
-type introspection = {
-  wide_execs : int;
-  serial_reasons : (string * int) list;
-  state_digest : int64;
-}
-
-(** The digest every engine's [introspect] reports: an FNV chain over
+(** The digest every engine's [state_digest] reports: an FNV chain over
     each table's committed rows in sorted (key, value) order, seeded
-    per table with the table id. [iter] is the engine's
-    [iter_committed] partially applied to the instance. *)
+    per table with the table id, so equal committed states give equal
+    digests. [iter] is the engine's [iter_committed] partially applied
+    to the instance. *)
 let digest_committed ~(tables : Table.t list)
     ~(iter : table:int -> (int64 -> bytes -> unit) -> unit) =
   let module Fnv = Nv_util.Fnv in
@@ -117,11 +98,10 @@ module type S = sig
   val total_time_ns : t -> float
   (** Simulated time consumed so far (max over core clocks). *)
 
-  val introspect : t -> introspection
-  (** One inspection snapshot — see {!type:introspection}. Replaces the
-      per-engine [wide_execs]/[serial_reasons]/digest accessors so
-      routers, [nvdb stats] and the fuzzer read every engine the same
-      way. Inspection only: values never influence execution. *)
+  val state_digest : t -> int64
+  (** Fingerprint of the committed state across all tables
+      ({!digest_committed}; uncharged), read the same way for every
+      engine by routers, [nvdb stats] and the fuzzer. *)
 
   val mem_report : t -> Report.mem_report
   val counters_total : t -> Nv_nvmm.Stats.counters

@@ -23,7 +23,6 @@ module VA = Version_array
 module Tracer = Nv_obs.Tracer
 module Metrics = Nv_obs.Metrics
 module Profile = Nv_obs.Profile
-module Dpool = Nv_util.Dpool
 
 type index = Hash of Row.t HIdx.t | Ord of Row.t OIdx.t | Bt of Row.t BIdx.t
 
@@ -48,89 +47,36 @@ type recovery_phase =
   | Rec_scan_done  (* index rebuilt; repairs and reverts persisted *)
   | Rec_replay_done  (* crashed epoch re-executed (or dropped) *)
 
-(* Why an epoch's execute phase stayed on one stripe. Recorded once per
-   gated epoch so gating regressions show up in telemetry instead of
-   silently zeroing [wide_execs] (the counters surface in metrics,
-   [nvdb stats] and the profiler report). *)
-type serial_reason =
-  | R_width  (* pool width or core count yields a single stripe *)
-  | R_small_batch  (* one transaction (or none): nothing to overlap *)
-  | R_nested  (* started from inside a pool task; domains must not nest *)
-  | R_phase_hook  (* a non-deferrable hook observes intermediate state *)
-  | R_unmirrored_rows  (* lazy pindex recovery left rows mirror-less *)
-  | R_row_align  (* rows not cache-line aligned *)
-
-let serial_reason_label = function
-  | R_width -> "width"
-  | R_small_batch -> "small-batch"
-  | R_nested -> "nested"
-  | R_phase_hook -> "phase-hook"
-  | R_unmirrored_rows -> "unmirrored-rows"
-  | R_row_align -> "row-align"
-
-let serial_reason_index = function
-  | R_width -> 0
-  | R_small_batch -> 1
-  | R_nested -> 2
-  | R_phase_hook -> 3
-  | R_unmirrored_rows -> 4
-  | R_row_align -> 5
-
-let all_serial_reasons =
-  [ R_width; R_small_batch; R_nested; R_phase_hook; R_unmirrored_rows; R_row_align ]
-
-(* One journaled side effect of the execution phase. The journal is the
-   engine's single mechanism for running execution wide: anything the
-   serial loop would mutate in serial order — shared structures,
-   order-sensitive sinks — is recorded as an effect instead, and the
-   join barrier replays the merged journal in ascending serial position
-   (see the [Effects] module at the bottom of this file). Adding an
-   effect kind means adding a constructor here and one arm to
-   [Effects.apply] — registration happens exactly once, in that match.
-
-   The three per-write kinds are stored unboxed in the journal's columns
-   (see [stripe] below), so recording one allocates nothing:
-   - k_gc_push row: major-GC list push (serial loop prepends);
+(* The effect journal: side effects of the execute phase that wait for
+   its end, because running them in place would change what later
+   transactions of the same epoch observe. Records are appended in
+   serial order and applied in that order when the phase ends (see the
+   [Effects] module at the bottom of this file). A record is a row of
+   columns: its kind (one of the [k_] codes) and the fields that kind
+   uses; the columns outlive the epoch and are overwritten, not
+   reallocated, so recording allocates nothing.
    - k_fill (st, row, vref): epoch-final cache fill from the transient
-     pool; admission runs against the true cache state at apply time (a
-     refused fill copies nothing) and charges [st] — the recording
-     core's meter — exactly as the serial loop would;
-   - k_delete (core, row): the whole persistent delete is deferred:
-     value slots stay readable by earlier serial positions, the index
-     stays immutable during execution, and freelist rings are only
-     written at the (serial) barrier.
-   The rest are recorded as an [effect_] value. *)
-type effect_ =
-  | E_cache_read of { st : Stats.t; row : Row.t; data : bytes }
-      (* cache fill with a committed read's result (which the reader
-         holds too) *)
-  | E_hook of phase  (* a deferrable phase hook's delivery *)
-  | E_observe of { hist : Metrics.histogram; v : float }
-      (* histogram observation (float sums are order-sensitive) *)
-  | E_trace of (unit -> unit)
-      (* sampled txn span emission (carries explicit timestamps) *)
-
-(* The per-stripe journal: stripe [s] appends records for serial
-   positions congruent to [s] (mod [d]), in ascending position. Stripes
-   never share a serial position (a transaction executes on one
-   stripe), so merging them by position reproduces the serial loop's
-   effect order. A record is a row of columns: its position, its kind
-   (one of the [k_] codes) and the fields that kind uses; the columns
-   outlive the epoch and are overwritten, not reallocated. *)
-type stripe = {
+     pool; admission runs against the cache state at apply time (a
+     refused fill copies nothing) and charges [st], the writing core's
+     meter;
+   - k_read (st, row, data): cache fill with a committed read's result
+     (which the reader holds too), charged likewise;
+   - k_delete (core, row): the whole persistent delete: value slots stay
+     readable and the index unchanged until the phase ends, and freelist
+     rings are written after every transaction has run. *)
+type journal = {
+  mutable on : bool; (* installed: inside the execute phase *)
   mutable len : int;
-  mutable seqs : int array;
   mutable kinds : int array;
-  mutable args : int array;  (* vref (k_fill) or core (k_delete) *)
+  mutable args : int array; (* vref (k_fill) or core (k_delete) *)
   mutable rows : Row.t array;
   mutable sts : Stats.t array;
-  mutable boxed : effect_ array;  (* k_boxed *)
+  mutable datas : bytes array; (* k_read *)
 }
 
-let k_gc_push = 0
-let k_fill = 1
+let k_fill = 0
+let k_read = 1
 let k_delete = 2
-let k_boxed = 3
 
 (* The serial CC's write-set registry: one entry per (transaction, row)
    declaration, built by the initialization phase and consumed by the
@@ -148,11 +94,6 @@ type wset = {
 let ws_insert = 0
 let ws_update = 1
 let ws_delete = 2
-
-(* A phase hook and whether its delivery may be deferred to the join
-   barrier. Non-deferrable hooks (the default — tests use them to
-   observe intermediate state) force the execute phase serial. *)
-type phase_hook = { hk_fn : phase -> unit; hk_defer : bool }
 
 type t = {
   config : Config.t;
@@ -190,25 +131,8 @@ type t = {
          on first touch, possibly many epochs later, so the crashed
          epoch's durable-GC dedup set must outlive the replay *)
   mutable loaded : bool;
-  pool : Dpool.t; (* domain pool driving eligible per-core phase loops *)
-  mutable ej_d : int;
-      (* stripes of the installed effect journal: installed for the
-         whole execute phase (at every width, so one code path produces
-         one behaviour); 0 outside it *)
-  mutable ej : stripe array; (* journal columns, reused across epochs *)
-  mutable unmirrored_rows : bool;
-      (* lazy (persistent-index) recovery left rows whose DRAM mirror
-         loads on first touch — a shared-structure mutation the journal
-         does not cover, so execution stays serial until cleared *)
-  serial_reasons : int array;
-      (* cumulative per-reason counts of serially-gated epochs, indexed
-         by [serial_reason_index] *)
-  mutable wide_execs : int;
-      (* epochs whose execute phase actually ran wide (cumulative) —
-         inspection only, so tests can assert the eligibility gate does
-         not silently disengage *)
-  (* Cumulative measurements, sharded by core so wide execution meters
-     without contention (each stripe owns a disjoint set of cores). *)
+  ej : journal; (* the execute phase's effect journal *)
+  (* Cumulative measurements, one shard per simulated core. *)
   committed : int array;
   total_aborted : int array;
   mutable log_high_water : int;
@@ -223,7 +147,7 @@ type t = {
   mutable m_cache_misses0 : int;
   mutable last_outcomes : [ `Committed | `Aborted | `Deferred ] array;
       (* per-txn outcome of the last batch, set at its checkpoint *)
-  mutable phase_hook : phase_hook option;
+  mutable phase_hook : (phase -> unit) option;
   (* Observability (no-op sinks unless installed). *)
   mutable tracer : Tracer.t;
   mutable metrics : Metrics.t;
@@ -306,12 +230,16 @@ let attach (cfg : Config.t) tables pmem =
     n_touched = 0;
     retain_gc_dedup = false;
     loaded = false;
-    pool = Dpool.shared ~width:cfg.parallelism;
-    ej_d = 0;
-    ej = [||];
-    unmirrored_rows = false;
-    serial_reasons = Array.make (List.length all_serial_reasons) 0;
-    wide_execs = 0;
+    ej =
+      {
+        on = false;
+        len = 0;
+        kinds = [||];
+        args = [||];
+        rows = [||];
+        sts = [||];
+        datas = [||];
+      };
     committed = Array.make cfg.cores 0;
     total_aborted = Array.make cfg.cores 0;
     log_high_water = 0;
@@ -337,105 +265,59 @@ let create ~config ~tables () =
 
 let epoch t = t.epoch
 
-let set_phase_hook ?(defer = false) t hook =
-  t.phase_hook <- Some { hk_fn = hook; hk_defer = defer }
+let set_phase_hook t hook = t.phase_hook <- Some hook
 
 (* ------------------------------------------------------------------ *)
 (* Effect recording (the journal's write side; the apply side lives in
    [Effects] below, once the finalizer helpers it replays exist)        *)
 
-(* The serial position of the transaction currently executing on this
-   domain, or -1 outside a transaction body. Domain-local because wide
-   execution runs transaction bodies on pool domains. *)
-let cur_seq_key = Domain.DLS.new_key (fun () -> -1)
-let set_cur_seq seq = Domain.DLS.set cur_seq_key seq
-
 (* Placeholders for the journal columns a record's kind leaves unused. *)
 let no_row = Row.make ~key:0L ~table:(-1) ~home_core:0 ~prow_base:0 ~created_epoch:0
 let no_stats = Stats.create Memspec.default
 
-let new_stripe () =
-  {
-    len = 0;
-    seqs = [||];
-    kinds = [||];
-    args = [||];
-    rows = [||];
-    sts = [||];
-    boxed = [||];
-  }
-
-let no_effect = E_hook Log_done
-
-let grow_stripe j =
-  let n = max 64 (2 * Array.length j.seqs) in
+let grow_journal j =
+  let n = max 64 (2 * Array.length j.kinds) in
   let extend a fill =
     let b = Array.make n fill in
     Array.blit a 0 b 0 j.len;
     b
   in
-  j.seqs <- extend j.seqs 0;
   j.kinds <- extend j.kinds 0;
   j.args <- extend j.args 0;
   j.rows <- extend j.rows no_row;
   j.sts <- extend j.sts no_stats;
-  j.boxed <- extend j.boxed no_effect
+  j.datas <- extend j.datas Bytes.empty
 
-(* Record one effect under the current serial position. Returns false —
-   and records nothing — when no journal is installed or the caller is
-   not inside a transaction body (inspection reads, bulk load, recovery
-   scaffolding); the caller then applies the effect immediately, which
-   is exactly the serial semantics those paths want. *)
-let record t ~kind ~arg ~row ~st ~boxed =
-  t.ej_d > 0
+(* Record one effect. Returns false, and records nothing, outside the
+   execute phase (inspection reads, bulk load, recovery scaffolding,
+   Aria's reserve-and-apply step); the caller then applies the effect
+   immediately. *)
+let record t ~kind ~arg ~row ~st ~data =
+  let j = t.ej in
+  j.on
   &&
-  let seq = Domain.DLS.get cur_seq_key in
-  seq >= 0
-  &&
-  let j = t.ej.(seq mod t.ej_d) in
-  if j.len = Array.length j.seqs then grow_stripe j;
   let i = j.len in
-  j.seqs.(i) <- seq;
+  if i = Array.length j.kinds then grow_journal j;
   j.kinds.(i) <- kind;
   j.args.(i) <- arg;
   j.rows.(i) <- row;
   j.sts.(i) <- st;
-  j.boxed.(i) <- boxed;
+  j.datas.(i) <- data;
   j.len <- i + 1;
   true
 
-let record_effect t e = record t ~kind:k_boxed ~arg:0 ~row:no_row ~st:no_stats ~boxed:e
-let record_gc_push t row = record t ~kind:k_gc_push ~arg:0 ~row ~st:no_stats ~boxed:no_effect
-let record_fill t st row vref = record t ~kind:k_fill ~arg:vref ~row ~st ~boxed:no_effect
-let record_delete t ~core row = record t ~kind:k_delete ~arg:core ~row ~st:no_stats ~boxed:no_effect
-
-let note_serial_reason t r =
-  let i = serial_reason_index r in
-  t.serial_reasons.(i) <- t.serial_reasons.(i) + 1;
-  (* Mirror into the profiler's note counters so `--profile` shows why
-     wide execution didn't happen right next to where the time went. *)
-  Profile.note t.profile ("serial." ^ serial_reason_label r)
-
-let serial_reasons t =
-  List.filter_map
-    (fun r ->
-      let n = t.serial_reasons.(serial_reason_index r) in
-      if n > 0 then Some (serial_reason_label r, n) else None)
-    all_serial_reasons
+let record_delete t ~core row =
+  record t ~kind:k_delete ~arg:core ~row ~st:no_stats ~data:Bytes.empty
 
 let hook t phase =
   (* The chaos harness's in-epoch kill-9 point: between transactions of
-     a running batch, where the most execution state is in flight. Never
-     deferred — the whole point is to die with execution state in
-     flight. *)
+     a running batch, where the most execution state is in flight. *)
   (match phase with Exec_txn _ -> Nv_util.Crashpoint.hit "mid-epoch" | _ -> ());
-  match t.phase_hook with
-  | None -> ()
-  | Some h -> if not (h.hk_defer && record_effect t (E_hook phase)) then h.hk_fn phase
+  match t.phase_hook with None -> () | Some h -> h phase
 
-(* Fill the committed-value cache: journaled during execution (the join
-   barrier replays fills in ascending serial order, so admission sees
-   the cache state the serial loop would and the DRAM cost lands on the
+(* Fill the committed-value cache: journaled during execution (fills
+   are applied in serial order when the phase ends, so admission sees
+   the cache state of that moment and the DRAM cost lands on the
    recording core's meter), immediate otherwise. [cache_fill_final]
    carries the finalized value's transient-pool reference and copies it
    only if the cache admits the row; [cache_fill_read] caches a
@@ -445,10 +327,11 @@ let apply_fill t stats (row : Row.t) vref =
     ~len:(TP.len vref) ~epoch:t.epoch
 
 let cache_fill_final t stats (row : Row.t) vref =
-  if not (record_fill t stats row vref) then apply_fill t stats row vref
+  if not (record t ~kind:k_fill ~arg:vref ~row ~st:stats ~data:Bytes.empty) then
+    apply_fill t stats row vref
 
 let cache_fill_read t stats (row : Row.t) ~data =
-  if not (record_effect t (E_cache_read { st = stats; row; data })) then
+  if not (record t ~kind:k_read ~arg:0 ~row ~st:stats ~data) then
     Cache.insert t.cache stats row ~data ~epoch:t.epoch
 
 (* ------------------------------------------------------------------ *)
@@ -488,9 +371,9 @@ let phase_span t name f =
       let wts = Tracer.wall_now tr in
       let r = f () in
       let wdur = Tracer.wall_now tr -. wts in
-      (* The wall clock is process-wide (the phase runs the cores'
-         work in one fan-out), so every core's span carries the same
-         wall window; skew between cores is a simulated-time notion. *)
+      (* The cores are simulated on one domain, so every core's span
+         carries the same wall window; skew between cores is a
+         simulated-time notion. *)
       Array.iteri
         (fun core s ->
           Tracer.complete tr ~core ~name ~cat:"epoch" ~wts ~wdur ~ts:begins.(core)
@@ -550,12 +433,6 @@ let publish_epoch_metrics t (r : Report.epoch_stats) =
       g "faults_flipped_bits" (float_of_int fr.Pmem.flipped_bits);
       g "faults_dead_lines" (float_of_int fr.Pmem.dead_lines)
     end;
-    (* Serial-gate telemetry is deliberately NOT published here: the
-       registry's records are byte-identical at any --jobs, and which
-       gate fired (e.g. [width]) depends on the pool width. The
-       width-dependent counters live on the monitoring surfaces instead
-       — {!serial_reasons}, the profiler's note counters, and the
-       server's live-stats snapshot. *)
     ignore (Metrics.snapshot m ~epoch:t.epoch)
   end
 
@@ -564,7 +441,6 @@ let publish_epoch_metrics t (r : Report.epoch_stats) =
 
 let core_of t seq = seq mod t.config.Config.cores
 let stats_of t core = t.core_stats.(core)
-let pool t = t.pool
 
 let barrier t =
   let m = Array.fold_left (fun acc s -> Float.max acc (Stats.now s)) 0.0 t.core_stats in
@@ -897,16 +773,13 @@ let do_prow_final_write t stats ~core (row : Row.t) ~sid ~src ~src_off ~len =
   Row.set_version row.Row.pv2 ~sid ~ptr ~fresh:(not inline);
   t.m_persistent_writes.(core) <- t.m_persistent_writes.(core) + 1;
   (* Track the now-stale v1 for the major collector; inline stale
-     versions are left for the minor collector instead. The push mutates
-     a shared list in serial order, so during execution it is journaled
-     (a row finalizes on exactly one stripe, so the [in_gc_list] guard
-     is stripe-local). *)
+     versions are left for the minor collector instead. *)
   if
     (not (Sid.is_none row.Row.pv1.Row.psid))
     && (not row.Row.in_gc_list)
     && (is_pool row.Row.pv1.Row.pptr || not cfg.Config.minor_gc)
   then begin
-    if not (record_gc_push t row) then push_gc t row;
+    push_gc t row;
     row.Row.in_gc_list <- true
   end
 
@@ -954,84 +827,38 @@ let apply_pindex_delta t stats =
 (* ------------------------------------------------------------------ *)
 (* The effect journal's apply side                                      *)
 
-(* Execution-phase side effects that must land in serial order are
-   recorded per stripe (see [record_effect]) and replayed here at the
-   join barrier, in ascending serial position. The journal is installed
-   at every width — one code path, one behaviour — so the wide run's
-   structures, charges and pmem bytes match the serial run's by
-   construction rather than by per-feature argument. *)
 module Effects = struct
-  let begin_exec t ~d =
-    assert (t.ej_d = 0);
-    if Array.length t.ej < d then
-      t.ej <- Array.append t.ej (Array.init (d - Array.length t.ej) (fun _ -> new_stripe ()));
-    for s = 0 to d - 1 do
-      t.ej.(s).len <- 0
-    done;
-    t.ej_d <- d;
-    if d > 1 then t.wide_execs <- t.wide_execs + 1
+  let begin_exec t =
+    assert (not t.ej.on);
+    t.ej.len <- 0;
+    t.ej.on <- true
 
-  (* Exactly the statement the serial-order loop would have executed in
-     the transaction's place. Charges land on the meter captured at
-     record time (the executing core's), so per-core costs are
-     width-independent. *)
-  let apply_boxed t = function
-    | E_cache_read { st; row; data } -> Cache.insert t.cache st row ~data ~epoch:t.epoch
-    | E_hook p -> (match t.phase_hook with Some h -> h.hk_fn p | None -> ())
-    | E_observe { hist; v } -> Metrics.observe hist v
-    | E_trace emit -> emit ()
-
-  (* Apply record [i] of stripe [j], then clear the references it held. *)
-  let apply t j i =
-    let row = j.rows.(i) in
-    let k = j.kinds.(i) in
-    if k = k_gc_push then push_gc t row
-    else if k = k_fill then apply_fill t j.sts.(i) row j.args.(i)
-    else if k = k_delete then begin
-      let core = j.args.(i) in
-      do_prow_delete t (stats_of t core) ~core row
-    end
-    else begin
-      apply_boxed t j.boxed.(i);
-      j.boxed.(i) <- no_effect
-    end
-
-  (* Replay and uninstall. Each stripe's records are in ascending serial
-     position; a merge by position interleaves them. Records sharing a
-     position never span stripes (a transaction runs on one stripe), so
-     within-transaction record order survives the merge. The journal is
-     uninstalled *before* replay: an effect recorded from inside an
-     apply (none today) would fall through to its immediate serial form
-     instead of landing in a journal being drained. *)
+  (* Apply every record in serial order, then uninstall. The journal is
+     uninstalled first, so an effect recorded from inside an apply (none
+     today) falls through to its immediate form. Charges land on the
+     meter captured at record time. *)
   let drain t =
-    let d = t.ej_d in
-    if d > 0 then begin
-      t.ej_d <- 0;
-      let next = Array.make d 0 in
-      let rec loop () =
-        let best = ref (-1) in
-        for s = 0 to d - 1 do
-          let j = t.ej.(s) in
-          if
-            next.(s) < j.len
-            && (!best < 0 || j.seqs.(next.(s)) < t.ej.(!best).seqs.(next.(!best)))
-          then best := s
-        done;
-        if !best >= 0 then begin
-          let s = !best in
-          apply t t.ej.(s) next.(s);
-          next.(s) <- next.(s) + 1;
-          loop ()
+    let j = t.ej in
+    if j.on then begin
+      j.on <- false;
+      for i = 0 to j.len - 1 do
+        let row = j.rows.(i) and k = j.kinds.(i) in
+        if k = k_fill then apply_fill t j.sts.(i) row j.args.(i)
+        else if k = k_read then begin
+          Cache.insert t.cache j.sts.(i) row ~data:j.datas.(i) ~epoch:t.epoch;
+          j.datas.(i) <- Bytes.empty
         end
-      in
-      loop ()
+        else begin
+          let core = j.args.(i) in
+          do_prow_delete t (stats_of t core) ~core row
+        end
+      done
     end
 
   (* Discard without applying: execution died (crash injection). The
      replacement state is rebuilt by recovery's deterministic replay,
      which re-records and re-applies the same effects. *)
-  let abort t = t.ej_d <- 0
-
+  let abort t = t.ej.on <- false
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1094,8 +921,7 @@ let epoch_report t ~txns:n ~replay ~duration ~phases =
   in
   (* Fold the per-core meter shards with the associative merge: shard
      [c] carries core [c]'s counters, and the epoch-global pieces ride
-     on shard 0. Folding in core order gives one deterministic result at
-     any pool width. *)
+     on shard 0. *)
   let shard c =
     {
       Report.epoch = t.epoch;
@@ -1125,84 +951,42 @@ let epoch_report t ~txns:n ~replay ~duration ~phases =
 (* ------------------------------------------------------------------ *)
 (* Bulk load                                                           *)
 
-(* Materialize one initial row (slab slot, persistent header, value,
-   version) on its home core; indexing is the caller's job. Everything
-   here touches only core-local allocators and this row's NVMM bytes,
-   so distinct rows may load on distinct domains. *)
-let bulk_load_row t idx (table, key, data) =
-  let cfg = t.config in
-  let core = core_of t idx in
-  let stats = stats_of t core in
-  let base = Slab.alloc t.row_pool stats ~core in
-  Prow.init t.pmem stats ~base ~key ~table;
-  let row = Row.make ~key ~table ~home_core:core ~prow_base:base ~created_epoch:0 in
-  let sid = Sid.make ~epoch:1 ~seq:0 in
-  let len = Bytes.length data in
-  let ptr =
-    if len <= Prow.half_capacity ~row_size:cfg.Config.row_size then
-      Prow.write_inline_value t.pmem stats ~base ~row_size:cfg.Config.row_size ~half:0 ~data ()
-    else begin
-      let off = VPools.alloc t.value_pool stats ~core ~len in
-      VPools.write_value t.value_pool stats ~off ~data ();
-      Vptr.pool ~off ~len
-    end
-  in
-  Prow.set_version t.pmem stats ~base ~slot:`V2 ~sid ~ptr ();
-  Row.set_version row.Row.pv2 ~sid ~ptr ~fresh:false;
-  row
-
 (* Rows are flushed as they load, so a fence after each round of
    [load_round] rows keeps the crash-state log to one round, not the
    whole dataset. Load costs are reset below, fences included. *)
 let load_round = 8192
 
+(* Materialize each initial row (slab slot, persistent header, value,
+   version) on its home core, then index it. *)
 let bulk_load t rows =
   if t.loaded then invalid_arg "Db.bulk_load: already loaded";
   t.epoch <- 1;
   let cfg = t.config in
-  let arr = Array.of_seq rows in
-  let n = Array.length arr in
-  let wide =
-    Dpool.width t.pool > 1 && n > 1
-    && cfg.Config.row_size mod 64 = 0
-    && not (Dpool.in_task ())
-  in
-  (* A wide load stripes each round: stripes own disjoint cores, so
-     allocators, clocks and row bytes are domain-confined (aligned rows
-     never share a line across cores — the row-size gate above), and
-     their dirty lines are unioned at the join. The DRAM index and
-     persistent-index delta are then built in ascending order, the
-     structures the serial loop builds. *)
-  let made = if wide then Array.make n None else [||] in
-  let d = if wide then Dpool.stripes t.pool ~cores:cfg.Config.cores else 1 in
-  let index idx (table, key, _) row =
-    index_insert t (stats_of t (core_of t idx)) ~table ~key row;
-    if t.pindex <> None then Hashtbl.replace t.pix_delta (table, key) (`Ins row.Row.prow_base)
-  in
-  for r = 0 to (n - 1) / load_round do
-    let lo = r * load_round and hi = min n ((r + 1) * load_round) in
-    if not wide then
-      for idx = lo to hi - 1 do
-        index idx arr.(idx) (bulk_load_row t idx arr.(idx))
-      done
-    else begin
-      Pmem.begin_stripes t.pmem ~n:d;
-      ignore
-        (Dpool.run t.pool ~n:d (fun s ->
-             Pmem.set_stripe t.pmem s;
-             let i = ref (lo + ((s - (lo mod d) + d) mod d)) in
-             while !i < hi do
-               made.(!i) <- Some (bulk_load_row t !i arr.(!i));
-               i := !i + d
-             done));
-      Pmem.end_stripes t.pmem
-    end;
-    Pmem.fence t.pmem (stats_of t 0)
-  done;
-  if wide then
-    Array.iteri
-      (fun idx spec -> match made.(idx) with Some row -> index idx spec row | None -> assert false)
-      arr;
+  let sid = Sid.make ~epoch:1 ~seq:0 in
+  Seq.iteri
+    (fun idx (table, key, data) ->
+      let core = core_of t idx in
+      let stats = stats_of t core in
+      let base = Slab.alloc t.row_pool stats ~core in
+      Prow.init t.pmem stats ~base ~key ~table;
+      let row = Row.make ~key ~table ~home_core:core ~prow_base:base ~created_epoch:0 in
+      let len = Bytes.length data in
+      let ptr =
+        if len <= Prow.half_capacity ~row_size:cfg.Config.row_size then
+          Prow.write_inline_value t.pmem stats ~base ~row_size:cfg.Config.row_size ~half:0 ~data ()
+        else begin
+          let off = VPools.alloc t.value_pool stats ~core ~len in
+          VPools.write_value t.value_pool stats ~off ~data ();
+          Vptr.pool ~off ~len
+        end
+      in
+      Prow.set_version t.pmem stats ~base ~slot:`V2 ~sid ~ptr ();
+      Row.set_version row.Row.pv2 ~sid ~ptr ~fresh:false;
+      index_insert t stats ~table ~key row;
+      if t.pindex <> None then Hashtbl.replace t.pix_delta (table, key) (`Ins base);
+      if (idx + 1) mod load_round = 0 then Pmem.fence t.pmem (stats_of t 0))
+    rows;
+  Pmem.fence t.pmem (stats_of t 0);
   let stats0 = stats_of t 0 in
   Slab.checkpoint t.row_pool (stats_of t) ~epoch:1;
   VPools.checkpoint t.value_pool (stats_of t) ~epoch:1;
@@ -1272,7 +1056,6 @@ let mem_report t =
 
 let committed_txns t = Array.fold_left ( + ) 0 t.committed
 let aborted_txns t = Array.fold_left ( + ) 0 t.total_aborted
-let wide_execs t = t.wide_execs
 
 let total_time_ns t =
   Array.fold_left (fun acc s -> Float.max acc (Stats.now s)) 0.0 t.core_stats

@@ -29,7 +29,6 @@ module BIdx = Nv_index.Btree_index
 module VA = Version_array
 module Tracer = Nv_obs.Tracer
 module Metrics = Nv_obs.Metrics
-module Dpool = Nv_util.Dpool
 
 (** One DRAM index per table, chosen by the table's kind and the
     configured ordered-index implementation. *)
@@ -48,43 +47,10 @@ type phase =
   | Exec_done
   | Checkpointed
 
-(** Why an epoch's execute phase stayed on one stripe. Recorded per
-    gated epoch ({!note_serial_reason}) and surfaced cumulatively
-    ({!serial_reasons}, plus [serial.<label>] metrics counters), so
-    gating regressions show up in telemetry instead of silently zeroing
-    {!wide_execs}. *)
-type serial_reason =
-  | R_width  (** pool width or core count yields a single stripe *)
-  | R_small_batch  (** one transaction (or none): nothing to overlap *)
-  | R_nested  (** started from inside a pool task; domains must not nest *)
-  | R_phase_hook  (** a non-deferrable hook observes intermediate state *)
-  | R_unmirrored_rows  (** lazy pindex recovery left rows mirror-less *)
-  | R_row_align  (** rows not cache-line aligned *)
-
-val serial_reason_label : serial_reason -> string
-val all_serial_reasons : serial_reason list
-
-(** One journaled side effect of the execution phase — a statement the
-    serial-order loop would have executed in place, recorded instead
-    and replayed in ascending serial position at the join barrier. See
-    {!Effects}. The per-write effects — major-GC list pushes, epoch-final
-    cache fills and deferred deletes — have their own allocation-free
-    recorders ({!cache_fill_final}, and the finalizer paths); these are
-    the rest. *)
-type effect_ =
-  | E_cache_read of { st : Stats.t; row : Row.t; data : bytes }
-      (** cache fill with a committed read's result; admission runs
-          against the true cache state at apply time and charges [st],
-          the recording core's meter *)
-  | E_hook of phase  (** a deferrable phase hook's delivery *)
-  | E_observe of { hist : Nv_obs.Metrics.histogram; v : float }
-      (** histogram observation (float sums are order-sensitive) *)
-  | E_trace of (unit -> unit)  (** sampled txn span emission *)
-
-(** One stripe of the effect journal: the records of serial positions
-    congruent to the stripe (mod the installed width), in ascending
-    position, held in columns reused across epochs. *)
-type stripe
+(** The execute phase's effect journal: cache fills and persistent
+    deletes recorded while transactions run and applied in serial order
+    when the phase ends ({!Effects}). Columns reused across epochs. *)
+type journal
 
 (** The serial CC's write-set registry: one entry per (transaction,
     row) declaration, built by the initialization phase and consumed by
@@ -102,10 +68,6 @@ type wset = {
 val ws_insert : int
 val ws_update : int
 val ws_delete : int
-
-(** A phase hook and whether its delivery may be deferred to the join
-    barrier; non-deferrable hooks force the execute phase serial. *)
-type phase_hook = { hk_fn : phase -> unit; hk_defer : bool }
 
 (** Recovery milestones, mirroring [phase] for the recovery pipeline. *)
 type recovery_phase =
@@ -154,21 +116,7 @@ type t = {
           collected on first touch, possibly many epochs later, so the
           crashed epoch's durable-GC dedup set must outlive the replay *)
   mutable loaded : bool;
-  pool : Dpool.t;
-      (** domain pool driving eligible per-core phase loops (width =
-          {!Config.t.parallelism}) *)
-  mutable ej_d : int;
-      (** stripes of the execute phase's effect journal; installed at
-          every width (one code path, one behaviour), 0 outside the
-          phase *)
-  mutable ej : stripe array;
-  mutable unmirrored_rows : bool;
-      (** lazy (persistent-index) recovery left rows whose DRAM mirror
-          loads on first touch; execution stays serial until cleared *)
-  serial_reasons : int array;
-      (** cumulative per-reason counts of serially-gated epochs *)
-  mutable wide_execs : int;
-      (** epochs whose execute phase actually ran wide (cumulative) *)
+  ej : journal;
   committed : int array;  (** cumulative, sharded by core *)
   total_aborted : int array;  (** cumulative, sharded by core *)
   mutable log_high_water : int;
@@ -182,7 +130,7 @@ type t = {
   mutable m_cache_misses0 : int;
   mutable last_outcomes : [ `Committed | `Aborted | `Deferred ] array;
       (** per-txn outcome of the last batch, set at its checkpoint *)
-  mutable phase_hook : phase_hook option;
+  mutable phase_hook : (phase -> unit) option;
   mutable tracer : Tracer.t;
   mutable metrics : Metrics.t;
   mutable profile : Nv_obs.Profile.t;
@@ -206,24 +154,13 @@ val create : config:Config.t -> tables:Table.t list -> unit -> t
 
 val epoch : t -> int
 
-(** Install a phase hook. [defer] (default false) permits the hook's
-    {!phase} deliveries from inside the execute phase to be journaled
-    and fired at the join barrier, in serial order — a non-deferrable
-    hook instead forces execution serial ({!R_phase_hook}), because it
-    may observe intermediate engine state. *)
-val set_phase_hook : ?defer:bool -> t -> (phase -> unit) -> unit
+(** Install a phase hook; it is called at each {!phase} milestone and
+    may raise to simulate a crash there. *)
+val set_phase_hook : t -> (phase -> unit) -> unit
 
-(** Fire the installed phase hook, if any (journaled when the hook is
-    deferrable and a transaction is recording). The [Exec_txn] chaos
-    crashpoint fires inline at every width. *)
+(** Fire the installed phase hook, if any. [Exec_txn] also hits the
+    ["mid-epoch"] chaos crashpoint. *)
 val hook : t -> phase -> unit
-
-(** Count one serially-gated epoch against [reason]. *)
-val note_serial_reason : t -> serial_reason -> unit
-
-(** Cumulative [(label, count)] of serially-gated epochs, nonzero
-    reasons only, in declaration order. *)
-val serial_reasons : t -> (string * int) list
 
 (** {1 Observability} *)
 
@@ -257,10 +194,6 @@ val core_of : t -> int -> int
 
 (** The per-core simulated clock and counters. *)
 val stats_of : t -> int -> Stats.t
-
-(** The engine's domain pool ({!Nv_util.Dpool}); width 1 means every
-    phase loop runs serially on the calling domain. *)
-val pool : t -> Dpool.t
 
 (** Synchronize all core clocks to the maximum; returns it. Phase
     boundaries are barriers. *)
@@ -349,31 +282,17 @@ val do_prow_delete : t -> Stats.t -> core:int -> Row.t -> unit
     batch (part of the epoch checkpoint). *)
 val apply_pindex_delta : t -> Stats.t -> unit
 
-(** {1 The effect-journal layer}
+(** {1 The effect journal}
 
-    The engine's single mechanism for running the execute phase on
-    multiple domains. The CC strategy installs a journal with
-    {!Effects.begin_exec} (at {e every} width, so one code path yields
-    one behaviour); transaction bodies record order-sensitive side
-    effects under their serial position ({!record_effect}, called via
-    the finalizer helpers above and directly by the strategies); the
-    join barrier replays the merged journal in ascending serial
-    position ({!Effects.drain}), leaving exactly the structures,
-    charges and pmem bytes the serial-order loop would. *)
-
-(** Set the calling domain's current serial position ([-1] = not inside
-    a transaction body). The strategies bracket each transaction body
-    with this. *)
-val set_cur_seq : int -> unit
-
-(** Record [e] under the current serial position. Returns [false] — and
-    records nothing — when no journal is installed or the caller is not
-    inside a transaction body; the caller then applies the effect
-    immediately (serial semantics). *)
-val record_effect : t -> effect_ -> bool
+    Cache fills and persistent deletes wait for the end of the execute
+    phase, so later transactions of the epoch see the cache and the
+    index as the epoch began. The CC strategy installs the journal with
+    {!Effects.begin_exec}; the finalizer helpers record into it; the
+    phase ends with {!Effects.drain}. *)
 
 (** Record a deferred persistent delete ({!do_prow_delete} on [core]'s
-    meter at the barrier); [false] as for {!record_effect}. *)
+    meter when the phase ends). Returns [false], and records nothing,
+    when no journal is installed; the caller then deletes at once. *)
 val record_delete : t -> core:int -> Row.t -> bool
 
 (** Fill the committed-value cache with a finalized value from the
@@ -382,13 +301,12 @@ val record_delete : t -> core:int -> Row.t -> bool
 val cache_fill_final : t -> Stats.t -> Row.t -> TP.vref -> unit
 
 module Effects : sig
-  (** Install a fresh [d]-stripe journal (and count a wide execution
-      when [d > 1]). *)
-  val begin_exec : t -> d:int -> unit
+  (** Install an empty journal. *)
+  val begin_exec : t -> unit
 
-  (** Replay the journal in ascending serial position and uninstall it.
-      The journal is uninstalled before replay, so effects recorded
-      from inside an apply fall through to their immediate form. *)
+  (** Apply the journal in serial order and uninstall it. The journal
+      is uninstalled before the records are applied, so effects
+      recorded meanwhile fall through to their immediate form. *)
   val drain : t -> unit
 
   (** Discard the journal without applying (execution died; recovery's
@@ -441,10 +359,6 @@ val mem_report : t -> Report.mem_report
 val committed_txns : t -> int
 val aborted_txns : t -> int
 
-(** Epochs whose execute phase ran on more than one domain (cumulative;
-    0 under [parallelism = 1]). Inspection only — tests assert the wide
-    path engages where expected. *)
-val wide_execs : t -> int
 val total_time_ns : t -> float
 val counter_value : t -> int -> int64
 val last_epoch_outcomes : t -> [ `Committed | `Aborted ] array

@@ -26,57 +26,31 @@ let major_gc t =
     done;
     let cores = t.config.Config.cores in
     (* Both passes charge item [i] to core [i mod cores] and touch only
-       that core's freelist (or row [i]'s own bytes), so striping by
-       [i mod d] with [d] dividing [cores] keeps every core's work on
-       one stripe, in list order — identical charges at any width.
-       Newly-dirtied lines accumulate per stripe and are unioned at the
-       join; that needs the stripes' stores to be line-disjoint, which
-       holds whenever rows are cache-line aligned
-       (list neighbours may be arena neighbours on different stripes).
-       The dedup table is read-only here. *)
-    let d =
-      if t.config.Config.row_size mod 64 <> 0 then 1
-      else Dpool.stripes (pool t) ~cores
-    in
-    let striped_iter f =
-      if d = 1 then
-        for i = 0 to n - 1 do
-          f i
-        done
-      else begin
-        Pmem.begin_stripes t.pmem ~n:d;
-        ignore
-          (Dpool.run (pool t) ~n:d (fun s ->
-               Pmem.set_stripe t.pmem s;
-               let i = ref s in
-               while !i < n do
-                 f !i;
-                 i := !i + d
-               done));
-        Pmem.end_stripes t.pmem
-      end
-    in
+       that core's freelist (or row [i]'s own bytes), in list order. The
+       dedup table is read-only here. *)
     let collect_frees () =
       (* Make every stale pool value durable in the free list, skipping
          pointers the crashed epoch's GC already freed. *)
-      striped_iter (fun i ->
-          let core = i mod cores in
-          let stats = stats_of t core in
-          let ptr = stale_ptrs.(i) in
-          if Vptr.is_pool ptr then
-            VPools.free_gc t.value_pool stats ~core (Vptr.pool_off ptr) ~dedup:t.gc_dedup);
+      for i = 0 to n - 1 do
+        let core = i mod cores in
+        let stats = stats_of t core in
+        let ptr = stale_ptrs.(i) in
+        if Vptr.is_pool ptr then
+          VPools.free_gc t.value_pool stats ~core (Vptr.pool_off ptr) ~dedup:t.gc_dedup
+      done;
       VPools.persist_gc_tail t.value_pool (stats_of t 0) ~epoch:t.epoch;
       Pmem.fence t.pmem (stats_of t 0);
       hook t Gc_pass1_done
     in
     let rotate_rows () =
       (* Rotate each row so v2 is free for this epoch's write. *)
-      striped_iter (fun i ->
-          let row = row_at i in
-          let stats = stats_of t (i mod cores) in
-          Prow.gc_move t.pmem stats ~base:row.Row.prow_base ~charge:true ();
-          Row.rotate row;
-          row.Row.in_gc_list <- false)
+      for i = 0 to n - 1 do
+        let row = row_at i in
+        let stats = stats_of t (i mod cores) in
+        Prow.gc_move t.pmem stats ~base:row.Row.prow_base ~charge:true ();
+        Row.rotate row;
+        row.Row.in_gc_list <- false
+      done
     in
     if t.config.Config.persistent_index then begin
       (* Lazy (persistent-index) recovery never rebuilds the GC list,

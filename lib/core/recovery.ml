@@ -143,12 +143,8 @@ let recover ~config ~tables ~pmem ~rebuild ?(replay_mode = `Caracal) ?phase_hook
         row.Row.lazily_recovered <- true;
         index_insert t stats0 ~table ~key row);
     (* Stale versions are now collected lazily, so the crashed epoch's
-       durable-GC dedup set must survive past the replay. Mirror loads
-       (and their torn-header repairs) now happen on first touch — a
-       shared-structure mutation outside the effect journal — so the
-       execute phase stays serial from here on. *)
-    t.retain_gc_dedup <- true;
-    t.unmirrored_rows <- true
+       durable-GC dedup set must survive past the replay. *)
+    t.retain_gc_dedup <- true
   end
   else begin
     (* With a persistent index maintained but the scan path taken (the

@@ -82,9 +82,8 @@ type t = {
   reads_declared : bool;
       (** Workload promise: the body's point reads ([Ctx.read]) touch
           only keys in [write_set], and it uses no range operations.
-          Such transactions synchronize purely through version-array
-          slots, which lets the execution phase run them on parallel
-          domains (default false — serial execution is always safe). *)
+          A router then learns its keys from the write set alone, with
+          no speculative pass ({!Routed}); default false. *)
   body : Ctx.t -> unit;
 }
 

@@ -182,23 +182,13 @@ let find s h stats sid =
   charge s stats ~write:false 1;
   if i < 0 then raise Not_found else i
 
-(* When the execution phase runs wide, a reader may reach a slot whose
-   writer transaction is still executing on another domain; [wait_for]
-   blocks until that writer has published its outcome (it is the
-   caller's happens-before edge, so the subsequent plain reads of the
-   value and write time are well-defined). The initial slot (Sid.none)
-   was published by the serial append phase and needs no wait. *)
-let wait_slot wait_for sid =
-  match wait_for with Some w when not (Sid.is_none sid) -> w sid | _ -> ()
-
 (* Scan down from slot [i] (relative) for the first one [stop] accepts
    (-1 if none); a PENDING slot is skipped, or raises when [pending_ok]
    is false. *)
-let scan_down ?wait_for s h i ~pending_ok =
+let scan_down s h i ~pending_ok =
   let base = s.start.(h) in
   let i = ref i and found = ref (-1) in
   while !found < 0 && !i >= 0 do
-    wait_slot wait_for s.sids.(base + !i);
     let v = s.vals.(base + !i) in
     if v = pending && not pending_ok then
       invalid_arg "Version_array.latest_visible: PENDING predecessor (serial order violated)";
@@ -206,14 +196,14 @@ let scan_down ?wait_for s h i ~pending_ok =
   done;
   !found
 
-let latest_visible ?wait_for s h stats ~before =
+let latest_visible s h stats ~before =
   let pos = lower_bound s h before in
   charge s stats ~write:false 1;
-  scan_down ?wait_for s h (pos - 1) ~pending_ok:false
+  scan_down s h (pos - 1) ~pending_ok:false
 
-let latest_resolved ?wait_for s h stats =
+let latest_resolved s h stats =
   charge s stats ~write:false 1;
-  scan_down ?wait_for s h (s.len.(h) - 1) ~pending_ok:true
+  scan_down s h (s.len.(h) - 1) ~pending_ok:true
 
 let max_sid s h = if s.len.(h) = 0 then Sid.none else s.sids.(s.start.(h) + s.len.(h) - 1)
 

@@ -89,22 +89,16 @@ val advance_to_write : store -> int -> Nv_nvmm.Stats.t -> unit
 (** Advance a reader's clock to the slot's write time (the PENDING
     wait of a concurrent run). *)
 
-val latest_visible :
-  ?wait_for:(Sid.t -> unit) -> store -> t -> Nv_nvmm.Stats.t -> before:Sid.t -> int
+val latest_visible : store -> t -> Nv_nvmm.Stats.t -> before:Sid.t -> int
 (** Latest non-PENDING, non-IGNORED slot with [sid < before] — what a
     reader at serial position [before] observes — or -1. PENDING slots
     below [before] violate serial-order execution and raise
-    [Invalid_argument].
+    [Invalid_argument]. *)
 
-    [wait_for sid] is invoked before each inspected slot whose SID is
-    real; parallel execution passes a blocking wait on the writer
-    transaction's completion flag so the slot's fields are published
-    (see docs/PARALLELISM.md). Serial execution omits it. *)
-
-val latest_resolved : ?wait_for:(Sid.t -> unit) -> store -> t -> Nv_nvmm.Stats.t -> int
+val latest_resolved : store -> t -> Nv_nvmm.Stats.t -> int
 (** Latest non-IGNORED slot overall, treating PENDING as absent, or -1
     — used when an aborted final writer must determine the replacement
-    final version (section 4.6). [wait_for] as in {!latest_visible}. *)
+    final version (section 4.6). *)
 
 val max_sid : store -> t -> Sid.t
 (** Largest SID in the array ([Sid.none] when empty). *)

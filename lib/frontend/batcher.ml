@@ -500,7 +500,7 @@ let complete t f =
   | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
   | Running -> assert false
 
-let poll t =
+let land_if_done t =
   match (t.flight, t.domain) with
   | Some f, Some d -> if Engine_domain.poll d then complete t f
   | _ -> ()
@@ -604,19 +604,23 @@ let try_replay t c ~req =
       `Replayed o
   | None -> if Hashtbl.mem c.inflight req then `Inflight else `New
 
-(* Batches close on ticks, not inside [submit]: submissions arriving
+(* Batches close in [poll], not inside [submit]: submissions arriving
    within one event-loop round pile up (bounded by [max_pending]), and
-   the next tick first lands a batch that finished running, then closes
+   the next poll first lands a batch that finished running, then closes
    a batch once the size target is met or the oldest arrival has waited
-   out the deadline — if the pipeline has room for it. *)
-let tick t =
-  t.tick <- t.tick + 1;
-  poll t;
+   out the deadline (counted in [tick]s) — if the pipeline has room for
+   it. *)
+let poll t =
+  land_if_done t;
   if
     (t.pending_total >= t.cfg.batch_target
     || (t.pending_total > 0 && t.tick - t.open_since >= t.cfg.deadline_ticks))
     && can_form t
   then run t
+
+let tick t =
+  t.tick <- t.tick + 1;
+  poll t
 
 let flush t =
   if t.pending_total > 0 then begin

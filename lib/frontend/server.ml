@@ -62,6 +62,7 @@ type t = {
   start_wall : float;  (** host wall ns at creation (uptime base) *)
   on_stats : (string -> unit) option;  (** periodic live-stats sink *)
   mutable last_stats : float;  (** wall ns of the last periodic flush *)
+  mutable next_tick : float;  (** wall ns at which the next deadline tick is due *)
   mutable stop_poll : bool;  (** a [should_stop] poll waits for a batch boundary *)
 }
 
@@ -106,6 +107,7 @@ let create ?tracer ?metrics ?journal ?on_stats ~shards ~registry ~tables (cfg : 
     start_wall = now;
     on_stats;
     last_stats = now;
+    next_tick = now +. (cfg.tick_interval_s *. 1e9);
     stop_poll = false;
   }
 
@@ -179,12 +181,11 @@ let protocol_error t conn msg =
 
 let digest t = Batcher.state_digest t.batcher
 
-(* Live statistics snapshot: serving counters, per-procedure wall
-   latency percentiles, and domain-pool telemetry, as one JSON object.
-   Everything here is monitoring-grade — wall-clock readings and racy
-   telemetry — and never feeds the deterministic metrics registry. It
-   reads engine state (introspection, digest, pmem CRC), so callers run
-   it at a batch boundary. *)
+(* Live statistics snapshot: serving counters and per-procedure wall
+   latency percentiles, as one JSON object. Everything here is
+   monitoring-grade — wall-clock readings — and never feeds the
+   deterministic metrics registry. It reads engine state (digest, pmem
+   CRC), so callers run it at a batch boundary. *)
 let live_stats_json t =
   let module J = Nv_obs.Jsonx in
   let module H = Nv_util.Histogram in
@@ -206,16 +207,6 @@ let live_stats_json t =
     List.filter (fun (_, h) -> H.count h > 0) (Batcher.proc_latencies t.batcher)
   in
   let shards = Batcher.shard_set t.batcher in
-  (* Wide-execution telemetry: batches that ran on more than one domain,
-     and the cumulative reasons the rest were forced serial. A routed
-     cluster reports zeros — that telemetry lives in the shard
-     processes. *)
-  let intro = Shard_set.introspect shards in
-  let execution =
-    J.Assoc
-      (("wide_execs", J.Int intro.Nvcaracal.Engine_intf.wide_execs)
-      :: List.map (fun (label, n) -> (label, J.Int n)) intro.Nvcaracal.Engine_intf.serial_reasons)
-  in
   (* The durability block appears only on journaled servers: the state
      digest and full-image CRC are the chaos harness's oracle inputs,
      and pricing the image scan into every plain [Stats] poll would be
@@ -267,9 +258,7 @@ let live_stats_json t =
               (if uptime_s > 0.0 then float_of_int (Batcher.epochs_run t.batcher) /. uptime_s
                else 0.0) );
           ("protocol_errors", J.Int t.protocol_errors);
-          ("execution", execution);
           ("procs", J.Assoc (List.map lat_json procs));
-          ("domains", Nv_obs.Profile.telemetry_json ());
         ]
        @ durability))
 
@@ -415,8 +404,9 @@ let step t =
   let writes =
     Hashtbl.fold (fun fd c acc -> if has_output c then fd :: acc else acc) t.conns []
   in
+  let timeout = Float.max 0.0 ((t.next_tick -. Nv_util.Clock.now_ns ()) /. 1e9) in
   let readable, _, _ =
-    try Unix.select reads writes [] t.cfg.tick_interval_s
+    try Unix.select reads writes [] timeout
     with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
   in
   if List.mem t.listen_fd readable then accept_new t;
@@ -426,11 +416,17 @@ let step t =
       | Some conn -> handle_readable t conn
       | None -> ())
     readable;
-  (* One select round is one batcher tick: the deadline that closes an
-     under-filled batch is measured in event-loop rounds. The tick lands
-     a batch the engine domain finished (its pipe woke this round), so
-     the replies it queued go out below, in this same round. *)
-  Batcher.tick t.batcher;
+  (* The deadline that closes an under-filled batch counts ticks of
+     [tick_interval_s] wall time, however many rounds client frames or a
+     landing batch add in between. Every round lands a batch the engine
+     domain finished (its pipe woke this round), so the replies it
+     queued go out below, in this same round. *)
+  let now = Nv_util.Clock.now_ns () in
+  if now >= t.next_tick then begin
+    t.next_tick <- now +. (t.cfg.tick_interval_s *. 1e9);
+    Batcher.tick t.batcher
+  end
+  else Batcher.poll t.batcher;
   periodic_stats t;
   Hashtbl.iter (fun _ conn -> maybe_finish_bye t conn) t.conns;
   write_pending t

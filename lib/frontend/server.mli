@@ -28,7 +28,7 @@ type address = [ `Unix of string | `Tcp of string * int ]
 type config = private {
   address : address;
   batcher : Batcher.config;
-  tick_interval_s : float;  (** select timeout per loop round *)
+  tick_interval_s : float;  (** wall time per batcher deadline tick *)
   once : bool;  (** exit once all clients of a first wave disconnected *)
   stats_interval_s : float;
       (** period of the [on_stats] live-stats flush; 0 (default)
@@ -91,7 +91,7 @@ val serve :
     A [Stats] request on any connection (no [Hello] needed) is answered
     with a [Stats_ok] JSON snapshot: uptime, connection, session and
     admission counters, epoch rate, per-procedure wall-latency
-    percentiles (p50/p99/p999), and per-domain pool telemetry — plus,
+    percentiles (p50/p99/p999) — plus,
     on journaled servers only, the journal occupancy, committed-state
     digest and — single-shard only; a cluster's images live in the
     shard processes — the full pmem-image CRC (hex strings; the chaos

@@ -84,11 +84,11 @@ let drop_conn r =
   (match r.r_conn with Some c -> Shard_client.close c | None -> ());
   r.r_conn <- None
 
-let conn r =
+let conn r ~retry_timeout_s =
   match r.r_conn with
   | Some c -> c
   | None ->
-      let c = Shard_client.connect ~retry_timeout_s:r.r_retry_s r.r_address in
+      let c = Shard_client.connect ~retry_timeout_s r.r_address in
       (* The handshake fences older router generations and tells us the
          shard's applied epoch; the idempotent Route/Fence protocol
          makes explicit catch-up logic unnecessary, so the applied
@@ -100,10 +100,14 @@ let conn r =
 (* Drive one request against a remote member, surviving crashes: a
    [Down] drops the connection, asks the supervisor to respawn the
    process (after the first plain reconnect attempt), and retries — the
-   shard plane is idempotent, so re-asking is always safe. *)
+   shard plane is idempotent, so re-asking is always safe. That first
+   reconnect is a single dial with no retry window: a live shard that
+   only lost its connection answers at once, and a dead one is
+   respawned without waiting the window out. *)
 let with_remote r f =
   let rec go attempts =
-    match f (conn r) with
+    let retry_timeout_s = if attempts = 1 then 0.0 else r.r_retry_s in
+    match f (conn r ~retry_timeout_s) with
     | v -> v
     | exception Shard_client.Down msg ->
         drop_conn r;
@@ -190,7 +194,7 @@ let exec t calls =
 (* --- Inspection -------------------------------------------------------- *)
 
 (* Two digests by design. Local keeps the FNV chain every engine's
-   [introspect] reports (golden outputs pin it). Cluster XORs per-row
+   [state_digest] reports (golden outputs pin it). Cluster XORs per-row
    hashes across members: order- and placement-independent, so a
    3-shard served run and its 1-shard replay produce the same value —
    the cross-shard determinism oracle. *)
@@ -204,14 +208,6 @@ let digest t =
           | In_process s -> Int64.logxor acc (Shard.digest s)
           | Remote r -> Int64.logxor acc r.r_digest)
         0L c.members
-
-let introspect t =
-  match t with
-  | Local { engine; _ } ->
-      let (Engine_intf.Packed ((module E), db)) = engine in
-      E.introspect db
-  | Cluster _ ->
-      { Engine_intf.wide_execs = 0; serial_reasons = []; state_digest = digest t }
 
 let total_time_ns t =
   match t with

@@ -71,11 +71,6 @@ val digest : t -> int64
     equal committed state at {e any} shard count, which is the
     cross-shard determinism oracle. *)
 
-val introspect : t -> Nvcaracal.Engine_intf.introspection
-(** Local: the engine's snapshot. Cluster: zero wide-execution
-    telemetry (that lives in the shard processes) plus the cluster
-    digest. *)
-
 val total_time_ns : t -> float
 (** Simulated time: the engine's clock (local), or the max over
     in-process members (cluster; remote clocks are out of reach). *)

@@ -111,7 +111,7 @@ type response =
   | Stats_ok of { json : string }
       (** Answer to [Stats]: one JSON object — uptime, client and
           admission counters, epoch rate, per-procedure wall-clock
-          latency percentiles, domain-pool telemetry (see
+          latency percentiles (see
           docs/OBSERVABILITY.md for the schema). JSON rather than a
           binary layout: the snapshot is for humans and scripts, not
           the hot path, and the schema can grow without a protocol

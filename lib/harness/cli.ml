@@ -17,15 +17,9 @@ let txns =
 
 let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed.")
 
-let jobs =
-  let doc =
-    "Domain-pool width for the engine's per-core phase loops (default from \\$(b,NVC_JOBS), \
-     else 1 = serial). Seeded results are byte-identical at any value."
-  in
-  Arg.(value & opt int !Engine.default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-(* The pool width is global harness state, set once at parse time. *)
-let set_jobs jobs = Engine.default_jobs := max 1 jobs
+(* servebench's server child still calls this with 1; the engine runs
+   on one domain. *)
+let set_jobs jobs = if jobs <> 1 then invalid_arg "Cli.set_jobs: the engine runs on one domain"
 
 let engine =
   let doc =
@@ -53,7 +47,7 @@ let trace_wall =
 let profile =
   let doc =
     "Profile where host time and allocation actually go: per-phase wall time and GC word \
-     deltas, plus domain-pool telemetry, printed as a table after the run."
+     deltas, printed as a table after the run."
   in
   Arg.(value & flag & info [ "profile" ] ~doc)
 

@@ -1,7 +1,7 @@
 (** Shared command-line vocabulary of the front-end executables.
 
     [bin/nvdb], [bench/main] and the fuzz entry points all speak the
-    same flags (--workload/--contention/--epochs/--txns/--seed/--jobs/
+    same flags (--workload/--contention/--epochs/--txns/--seed/
     --engine/--trace/--metrics); this module is their single
     definition, plus the resolution helpers turning flag strings into
     workloads, engine specs and observability sinks. *)
@@ -11,7 +11,6 @@ val contention : string Cmdliner.Term.t
 val epochs : int Cmdliner.Term.t
 val txns : int Cmdliner.Term.t
 val seed : int Cmdliner.Term.t
-val jobs : int Cmdliner.Term.t
 val engine : string Cmdliner.Term.t
 val trace : string option Cmdliner.Term.t
 val metrics : string option Cmdliner.Term.t
@@ -36,8 +35,9 @@ val router : string option Cmdliner.Term.t
     [--listen] in client tools). *)
 
 val set_jobs : int -> unit
-(** Install the domain-pool width ({!Engine.default_jobs}); call once
-    at argument-parse time. *)
+(** Accepts 1 and raises [Invalid_argument] otherwise: the engine runs
+    on one domain. Kept only because servebench's server child calls
+    it. *)
 
 val parse_address : string -> [ `Unix of string | `Tcp of string * int ]
 (** "HOST:PORT" or "PORT" is TCP (host defaults to 127.0.0.1);

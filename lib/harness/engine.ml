@@ -25,16 +25,6 @@ let setup ?(epochs = 12) ?(epoch_txns = 1500) ?(seed = 42) ?(row_size = 256)
 
 let cores = 8
 
-(* Domain-pool width every derived configuration requests. CLI layers
-   set this once at parse time (--jobs); NVC_JOBS seeds the default so
-   test and CI runs can go wide without threading a flag through every
-   call site. *)
-let default_jobs =
-  ref
-    (match Option.bind (Sys.getenv_opt "NVC_JOBS") int_of_string_opt with
-    | Some n when n > 0 -> n
-    | Some _ | None -> 1)
-
 type spec = {
   backend : backend;
   minor_gc : bool;
@@ -113,8 +103,7 @@ let caracal_config s (w : W.t) sp =
       ~log_capacity:(max (1 lsl 20) (s.epoch_txns * 256))
       ~n_counters:w.W.n_counters ~revert_on_recovery:w.W.revert_on_recovery
       ~cache_entries_max:cache_entries ~ordered_index:sp.ordered_index
-      ~batch_append:sp.batch_append ~selective_caching:sp.selective_caching
-      ~parallelism:!default_jobs ()
+      ~batch_append:sp.batch_append ~selective_caching:sp.selective_caching ()
   in
   if sp.persistent_index then
     { c with Config.persistent_index = true; pindex_capacity = 4 * base_rows }
@@ -173,5 +162,4 @@ let recover sp s (w : W.t) ~pmem ~rebuild =
         ( (module Nv_zen.Zen_db.Engine),
           Nv_zen.Zen_db.Engine.recover ~config ~tables:w.W.tables ~pmem ~rebuild () )
 
-let introspect (Engine_intf.Packed ((module E), db)) = E.introspect db
-let state_digest packed = (introspect packed).Engine_intf.state_digest
+let state_digest (Engine_intf.Packed ((module E), db)) = E.state_digest db

@@ -43,13 +43,6 @@ val cores : int
 (** Simulated cores every derived configuration uses (8, as in the
     paper's evaluation). *)
 
-val default_jobs : int ref
-(** Domain-pool width ({!Nvcaracal.Config.t.parallelism}) every derived
-    configuration requests. Initialised from the [NVC_JOBS] environment
-    variable (default 1 — serial); the CLI front-ends overwrite it once
-    at argument-parse time ([--jobs]). Seeded runs produce byte-identical
-    results at any value. *)
-
 type spec = {
   backend : backend;
   minor_gc : bool;
@@ -119,13 +112,8 @@ val recover :
     configuration must match the one the arena was created under —
     same spec, setup and workload. *)
 
-val introspect : Nvcaracal.Engine_intf.packed -> Nvcaracal.Engine_intf.introspection
-(** The engine's uniform inspection snapshot (wide-execution telemetry
-    plus the committed-state digest), unpacked. *)
-
 val state_digest : Nvcaracal.Engine_intf.packed -> int64
 (** Deterministic fingerprint of the engine's committed state: FNV over
     each table's sorted (key, value) rows. Engines holding equal
     committed state digest equally — what [Bye_ok] reports to clients
-    and what the served-vs-replayed determinism checks compare.
-    Shorthand for [(introspect e).state_digest]. *)
+    and what the served-vs-replayed determinism checks compare. *)

@@ -23,12 +23,12 @@ type outcome = {
    random member count, cross-shard transfers, a random member crash +
    recovery from its own NVMM, checked against money conservation and a
    single-member cluster run of the same batches. *)
-let fuzz_cluster rng iter ~jobs failures =
+let fuzz_cluster rng iter failures =
   let nodes = 2 + Rng.int rng 3 in
   let accounts = 40 + Rng.int rng 80 in
   let config =
     Config.make ~cores:(Rng.pick rng [| 2; 4 |]) ~row_size:128
-      ~rows_per_core:4096 ~values_per_core:4096 ~freelist_capacity:8192 ~parallelism:jobs ()
+      ~rows_per_core:4096 ~values_per_core:4096 ~freelist_capacity:8192 ()
   in
   let tables = [ Nvcaracal.Table.make ~id:0 ~name:"a" () ] in
   let balance v =
@@ -152,7 +152,7 @@ let pick_workload rng =
         hot_customers = 10 + Rng.int rng 20;
       }
 
-let pick_config rng (w : W.t) ~jobs =
+let pick_config rng (w : W.t) =
   Config.make ~cores:(Rng.pick rng [| 1; 2; 4; 8 |])
     ~row_size:(Rng.pick rng [| 128; 256; 512 |])
     ~cache_k:(1 + Rng.int rng 4) ~minor_gc:(Rng.bool rng)
@@ -162,7 +162,7 @@ let pick_config rng (w : W.t) ~jobs =
     ~ordered_index:(if Rng.bool rng then Config.Avl else Config.Btree)
     ~rows_per_core:8192 ~values_per_core:8192 ~freelist_capacity:16384
     ~log_capacity:(1 lsl 20) ~n_counters:w.W.n_counters
-    ~revert_on_recovery:w.W.revert_on_recovery ~parallelism:jobs ()
+    ~revert_on_recovery:w.W.revert_on_recovery ()
 
 let pick_phase rng ~epoch_txns =
   match Rng.int rng 8 with
@@ -226,7 +226,7 @@ let run_packed packed (w : W.t) batches =
   | Nvcaracal.Engine_intf.Packed ((module E), db) ->
       E.bulk_load db (w.W.load ());
       List.iter (fun b -> ignore (E.run_batch db b)) batches;
-      ((E.introspect db).Nvcaracal.Engine_intf.state_digest, E.committed_txns db)
+      (E.state_digest db, E.committed_txns db)
 
 let fuzz_diff iter_rng iter ~failures ~log =
   let w = pick_diff_workload iter_rng in
@@ -304,10 +304,10 @@ let pick_rec_phase rng =
   | 2 -> Db.Rec_scan_done
   | _ -> Db.Rec_replay_done
 
-let fuzz_faults iter_rng iter ~jobs ~crashes ~replays ~recrashes ~salvages ~detections
+let fuzz_faults iter_rng iter ~crashes ~replays ~recrashes ~salvages ~detections
     ~failures ~log =
   let w = pick_workload iter_rng in
-  let config = pick_config iter_rng w ~jobs in
+  let config = pick_config iter_rng w in
   let epochs = 2 + Rng.int iter_rng 3 in
   let epoch_txns = 30 + Rng.int iter_rng 50 in
   let batch_seed = Rng.int iter_rng 1_000_000 in
@@ -437,17 +437,7 @@ let fuzz_faults iter_rng iter ~jobs ~crashes ~replays ~recrashes ~salvages ~dete
        (if recrash then "+recrash" else "")
        !verdict)
 
-let run ~seed ~iterations ?(faults = false) ?(diff = false) ?jobs ?(log = fun _ -> ()) () =
-  (* Every campaign's engines — victims, oracles, recoveries, both diff
-     backends — run at the same pool width, so a wide fuzz sweep is the
-     same campaign as a serial one, just executed on more domains.
-     Oracles and recoveries carry no phase hook and go genuinely wide;
-     hooked victim epochs gate themselves serial, identically at any
-     width. *)
-  let jobs = match jobs with Some j -> max 1 j | None -> !Engine.default_jobs in
-  let saved_jobs = !Engine.default_jobs in
-  Engine.default_jobs := jobs;
-  Fun.protect ~finally:(fun () -> Engine.default_jobs := saved_jobs) @@ fun () ->
+let run ~seed ~iterations ?(faults = false) ?(diff = false) ?(log = fun _ -> ()) () =
   let rng = Rng.create seed in
   let crashes = ref 0 and replays = ref 0 and failures = ref [] in
   let faulted = ref 0
@@ -463,18 +453,18 @@ let run ~seed ~iterations ?(faults = false) ?(diff = false) ?jobs ?(log = fun _ 
     end
     else if faults then begin
       incr faulted;
-      fuzz_faults iter_rng iter ~jobs ~crashes ~replays ~recrashes ~salvages ~detections
+      fuzz_faults iter_rng iter ~crashes ~replays ~recrashes ~salvages ~detections
         ~failures ~log
     end
     else if iter mod 5 = 0 then begin
       incr crashes;
-      fuzz_cluster iter_rng iter ~jobs failures;
+      fuzz_cluster iter_rng iter failures;
       log (Printf.sprintf "iter %3d: partition cluster fuzz %s" iter
              (if !failures = [] then "ok" else "MISMATCH"))
     end
     else begin
     let w = pick_workload iter_rng in
-    let config = pick_config iter_rng w ~jobs in
+    let config = pick_config iter_rng w in
     let epochs = 2 + Rng.int iter_rng 3 in
     let epoch_txns = 30 + Rng.int iter_rng 50 in
     let batch_seed = Rng.int iter_rng 1_000_000 in

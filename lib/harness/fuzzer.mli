@@ -47,15 +47,10 @@ val run :
   iterations:int ->
   ?faults:bool ->
   ?diff:bool ->
-  ?jobs:int ->
   ?log:(string -> unit) ->
   unit ->
   outcome
-(** Deterministic for a given [seed] — at any [jobs]. [faults] (default
-    false) switches every iteration to the media-fault campaign; [diff]
-    (default false) to the NVCaracal-vs-Zen differential campaign
-    ([diff] wins if both are set). [jobs] (default: the harness-global
-    {!Engine.default_jobs}) is the domain-pool width every engine in
-    every campaign runs at — victims, oracles, recoveries and both
-    differential backends — so a wide sweep checks the same behaviour
-    on more domains. [log] receives one line per iteration. *)
+(** Deterministic for a given [seed]. [faults] (default false) switches
+    every iteration to the media-fault campaign; [diff] (default false)
+    to the NVCaracal-vs-Zen differential campaign ([diff] wins if both
+    are set). [log] receives one line per iteration. *)

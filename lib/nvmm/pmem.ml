@@ -22,12 +22,10 @@ let line_size = 64
    slot's volatile line can differ from its newest state, so [fence]
    reads the volatile view for flagged slots only.
 
-   Slots live in slot tables and records in arenas: fixed-size chunks
-   that grow a chunk at a time and are emptied, not freed ([trim] says
-   when they are given back). Serial code uses table and arena 0; in a
-   wide phase stripe s uses table and arena s, and a line's chain may
-   run through several arenas. An id carries its table or arena in its
-   low [log_bits] bits. *)
+   Slots live in the slot table and records in the arena: fixed-size
+   chunks that grow a chunk at a time and are emptied, not freed
+   ([trim] says when they are given back). A slot or record id is its
+   index. *)
 type 'a chunked = {
   mutable dir : 'a array; (* chunks of [chunk] entries; empty past the last *)
   mutable len : int; (* entries in use *)
@@ -38,8 +36,6 @@ type 'a chunked = {
 let slot_ints = 4
 let chunk_bits = 10
 let chunk = 1 lsl chunk_bits
-let log_bits = 8
-let log_mask = (1 lsl log_bits) - 1
 let rec_bytes = line_size + 8
 let chunked () = { dir = [||]; len = 0; peak = 0; prev_peak = 0 }
 
@@ -72,10 +68,9 @@ type t = {
   size : int;
   slot_of : bytes; (* an int64 per line; bytes, so the GC never scans it *)
   mutable gen : int;
-  mutable tabs : int array chunked array; (* slot tables: 0, then one per stripe *)
-  mutable arenas : bytes chunked array; (* record arenas, likewise *)
-  mutable spare_arena : bytes chunked; (* arena 0 after the next compaction *)
-  mutable striped : bool; (* between [begin_stripes] and [end_stripes] *)
+  tab : int array chunked; (* the slot table *)
+  mutable arena : bytes chunked; (* the record arena *)
+  mutable spare_arena : bytes chunked; (* the arena after the next compaction *)
   dead_lines : (int, unit) Hashtbl.t; (* lines whose reads fault *)
   crash_dirty : (int, unit) Hashtbl.t; (* lines dirty at any past crash *)
   mutable faults : fault_report;
@@ -91,11 +86,10 @@ let create ~size () =
     data = Bytes.make size '\000';
     size;
     slot_of = Bytes.make (((size + line_size - 1) / line_size) * 8) '\xff';
-    tabs = [| chunked () |];
-    arenas = [| chunked () |];
+    tab = chunked ();
+    arena = chunked ();
     spare_arena = chunked ();
     gen = 0;
-    striped = false;
     dead_lines = Hashtbl.create 4;
     crash_dirty = Hashtbl.create 64;
     faults = zero_faults;
@@ -114,9 +108,9 @@ let extend dir empty =
   Array.blit dir 0 grown 0 (Array.length dir);
   grown
 
-(* A slot index fits in 32 bits (a table holds at most one slot per
-   line), its table in [log_bits]; the generation takes the bits above. *)
-let gen_shift = 32 + log_bits
+(* A slot index fits in 32 bits (the table holds at most one slot per
+   line); the generation takes the bits above. *)
+let gen_shift = 32
 let gen_limit = 1 lsl (62 - gen_shift)
 let id_mask = (1 lsl gen_shift) - 1
 
@@ -137,10 +131,10 @@ let next_gen t =
     0
   end
 
-let slot_chunk t id = t.tabs.(id land log_mask).dir.(id lsr (log_bits + chunk_bits))
-let slot_base id = ((id lsr log_bits) land (chunk - 1)) * slot_ints
+let slot_chunk t id = t.tab.dir.(id lsr chunk_bits)
+let slot_base id = (id land (chunk - 1)) * slot_ints
 
-let push_slot tab l ~w0 ~n ~top =
+let push_slot tab ~w0 ~n ~top =
   let i = tab.len in
   let c = i lsr chunk_bits and b = (i land (chunk - 1)) * slot_ints in
   if c = Array.length tab.dir then tab.dir <- extend tab.dir [||];
@@ -151,11 +145,11 @@ let push_slot tab l ~w0 ~n ~top =
   s.(b + 2) <- -1;
   s.(b + 3) <- top;
   tab.len <- i + 1;
-  (i lsl log_bits) lor l
+  i
 
-(* Append the line at [src_off] of [src] to [arena] (number [l]) as a
-   record after [link]. *)
-let push_rec arena l ~src ~src_off ~link =
+(* Append the line at [src_off] of [src] to [arena] as a record after
+   [link]. *)
+let push_rec arena ~src ~src_off ~link =
   let r = arena.len in
   let c = r lsr chunk_bits and o = (r land (chunk - 1)) * rec_bytes in
   if c = Array.length arena.dir then arena.dir <- extend arena.dir Bytes.empty;
@@ -163,16 +157,16 @@ let push_rec arena l ~src ~src_off ~link =
   Bytes.blit src src_off arena.dir.(c) o line_size;
   set64 arena.dir.(c) (o + line_size) (Int64.of_int link);
   arena.len <- r + 1;
-  (r lsl log_bits) lor l
+  r
 
-(* Copy volatile line [li] into arena [l] as a record after [link]. *)
-let push_line t l li ~link = push_rec t.arenas.(l) l ~src:t.data ~src_off:(li * line_size) ~link
+(* Copy volatile line [li] into the arena as a record after [link]. *)
+let push_line t li ~link = push_rec t.arena ~src:t.data ~src_off:(li * line_size) ~link
 
-let rec_chunk t id = t.arenas.(id land log_mask).dir.(id lsr (log_bits + chunk_bits))
-let rec_off id = ((id lsr log_bits) land (chunk - 1)) * rec_bytes
+let rec_chunk t id = t.arena.dir.(id lsr chunk_bits)
+let rec_off id = (id land (chunk - 1)) * rec_bytes
 let rec_link t id = Int64.to_int (get64 (rec_chunk t id) (rec_off id + line_size))
 
-(* A table or arena keeps its chunks up to a decaying high-water mark:
+(* The table and the arenas keep their chunks up to a decaying high-water mark:
    the most it had in use when emptied during this window of [window]
    generations or the one before. An epoch fences about six times, so
    steady epochs find every chunk in place, while a burst is given back
@@ -199,52 +193,23 @@ let empty c =
    compacted (see [fence]). *)
 let compact_slack = 64 * chunk
 
-(* Stripe identity of the current domain while striping is active. A
-   plain domain-local: each pool task announces its stripe once via
-   [set_stripe] before touching the region. *)
-let stripe_key = Domain.DLS.new_key (fun () -> 0)
-
-let cur_log t = if t.striped then Domain.DLS.get stripe_key else 0
-
 (* Log that bytes [off, off+len) are about to be stored. Must be called
    BEFORE mutating the volatile view: each line's current content
-   becomes an explicit state (a flagged slot's already is). Stripes
-   append only to their own log, and distinct stripes store to disjoint
-   lines (the caller's eligibility contract), so a slot in another log
-   is still mutated by one domain only. *)
+   becomes an explicit state (a flagged slot's already is). *)
 let log_store t ~off ~len =
-  if len > 0 then begin
-    let l = cur_log t in
+  if len > 0 then
     for li = off / line_size to (off + len - 1) / line_size do
       let id = slot_id t li in
       if id < 0 then
         set_slot t li ~gen:t.gen
-          (push_slot t.tabs.(l) l ~w0:(li lsl 1) ~n:1 ~top:(push_line t l li ~link:(-1)))
+          (push_slot t.tab ~w0:(li lsl 1) ~n:1 ~top:(push_line t li ~link:(-1)))
       else begin
         let s = slot_chunk t id and b = slot_base id in
         if s.(b) land 1 = 1 then s.(b) <- s.(b) lxor 1
-        else s.(b + 3) <- push_line t l li ~link:s.(b + 3);
+        else s.(b + 3) <- push_line t li ~link:s.(b + 3);
         s.(b + 1) <- s.(b + 1) + 1
       end
     done
-  end
-
-(* Striped dirty tracking: NVTraverse-style quiescence. Stripe s keeps
-   its slots and records in log s, and [fence] walks every log; the
-   join copies nothing. [fence]/[crash]/inspection must not
-   run between [begin_stripes] and [end_stripes]. Slot order differs
-   from serial execution's, which is unobservable: every consumer
-   either sorts ([sorted_dirty], [crash], [unpersisted_ranges]) or is
-   per-line commutative ([fence]). *)
-let begin_stripes t ~n =
-  if n > log_mask then invalid_arg "Pmem.begin_stripes: too many stripes";
-  let grow a = Array.append a (Array.init (max 0 (n - Array.length a)) (fun _ -> chunked ())) in
-  t.tabs <- grow t.tabs;
-  t.arenas <- grow t.arenas;
-  t.striped <- true
-
-let set_stripe _t s = Domain.DLS.set stripe_key s
-let end_stripes t = t.striped <- false
 
 let check_bounds t off len =
   if off < 0 || len < 0 || off + len > t.size then
@@ -372,53 +337,49 @@ let volatile_is_rec t li r =
 
 (* A slot whose every store was captured turns clean (a flagged one only
    if its volatile line is still the captured state): only the slot
-   tables are read. Any other drops the states older than its capture
-   and is re-pushed onto table 0, which compacts it in place, while its
-   records stay put. The arenas are emptied when no slot is kept;
-   otherwise they are compacted into the spare arena only once they
-   hold over twice the kept records plus [compact_slack], so a line left
+   table is read. Any other drops the states older than its capture
+   and is re-pushed onto the table, which compacts it in place, while
+   its records stay put. The arena is emptied when no slot is kept;
+   otherwise it is compacted into the spare arena only once it holds
+   over twice the kept records plus [compact_slack], so a line left
    dirty across fences costs no copy per fence. *)
 let fence t stats =
   Stats.fence stats;
-  let t0 = t.tabs.(0) and gen = next_gen t and live = ref 0 in
+  let tab = t.tab and gen = next_gen t and live = ref 0 in
   if gen land (window - 1) = 0 then begin
-    Array.iter rotate t.tabs;
-    Array.iter rotate t.arenas
+    rotate tab;
+    rotate t.arena
   end;
-  for l = 0 to Array.length t.tabs - 1 do
-    let tab = t.tabs.(l) in
-    let len = tab.len in
-    note tab;
-    tab.len <- 0;
-    for i = 0 to len - 1 do
-      let s = tab.dir.(i lsr chunk_bits) and b = (i land (chunk - 1)) * slot_ints in
-      let w0 = s.(b) and n = s.(b + 1) and q = s.(b + 2) and top = s.(b + 3) in
-      if q <> n || (w0 land 1 = 1 && not (volatile_is_rec t (w0 lsr 1) top)) then begin
-        let lo = Int.max q 0 in
-        live := !live + n + (w0 land 1) - lo;
-        set_slot t (w0 lsr 1) ~gen (push_slot t0 0 ~w0 ~n:(n - lo) ~top)
-      end
-    done;
-    trim tab
+  let len = tab.len in
+  note tab;
+  tab.len <- 0;
+  for i = 0 to len - 1 do
+    let s = tab.dir.(i lsr chunk_bits) and b = (i land (chunk - 1)) * slot_ints in
+    let w0 = s.(b) and n = s.(b + 1) and q = s.(b + 2) and top = s.(b + 3) in
+    if q <> n || (w0 land 1 = 1 && not (volatile_is_rec t (w0 lsr 1) top)) then begin
+      let lo = Int.max q 0 in
+      live := !live + n + (w0 land 1) - lo;
+      set_slot t (w0 lsr 1) ~gen (push_slot tab ~w0 ~n:(n - lo) ~top)
+    end
   done;
-  let held = Array.fold_left (fun acc a -> acc + a.len) 0 t.arenas in
-  if !live = 0 then Array.iter empty t.arenas
-  else if held > (2 * !live) + compact_slack then begin
+  trim tab;
+  if !live = 0 then empty t.arena
+  else if t.arena.len > (2 * !live) + compact_slack then begin
     (* Compaction: each kept chain is copied newest first. *)
     let spa = t.spare_arena in
-    for i = 0 to t0.len - 1 do
-      let s = t0.dir.(i lsr chunk_bits) and b = (i land (chunk - 1)) * slot_ints in
+    for i = 0 to tab.len - 1 do
+      let s = tab.dir.(i lsr chunk_bits) and b = (i land (chunk - 1)) * slot_ints in
       let m = s.(b + 1) + (s.(b) land 1) and r = ref s.(b + 3) and r0 = spa.len in
       for j = 0 to m - 1 do
-        let link = if j = m - 1 then -1 else (r0 + j + 1) lsl log_bits in
-        ignore (push_rec spa 0 ~src:(rec_chunk t !r) ~src_off:(rec_off !r) ~link);
+        let link = if j = m - 1 then -1 else r0 + j + 1 in
+        ignore (push_rec spa ~src:(rec_chunk t !r) ~src_off:(rec_off !r) ~link);
         if j < m - 1 then r := rec_link t !r
       done;
-      s.(b + 3) <- r0 lsl log_bits
+      s.(b + 3) <- r0
     done;
-    Array.iter empty t.arenas;
-    t.spare_arena <- t.arenas.(0);
-    t.arenas.(0) <- spa
+    empty t.arena;
+    t.spare_arena <- t.arena;
+    t.arena <- spa
   end;
   t.gen <- gen
 
@@ -459,18 +420,14 @@ let line_states t li =
   in
   (n, surface)
 
-let dirty_line_count t = Array.fold_left (fun acc tab -> acc + tab.len) 0 t.tabs
+let dirty_line_count t = t.tab.len
 
 (* Dirty line numbers in ascending order. *)
 let sorted_dirty t =
-  let a = Array.make (dirty_line_count t) 0 and k = ref 0 in
-  Array.iter
-    (fun tab ->
-      for i = 0 to tab.len - 1 do
-        a.(!k) <- tab.dir.(i lsr chunk_bits).((i land (chunk - 1)) * slot_ints) lsr 1;
-        incr k
-      done)
-    t.tabs;
+  let tab = t.tab in
+  let a =
+    Array.init tab.len (fun i -> tab.dir.(i lsr chunk_bits).((i land (chunk - 1)) * slot_ints) lsr 1)
+  in
   Array.sort Int.compare a;
   a
 
@@ -489,8 +446,8 @@ let crash_lines t f =
       f li n surface;
       Hashtbl.replace t.crash_dirty li ())
     lines;
-  Array.iter empty t.tabs;
-  Array.iter empty t.arenas;
+  empty t.tab;
+  empty t.arena;
   t.gen <- next_gen t
 
 let crash_with t ~choose =
@@ -595,7 +552,7 @@ let corrupt_range t ~off ~len ~mask =
       if id >= 0 then begin
         let s = slot_chunk t id and b = slot_base id in
         if s.(b) land 1 = 0 then begin
-          s.(b + 3) <- push_line t (cur_log t) li ~link:s.(b + 3);
+          s.(b + 3) <- push_line t li ~link:s.(b + 3);
           s.(b) <- s.(b) lor 1
         end
       end

@@ -96,24 +96,6 @@ val fence : t -> Stats.t -> unit
 val persist : t -> Stats.t -> off:int -> len:int -> unit
 (** [flush] + [fence]. *)
 
-(** {1 Striped dirty tracking}
-
-    Wide (multi-domain) execution phases bracket their fan-out with
-    [begin_stripes]/[end_stripes]; each participating domain announces
-    its stripe with [set_stripe] before its first store. Stripe s then
-    appends the slots of lines it newly dirties to its own slot table,
-    and every crash-state record it copies to its own record arena; a
-    line dirtied earlier keeps its slot, so its states may span arenas.
-    [end_stripes] copies nothing: the next [fence] walks every table,
-    the NVTraverse-style "persist bookkeeping only at quiescence
-    points" trick. The caller guarantees stripes store to disjoint cache lines;
-    [fence], [crash] and dirty-line inspection must not run while
-    striping is active. *)
-
-val begin_stripes : t -> n:int -> unit
-val set_stripe : t -> int -> unit
-val end_stripes : t -> unit
-
 (** {1 Cost charging} *)
 
 val charge_read : t -> Stats.t -> off:int -> len:int -> unit

@@ -1,7 +1,6 @@
-(* Domain-safety: instruments are updated from Dpool worker domains
-   (the batcher's reply path, hammer tests, future wide-epoch metering)
-   as well as the main domain, so the hot update paths must not lose
-   increments. Counters and gauges are atomics (lock-free adds);
+(* Domain-safety: a served engine runs its batches on an engine domain
+   while the I/O loop keeps admitting and replying, and both update
+   instruments, so the hot update paths must not lose increments. Counters and gauges are atomics (lock-free adds);
    histograms take a per-instrument mutex (observations are sampled /
    per-reply, far off any spin path). Snapshot reads-and-resets
    counters with [Atomic.exchange] and swaps histograms out under their

@@ -1,12 +1,9 @@
 (* Wall-clock phase profiler. Unlike the tracer (event stream, simulated
    clock first) this aggregates: per phase name, total host wall time
    and Gc.quick_stat allocation deltas, cheap enough to leave on for a
-   whole benchmark run. All updates happen on the domain driving the
-   epoch pipeline (phases wrap the fan-out, not the per-core bodies), so
-   plain mutable state suffices; Gc deltas consequently count the
-   coordinating domain's allocations only — in wide runs the workers'
-   minor heaps are invisible here, which is exactly the split the
-   telemetry section (per-domain busy/spin/sleep from Dpool) covers. *)
+   whole benchmark run. All updates happen on the domain running the
+   epoch pipeline, so plain mutable state suffices, and the Gc deltas
+   are that domain's allocations. *)
 
 type phase_stat = {
   calls : int;
@@ -33,8 +30,6 @@ type t = {
   on_slow : slow_epoch -> unit;
   by_name : (string, cell) Hashtbl.t;
   mutable order : string list; (* reverse registration order *)
-  note_by_name : (string, int ref) Hashtbl.t;
-  mutable note_order : string list; (* reverse registration order *)
   mutable epochs : int;
   mutable total_wall_ns : float;
   mutable cur_epoch : int;
@@ -54,8 +49,6 @@ let make ~enabled ~slow_threshold_ns ~on_slow =
     on_slow;
     by_name = Hashtbl.create 16;
     order = [];
-    note_by_name = Hashtbl.create 16;
-    note_order = [];
     epochs = 0;
     total_wall_ns = 0.0;
     cur_epoch = 0;
@@ -109,16 +102,6 @@ let phase t name f =
       f
   end
 
-let note ?(n = 1) t name =
-  if t.enabled then
-    match Hashtbl.find_opt t.note_by_name name with
-    | Some r -> r := !r + n
-    | None ->
-        Hashtbl.add t.note_by_name name (ref n);
-        t.note_order <- name :: t.note_order
-
-let notes t = List.rev_map (fun name -> (name, !(Hashtbl.find t.note_by_name name))) t.note_order
-
 let phase_walls t =
   List.rev_map (fun name -> (name, (Hashtbl.find t.by_name name).stat.wall_ns)) t.order
   |> List.rev
@@ -163,31 +146,12 @@ let slow_epoch_count t = t.n_slow
 let reset t =
   Hashtbl.reset t.by_name;
   t.order <- [];
-  Hashtbl.reset t.note_by_name;
-  t.note_order <- [];
   t.epochs <- 0;
   t.total_wall_ns <- 0.0;
   t.in_epoch <- false;
   t.epoch_mark <- [];
   t.slow <- [];
   t.n_slow <- 0
-
-let telemetry_json () =
-  let tele = Nv_util.Dpool.telemetry () in
-  Jsonx.List
-    (Array.to_list
-       (Array.mapi
-          (fun i (s : Nv_util.Dpool.Telemetry.stat) ->
-            Jsonx.Assoc
-              [
-                ("domain", Jsonx.Int i);
-                ("tasks", Jsonx.Int s.tasks);
-                ("busy_ns", Jsonx.Float s.busy_ns);
-                ("spin_ns", Jsonx.Float s.spin_ns);
-                ("sleep_ns", Jsonx.Float s.sleep_ns);
-                ("escalations", Jsonx.Int s.escalations);
-              ])
-          tele))
 
 let slow_json (se : slow_epoch) =
   Jsonx.Assoc
@@ -217,8 +181,6 @@ let to_json t =
       ("phases", Jsonx.List (List.map phase_json (stats t)));
       ("slow_epochs_total", Jsonx.Int t.n_slow);
       ("slow_epochs", Jsonx.List (List.map slow_json (slow_epochs t)));
-      ("notes", Jsonx.Assoc (List.map (fun (n, c) -> (n, Jsonx.Int c)) (notes t)));
-      ("domains", telemetry_json ());
     ]
 
 let pp_table ppf t =
@@ -238,26 +200,4 @@ let pp_table ppf t =
     (stats t);
   fprintf ppf "epochs %d, total wall %.2f ms" t.epochs (t.total_wall_ns /. 1e6);
   if t.n_slow > 0 then fprintf ppf ", slow epochs %d" t.n_slow;
-  fprintf ppf "@,";
-  (match notes t with
-  | [] -> ()
-  | ns ->
-      fprintf ppf "@,note                        count@,";
-      fprintf ppf "-------------------------  ------@,";
-      List.iter (fun (name, c) -> fprintf ppf "%-25s  %6d@," name c) ns);
-  let tele = Nv_util.Dpool.telemetry () in
-  let active =
-    Array.exists
-      (fun (s : Nv_util.Dpool.Telemetry.stat) -> s.tasks > 0 || s.busy_ns > 0.0)
-      tele
-  in
-  if active then begin
-    fprintf ppf "@,domain    tasks    busy ms    spin ms   sleep ms  escalations@,";
-    fprintf ppf "------  -------  ---------  ---------  ---------  -----------@,";
-    Array.iteri
-      (fun i (s : Nv_util.Dpool.Telemetry.stat) ->
-        fprintf ppf "%6d  %7d  %9.2f  %9.2f  %9.2f  %11d@," i s.tasks (s.busy_ns /. 1e6)
-          (s.spin_ns /. 1e6) (s.sleep_ns /. 1e6) s.escalations)
-      tele
-  end;
-  fprintf ppf "@]"
+  fprintf ppf "@,@]"

@@ -7,10 +7,8 @@
     (minor / major / promoted). Cheap enough to leave on for a whole
     run — two clock reads and two [Gc.quick_stat] calls per phase.
 
-    Phases wrap the epoch pipeline on the coordinating domain, so Gc
-    deltas count that domain's allocations only; what the worker
-    domains were doing meanwhile is reported by the embedded
-    {!Nv_util.Dpool.telemetry} (per-domain busy/spin/sleep wall time).
+    Phases wrap the epoch pipeline on the domain that runs it, so Gc
+    deltas count that domain's allocations.
 
     Epoch bracketing ([epoch_begin] / [epoch_end]) feeds a slow-epoch
     detector: an epoch whose wall time crosses the threshold is
@@ -59,15 +57,6 @@ val phase : t -> string -> (unit -> 'a) -> 'a
 val epoch_begin : t -> epoch:int -> unit
 val epoch_end : t -> unit
 
-val note : ?n:int -> t -> string -> unit
-(** [note t name] bumps the free-form counter [name] by [n] (default 1).
-    Engines use these for rare-event tallies that belong next to the
-    phase table — e.g. the [serial.*] reasons an execute phase was
-    forced onto one stripe. No-op when disabled. *)
-
-val notes : t -> (string * int) list
-(** Note counters, in first-use order. *)
-
 val epochs : t -> int
 (** Epochs bracketed so far. *)
 
@@ -84,19 +73,11 @@ val slow_epochs : t -> slow_epoch list
 val slow_epoch_count : t -> int
 
 val reset : t -> unit
-(** Drop all aggregates, phase names, note counters and slow epochs. *)
-
-val telemetry_json : unit -> Jsonx.t
-(** The current {!Nv_util.Dpool.telemetry} as a JSON array (one object
-    per domain slot) — shared by {!to_json} and the server's live
-    stats snapshot. *)
+(** Drop all aggregates, phase names and slow epochs. *)
 
 val to_json : t -> Jsonx.t
-(** Full snapshot: epochs, total wall, per-phase table, slow epochs,
-    note counters, and per-domain {!Nv_util.Dpool.telemetry}. Times in
-    ms, allocation in words. *)
+(** Full snapshot: epochs, total wall, per-phase table and slow epochs.
+    Times in ms, allocation in words. *)
 
 val pp_table : Format.formatter -> t -> unit
-(** Human-readable phase table (wall ms, %, minor/major Mwords), the
-    note counters when any were bumped, plus a per-domain
-    pool-telemetry table when any domain did work. *)
+(** Human-readable phase table (wall ms, %, minor/major Mwords). *)

@@ -71,17 +71,23 @@ let value_crc_native pmem ~base ptr =
     Pmem.crc32c_native pmem ~off:(heap_off base + Vptr.inline_off ptr) ~len:(Vptr.len ptr)
   else Pmem.crc32c_native pmem ~off:(Vptr.pool_off ptr) ~len:(Vptr.len ptr)
 
+(* A fresh header (key, table, flags, two empty versions and the three
+   checksums: bytes 0..59) is built in a per-domain scratch buffer and
+   stored with one blit, so its line takes one crash state, not one per
+   field. *)
+let init_len = 60
+let init_scratch = Domain.DLS.new_key (fun () -> Bytes.create init_len)
+
 let init pmem stats ~base ~key ~table =
-  Pmem.set_i64 pmem (key_off base) key;
-  Pmem.set_i32 pmem (table_off base) (Int32.of_int table);
-  Pmem.set_i32 pmem (flags_off base) 1l;
-  Pmem.set_i64 pmem (sid_off base `V1) 0L;
-  Pmem.set_i64 pmem (ptr_off base `V1) 0L;
-  Pmem.set_i64 pmem (sid_off base `V2) 0L;
-  Pmem.set_i64 pmem (ptr_off base `V2) 0L;
-  Pmem.set_i32 pmem (id_crc_off base) (id_crc pmem ~base);
-  Pmem.set_i32 pmem (slot_crc_off base `V1) empty_slot_crc;
-  Pmem.set_i32 pmem (slot_crc_off base `V2) empty_slot_crc;
+  let b = Domain.DLS.get init_scratch in
+  Bytes.fill b 0 init_len '\000';
+  Bytes.set_int64_le b 0 key;
+  Bytes.set_int32_le b (table_off 0) (Int32.of_int table);
+  Bytes.set_int32_le b (flags_off 0) 1l;
+  Bytes.set_int32_le b (id_crc_off 0) (Crc.bytes b (key_off 0) 16);
+  Bytes.set_int32_le b (slot_crc_off 0 `V1) empty_slot_crc;
+  Bytes.set_int32_le b (slot_crc_off 0 `V2) empty_slot_crc;
+  Pmem.blit_to pmem ~src:b ~src_off:0 ~dst_off:base ~len:init_len;
   Stats.nvmm_write_blocks stats 1;
   flush_header pmem stats ~base
 

@@ -3,8 +3,7 @@ module Memspec = Nv_nvmm.Memspec
 
 (* Each core's arena is a directory of byte chunks that never move: a
    value is written once into the current chunk and stays at that
-   address until the epoch-end reset, so a reader on another domain
-   needs no snapshot of the arena. The directory has a fixed number of
+   address until the epoch-end reset. The directory has a fixed number of
    entries and is never reallocated; chunk [k] holds
    [base lsl min k grow_steps] bytes (or one oversized value), so a
    core can bump through far more than one epoch ever writes.

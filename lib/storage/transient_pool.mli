@@ -12,9 +12,8 @@ type t
 type vref = int
 (** Reference to value bytes in some core's arena, valid until the next
     [reset]: an immediate int packing core, chunk, offset and length,
-    so storing one allocates nothing. Chunks never move, so a reader on
-    another domain resolves a vref without racing the owning core's
-    later writes. *)
+    so storing one allocates nothing. Chunks never move, so a vref
+    stays valid while its core keeps writing. *)
 
 val create : cores:int -> initial_capacity:int -> t
 (** [initial_capacity] is the size of each core's first chunk; later

@@ -139,7 +139,8 @@ let txn_of op =
   in
   (* Balance reads two undeclared keys and Write_check reads an
      undeclared savings row; the other three transaction kinds read
-     exactly the keys they declare, so only they may run wide. *)
+     exactly the keys they declare, so only they skip a router's
+     speculative pass. *)
   let reads_declared =
     match op with
     | Deposit_checking _ | Transact_savings _ | Amalgamate _ -> true

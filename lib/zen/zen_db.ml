@@ -451,17 +451,9 @@ module Engine :
   let aborted_txns = aborted_txns
   let total_time_ns = total_time_ns
 
-  (* Zen's batch loop is single-domain: nothing ever runs wide, and no
-     gate ever fires. *)
-  let introspect t =
-    {
-      Nvcaracal.Engine_intf.wide_execs = 0;
-      serial_reasons = [];
-      state_digest =
-        Nvcaracal.Engine_intf.digest_committed
-          ~tables:(Array.to_list t.tables)
-          ~iter:(fun ~table f -> iter_committed t ~table f);
-    }
+  let state_digest t =
+    Nvcaracal.Engine_intf.digest_committed ~tables:(Array.to_list t.tables)
+      ~iter:(fun ~table f -> iter_committed t ~table f)
 
   let mem_report = mem_report
   let counters_total = counters_total

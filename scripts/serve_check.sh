@@ -61,9 +61,9 @@ done
 [ "$STATS_OK" -eq 1 ] || { echo "never got a live stats snapshot with serving activity"; cat "$STATS_OUT"; exit 1; }
 
 # The snapshot must carry the live-serving schema: uptime, admission
-# counters, per-procedure wall-latency percentiles, domain telemetry.
+# counters, per-procedure wall-latency percentiles.
 for field in '"uptime_s"' '"clients_connected"' '"admitted"' '"epoch_rate_per_s"' \
-             '"p50_ms"' '"p99_ms"' '"p999_ms"' '"domains"' '"busy_ns"'; do
+             '"p50_ms"' '"p99_ms"' '"p999_ms"'; do
   grep -q "$field" "$STATS_OUT" || { echo "stats snapshot missing $field"; cat "$STATS_OUT"; exit 1; }
 done
 
@@ -94,16 +94,15 @@ sed -n 's/^/  server: /p' "$SERVER_OUT"
 # --- Second leg: graceful SIGTERM shutdown of a journaled server. ---
 # No client ever sends Shutdown here; the operator does, with a signal.
 # The server must drain, flush its journal, remove the socket, and
-# exit 0. It runs the engine 2 wide (--jobs 2): the engine domain
-# drives the domain pool, and the restart below replays at the default
-# width to the same digest and pmem crc.
+# exit 0. The restart below replays the journal to the same digest and
+# pmem crc.
 SOCK2="${TMPDIR:-/tmp}/nvdb-serve-term-$$.sock"
 JOURNAL2="${TMPDIR:-/tmp}/nvdb-serve-term-$$.journal"
 SERVER2_OUT="$(mktemp)"
 CLIENT2_OUT="$(mktemp)"
 trap 'kill $SERVER_PID $SERVER2_PID 2>/dev/null || true; rm -f "$SOCK" "$SERVER_OUT" "$CLIENT_OUT" "$STATS_OUT" "$STATS_JSONL" "$SOCK2" "$JOURNAL2" "$JOURNAL2.ckpt" "$SERVER2_OUT" "$CLIENT2_OUT"' EXIT
 
-"$NVDB" serve --workload ycsb --listen "$SOCK2" --jobs 2 \
+"$NVDB" serve --workload ycsb --listen "$SOCK2" \
   --batch-target 64 --deadline-ticks 4 --capacity 20000 \
   --journal "$JOURNAL2" \
   >"$SERVER2_OUT" 2>&1 &

@@ -446,7 +446,29 @@ let test_tracking_allocation_free () =
   Alcotest.(check int) "wide cycle clean after fence" 0 (Pmem.dirty_line_count p);
   Alcotest.(check bool)
     (Printf.sprintf "%.0f major words per wide cycle < 1024" per_cycle)
-    true (per_cycle < 1024.0)
+    true (per_cycle < 1024.0);
+  (* A bulk load's rows between two fences: header init, inline value,
+     version. Every store to a dirty line records one crash state (a
+     line copy), so a header written field by field would record over a
+     dozen per row; written in one blit, the row records five. *)
+  let rows = 256 and row_size = 256 in
+  let p = Pmem.create ~size:(rows * row_size) () in
+  let data = Bytes.make 8 'x' in
+  for r = 0 to rows - 1 do
+    let base = r * row_size in
+    Nv_storage.Prow.init p s ~base ~key:(Int64.of_int r) ~table:0;
+    let ptr = Nv_storage.Prow.write_inline_value p s ~base ~row_size ~half:0 ~data () in
+    Nv_storage.Prow.set_version p s ~base ~slot:`V2 ~sid:(Nvcaracal.Sid.make ~epoch:1 ~seq:0)
+      ~ptr ()
+  done;
+  let states = ref 0 in
+  Pmem.crash_with p ~choose:(fun ~line:_ ~options ->
+      states := !states + options - 1;
+      options - 1);
+  let per_row = float_of_int !states /. float_of_int rows in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f recorded line states per loaded row <= 6" per_row)
+    true (per_row <= 6.0)
 
 (* Every (line, options, image) a crash can leave, surfacing each state
    of one line at a time (state 0 elsewhere); [crash choose] builds the
@@ -490,49 +512,6 @@ let test_hot_line () =
   Pmem.fence p s;
   Alcotest.(check int) "clean after flush + fence" 0 (Pmem.dirty_line_count p);
   Alcotest.(check int64) "newest store kept" (Int64.of_int stores) (Pmem.get_i64 p 64)
-
-(* A line first dirtied serially, then stored by stripe 1 of a wide
-   phase (its slot in log 0, its newer records in log 1), then kept
-   across a fence: its crash states are those of the same stores made
-   serially. *)
-let test_wide_phase_chain () =
-  let run ~wide =
-    let s = stats () and p = Pmem.create ~size:1024 () in
-    Pmem.set_i64 p 128 1L;
-    Pmem.set_i64 p 136 2L;
-    let stripe s f =
-      if wide then
-        Domain.join
-          (Domain.spawn (fun () ->
-               Pmem.set_stripe p s;
-               f ()))
-      else f ()
-    in
-    if wide then Pmem.begin_stripes p ~n:2;
-    stripe 0 (fun () -> Pmem.set_i64 p 512 7L);
-    stripe 1 (fun () ->
-        Pmem.set_i64 p 128 3L;
-        Pmem.flush p s ~off:128 ~len:8;
-        Pmem.set_i64 p 144 4L;
-        Pmem.set_i64 p 640 8L);
-    if wide then Pmem.end_stripes p;
-    Pmem.set_i64 p 152 5L;
-    Pmem.fence p s;
-    Pmem.set_i64 p 128 6L;
-    p
-  in
-  let states ~wide =
-    crash_states (fun choose ->
-        let p = run ~wide in
-        Pmem.crash_with p ~choose;
-        Bytes.to_string (Pmem.read_bytes p ~off:0 ~len:1024))
-  in
-  let serial = states ~wide:false in
-  Alcotest.(check (list (pair int int)))
-    "dirty lines and their options"
-    [ (2, 4); (8, 2); (10, 2) ]
-    (List.sort_uniq compare (List.map (fun (l, o, _) -> (l, o)) serial));
-  Alcotest.(check (list (triple int int string))) "same crash states" serial (states ~wide:true)
 
 (* Two lines stay dirty across fences (one stored after its flush, one
    corrupted) while 70,000 others are stored, flushed and fenced. The
@@ -587,7 +566,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_matches_reference;
         Alcotest.test_case "tracking allocation-free" `Quick test_tracking_allocation_free;
         Alcotest.test_case "hot line" `Quick test_hot_line;
-        Alcotest.test_case "wide-phase chain" `Quick test_wide_phase_chain;
         Alcotest.test_case "compaction keeps chains" `Quick test_compaction_keeps_chains;
       ] );
   ]

@@ -287,15 +287,15 @@ let test_metrics_domain_safety () =
   let c = Metrics.counter m "hammer.count" in
   let g = Metrics.gauge m "hammer.level" in
   let h = Metrics.histogram m "hammer.lat" in
-  let pool = Nv_util.Dpool.shared ~width:4 in
   let iters = 25_000 in
-  ignore
-    (Nv_util.Dpool.run pool ~n:4 (fun i ->
-         for k = 1 to iters do
-           Metrics.add c 1;
-           Metrics.observe h (float_of_int ((k land 7) + i));
-           Metrics.set_gauge g (float_of_int k)
-         done));
+  List.iter Domain.join
+    (List.init 4 (fun i ->
+         Domain.spawn (fun () ->
+             for k = 1 to iters do
+               Metrics.add c 1;
+               Metrics.observe h (float_of_int ((k land 7) + i));
+               Metrics.set_gauge g (float_of_int k)
+             done)));
   let fields = Metrics.snapshot m ~epoch:1 in
   (match List.assoc "hammer.count" fields with
   | Jsonx.Int n -> Alcotest.(check int) "no lost counter increments" (4 * iters) n

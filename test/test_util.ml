@@ -90,85 +90,6 @@ let test_histogram_merge () =
   Alcotest.(check int) "merged count" 2 (Nv_util.Histogram.count m);
   Alcotest.(check (float 0.01)) "merged mean" 15.0 (Nv_util.Histogram.mean m)
 
-(* ------------------------------------------------------------------ *)
-(* Domain-pool telemetry and spin/sleep backoff configuration.         *)
-
-let test_dpool_telemetry () =
-  let module D = Nv_util.Dpool in
-  D.reset_telemetry ();
-  List.iter
-    (fun (s : D.Telemetry.stat) ->
-      Alcotest.(check int) "reset zeroes tasks" 0 s.D.Telemetry.tasks;
-      Alcotest.(check (float 0.0)) "reset zeroes busy" 0.0 s.D.Telemetry.busy_ns)
-    (Array.to_list (D.telemetry ()));
-  let pool = D.shared ~width:4 in
-  let n = 8 in
-  let out =
-    D.run pool ~n (fun i ->
-        (* Enough work per index to register on the wall clock. *)
-        let acc = ref 0 in
-        for k = 0 to 50_000 do
-          acc := !acc + ((k * (i + 1)) land 0xff)
-        done;
-        !acc)
-  in
-  Alcotest.(check int) "all indices evaluated" n (Array.length out);
-  let tele = D.telemetry () in
-  let tasks = Array.fold_left (fun acc s -> acc + s.D.Telemetry.tasks) 0 tele in
-  let busy = Array.fold_left (fun acc s -> acc +. s.D.Telemetry.busy_ns) 0.0 tele in
-  Alcotest.(check int) "every task metered exactly once" n tasks;
-  Alcotest.(check bool) "busy wall time accrued" true (busy > 0.0);
-  Array.iter
-    (fun (s : D.Telemetry.stat) ->
-      Alcotest.(check bool) "meters are non-negative" true
-        (s.D.Telemetry.busy_ns >= 0.0 && s.D.Telemetry.spin_ns >= 0.0
-        && s.D.Telemetry.sleep_ns >= 0.0 && s.D.Telemetry.escalations >= 0))
-    tele;
-  D.reset_telemetry ()
-
-let test_dpool_spin_config () =
-  let module D = Nv_util.Dpool in
-  let saved_threshold, saved_sleep = D.spin_config () in
-  Fun.protect
-    ~finally:(fun () ->
-      D.set_spin ~threshold:saved_threshold ~sleep_us:(saved_sleep *. 1e6) ())
-  @@ fun () ->
-  (* NVC_SPIN value parsing: "SPINS" or "SPINS:SLEEP_US". *)
-  (match D.parse_spin "2048" with
-  | Some (t, s) ->
-      Alcotest.(check int) "threshold alone" 2048 t;
-      Alcotest.(check (float 1e-12)) "sleep keeps default" 5e-5 s
-  | None -> Alcotest.fail "\"2048\" should parse");
-  (match D.parse_spin "256:20" with
-  | Some (t, s) ->
-      Alcotest.(check int) "threshold with sleep" 256 t;
-      Alcotest.(check (float 1e-12)) "sleep_us converts to seconds" 20e-6 s
-  | None -> Alcotest.fail "\"256:20\" should parse");
-  List.iter
-    (fun bad ->
-      match D.parse_spin bad with
-      | None -> ()
-      | Some _ -> Alcotest.failf "%S should not parse" bad)
-    [ ""; "abc"; "-5"; "12:"; ":9"; "1:2:3"; "64:-1"; "64:zz" ];
-  (* set_spin installs, spin_config reads back (sleep in seconds). *)
-  D.set_spin ~threshold:128 ~sleep_us:10.0 ();
-  let t, s = D.spin_config () in
-  Alcotest.(check int) "installed threshold" 128 t;
-  Alcotest.(check (float 1e-12)) "installed sleep" 10e-6 s;
-  (* Backoff past the threshold still terminates and meters the wait. *)
-  Nv_util.Dpool.reset_telemetry ();
-  for spins = 0 to 200 do
-    D.backoff spins
-  done;
-  let tele = D.telemetry () in
-  let spin_ns = Array.fold_left (fun acc st -> acc +. st.D.Telemetry.spin_ns) 0.0 tele in
-  let sleep_ns = Array.fold_left (fun acc st -> acc +. st.D.Telemetry.sleep_ns) 0.0 tele in
-  let esc = Array.fold_left (fun acc st -> acc + st.D.Telemetry.escalations) 0 tele in
-  Alcotest.(check bool) "spin wall metered" true (spin_ns > 0.0);
-  Alcotest.(check bool) "sleep wall metered past threshold" true (sleep_ns > 0.0);
-  Alcotest.(check bool) "escalations counted" true (esc >= 1);
-  D.reset_telemetry ()
-
 let prop_fnv_nonnegative =
   QCheck.Test.make ~name:"fnv hashes are non-negative" ~count:1000 QCheck.int64 (fun k ->
       Nv_util.Fnv.hash_int64 k >= 0)
@@ -345,8 +266,6 @@ let suites =
         Alcotest.test_case "zipf uniform" `Quick test_zipf_uniform_degenerate;
         Alcotest.test_case "histogram basic" `Quick test_histogram_basic;
         Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
-        Alcotest.test_case "dpool telemetry meters tasks" `Quick test_dpool_telemetry;
-        Alcotest.test_case "dpool spin config and backoff" `Quick test_dpool_spin_config;
         QCheck_alcotest.to_alcotest prop_fnv_nonnegative;
         QCheck_alcotest.to_alcotest prop_fnv_deterministic;
       ] );
