@@ -17,6 +17,17 @@ let tiny_smallbank level =
 
 let setup = Runner.setup ~epochs:4 ~epoch_txns:300 ()
 
+(* The engine runs on one domain; servebench's server child still asks
+   for a width, and only 1 is accepted. *)
+let test_set_jobs_one_only () =
+  Nv_harness.Cli.set_jobs 1;
+  List.iter
+    (fun jobs ->
+      match Nv_harness.Cli.set_jobs jobs with
+      | () -> Alcotest.failf "set_jobs %d accepted" jobs
+      | exception Invalid_argument _ -> ())
+    [ 0; 2; 4; -1 ]
+
 let test_runner_basics () =
   let r = Runner.run_nvcaracal setup (tiny_ycsb `Medium) ~variant:Config.Nvcaracal () in
   Alcotest.(check int) "txns" 1200 r.Runner.txns;
@@ -118,6 +129,7 @@ let suites =
     ( "harness",
       [
         Alcotest.test_case "runner basics" `Quick test_runner_basics;
+        Alcotest.test_case "Cli.set_jobs accepts only 1" `Quick test_set_jobs_one_only;
         Alcotest.test_case "variant ordering" `Quick test_variant_ordering;
         Alcotest.test_case "zen crossover" `Quick test_zen_crossover;
         Alcotest.test_case "transient fraction" `Quick test_transient_fraction_tracks_contention;

@@ -198,6 +198,41 @@ let test_prow_init_and_versions () =
   let _, _, _, v2 = Prow.read_header p s ~base:256 in
   Alcotest.(check int64) "sid set" 5L v2.Prow.sid
 
+(* [Prow.init]'s header bytes, pinned: a digest of 32 initialised rows
+   (keys spread over the int64 range, tables 0-5) taken when the header
+   was still written field by field. Building it in a scratch buffer
+   and storing it with one blit must leave every pmem byte the same. *)
+let init_rows p s ~rows ~row_size =
+  for r = 0 to rows - 1 do
+    let key = Int64.(sub (mul (of_int r) 0x9E3779B97F4A7C15L) 7L) in
+    Prow.init p s ~base:(r * row_size) ~key ~table:(r mod 6)
+  done
+
+let image p = Pmem.read_bytes p ~off:0 ~len:(Pmem.size p)
+
+let test_prow_header_bytes_pinned () =
+  let row_size = 256 and rows = 32 in
+  let p = Pmem.create ~size:(rows * row_size) () in
+  init_rows p (stats ()) ~rows ~row_size;
+  Alcotest.(check string) "header bytes" "b3e7dfccc64f142841612ac3af7a6875"
+    (Digest.to_hex (Digest.bytes (image p)))
+
+(* The scratch buffer is per domain: rows initialised on two domains at
+   once come out as they do on one. *)
+let test_prow_header_scratch_per_domain () =
+  let row_size = 256 and rows = 2048 in
+  let make () = Pmem.create ~size:(rows * row_size) () in
+  let reference = make () in
+  init_rows reference (stats ()) ~rows ~row_size;
+  let pmems = [ make (); make () ] in
+  List.iter Domain.join
+    (List.map (fun p -> Domain.spawn (fun () -> init_rows p (stats ()) ~rows ~row_size)) pmems);
+  List.iteri
+    (fun i p ->
+      Alcotest.(check bool) (Printf.sprintf "domain %d image" i) true
+        (Bytes.equal (image reference) (image p)))
+    pmems
+
 let test_prow_inline_value_roundtrip () =
   let s = stats () in
   let p = Pmem.create ~size:4096 () in
@@ -610,6 +645,9 @@ let suites =
         Alcotest.test_case "freelist wraparound" `Quick test_freelist_wraparound;
         Alcotest.test_case "freelist overflow" `Quick test_freelist_overflow;
         Alcotest.test_case "prow init/versions" `Quick test_prow_init_and_versions;
+        Alcotest.test_case "prow header bytes pinned" `Quick test_prow_header_bytes_pinned;
+        Alcotest.test_case "prow header scratch per domain" `Quick
+          test_prow_header_scratch_per_domain;
         Alcotest.test_case "prow inline value" `Quick test_prow_inline_value_roundtrip;
         Alcotest.test_case "prow gc move" `Quick test_prow_gc_move;
         Alcotest.test_case "prow sid-before-ptr" `Quick test_prow_sid_before_pointer_on_crash;
