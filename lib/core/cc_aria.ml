@@ -8,13 +8,14 @@ module Memspec = Nv_nvmm.Memspec
 module Prow = Nv_storage.Prow
 module Slab = Nv_storage.Slab_pool
 module Meta = Nv_storage.Meta_region
-module OIdx = Nv_index.Ordered_index
-module BIdx = Nv_index.Btree_index
 module Tracer = Nv_obs.Tracer
 
 open Epoch
 
 let name = "aria"
+
+(* The name range refusals carry. *)
+let who = "Db.run_epoch_aria"
 
 exception Found of (int64 * bytes)
 
@@ -64,16 +65,11 @@ let run ?(replay = false) t txns =
       Stats.dram_write stats
         ~lines:(Memspec.lines_touched (Stats.spec stats) ~off:0 ~len:(Bytes.length data))
         ();
-      t.m_version_writes.(core) <- t.m_version_writes.(core) + 1;
+      t.m_version_writes <- t.m_version_writes + 1;
       Hashtbl.replace buffer (table, key) data
     in
     let delete ~table:_ ~key:_ = invalid_arg "Db.run_epoch_aria: deletes are not supported" in
-    let ordered_fold table ~lo ~hi ~init ~f =
-      match t.indexes.(table) with
-      | Ord o -> OIdx.fold_range o stats ~lo ~hi ~init ~f
-      | Bt b -> BIdx.fold_range b stats ~lo ~hi ~init ~f
-      | Hash _ -> invalid_arg "Db.run_epoch_aria: range operation on a hash-indexed table"
-    in
+    let ordered_fold table = ordered_fold t stats ~who table in
     let range_read ~table ~lo ~hi =
       List.rev
         (ordered_fold table ~lo ~hi ~init:[] ~f:(fun acc key row ->
@@ -95,20 +91,11 @@ let run ?(replay = false) t txns =
     let min_above ~table bound = first ~table ~lo:bound ~hi:Int64.max_int in
     let max_below ~table bound =
       (* Committed snapshot, so index max_below suffices. *)
-      match t.indexes.(table) with
-      | Ord o -> (
-          match OIdx.max_below o stats bound with
-          | Some (key, row) ->
-              Hashtbl.replace rset (table, key) ();
-              Option.map (fun d -> (key, d)) (committed_read t stats row ~fill_cache:true)
-          | None -> None)
-      | Bt b -> (
-          match BIdx.max_below b stats bound with
-          | Some (key, row) ->
-              Hashtbl.replace rset (table, key) ();
-              Option.map (fun d -> (key, d)) (committed_read t stats row ~fill_cache:true)
-          | None -> None)
-      | Hash _ -> invalid_arg "Db.run_epoch_aria: range operation on a hash-indexed table"
+      match ordered_max_below t stats ~who table bound with
+      | Some (key, row) ->
+          Hashtbl.replace rset (table, key) ();
+          Option.map (fun d -> (key, d)) (committed_read t stats row ~fill_cache:true)
+      | None -> None
     in
     let ctx =
       {
@@ -175,8 +162,8 @@ let run ?(replay = false) t txns =
     let stats = stats_of t core in
     if user_aborted.(i) then begin
       outcomes.(i) <- `Aborted;
-      t.m_aborted.(core) <- t.m_aborted.(core) + 1;
-      t.total_aborted.(core) <- t.total_aborted.(core) + 1
+      t.m_aborted <- t.m_aborted + 1;
+      t.total_aborted <- t.total_aborted + 1
     end
     else begin
       let reserved_earlier key =
@@ -190,10 +177,10 @@ let run ?(replay = false) t txns =
       if conflict then begin
         outcomes.(i) <- `Deferred;
         deferred := txns.(i) :: !deferred;
-        t.m_aborted.(core) <- t.m_aborted.(core) + 1
+        t.m_aborted <- t.m_aborted + 1
       end
       else begin
-        t.committed.(core) <- t.committed.(core) + 1;
+        t.committed <- t.committed + 1;
         Hashtbl.iter (fun key data -> decisions := (key, i, data) :: !decisions) buffers.(i)
       end
     end

@@ -10,8 +10,6 @@ module Prow = Nv_storage.Prow
 module Slab = Nv_storage.Slab_pool
 module Meta = Nv_storage.Meta_region
 module TP = Nv_storage.Transient_pool
-module OIdx = Nv_index.Ordered_index
-module BIdx = Nv_index.Btree_index
 module VA = Version_array
 module Tracer = Nv_obs.Tracer
 module Metrics = Nv_obs.Metrics
@@ -110,7 +108,7 @@ let make_ctx t ~core ~sid ~mode ~txn ~notes ~wrote =
     if entry < 0 then
       invalid_arg
         (Printf.sprintf "Txn.Ctx.write: key (%d, %Ld) is not in the write set" table key);
-    let vref = store_version_value t stats ~core data in
+    let vref = store_version_value t stats data in
     VA.resolve t.vstore (slot_of t entry ~sid) ~value:vref stats;
     wrote := true
   in
@@ -122,23 +120,10 @@ let make_ctx t ~core ~sid ~mode ~txn ~notes ~wrote =
       invalid_arg
         (Printf.sprintf "Txn.Ctx.delete: key (%d, %Ld) is not in the delete set" table key);
     VA.resolve t.vstore (slot_of t entry ~sid) ~value:VA.tombstone stats;
-    t.m_version_writes.(core) <- t.m_version_writes.(core) + 1;
+    t.m_version_writes <- t.m_version_writes + 1;
     wrote := true
   in
-  (* Ordered-table operations, uniform over the AVL and B+-tree
-     implementations. *)
-  let ordered_fold table ~lo ~hi ~init ~f =
-    match t.indexes.(table) with
-    | Ord o -> OIdx.fold_range o stats ~lo ~hi ~init ~f
-    | Bt b -> BIdx.fold_range b stats ~lo ~hi ~init ~f
-    | Hash _ -> invalid_arg "Txn.Ctx: range operation on a hash-indexed table"
-  in
-  let ordered_max_below table bound =
-    match t.indexes.(table) with
-    | Ord o -> OIdx.max_below o stats bound
-    | Bt b -> BIdx.max_below b stats bound
-    | Hash _ -> invalid_arg "Txn.Ctx: range operation on a hash-indexed table"
-  in
+  let ordered_fold table = ordered_fold t stats ~who:"Txn.Ctx" table in
   let range_read ~table ~lo ~hi =
     List.rev
       (ordered_fold table ~lo ~hi ~init:[] ~f:(fun acc key row ->
@@ -160,7 +145,7 @@ let make_ctx t ~core ~sid ~mode ~txn ~notes ~wrote =
     (* Descend from the bound; visibility is rechecked walking down in
        key order. *)
     let rec go bound =
-      match ordered_max_below table bound with
+      match ordered_max_below t stats ~who:"Txn.Ctx" table bound with
       | None -> None
       | Some (key, row) -> (
           match visible_value t stats row ~mode with
@@ -208,22 +193,22 @@ let do_insert t stats ~core ~i ~sid ~table ~key ~data =
   let row = Row.make ~key ~table ~home_core:core ~prow_base:base ~created_epoch:t.epoch in
   index_insert t stats ~table ~key row;
   if t.pindex <> None then Hashtbl.replace t.pix_delta (table, key) (`Ins base);
-  let va = ensure_varray t stats ~core row in
+  let va = ensure_varray t stats row in
   VA.append t.vstore va stats sid;
   let slot = VA.find t.vstore va stats sid in
   (match data with
   | Some d ->
-      let vref = store_version_value t stats ~core d in
+      let vref = store_version_value t stats d in
       VA.resolve t.vstore slot ~value:vref stats
   | None -> ());
   ws_add t i ~op:ws_insert row
 
-let do_append t stats ~core ~i ~sid ~table ~key ~(kind : [ `Update | `Delete ]) =
+let do_append t stats ~i ~sid ~table ~key ~(kind : [ `Update | `Delete ]) =
   Stats.compute stats ();
   match find_row t stats ~table ~key with
   | None -> invalid_arg (Printf.sprintf "Db: update/delete of missing key (%d, %Ld)" table key)
   | Some row ->
-      let va = ensure_varray t stats ~core row in
+      let va = ensure_varray t stats row in
       (* A transaction may declare the same key more than once (multiple
          writes per item, section 3.1.1): reuse its slot. *)
       (match VA.find t.vstore va stats sid with
@@ -378,15 +363,15 @@ let run ?(replay = false) t txns =
     (* Declared (static) writes first, then the computed ones. *)
     List.iter
       (function
-        | Txn.Update { table; key } -> do_append t stats ~core ~i ~sid ~table ~key ~kind:`Update
-        | Txn.Delete { table; key } -> do_append t stats ~core ~i ~sid ~table ~key ~kind:`Delete
+        | Txn.Update { table; key } -> do_append t stats ~i ~sid ~table ~key ~kind:`Update
+        | Txn.Delete { table; key } -> do_append t stats ~i ~sid ~table ~key ~kind:`Delete
         | Txn.Insert _ -> ())
       txns.(i).Txn.write_set;
     List.iter
-      (fun (table, key, kind) -> do_append t stats ~core ~i ~sid ~table ~key ~kind)
+      (fun (table, key, kind) -> do_append t stats ~i ~sid ~table ~key ~kind)
       dynamic_ops;
     List.iter
-      (fun (table, key, kind) -> do_append t stats ~core ~i ~sid ~table ~key ~kind)
+      (fun (table, key, kind) -> do_append t stats ~i ~sid ~table ~key ~kind)
       recon_ops
   done;
   hook t Append_done);
@@ -428,11 +413,11 @@ let run ?(replay = false) t txns =
     if aborted then outcomes.(i) <- `Aborted;
     let st = t.vstore in
     if aborted then begin
-      t.m_aborted.(core) <- t.m_aborted.(core) + 1;
-      t.total_aborted.(core) <- t.total_aborted.(core) + 1;
+      t.m_aborted <- t.m_aborted + 1;
+      t.total_aborted <- t.total_aborted + 1;
       iter_entries t i (fun e -> VA.set_value st (slot_of t e ~sid) VA.ignored)
     end
-    else t.committed.(core) <- t.committed.(core) + 1;
+    else t.committed <- t.committed + 1;
     (* Declared writes the body never issued are equivalent to aborted
        single writes: mark them IGNORE so readers skip them. *)
     iter_entries t i (fun e ->

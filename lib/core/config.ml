@@ -6,7 +6,6 @@ type t = {
   cores : int;
   row_size : int;
   value_slot_size : int;
-  value_size_classes : int list;
   cache_k : int;
   minor_gc : bool;
   cached_versions : bool;
@@ -31,7 +30,6 @@ let default =
     cores = 8;
     row_size = 256;
     value_slot_size = 1024;
-    value_size_classes = [];
     cache_k = 20;
     minor_gc = true;
     cached_versions = true;
@@ -51,8 +49,7 @@ let default =
   }
 
 let make ?(variant = default.variant) ?(cores = default.cores) ?(row_size = default.row_size)
-    ?(value_slot_size = default.value_slot_size)
-    ?(value_size_classes = default.value_size_classes) ?(cache_k = default.cache_k)
+    ?(value_slot_size = default.value_slot_size) ?(cache_k = default.cache_k)
     ?(minor_gc = default.minor_gc) ?(cached_versions = default.cached_versions)
     ?(rows_per_core = default.rows_per_core)
     ?(values_per_core = default.values_per_core)
@@ -68,7 +65,6 @@ let make ?(variant = default.variant) ?(cores = default.cores) ?(row_size = defa
     cores;
     row_size;
     value_slot_size;
-    value_size_classes;
     cache_k;
     minor_gc;
     cached_versions;

@@ -31,9 +31,6 @@ type t = {
   cores : int;
   row_size : int;  (** persistent row size, bytes (paper default 256) *)
   value_slot_size : int;  (** persistent value pool slot, bytes (1024) *)
-  value_size_classes : int list;
-      (** optional size-classed value pools (section 5.5's power-of-two
-          extension); empty = a single [value_slot_size] class *)
   cache_k : int;  (** evict cached versions unused for K epochs (20) *)
   minor_gc : bool;  (** minor collector enabled (section 4.4) *)
   cached_versions : bool;  (** DRAM cached versions enabled (section 4.2) *)
@@ -74,7 +71,6 @@ val make :
   ?cores:int ->
   ?row_size:int ->
   ?value_slot_size:int ->
-  ?value_size_classes:int list ->
   ?cache_k:int ->
   ?minor_gc:bool ->
   ?cached_versions:bool ->

@@ -12,7 +12,6 @@ module TP = Nv_storage.Transient_pool
 module Prow = Nv_storage.Prow
 module Vptr = Nv_storage.Vptr
 module Slab = Nv_storage.Slab_pool
-module VPools = Nv_storage.Value_pools
 module PIdx = Nv_storage.Pindex
 module Log = Nv_storage.Log_region
 module Meta = Nv_storage.Meta_region
@@ -102,7 +101,7 @@ type t = {
   core_stats : Stats.t array;
   scratch : Stats.t; (* uncharged inspection accesses *)
   row_pool : Slab.t;
-  value_pool : VPools.t;
+  value_pool : Slab.t;
   pindex : PIdx.t option;
   pix_delta : (int * int64, [ `Ins of int | `Del ]) Hashtbl.t;
       (* net index changes of the current epoch, batched to NVMM at
@@ -132,16 +131,16 @@ type t = {
          epoch's durable-GC dedup set must outlive the replay *)
   mutable loaded : bool;
   ej : journal; (* the execute phase's effect journal *)
-  (* Cumulative measurements, one shard per simulated core. *)
-  committed : int array;
-  total_aborted : int array;
+  (* Cumulative measurements. *)
+  mutable committed : int;
+  mutable total_aborted : int;
   mutable log_high_water : int;
-  (* Per-epoch measurements (reset each epoch), sharded like the above. *)
-  m_aborted : int array;
-  m_version_writes : int array;
-  m_persistent_writes : int array;
-  m_minor_gc : int array;
-  m_major_gc : int array;
+  (* Per-epoch measurements (reset each epoch). *)
+  mutable m_aborted : int;
+  mutable m_version_writes : int;
+  mutable m_persistent_writes : int;
+  mutable m_minor_gc : int;
+  mutable m_major_gc : int;
   mutable m_evicted : int;
   mutable m_cache_hits0 : int;
   mutable m_cache_misses0 : int;
@@ -170,11 +169,10 @@ let build_layout (cfg : Config.t) =
     Slab.reserve b ~name:"rows" ~cores:cfg.cores ~slots_per_core:cfg.rows_per_core
       ~slot_size:cfg.row_size ~freelist_capacity:cfg.freelist_capacity
   in
-  let classes =
-    match cfg.value_size_classes with [] -> [ cfg.value_slot_size ] | cs -> cs
-  in
   let value_spec =
-    VPools.reserve b ~cores:cfg.cores ~slots_per_core:cfg.values_per_core ~classes
+    Slab.reserve b
+      ~name:(Printf.sprintf "values%d" cfg.value_slot_size)
+      ~cores:cfg.cores ~slots_per_core:cfg.values_per_core ~slot_size:cfg.value_slot_size
       ~freelist_capacity:cfg.freelist_capacity
   in
   let pindex_r =
@@ -200,7 +198,7 @@ let attach (cfg : Config.t) tables pmem =
     core_stats = Array.init cfg.cores (fun _ -> Stats.create cfg.spec);
     scratch = Stats.create cfg.spec;
     row_pool = Slab.attach pmem row_spec;
-    value_pool = VPools.attach pmem value_spec;
+    value_pool = Slab.attach pmem value_spec;
     pindex = Option.map (PIdx.attach pmem) pindex_r;
     pix_delta = Hashtbl.create 256;
     log = Log.attach pmem log_r;
@@ -213,7 +211,7 @@ let attach (cfg : Config.t) tables pmem =
           | Table.Ordered, Config.Avl -> Ord (OIdx.create ())
           | Table.Ordered, Config.Btree -> Bt (BIdx.create ()))
         tables;
-    tpool = TP.create ~cores:cfg.cores ~initial_capacity:(1 lsl 16);
+    tpool = TP.create ~initial_capacity:(1 lsl 16);
     cache = Cache.create ~max_entries:cfg.cache_entries_max;
     counters = Array.make cfg.n_counters 0L;
     epoch = 0;
@@ -240,14 +238,14 @@ let attach (cfg : Config.t) tables pmem =
         sts = [||];
         datas = [||];
       };
-    committed = Array.make cfg.cores 0;
-    total_aborted = Array.make cfg.cores 0;
+    committed = 0;
+    total_aborted = 0;
     log_high_water = 0;
-    m_aborted = Array.make cfg.cores 0;
-    m_version_writes = Array.make cfg.cores 0;
-    m_persistent_writes = Array.make cfg.cores 0;
-    m_minor_gc = Array.make cfg.cores 0;
-    m_major_gc = Array.make cfg.cores 0;
+    m_aborted = 0;
+    m_version_writes = 0;
+    m_persistent_writes = 0;
+    m_minor_gc = 0;
+    m_major_gc = 0;
     m_evicted = 0;
     m_cache_hits0 = 0;
     m_cache_misses0 = 0;
@@ -384,6 +382,8 @@ let phase_span t name f =
   in
   Profile.phase t.profile name traced
 
+let value_bytes t = Slab.allocated_slots t.value_pool * t.config.Config.value_slot_size
+
 (* Per-epoch metrics snapshot: engine counters come straight from the
    epoch report (so JSONL records reconcile exactly with what the
    harness prints); access counters are the per-epoch delta of the
@@ -418,7 +418,7 @@ let publish_epoch_metrics t (r : Report.epoch_stats) =
     c "compute_ops" (tot.Stats.compute_ops - d.Stats.compute_ops);
     t.m_access0 <- tot;
     g "rows_allocated" (float_of_int (Slab.allocated_slots t.row_pool));
-    g "value_bytes_allocated" (float_of_int (VPools.allocated_bytes t.value_pool));
+    g "value_bytes_allocated" (float_of_int (value_bytes t));
     g "transient_peak_bytes" (float_of_int (TP.peak_bytes t.tpool));
     g "cache_entries" (float_of_int (Cache.entries t.cache));
     g "cache_bytes" (float_of_int (Cache.data_bytes t.cache));
@@ -465,6 +465,23 @@ let index_remove t stats ~table ~key =
   | Ord o -> OIdx.remove o stats key
   | Bt b -> BIdx.remove b stats key
 
+(* Ordered-table operations, uniform over the AVL and B+-tree
+   implementations. A hash-indexed table refuses them; [who] names the
+   caller in the message. *)
+let no_range who = invalid_arg (who ^ ": range operation on a hash-indexed table")
+
+let ordered_fold t stats ~who table ~lo ~hi ~init ~f =
+  match t.indexes.(table) with
+  | Ord o -> OIdx.fold_range o stats ~lo ~hi ~init ~f
+  | Bt b -> BIdx.fold_range b stats ~lo ~hi ~init ~f
+  | Hash _ -> no_range who
+
+let ordered_max_below t stats ~who table bound =
+  match t.indexes.(table) with
+  | Ord o -> OIdx.max_below o stats bound
+  | Bt b -> BIdx.max_below b stats bound
+  | Hash _ -> no_range who
+
 let is_pool = Vptr.is_pool
 let is_inline = Vptr.is_inline
 
@@ -490,10 +507,10 @@ let charge_version_value t stats ~initial ~len =
     Stats.nvmm_seq_write stats ~bytes:(24 + len)
 
 (* Store one version value into the transient pool and charge it. *)
-let store_version_value t stats ~core data =
-  let vref = TP.write t.tpool stats ~charge:false ~core data in
+let store_version_value t stats data =
+  let vref = TP.write t.tpool stats ~charge:false data in
   charge_version_value t stats ~initial:false ~len:(Bytes.length data);
-  t.m_version_writes.(core) <- t.m_version_writes.(core) + 1;
+  t.m_version_writes <- t.m_version_writes + 1;
   vref
 
 (* Charge one read of a version value from the transient pool, per the
@@ -658,7 +675,7 @@ let release_touched t =
   t.n_touched <- 0;
   VA.reset t.vstore
 
-let ensure_varray t stats ~core (row : Row.t) =
+let ensure_varray t stats (row : Row.t) =
   if not (has_varray t row) then begin
     let va = VA.create t.vstore in
     row.Row.varray <- va;
@@ -676,14 +693,14 @@ let ensure_varray t stats ~core (row : Row.t) =
           Stats.dram_read_lines stats
             (Memspec.lines_touched (Stats.spec stats) ~off:0 ~len:(Bytes.length data));
           Cache.drop t.cache stats row;
-          TP.write t.tpool stats ~charge:false ~core data
+          TP.write t.tpool stats ~charge:false data
       | _ -> (
           match checkpoint_pversion t row with
           | None -> -1
           | Some pv ->
               Stats.nvmm_read_blocks stats 1;
               let ptr = pv.Row.pptr in
-              TP.write_from t.tpool stats ~charge:false ~core ~len:(Vptr.len ptr)
+              TP.write_from t.tpool stats ~charge:false ~len:(Vptr.len ptr)
                 (fun dst dst_off ->
                   Prow.read_value_into t.pmem stats ~base:row.Row.prow_base ptr
                     ~header_charged:true ~dst ~dst_off ()))
@@ -708,8 +725,16 @@ let free_pool_value ?(guard_dedup = false) t stats ~core ptr =
        epoch's GC already freed durably (its pass 2 never cleared the
        version slot): freeing it again would hand the slot out twice. *)
     if not (guard_dedup && Hashtbl.mem t.gc_dedup (Int64.of_int off)) then
-      VPools.free t.value_pool stats ~core off
+      Slab.free t.value_pool stats ~core off
   end
+
+(* A value too large to sit inline in its row goes to the value pool,
+   which has one slot size: a larger value is refused with [Failure]
+   before anything is allocated or written for it. *)
+let check_value_fits t len =
+  let slot = t.config.Config.value_slot_size in
+  if len > slot && len > Prow.half_capacity ~row_size:t.config.Config.row_size then
+    failwith (Printf.sprintf "Db: value of %d bytes exceeds the %d-byte value slot" len slot)
 
 (* Write (sid, value) as the row's new recent version, rotating the
    dual-version slots as required and preserving the previous epoch's
@@ -718,6 +743,7 @@ let free_pool_value ?(guard_dedup = false) t stats ~core ptr =
    arena straight into NVMM — and its checksum is taken from that same
    source range rather than read back from the region. *)
 let do_prow_final_write t stats ~core (row : Row.t) ~sid ~src ~src_off ~len =
+  check_value_fits t len;
   ensure_mirror t stats row;
   let cfg = t.config in
   let charge = not (Config.writes_all_updates_to_nvmm cfg) in
@@ -739,14 +765,14 @@ let do_prow_final_write t stats ~core (row : Row.t) ~sid ~src ~src_off ~len =
     let v1 = row.Row.pv1 in
     if not (Sid.is_none v1.Row.psid) then begin
       if is_inline v1.Row.pptr && cfg.Config.minor_gc then
-        t.m_minor_gc.(core) <- t.m_minor_gc.(core) + 1
+        t.m_minor_gc <- t.m_minor_gc + 1
       else if row.Row.lazily_recovered then begin
         (* Lazy (persistent-index) recovery skips the scan that rebuilds
            the major-GC list, so a stale version is collected here, on
            first touch. The dedup set guards against re-freeing a value
            the crashed epoch's GC already made durable. *)
         free_pool_value ~guard_dedup:true t stats ~core v1.Row.pptr;
-        t.m_major_gc.(core) <- t.m_major_gc.(core) + 1
+        t.m_major_gc <- t.m_major_gc + 1
       end
       else if not (is_inline v1.Row.pptr) then
         failwith "Db: stale non-inline v1 at write time (major GC missed a row)"
@@ -763,15 +789,15 @@ let do_prow_final_write t stats ~core (row : Row.t) ~sid ~src ~src_off ~len =
         ~src_off ~len ?charge:charge_opt ()
     end
     else begin
-      let off = VPools.alloc t.value_pool stats ~core ~len in
-      VPools.write_value_from t.value_pool stats ?charge:charge_opt ~off ~src ~src_off ~len ();
+      let off = Slab.alloc t.value_pool stats ~core in
+      Slab.write_value_from t.value_pool stats ?charge:charge_opt ~off ~src ~src_off ~len ();
       Vptr.pool ~off ~len
     end
   in
   let vcrc = Nv_util.Crc32c.bytes_native src src_off len in
   Prow.write_version t.pmem stats ~base ~slot:`V2 ~sid ~ptr ~vcrc ?charge:charge_opt ();
   Row.set_version row.Row.pv2 ~sid ~ptr ~fresh:(not inline);
-  t.m_persistent_writes.(core) <- t.m_persistent_writes.(core) + 1;
+  t.m_persistent_writes <- t.m_persistent_writes + 1;
   (* Track the now-stale v1 for the major collector; inline stale
      versions are left for the minor collector instead. *)
   if
@@ -803,7 +829,7 @@ let do_prow_delete t stats ~core (row : Row.t) =
   Cache.drop t.cache stats row;
   Row.clear_version row.Row.pv1;
   Row.clear_version row.Row.pv2;
-  t.m_persistent_writes.(core) <- t.m_persistent_writes.(core) + 1
+  t.m_persistent_writes <- t.m_persistent_writes + 1
 
 (* Flush the epoch's net index changes to the persistent index in one
    batch (section 7 future work): part of the epoch checkpoint, before
@@ -865,11 +891,11 @@ end
 (* Shared epoch scaffolding (used by both CC strategies)               *)
 
 let reset_epoch_measurements t =
-  Array.fill t.m_aborted 0 (Array.length t.m_aborted) 0;
-  Array.fill t.m_version_writes 0 (Array.length t.m_version_writes) 0;
-  Array.fill t.m_persistent_writes 0 (Array.length t.m_persistent_writes) 0;
-  Array.fill t.m_minor_gc 0 (Array.length t.m_minor_gc) 0;
-  Array.fill t.m_major_gc 0 (Array.length t.m_major_gc) 0;
+  t.m_aborted <- 0;
+  t.m_version_writes <- 0;
+  t.m_persistent_writes <- 0;
+  t.m_minor_gc <- 0;
+  t.m_major_gc <- 0;
   t.m_evicted <- 0;
   t.m_cache_hits0 <- Cache.hits t.cache;
   t.m_cache_misses0 <- Cache.misses t.cache
@@ -905,7 +931,7 @@ let checkpoint_allocators t =
   let stats0 = stats_of t 0 in
   phase_span t "fence" (fun () ->
       Slab.checkpoint t.row_pool (stats_of t) ~epoch:t.epoch;
-      VPools.checkpoint t.value_pool (stats_of t) ~epoch:t.epoch;
+      Slab.checkpoint t.value_pool (stats_of t) ~epoch:t.epoch;
       if t.config.Config.n_counters > 0 then
         Meta.checkpoint_counters t.meta stats0 ~epoch:t.epoch (Array.copy t.counters);
       apply_pindex_delta t stats0)
@@ -919,30 +945,23 @@ let epoch_report t ~txns:n ~replay ~duration ~phases =
   let log_bytes =
     if Config.logging_enabled t.config && not replay then Log.bytes_appended t.log else 0
   in
-  (* Fold the per-core meter shards with the associative merge: shard
-     [c] carries core [c]'s counters, and the epoch-global pieces ride
-     on shard 0. *)
-  let shard c =
+  let report =
     {
       Report.epoch = t.epoch;
       txns = n;
-      aborted = t.m_aborted.(c);
-      version_writes = t.m_version_writes.(c);
-      persistent_writes = t.m_persistent_writes.(c);
-      transient_only_writes = t.m_version_writes.(c) - t.m_persistent_writes.(c);
-      minor_gc = t.m_minor_gc.(c);
-      major_gc = t.m_major_gc.(c);
-      evicted = (if c = 0 then t.m_evicted else 0);
-      cache_hits = (if c = 0 then cache_hits else 0);
-      cache_misses = (if c = 0 then cache_misses else 0);
-      log_bytes = (if c = 0 then log_bytes else 0);
+      aborted = t.m_aborted;
+      version_writes = t.m_version_writes;
+      persistent_writes = t.m_persistent_writes;
+      transient_only_writes = t.m_version_writes - t.m_persistent_writes;
+      minor_gc = t.m_minor_gc;
+      major_gc = t.m_major_gc;
+      evicted = t.m_evicted;
+      cache_hits;
+      cache_misses;
+      log_bytes;
       duration_ns = duration;
-      phases = (if c = 0 then phases else []);
+      phases;
     }
-  in
-  let report =
-    Array.fold_left Report.merge_epoch_stats Report.zero_epoch_stats
-      (Array.init t.config.Config.cores shard)
   in
   publish_epoch_metrics t report;
   Profile.epoch_end t.profile;
@@ -965,6 +984,7 @@ let bulk_load t rows =
   let sid = Sid.make ~epoch:1 ~seq:0 in
   Seq.iteri
     (fun idx (table, key, data) ->
+      check_value_fits t (Bytes.length data);
       let core = core_of t idx in
       let stats = stats_of t core in
       let base = Slab.alloc t.row_pool stats ~core in
@@ -975,8 +995,8 @@ let bulk_load t rows =
         if len <= Prow.half_capacity ~row_size:cfg.Config.row_size then
           Prow.write_inline_value t.pmem stats ~base ~row_size:cfg.Config.row_size ~half:0 ~data ()
         else begin
-          let off = VPools.alloc t.value_pool stats ~core ~len in
-          VPools.write_value t.value_pool stats ~off ~data ();
+          let off = Slab.alloc t.value_pool stats ~core in
+          Slab.write_value t.value_pool stats ~off ~data ();
           Vptr.pool ~off ~len
         end
       in
@@ -989,7 +1009,7 @@ let bulk_load t rows =
   Pmem.fence t.pmem (stats_of t 0);
   let stats0 = stats_of t 0 in
   Slab.checkpoint t.row_pool (stats_of t) ~epoch:1;
-  VPools.checkpoint t.value_pool (stats_of t) ~epoch:1;
+  Slab.checkpoint t.value_pool (stats_of t) ~epoch:1;
   if cfg.Config.n_counters > 0 then
     Meta.checkpoint_counters t.meta stats0 ~epoch:1 (Array.copy t.counters);
   apply_pindex_delta t stats0;
@@ -997,8 +1017,8 @@ let bulk_load t rows =
   Meta.persist_epoch t.meta stats0 ~epoch:1;
   (* Loading is setup, not workload: forget its costs. *)
   Array.iter Stats.reset t.core_stats;
-  Array.fill t.committed 0 (Array.length t.committed) 0;
-  Array.fill t.total_aborted 0 (Array.length t.total_aborted) 0;
+  t.committed <- 0;
+  t.total_aborted <- 0;
   t.loaded <- true
 
 (* ------------------------------------------------------------------ *)
@@ -1042,20 +1062,21 @@ let mem_report t =
   in
   {
     Report.nvmm_rows = Slab.allocated_slots t.row_pool * t.config.Config.row_size;
-    nvmm_values = VPools.allocated_bytes t.value_pool;
+    nvmm_values = value_bytes t;
     nvmm_log = t.log_high_water;
     nvmm_freelists =
       Slab.nvmm_bytes t.row_pool
       - (t.config.Config.rows_per_core * t.config.Config.cores * t.config.Config.row_size)
-      + VPools.meta_bytes t.value_pool
+      + Slab.nvmm_bytes t.value_pool
+      - (Slab.capacity_slots t.value_pool * t.config.Config.value_slot_size)
       + (match t.pindex with Some p -> PIdx.nvmm_bytes p | None -> 0);
     dram_index = index_bytes;
     dram_transient = TP.peak_bytes t.tpool;
     dram_cache = Cache.dram_bytes t.cache;
   }
 
-let committed_txns t = Array.fold_left ( + ) 0 t.committed
-let aborted_txns t = Array.fold_left ( + ) 0 t.total_aborted
+let committed_txns t = t.committed
+let aborted_txns t = t.total_aborted
 
 let total_time_ns t =
   Array.fold_left (fun acc s -> Float.max acc (Stats.now s)) 0.0 t.core_stats

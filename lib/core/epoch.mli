@@ -19,7 +19,6 @@ module TP = Nv_storage.Transient_pool
 module Prow = Nv_storage.Prow
 module Vptr = Nv_storage.Vptr
 module Slab = Nv_storage.Slab_pool
-module VPools = Nv_storage.Value_pools
 module PIdx = Nv_storage.Pindex
 module Log = Nv_storage.Log_region
 module Meta = Nv_storage.Meta_region
@@ -85,7 +84,7 @@ type t = {
   core_stats : Stats.t array;
   scratch : Stats.t;  (** uncharged inspection accesses *)
   row_pool : Slab.t;
-  value_pool : VPools.t;
+  value_pool : Slab.t;
   pindex : PIdx.t option;
   pix_delta : (int * int64, [ `Ins of int | `Del ]) Hashtbl.t;
       (** net index changes of the current epoch, batched to NVMM at
@@ -117,14 +116,14 @@ type t = {
           crashed epoch's durable-GC dedup set must outlive the replay *)
   mutable loaded : bool;
   ej : journal;
-  committed : int array;  (** cumulative, sharded by core *)
-  total_aborted : int array;  (** cumulative, sharded by core *)
+  mutable committed : int;  (** cumulative *)
+  mutable total_aborted : int;  (** cumulative *)
   mutable log_high_water : int;
-  m_aborted : int array;
-  m_version_writes : int array;
-  m_persistent_writes : int array;
-  m_minor_gc : int array;
-  m_major_gc : int array;
+  mutable m_aborted : int;  (** this epoch's, like the [m_] meters below *)
+  mutable m_version_writes : int;
+  mutable m_persistent_writes : int;
+  mutable m_minor_gc : int;
+  mutable m_major_gc : int;
   mutable m_evicted : int;
   mutable m_cache_hits0 : int;
   mutable m_cache_misses0 : int;
@@ -202,6 +201,26 @@ val barrier : t -> float
 val find_row : t -> Stats.t -> table:int -> key:int64 -> Row.t option
 val index_insert : t -> Stats.t -> table:int -> key:int64 -> Row.t -> unit
 val index_remove : t -> Stats.t -> table:int -> key:int64 -> unit
+
+(** Ascending fold over an ordered table's rows with [lo <= key <= hi],
+    over either ordered-index implementation. A hash-indexed table
+    raises [Invalid_argument "<who>: range operation on a hash-indexed
+    table"]. *)
+val ordered_fold :
+  t ->
+  Stats.t ->
+  who:string ->
+  int ->
+  lo:int64 ->
+  hi:int64 ->
+  init:'a ->
+  f:('a -> int64 -> Row.t -> 'a) ->
+  'a
+
+(** The ordered table's row with the greatest key [<= bound]; refuses a
+    hash-indexed table as {!ordered_fold} does. *)
+val ordered_max_below : t -> Stats.t -> who:string -> int -> int64 -> (int64 * Row.t) option
+
 val is_pool : Vptr.t -> bool
 val is_inline : Vptr.t -> bool
 
@@ -209,7 +228,7 @@ val is_inline : Vptr.t -> bool
 
 (** Store one version value into the transient pool, charging per the
     design variant (NVMM for designs that persist every update). *)
-val store_version_value : t -> Stats.t -> core:int -> bytes -> TP.vref
+val store_version_value : t -> Stats.t -> bytes -> TP.vref
 
 (** Load a version value back, with the matching charge. *)
 val load_version_value : t -> Stats.t -> initial:bool -> TP.vref -> bytes
@@ -236,7 +255,7 @@ val has_varray : t -> Row.t -> bool
 
 (** Get (or create, registering the row in [touched] and seeding the
     initial version) the row's version array for the current epoch. *)
-val ensure_varray : t -> Stats.t -> core:int -> Row.t -> VA.t
+val ensure_varray : t -> Stats.t -> Row.t -> VA.t
 
 (** Empty the write-set registry for a batch of [n] transactions. *)
 val ws_reset : t -> int -> unit
@@ -262,7 +281,10 @@ val free_pool_value :
 (** Write (sid, value) as the row's new recent version, rotating the
     dual-version slots as required (sections 4.4–4.6, 5.3). The value
     is [src.[src_off .. src_off+len-1]], copied once into NVMM; its
-    checksum is taken from the same range. *)
+    checksum is taken from the same range. A value too large for both
+    the row's inline half and the value slot
+    ([Config.value_slot_size]) raises [Failure] before anything is
+    written. *)
 val do_prow_final_write :
   t ->
   Stats.t ->
@@ -347,7 +369,8 @@ val epoch_report :
 (** {1 Bulk load} *)
 
 (** Load the initial database as epoch 1, then reset the simulated
-    clocks (loading is setup, not workload). *)
+    clocks (loading is setup, not workload). A value too large for the
+    value slot raises [Failure] before its row is allocated. *)
 val bulk_load : t -> (int * int64 * bytes) Seq.t -> unit
 
 (** {1 Inspection} *)

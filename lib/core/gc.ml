@@ -7,7 +7,7 @@
 module Pmem = Nv_nvmm.Pmem
 module Prow = Nv_storage.Prow
 module Vptr = Nv_storage.Vptr
-module VPools = Nv_storage.Value_pools
+module Slab = Nv_storage.Slab_pool
 module Tracer = Nv_obs.Tracer
 
 open Epoch
@@ -36,9 +36,9 @@ let major_gc t =
         let stats = stats_of t core in
         let ptr = stale_ptrs.(i) in
         if Vptr.is_pool ptr then
-          VPools.free_gc t.value_pool stats ~core (Vptr.pool_off ptr) ~dedup:t.gc_dedup
+          Slab.free_gc t.value_pool stats ~core (Vptr.pool_off ptr) ~dedup:t.gc_dedup
       done;
-      VPools.persist_gc_tail t.value_pool (stats_of t 0) ~epoch:t.epoch;
+      Slab.persist_gc_tail t.value_pool (stats_of t 0) ~epoch:t.epoch;
       Pmem.fence t.pmem (stats_of t 0);
       hook t Gc_pass1_done
     in
@@ -69,7 +69,7 @@ let major_gc t =
       collect_frees ();
       rotate_rows ()
     end;
-    t.m_major_gc.(0) <- t.m_major_gc.(0) + n;
+    t.m_major_gc <- t.m_major_gc + n;
     Tracer.instant t.tracer ~core:0 ~name:"major-gc rows" ~cat:"gc"
       ~args:[ ("rows", Nv_obs.Jsonx.Int n) ]
       ()

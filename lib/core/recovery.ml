@@ -8,7 +8,6 @@ module Stats = Nv_nvmm.Stats
 module Prow = Nv_storage.Prow
 module Vptr = Nv_storage.Vptr
 module Slab = Nv_storage.Slab_pool
-module VPools = Nv_storage.Value_pools
 module PIdx = Nv_storage.Pindex
 module Log = Nv_storage.Log_region
 module Meta = Nv_storage.Meta_region
@@ -71,11 +70,11 @@ let recover ~config ~tables ~pmem ~rebuild ?(replay_mode = `Caracal) ?phase_hook
       ()
   in
   let val_rec =
-    VPools.recover t.value_pool ~last_checkpointed_epoch:lce ~crashed_epoch:crashed
+    Slab.recover t.value_pool ~last_checkpointed_epoch:lce ~crashed_epoch:crashed ()
   in
-  t.gc_dedup <- val_rec.VPools.dedup;
-  let alloc_salvaged = row_rec.Slab.meta_salvaged + val_rec.VPools.meta_salvaged in
-  let alloc_corrupt = row_rec.Slab.corrupt_entries + val_rec.VPools.corrupt_entries in
+  t.gc_dedup <- val_rec.Slab.dedup;
+  let alloc_salvaged = row_rec.Slab.meta_salvaged + val_rec.Slab.meta_salvaged in
+  let alloc_corrupt = row_rec.Slab.corrupt_entries + val_rec.Slab.corrupt_entries in
   if alloc_salvaged > 0 then report_damage ~table:(-1) ~key:0L `Allocator;
   let counter_salvaged = ref 0 in
   if config.Config.n_counters > 0 then begin

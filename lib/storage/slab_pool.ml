@@ -146,17 +146,6 @@ let bumped_slots t = Array.fold_left (fun acc cs -> acc + Bump.offset cs.bump) 0
 
 let capacity_slots t = t.spec.cores * t.spec.slots_per_core
 
-let arena_bounds t =
-  let lo =
-    Array.fold_left (fun acc cs -> min acc cs.arena_off) max_int t.per_core
-  in
-  let hi =
-    Array.fold_left
-      (fun acc cs -> max acc (cs.arena_off + (t.spec.slots_per_core * t.spec.slot_size)))
-      0 t.per_core
-  in
-  (lo, hi)
-
 let free_list_length t =
   Array.fold_left (fun acc cs -> acc + Freelist.length cs.fl) 0 t.per_core
 

@@ -118,10 +118,6 @@ val bumped_slots : t -> int
 val capacity_slots : t -> int
 (** Total slots across all cores. *)
 
-val arena_bounds : t -> int * int
-(** [(lo, hi)]: the pmem offset span containing every slot of this pool
-    (used to route frees back to their owning size class). *)
-
 val nvmm_bytes : t -> int
 (** Total NVMM footprint of the pool (arenas + rings + metadata). *)
 

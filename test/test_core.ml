@@ -494,14 +494,12 @@ let test_btree_and_avl_engines_agree () =
   in
   Alcotest.(check bool) "identical state" true (run Config.Avl = run Config.Btree)
 
-let test_size_classed_value_pools () =
-  (* Mixed value sizes across three classes, including growth across
-     epochs and crash recovery. *)
+let test_mixed_value_sizes () =
+  (* Values that move between the row's inline half and the value pool
+     as their size changes across epochs, then crash recovery. *)
   let config =
-    Config.make ~cores:2 ~rows_per_core:1024 ~values_per_core:256
-      ~freelist_capacity:1024
-      ~value_size_classes:[ 256; 1024; 4096 ]
-      ()
+    Config.make ~cores:2 ~rows_per_core:1024 ~values_per_core:256 ~freelist_capacity:1024
+      ~value_slot_size:4096 ()
   in
   let db = Db.create ~config ~tables:one_table () in
   let size_of i = match i mod 3 with 0 -> 100 | 1 -> 900 | _ -> 3000 in
@@ -516,7 +514,6 @@ let test_size_classed_value_pools () =
     Alcotest.(check int) (Printf.sprintf "len of %d" i) (size_of (i + 1)) (Bytes.length v);
     Alcotest.(check char) "tag" 'b' (Bytes.get v 0)
   done;
-  (* Crash and recover with multiple classes in play. *)
   let pmem = Db.crash db ~rng:(Nv_util.Rng.create 3) in
   let db2, _ =
     Db.recover ~config ~tables:one_table ~pmem ~rebuild:(fun _ -> failwith "no log") ()
@@ -526,6 +523,24 @@ let test_size_classed_value_pools () =
     Alcotest.(check int) (Printf.sprintf "recovered len of %d" i) (size_of (i + 1))
       (Bytes.length v)
   done
+
+(* The value pool has one slot size: a larger value is refused with
+   [Failure], at bulk load and at a transaction's final write, and
+   nothing of it is stored. *)
+let test_oversize_value_refused () =
+  let config = Config.make ~cores:2 ~rows_per_core:64 ~values_per_core:64 ~value_slot_size:1024 () in
+  let refusal = Failure "Db: value of 1025 bytes exceeds the 1024-byte value slot" in
+  let db = Db.create ~config ~tables:one_table () in
+  Alcotest.check_raises "bulk load refuses" refusal (fun () ->
+      Db.bulk_load db (Seq.return (0, 7L, Bytes.make 1025 'x')));
+  Alcotest.(check (option string)) "refused row not stored" None
+    (Option.map Bytes.to_string (Db.read_committed db ~table:0 ~key:7L));
+  let db = Db.create ~config ~tables:one_table () in
+  Db.bulk_load db (Seq.return (0, 7L, Bytes.make 1024 'a'));
+  Alcotest.check_raises "final write refuses" refusal (fun () ->
+      ignore (Db.run_epoch db [| update_txn 7L (Bytes.make 1025 'b') |]));
+  Alcotest.(check (option string)) "old value stands" (Some (String.make 1024 'a'))
+    (Option.map Bytes.to_string (Db.read_committed db ~table:0 ~key:7L))
 
 (* --- Sessions: checkpoint-gated results and size-closed batches --- *)
 
@@ -668,6 +683,7 @@ let suites =
         Alcotest.test_case "recon validation aborts" `Quick test_recon_validation_aborts;
         Alcotest.test_case "recon unrelated ok" `Quick test_recon_untouched_read_commits;
         Alcotest.test_case "avl/btree engines agree" `Quick test_btree_and_avl_engines_agree;
-        Alcotest.test_case "size-classed value pools" `Quick test_size_classed_value_pools;
+        Alcotest.test_case "mixed value sizes in one value pool" `Quick test_mixed_value_sizes;
+      Alcotest.test_case "oversize value refused" `Quick test_oversize_value_refused;
       ] );
   ]

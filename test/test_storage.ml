@@ -362,71 +362,27 @@ let test_slab_value_roundtrip () =
   Alcotest.(check string) "roundtrip" "payload"
     (Bytes.to_string (Slab.read_slot pool s ~off ~len:7))
 
-(* --- Size-classed value pools --- *)
-
-module VP = Nv_storage.Value_pools
-
-let mk_vpools ?(classes = [ 256; 1024; 4096 ]) () =
-  let b = Layout.builder () in
-  let spec = VP.reserve b ~cores:2 ~slots_per_core:16 ~classes ~freelist_capacity:64 in
-  let p = Pmem.create ~size:(Layout.total_size b) () in
-  (p, VP.attach p spec)
-
-let test_vpools_class_selection () =
+(* A GC free made durable in the crashed epoch survives recovery: it
+   lands in the dedup set (replay must not free it again) and its slot
+   is allocatable, while the crashed epoch's allocation reverts. *)
+let test_slab_gc_free_survives_crash () =
   let s = stats () in
-  let _, vp = mk_vpools () in
-  Alcotest.(check (list int)) "classes" [ 256; 1024; 4096 ] (VP.classes vp);
-  Alcotest.(check int) "max value" 4096 (VP.max_value vp);
-  let a = VP.alloc vp s ~core:0 ~len:100 in
-  let b = VP.alloc vp s ~core:0 ~len:300 in
-  let c = VP.alloc vp s ~core:0 ~len:4000 in
-  VP.write_value vp s ~off:a ~data:(Bytes.make 100 'a') ();
-  VP.write_value vp s ~off:b ~data:(Bytes.make 300 'b') ();
-  VP.write_value vp s ~off:c ~data:(Bytes.make 4000 'c') ();
-  (* Distinct arenas. *)
-  Alcotest.(check bool) "distinct offsets" true (a <> b && b <> c && a <> c);
-  Alcotest.(check int) "allocated bytes" (256 + 1024 + 4096) (VP.allocated_bytes vp)
-
-let test_vpools_free_routes_to_class () =
-  let s = stats () in
-  let p, vp = mk_vpools () in
-  let a = VP.alloc vp s ~core:0 ~len:100 in
-  let b = VP.alloc vp s ~core:0 ~len:2000 in
-  VP.checkpoint vp (fun _ -> s) ~epoch:2;
+  let p, pool = mk_slab ~slot_size:1024 () in
+  let a = Slab.alloc pool s ~core:0 in
+  Slab.checkpoint pool (fun _ -> s) ~epoch:2;
   Pmem.fence p s;
-  VP.free vp s ~core:0 a;
-  VP.free vp s ~core:0 b;
-  VP.checkpoint vp (fun _ -> s) ~epoch:3;
+  (* Epoch 3: GC-free [a] durably, then allocate and transaction-free
+     another slot. *)
+  let b = Slab.alloc pool s ~core:1 in
+  Slab.free_gc pool s ~core:0 a ~dedup:(Hashtbl.create 4);
+  Slab.persist_gc_tail pool s ~epoch:3;
   Pmem.fence p s;
-  (* Reuse lands back in the right class. *)
-  Alcotest.(check int) "small class reused" a (VP.alloc vp s ~core:0 ~len:50);
-  Alcotest.(check int) "large class reused" b (VP.alloc vp s ~core:0 ~len:1500)
-
-let test_vpools_oversize_rejected () =
-  let s = stats () in
-  let _, vp = mk_vpools () in
-  Alcotest.check_raises "oversize"
-    (Failure "Value_pools: value of 5000 bytes exceeds largest class") (fun () ->
-      ignore (VP.alloc vp s ~core:0 ~len:5000))
-
-let test_vpools_crash_recovery () =
-  let s = stats () in
-  let p, vp = mk_vpools () in
-  let a = VP.alloc vp s ~core:0 ~len:100 in
-  VP.checkpoint vp (fun _ -> s) ~epoch:2;
-  Pmem.fence p s;
-  (* Epoch 3: GC-free [a] durably, then transaction-free another slot. *)
-  let b = VP.alloc vp s ~core:1 ~len:100 in
-  let dedup = Hashtbl.create 4 in
-  VP.free_gc vp s ~core:0 a ~dedup;
-  VP.persist_gc_tail vp s ~epoch:3;
-  Pmem.fence p s;
-  VP.free vp s ~core:1 b;
+  Slab.free pool s ~core:1 b;
   Pmem.crash_all_persisted p;
-  let r = VP.recover vp ~last_checkpointed_epoch:2 ~crashed_epoch:3 in
-  Alcotest.(check bool) "gc free in dedup" true (Hashtbl.mem r.VP.dedup (Int64.of_int a));
-  (* [b]'s alloc reverted; [a]'s GC free survived and is allocatable. *)
-  Alcotest.(check int) "gc-freed slot allocatable" a (VP.alloc vp s ~core:0 ~len:100)
+  let r = Slab.recover pool ~last_checkpointed_epoch:2 ~crashed_epoch:3 () in
+  Alcotest.(check bool) "gc free in dedup" true (Hashtbl.mem r.Slab.dedup (Int64.of_int a));
+  Alcotest.(check int) "crashed allocation reverted" 0 (Slab.allocated_slots pool);
+  Alcotest.(check int) "gc-freed slot allocatable" a (Slab.alloc pool s ~core:0)
 
 (* --- Persistent index --- *)
 
@@ -613,15 +569,17 @@ let test_meta_epoch_and_counters () =
 
 let test_transient_pool () =
   let s = stats () in
-  let tp = TP.create ~cores:2 ~initial_capacity:64 in
-  let r1 = TP.write tp s ~core:0 (Bytes.of_string "alpha") in
-  let r2 = TP.write tp s ~core:1 (Bytes.of_string "beta") in
+  let tp = TP.create ~initial_capacity:64 in
+  let r1 = TP.write tp s (Bytes.of_string "alpha") in
+  let r2 = TP.write tp s (Bytes.of_string "beta") in
   Alcotest.(check string) "read r1" "alpha" (Bytes.to_string (TP.read tp s r1));
   Alcotest.(check string) "read r2" "beta" (Bytes.to_string (TP.read tp s r2));
-  Alcotest.(check bool) "usage tracked" true (TP.used_bytes tp > 0);
-  (* Growth beyond the initial capacity. *)
-  let big = TP.write tp s ~core:0 (Bytes.make 1000 'z') in
+  Alcotest.(check int) "usage tracked, 8-aligned" 16 (TP.used_bytes tp);
+  (* Growth beyond the initial capacity; earlier values never move. *)
+  let big = TP.write tp s (Bytes.make 1000 'z') in
   Alcotest.(check int) "big value" 1000 (Bytes.length (TP.read tp s big));
+  Alcotest.(check string) "r1 after growth" "alpha" (Bytes.to_string (TP.read tp s r1));
+  Alcotest.(check int) "usage after growth" 1016 (TP.used_bytes tp);
   let peak = TP.peak_bytes tp in
   TP.reset tp;
   Alcotest.(check int) "reset frees" 0 (TP.used_bytes tp);
@@ -657,10 +615,7 @@ let suites =
         Alcotest.test_case "slab crash recovery" `Quick
           test_slab_crash_recovery_allocation_state;
         Alcotest.test_case "slab value roundtrip" `Quick test_slab_value_roundtrip;
-        Alcotest.test_case "vpools class selection" `Quick test_vpools_class_selection;
-        Alcotest.test_case "vpools free routing" `Quick test_vpools_free_routes_to_class;
-        Alcotest.test_case "vpools oversize" `Quick test_vpools_oversize_rejected;
-        Alcotest.test_case "vpools crash recovery" `Quick test_vpools_crash_recovery;
+        Alcotest.test_case "slab gc free survives crash" `Quick test_slab_gc_free_survives_crash;
         Alcotest.test_case "pindex roundtrip" `Quick test_pindex_roundtrip;
         Alcotest.test_case "pindex delete/reuse" `Quick test_pindex_delete_and_reuse;
         Alcotest.test_case "pindex crashed tags" `Quick test_pindex_crashed_epoch_tags;

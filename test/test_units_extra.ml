@@ -126,7 +126,7 @@ let test_version_array_basics () =
 
 let test_version_array_visibility () =
   let s = stats () in
-  let tp = TP.create ~cores:1 ~initial_capacity:256 in
+  let tp = TP.create ~initial_capacity:256 in
   let st, va = new_va () in
   let sid i = Sid.make ~epoch:3 ~seq:i in
   List.iter (fun i -> VA.append st va s (sid i)) [ 0; 2; 4 ];
@@ -134,7 +134,7 @@ let test_version_array_visibility () =
     let slot = VA.find st va s (sid i) in
     VA.set_value st slot
       (match state with
-      | `W -> TP.write tp s ~core:0 (Bytes.make 4 tag)
+      | `W -> TP.write tp s (Bytes.make 4 tag)
       | `I -> VA.ignored
       | `T -> VA.tombstone)
   in
