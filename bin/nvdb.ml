@@ -183,6 +183,16 @@ let scrub_cmd =
 (* ------------------------------------------------------------------ *)
 (* Networked front end                                                 *)
 
+(* An address whose host does not resolve ends the command with one
+   line on stderr and exit 1, before any work starts. *)
+let parse_address s =
+  let address = Cli.parse_address s in
+  match Nv_frontend.Address.sockaddr address with
+  | _ -> address
+  | exception Nv_frontend.Address.Unresolved host ->
+      Format.eprintf "nvdb: cannot resolve host %s@." host;
+      exit 1
+
 (* [serve --shard-id I --shards N]: run as one member of a routed
    cluster, speaking the shard plane only. Routers spawn these; the
    journal (input log: every fence's calls plus merged read table) is
@@ -191,7 +201,7 @@ let serve_shard ~workload ~contention ~engine ~seed ~capacity ~batch_target ~jou
     ~recover ~journal_mb ~listen ~shards ~sid =
   let w, growth = Cli.resolve_workload workload contention in
   let spec = Cli.resolve_engine engine in
-  let address = Cli.parse_address listen in
+  let address = parse_address listen in
   let setup =
     Nv_harness.Engine.setup
       ~epochs:((capacity / batch_target) + 1)
@@ -258,7 +268,7 @@ let serve_router ~workload ~contention ~engine ~seed ~listen ~batch_target ~dead
   if checkpoint_every > 0 then
     failwith "nvdb serve: --checkpoint-every is single-shard only (cluster recovery is replay)";
   let w, _growth = Cli.resolve_workload workload contention in
-  let address = Cli.parse_address listen in
+  let address = parse_address listen in
   let registry = Nv_frontend.Proc.of_workload w in
   let meta =
     Nv_frontend.Restart.meta ~workload ~contention ~engine ~seed
@@ -526,7 +536,7 @@ let serve_cmd =
     | None ->
     let w, growth = Cli.resolve_workload workload contention in
     let spec = Cli.resolve_engine engine in
-    let address = Cli.parse_address listen in
+    let address = parse_address listen in
     if checkpoint_every > 0 && journal_path = None then
       failwith "nvdb serve: --checkpoint-every requires --journal";
     if recover && journal_path = None then failwith "nvdb serve: --recover requires --journal";
@@ -697,7 +707,7 @@ let loadgen_cmd =
     let w, _growth = Cli.resolve_workload workload contention in
     (* Against a routed cluster, clients talk to the router only; the
        wire protocol is identical, so --router is just an address. *)
-    let address = Cli.parse_address (Option.value ~default:listen router) in
+    let address = parse_address (Option.value ~default:listen router) in
     let cfg =
       Nv_frontend.Loadgen.config ~clients ~txns_per_client:txns ~seed ~window ~think_ticks:think
         ~shutdown ~reconnect ~retry_timeout_s:retry_timeout address
@@ -732,25 +742,11 @@ let loadgen_cmd =
    the JSON snapshot it answers with. No [Hello] — monitoring must not
    count as a served client. *)
 let stats_cmd =
-  let connect_fd = function
-    | `Unix path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        fd
-    | `Tcp (host, port) ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        let addr =
-          try Unix.inet_addr_of_string host
-          with _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        in
-        Unix.connect fd (Unix.ADDR_INET (addr, port));
-        fd
-  in
   let run listen router =
     let listen = Option.value ~default:listen router in
-    let address = Cli.parse_address listen in
+    let address = parse_address listen in
     let fd =
-      try connect_fd address
+      try Nv_frontend.Address.connect address
       with Unix.Unix_error (e, _, _) ->
         Format.eprintf "nvdb stats: cannot connect to %s: %s@." listen (Unix.error_message e);
         exit 1
@@ -876,7 +872,7 @@ let serve_sim_cmd =
           | `Admitted | `Replayed _ | `Duplicate -> ()
           | `Rejected _ -> incr rejected_submits)
         rngs;
-      Nv_frontend.Batcher.tick b
+      Nv_frontend.Batcher.advance b 1
     done;
     Nv_frontend.Batcher.drain b;
     Format.fprintf ppf "clients           %d@." clients;

@@ -15,8 +15,7 @@
     writer produces the value).
 
     All of an epoch's arrays live in one {!store} of flat columns that
-    is reused epoch after epoch, like the paper's per-core transient
-    pool: an array is an int handle, a slot an int index, and a slot's
+    is reused epoch after epoch, like the paper's transient pool: an array is an int handle, a slot an int index, and a slot's
     SID, value and write time are immediates stored in place, so a
     steady-state epoch allocates nothing for its version arrays. *)
 

@@ -604,13 +604,15 @@ let try_replay t c ~req =
       `Replayed o
   | None -> if Hashtbl.mem c.inflight req then `Inflight else `New
 
-(* Batches close in [poll], not inside [submit]: submissions arriving
-   within one event-loop round pile up (bounded by [max_pending]), and
-   the next poll first lands a batch that finished running, then closes
-   a batch once the size target is met or the oldest arrival has waited
-   out the deadline (counted in [tick]s) — if the pipeline has room for
-   it. *)
-let poll t =
+(* Batches close in [advance], not inside [submit]: submissions
+   arriving within one event-loop round pile up (bounded by
+   [max_pending]), and the next advance moves the clock, lands a batch
+   that finished running, then closes a batch once the size target is
+   met or the oldest arrival has waited out the deadline (counted in
+   ticks) — if the pipeline has room for it. *)
+let advance t ticks =
+  if ticks < 0 then invalid_arg "Batcher.advance: negative ticks";
+  t.tick <- t.tick + ticks;
   land_if_done t;
   if
     (t.pending_total >= t.cfg.batch_target
@@ -618,9 +620,8 @@ let poll t =
     && can_form t
   then run t
 
-let tick t =
-  t.tick <- t.tick + 1;
-  poll t
+let ticks_to_deadline t =
+  if t.pending_total = 0 then None else Some (t.open_since + t.cfg.deadline_ticks - t.tick)
 
 let flush t =
   if t.pending_total > 0 then begin

@@ -6,7 +6,7 @@
     drive it directly. Clients connect with a reply callback and submit
     framed procedure calls; the batcher keeps one FIFO per client,
     closes a batch when the {e size target} is reached or the
-    {e deadline} (in ticks of the caller's event loop) expires, runs it
+    {e deadline} (in ticks of the caller's clock, see {!advance}) expires, runs it
     as one engine epoch, and only then — after the epoch's checkpoint —
     fires the replies (paper section 6.2.3). Admission is bounded:
     beyond [max_pending] queued transactions, or once an attached
@@ -18,7 +18,7 @@
     then the FIFOs) → {e journal} → {e launch} → {e land} → {e reply}.
     Without an {!Engine_domain.t}, launch runs the batch inline and it
     lands at once. With one, launch hands it to the engine domain and a
-    later {!tick} lands it; meanwhile the next batch may be formed and
+    later {!advance} lands it; meanwhile the next batch may be formed and
     journaled, provided the running batch cannot defer (see
     {!Shard_set.defers}). Reads of engine state wait for a batch
     boundary ({!at_boundary}).
@@ -136,17 +136,20 @@ val try_replay :
     in-flight [req] is left to the reply its admission already owes;
     only [`New] means the caller should reject. *)
 
-val tick : t -> unit
-(** Advance the batcher's clock one tick, then {!poll}. *)
+val advance : t -> int -> unit
+(** [advance t n] moves the batcher's clock [n] ticks (0 or more), lands
+    the executing batch if the engine domain finished it (replies fire),
+    then closes and launches the open batch once the size target is met
+    or the deadline has expired with transactions pending, if the
+    pipeline has room. Batches never close inside {!submit}, so
+    admissions between two calls pile up to [max_pending]. An exception
+    the engine raised is re-raised here, when its batch lands.
+    @raise Invalid_argument if [n] is negative. *)
 
-val poll : t -> unit
-(** Land the executing batch if the engine domain finished it (replies
-    fire), then close and launch the open batch once the size target is
-    met or the deadline has expired with transactions pending, if the
-    pipeline has room. The clock does not move. Batches never close
-    inside {!submit}, so admissions between two polls pile up to
-    [max_pending]. An exception the engine raised is re-raised here,
-    when its batch lands. *)
+val ticks_to_deadline : t -> int option
+(** Ticks until the open batch's deadline closes it: [None] with
+    nothing pending, 0 or less once the deadline has passed (the batch
+    then waits for room in the pipeline). *)
 
 val flush : t -> unit
 (** Close and launch the open batch now, if non-empty (first waiting

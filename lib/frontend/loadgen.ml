@@ -67,32 +67,12 @@ type client = {
   latency : Nv_util.Histogram.t;  (** submit-to-answer wall ns, this client *)
 }
 
-(* A failed connect must close the socket it opened: the reconnect path
-   swallows the error and backs off, and against a crash-looping server
-   the leaked descriptors would otherwise climb past FD_SETSIZE and
-   turn every later [select] into EINVAL. *)
-let connect_to fd addr =
-  try
-    Unix.connect fd addr;
-    fd
-  with e ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    raise e
-
-let connect_fd = function
-  | `Unix path ->
-      connect_to (Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0) (Unix.ADDR_UNIX path)
-  | `Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      let addr =
-        try Unix.inet_addr_of_string host
-        with _ -> (
-          try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          with e ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            raise e)
-      in
-      connect_to fd (Unix.ADDR_INET (addr, port))
+(* A failed connect closes the socket it opened ({!Address.connect}):
+   the reconnect path swallows the error and backs off, and against a
+   crash-looping server leaked descriptors would otherwise climb past
+   FD_SETSIZE and turn every later [select] into EINVAL. A host that
+   does not resolve raises {!Address.Unresolved} out of [run]. *)
+let connect_fd = Address.connect
 
 let write_all fd b =
   let len = Bytes.length b in

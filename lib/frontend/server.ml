@@ -1,4 +1,4 @@
-type address = [ `Unix of string | `Tcp of string * int ]
+type address = Address.t
 
 type config = {
   address : address;
@@ -10,6 +10,7 @@ type config = {
 
 let config ?(batcher = Batcher.config ()) ?(tick_interval_s = 0.002) ?(once = false)
     ?(stats_interval_s = 0.0) address =
+  if not (tick_interval_s > 0.0) then invalid_arg "Server.config: tick_interval_s must be positive";
   { address; batcher; tick_interval_s; once; stats_interval_s }
 
 type recovery = {
@@ -59,39 +60,25 @@ type t = {
   mutable protocol_errors : int;
   mutable shutdown : bool;
   mutable draining : bool;  (** graceful stop: no new admissions *)
-  start_wall : float;  (** host wall ns at creation (uptime base) *)
+  start_wall : float;
+      (** host wall ns at creation: the uptime base, and the origin of
+          the deadline-tick grid *)
   on_stats : (string -> unit) option;  (** periodic live-stats sink *)
   mutable last_stats : float;  (** wall ns of the last periodic flush *)
-  mutable next_tick : float;  (** wall ns at which the next deadline tick is due *)
+  mutable ticks : int;  (** grid ticks counted into the batcher so far *)
   mutable stop_poll : bool;  (** a [should_stop] poll waits for a batch boundary *)
 }
 
-let bind_listen = function
-  | `Unix path ->
-      if Sys.file_exists path then Sys.remove path;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      fd
-  | `Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      let addr =
-        try Unix.inet_addr_of_string host
-        with _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      Unix.bind fd (Unix.ADDR_INET (addr, port));
-      Unix.listen fd 64;
-      fd
-
 let create ?tracer ?metrics ?journal ?on_stats ~shards ~registry ~tables (cfg : config) =
+  (* Bound first: an address that cannot be bound (or resolved) fails
+     before any domain is started. *)
+  let listen_fd = Address.listen ~backlog:64 cfg.address in
+  Unix.set_nonblock listen_fd;
   let engine = Engine_domain.create () in
   let batcher =
     Batcher.create ~cfg:cfg.batcher ?tracer ?metrics ?journal ~engine_domain:engine ~shards
       ~registry ~tables ()
   in
-  let listen_fd = bind_listen cfg.address in
-  Unix.set_nonblock listen_fd;
   let now = Nv_util.Clock.now_ns () in
   {
     cfg;
@@ -107,7 +94,7 @@ let create ?tracer ?metrics ?journal ?on_stats ~shards ~registry ~tables (cfg : 
     start_wall = now;
     on_stats;
     last_stats = now;
-    next_tick = now +. (cfg.tick_interval_s *. 1e9);
+    ticks = 0;
     stop_poll = false;
   }
 
@@ -378,6 +365,11 @@ let poll_stop t should_stop =
         if should_stop () then t.shutdown <- true)
   end
 
+let stats_due t =
+  match t.on_stats with
+  | Some _ when t.cfg.stats_interval_s > 0.0 -> Some (t.last_stats +. (t.cfg.stats_interval_s *. 1e9))
+  | Some _ | None -> None
+
 let periodic_stats t =
   match t.on_stats with
   | Some f when t.cfg.stats_interval_s > 0.0 ->
@@ -396,6 +388,31 @@ let write_pending t =
   Hashtbl.fold (fun _ c acc -> if has_output c then c :: acc else acc) t.conns []
   |> List.iter (handle_writable t)
 
+(* The deadline that closes an under-filled batch counts ticks of
+   [tick_interval_s] wall time on a grid from [start_wall], however many
+   rounds client frames or a landing batch add in between. *)
+let tick_ns t = t.cfg.tick_interval_s *. 1e9
+
+(* The longest [select] sleeps. Frames, a landing batch (the engine
+   domain's pipe) and writable sockets wake it on their own; the cap
+   bounds how long a [should_stop] poll (an orphan check, a signal flag)
+   waits when nothing else happens. *)
+let idle_cap_s = 0.05
+
+(* Sleep until the open batch's deadline tick, the next stats flush or
+   the idle cap, whichever comes first. A deadline already reached waits
+   for the running batch to land, which wakes [select] itself. *)
+let select_timeout t =
+  let now = Nv_util.Clock.now_ns () in
+  let wake = now +. (idle_cap_s *. 1e9) in
+  let wake =
+    match Batcher.ticks_to_deadline t.batcher with
+    | Some k when k > 0 -> Float.min wake (t.start_wall +. (float_of_int (t.ticks + k) *. tick_ns t))
+    | Some _ | None -> wake
+  in
+  let wake = match stats_due t with Some due -> Float.min wake due | None -> wake in
+  Float.max 0.0 ((wake -. now) /. 1e9)
+
 let step t =
   let reads =
     Engine_domain.wake_fd t.engine :: t.listen_fd
@@ -404,11 +421,17 @@ let step t =
   let writes =
     Hashtbl.fold (fun fd c acc -> if has_output c then fd :: acc else acc) t.conns []
   in
-  let timeout = Float.max 0.0 ((t.next_tick -. Nv_util.Clock.now_ns ()) /. 1e9) in
   let readable, _, _ =
-    try Unix.select reads writes [] timeout
+    try Unix.select reads writes [] (select_timeout t)
     with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
   in
+  (* Count the ticks that fell while [select] slept before reading, so
+     calls admitted below carry the current tick. *)
+  let due = int_of_float ((Nv_util.Clock.now_ns () -. t.start_wall) /. tick_ns t) in
+  if due > t.ticks then begin
+    Batcher.advance t.batcher (due - t.ticks);
+    t.ticks <- due
+  end;
   if List.mem t.listen_fd readable then accept_new t;
   List.iter
     (fun fd ->
@@ -416,17 +439,10 @@ let step t =
       | Some conn -> handle_readable t conn
       | None -> ())
     readable;
-  (* The deadline that closes an under-filled batch counts ticks of
-     [tick_interval_s] wall time, however many rounds client frames or a
-     landing batch add in between. Every round lands a batch the engine
-     domain finished (its pipe woke this round), so the replies it
-     queued go out below, in this same round. *)
-  let now = Nv_util.Clock.now_ns () in
-  if now >= t.next_tick then begin
-    t.next_tick <- now +. (t.cfg.tick_interval_s *. 1e9);
-    Batcher.tick t.batcher
-  end
-  else Batcher.poll t.batcher;
+  (* Close a batch the frames above filled. Every round also lands a
+     batch the engine domain finished (its pipe woke this round), so the
+     replies it queued go out below, in this same round. *)
+  Batcher.advance t.batcher 0;
   periodic_stats t;
   Hashtbl.iter (fun _ conn -> maybe_finish_bye t conn) t.conns;
   write_pending t

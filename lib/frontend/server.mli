@@ -2,9 +2,10 @@
     feeding one {!Batcher}.
 
     Two domains. The I/O loop is non-blocking and [Unix.select]-driven
-    — every select round is one batcher tick, so the batch deadline is
-    measured in event-loop rounds — and it reads, admits, forms and
-    journals batches and writes replies. Each journaled batch runs on
+    — batcher deadline ticks fall every [tick_interval_s] of wall time,
+    and [select] sleeps until the open batch's deadline, the next stats
+    flush or at most 50 ms — and it reads, admits, forms and journals
+    batches and writes replies. Each journaled batch runs on
     an {!Engine_domain}, which owns the engine while it executes; its
     wake pipe sits in the select read set, so a finished batch lands
     (and its replies go out) in the round it finishes. The next batch
@@ -23,12 +24,12 @@
     is re-raised from {!serve} once its batch lands, after the engine
     domain is joined and every connection closed. *)
 
-type address = [ `Unix of string | `Tcp of string * int ]
+type address = Address.t
 
 type config = private {
   address : address;
   batcher : Batcher.config;
-  tick_interval_s : float;  (** wall time per batcher deadline tick *)
+  tick_interval_s : float;  (** wall time per batcher deadline tick (positive) *)
   once : bool;  (** exit once all clients of a first wave disconnected *)
   stats_interval_s : float;
       (** period of the [on_stats] live-stats flush; 0 (default)
@@ -79,7 +80,9 @@ val serve :
     the first wave of clients has disconnected), drain, and report.
     [should_stop] is polled once per loop round while no batch
     executes (else when the executing one lands), so it may read
-    engine state.
+    engine state; an idle loop still runs a round every 50 ms.
+    @raise Address.Unresolved if the listen host does not resolve
+    (before anything is started).
     [shards] is the execution seam: {!Shard_set.local} over a loaded
     engine for classic single-shard serving, {!Shard_set.cluster} to
     route every batch across a multi-shard deployment — the serving

@@ -176,24 +176,6 @@ let handle t (req : Wire.request) : Wire.response =
 
 type conn = { fd : Unix.file_descr; reader : Wire.Reader.t; mutable gen : int option }
 
-let bind_listen = function
-  | `Unix path ->
-      if Sys.file_exists path then Sys.remove path;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 16;
-      fd
-  | `Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      let addr =
-        try Unix.inet_addr_of_string host
-        with _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      Unix.bind fd (Unix.ADDR_INET (addr, port));
-      Unix.listen fd 16;
-      fd
-
 let write_all fd b =
   let len = Bytes.length b in
   let off = ref 0 in
@@ -205,7 +187,7 @@ let write_all fd b =
 
 let serve t ~address ~should_stop =
   if not Sys.win32 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let listen_fd = bind_listen address in
+  let listen_fd = Address.listen ~backlog:16 address in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 4 in
   let close_conn c =
     Hashtbl.remove conns c.fd;

@@ -69,7 +69,7 @@ val handle : t -> Wire.request -> Wire.response
     identity and fences router generations: once a newer generation has
     said hello, older generations are refused. *)
 
-val serve : t -> address:[ `Unix of string | `Tcp of string * int ] -> should_stop:(unit -> bool) -> unit
+val serve : t -> address:Address.t -> should_stop:(unit -> bool) -> unit
 (** Synchronous shard server: accept connections, require [Shard_hello]
     first, serve the shard plane until [should_stop ()]. A connection
     whose generation is superseded mid-flight is fenced (its frames are

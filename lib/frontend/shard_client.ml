@@ -1,4 +1,4 @@
-type address = [ `Unix of string | `Tcp of string * int ]
+type address = Address.t
 
 exception Down of string
 
@@ -6,29 +6,16 @@ type t = { fd : Unix.file_descr; reader : Wire.Reader.t }
 
 let down fmt = Printf.ksprintf (fun s -> raise (Down s)) fmt
 
-let sockaddr = function
-  | `Unix path -> Unix.ADDR_UNIX path
-  | `Tcp (host, port) ->
-      let addr =
-        try Unix.inet_addr_of_string host
-        with _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      Unix.ADDR_INET (addr, port)
-
 (* A shard being (re)spawned takes a moment to bind; retry inside the
-   deadline rather than pushing every boot race onto the caller. *)
+   deadline rather than pushing every boot race onto the caller. A host
+   that does not resolve is no boot race: it is down at once. *)
 let connect ?(retry_timeout_s = 10.0) address =
   let deadline = Unix.gettimeofday () +. retry_timeout_s in
   let rec go () =
-    let fd =
-      Unix.socket
-        (match address with `Unix _ -> Unix.PF_UNIX | `Tcp _ -> Unix.PF_INET)
-        Unix.SOCK_STREAM 0
-    in
-    match Unix.connect fd (sockaddr address) with
-    | () -> { fd; reader = Wire.Reader.create () }
+    match Address.connect address with
+    | fd -> { fd; reader = Wire.Reader.create () }
+    | exception Address.Unresolved host -> down "connect: cannot resolve host %s" host
     | exception Unix.Unix_error (e, _, _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
         if Unix.gettimeofday () >= deadline then
           down "connect: %s" (Unix.error_message e)
         else begin

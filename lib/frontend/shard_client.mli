@@ -9,7 +9,7 @@
     missing reconnaissance state), which calls for re-driving the
     protocol, not the process. *)
 
-type address = [ `Unix of string | `Tcp of string * int ]
+type address = Address.t
 
 exception Down of string
 (** The shard is unreachable or the connection broke mid-request. *)
@@ -19,7 +19,8 @@ type t
 val connect : ?retry_timeout_s:float -> address -> t
 (** Connect, retrying a refused/missing endpoint until the deadline
     (default 10 s) — a freshly (re)spawned shard needs a moment to
-    bind. @raise Down once the deadline passes. *)
+    bind. @raise Down once the deadline passes, or at once if the host
+    does not resolve. *)
 
 val close : t -> unit
 

@@ -574,7 +574,7 @@ let test_session_visibility () =
   for req = 0 to 11 do
     assert (Test_frontend.submit_one b w a ~req = `Admitted)
   done;
-  F_batcher.tick b;
+  F_batcher.advance b 1;
   (* Nothing visible before the epoch runs. *)
   Alcotest.(check int) "no replies" 0 (List.length (session_outcomes a));
   Alcotest.(check int) "queued" 12 (F_batcher.pending b);
@@ -598,7 +598,7 @@ let test_session_auto_flush () =
   let a = Test_frontend.mk_client ~seed:6 b in
   for req = 0 to 11 do
     assert (Test_frontend.submit_one b w a ~req = `Admitted);
-    F_batcher.tick b
+    F_batcher.advance b 1
   done;
   (* Two batches closed at the target (after submissions 5 and 10). *)
   Alcotest.(check int) "two epochs ran" 2 (F_batcher.epochs_run b);

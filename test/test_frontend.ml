@@ -317,7 +317,7 @@ let test_session_empty_flush spec () =
   let b = mk_batcher spec w in
   let a = mk_client b in
   F_batcher.flush b;
-  F_batcher.tick b;
+  F_batcher.advance b 1;
   Alcotest.(check int) "no epoch for an empty batch" 0 (F_batcher.epochs_run b);
   assert (F_batcher.pending b = 0);
   assert (!(a.results) = [])
@@ -330,7 +330,7 @@ let test_session_result_gating spec () =
   let before = F_batcher.state_digest b in
   assert (submit_one b w a ~req:1 = `Admitted);
   assert (submit_one b w a ~req:2 = `Admitted);
-  F_batcher.tick b;
+  F_batcher.advance b 1;
   (* Before the epoch runs: no reply, and the committed state is
      untouched. *)
   assert (!(a.results) = []);
@@ -355,14 +355,14 @@ let test_session_auto_flush_exact spec () =
   let a = mk_client ~seed:4 b in
   assert (submit_one b w a ~req:0 = `Admitted);
   assert (submit_one b w a ~req:1 = `Admitted);
-  F_batcher.tick b;
+  F_batcher.advance b 1;
   (* Two admissions: below target, still pending. *)
   Alcotest.(check int) "no epoch below target" 0 (F_batcher.epochs_run b);
   Alcotest.(check int) "pending" 2 (F_batcher.pending b);
   (* The third reaches the target exactly: the next tick runs the
      epoch and answers all three, bar what Aria defers to the next. *)
   assert (submit_one b w a ~req:2 = `Admitted);
-  F_batcher.tick b;
+  F_batcher.advance b 1;
   Alcotest.(check int) "one epoch at target" 1 (F_batcher.epochs_run b);
   let deferred = F_batcher.carryover_len b in
   Alcotest.(check int) "only deferrals pending" deferred (F_batcher.pending b);
@@ -385,7 +385,7 @@ let test_batcher_size_close spec () =
      checkpoints: nothing has fired yet even though the target is met. *)
   assert (!(a.results) = [] && !(c.results) = []);
   assert (F_batcher.pending b = 8);
-  F_batcher.tick b;
+  F_batcher.advance b 1;
   (* Size target reached: one tick closes and runs exactly one epoch. *)
   Alcotest.(check int) "epochs" 1 (F_batcher.epochs_run b);
   assert (F_batcher.pending b = 0);
@@ -412,10 +412,10 @@ let test_batcher_deadline_close () =
     ignore (submit_one b w a ~req:i)
   done;
   (* Under-filled batch: the deadline, not the size target, closes it. *)
-  F_batcher.tick b;
-  F_batcher.tick b;
+  F_batcher.advance b 1;
+  F_batcher.advance b 1;
   assert (F_batcher.epochs_run b = 0 && !(a.results) = []);
-  F_batcher.tick b;
+  F_batcher.advance b 1;
   Alcotest.(check int) "epochs after deadline" 1 (F_batcher.epochs_run b);
   Alcotest.(check int) "replies" 5 (List.length !(a.results))
 
@@ -483,7 +483,7 @@ let test_batcher_determinism spec () =
           ignore (submit_one b w cl ~req:((round * 10) + k + (i * 1000)))
         done)
       clients;
-    F_batcher.tick b
+    F_batcher.advance b 1
   done;
   F_batcher.drain b;
   let digest_served = F_batcher.state_digest b in
@@ -915,7 +915,7 @@ let test_batcher_journal_full spec () =
         | `Admitted -> ()
         | `Rejected _ | `Replayed _ | `Duplicate -> Alcotest.fail "unexpected submit outcome")
       clients;
-    F_batcher.tick b
+    F_batcher.advance b 1
   done;
   F_batcher.drain b;
   Alcotest.(check bool) "calls past capacity refused" true (!overloaded > 0);
@@ -956,7 +956,7 @@ let test_batcher_journal_replay spec () =
   let clients = Array.init 8 (fun i -> mk_client ~seed:(40 + i) b) in
   for round = 0 to 11 do
     Array.iteri (fun i cl -> ignore (submit_one b w cl ~req:(round + (i * 1000)))) clients;
-    F_batcher.tick b
+    F_batcher.advance b 1
   done;
   F_batcher.drain b;
   let records = journaled_batches j ~path in
@@ -999,7 +999,7 @@ let test_restart_checkpoint_twin () =
   let clients = Array.init 4 (fun i -> mk_client ~seed:(60 + i) b) in
   let round b clients r =
     Array.iteri (fun i cl -> ignore (submit_one b w cl ~req:(r + (i * 1000)))) clients;
-    F_batcher.tick b
+    F_batcher.advance b 1
   in
   for r = 0 to 5 do
     round b clients r
@@ -1057,7 +1057,7 @@ let test_restart_files_match_recorded () =
   let clients = Array.init 4 (fun i -> mk_client ~seed:(60 + i) b) in
   let round r =
     Array.iteri (fun i cl -> ignore (submit_one b w cl ~req:(r + (i * 1000)))) clients;
-    F_batcher.tick b
+    F_batcher.advance b 1
   in
   for r = 0 to 5 do
     round r
@@ -1122,7 +1122,7 @@ let test_batcher_aria_overload_carryover () =
               Alcotest.fail "unexpected submit result"
         done)
       clients;
-    F_batcher.tick b
+    F_batcher.advance b 1
   done;
   Alcotest.(check bool) "conflicts actually deferred" true (F_batcher.deferred_total b > 0);
   Alcotest.(check bool) "overload actually rejected" true (!rejected > 0);
@@ -1238,6 +1238,104 @@ let test_server_should_stop () =
   Alcotest.(check int) "server agrees on commits" lstats.F_loadgen.committed
     sstats.F_server.committed;
   Alcotest.(check bool) "socket removed on exit" false (Sys.file_exists path)
+
+(* Serve [w] on a fresh unix socket from a thread until [stop] returns
+   true (polled once per loop round); [client] runs once the socket
+   exists. Returns the server's stats. *)
+let serve_in_thread ?(batcher = F_batcher.config ()) w name ~stop client =
+  let path = tmpfile name in
+  if Sys.file_exists path then Sys.remove path;
+  let engine = loaded_engine spec_serial w in
+  let scfg = F_server.config ~batcher ~tick_interval_s:0.002 (`Unix path) in
+  let stats = ref None in
+  let th =
+    Thread.create
+      (fun () ->
+        stats :=
+          Some
+            (F_server.serve ~should_stop:stop ~shards:(local_set engine w)
+               ~registry:(F_proc.of_workload w) ~tables:w.W.tables scfg))
+      ()
+  in
+  let waited = ref 0 in
+  while (not (Sys.file_exists path)) && !waited < 5000 do
+    Thread.delay 0.001;
+    incr waited
+  done;
+  client path;
+  Thread.join th;
+  match !stats with Some s -> s | None -> Alcotest.fail "server died"
+
+(* With nothing pending and no batch running, the loop sleeps up to its
+   50 ms cap instead of waking on every 2 ms tick: half a second idle
+   costs about ten rounds (a loop that wakes every tick makes about
+   240). *)
+let test_idle_server_sleeps () =
+  let rounds = ref 0 in
+  let t0 = Unix.gettimeofday () in
+  let stop () =
+    incr rounds;
+    Unix.gettimeofday () -. t0 > 0.5
+  in
+  ignore (serve_in_thread (small_ycsb ()) "idle.sock" ~stop (fun _ -> ()));
+  Alcotest.(check bool) (Printf.sprintf "%d idle rounds in 0.5 s < 40" !rounds) true (!rounds < 40)
+
+(* An under-filled batch still closes at its deadline, 8 ticks of 2 ms
+   after its call arrives: the loop wakes for it, not at the idle cap,
+   and not earlier. *)
+let test_deadline_wakes_the_loop () =
+  let w = small_ycsb () in
+  let batcher = F_batcher.config ~batch_target:256 ~deadline_ticks:8 () in
+  let done_ = ref false in
+  let lat = ref (Nv_util.Histogram.create ()) in
+  ignore
+    (serve_in_thread ~batcher w "deadline.sock"
+       ~stop:(fun () -> !done_)
+       (fun path ->
+         let lstats =
+           F_loadgen.run (F_loadgen.config ~clients:1 ~txns_per_client:10 ~seed:3 (`Unix path)) w
+         in
+         lat := lstats.F_loadgen.latency;
+         done_ := true));
+  let ms p = Nv_util.Histogram.percentile !lat p /. 1e6 in
+  Alcotest.(check int) "all answered" 10 (Nv_util.Histogram.count !lat);
+  (* The first tick after an arrival falls within one tick, so the
+     deadline is at least 7 ticks away. *)
+  Alcotest.(check bool) (Printf.sprintf "min %.1f ms >= 13 ms" (ms 0.0)) true (ms 0.0 >= 13.0);
+  Alcotest.(check bool) (Printf.sprintf "p50 %.1f ms < 40 ms" (ms 50.0)) true (ms 50.0 < 40.0)
+
+(* A host name that does not resolve is refused with a typed error
+   before any socket or domain exists: no descriptor leaks, and the
+   shard plane reports the peer down. *)
+let test_unresolvable_host () =
+  let module A = Nv_frontend.Address in
+  let bad = `Tcp ("no-such-host.invalid", 9) in
+  let open_fds () =
+    if Sys.file_exists "/proc/self/fd" then Array.length (Sys.readdir "/proc/self/fd") else 0
+  in
+  let fds = open_fds () in
+  let unresolved what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: resolved an unresolvable host" what
+    | exception A.Unresolved host -> Alcotest.(check string) what "no-such-host.invalid" host
+  in
+  unresolved "sockaddr" (fun () -> ignore (A.sockaddr bad));
+  unresolved "connect" (fun () -> ignore (A.connect bad));
+  unresolved "listen" (fun () -> ignore (A.listen ~backlog:1 bad));
+  let w = small_ycsb () in
+  unresolved "serve" (fun () ->
+      ignore
+        (F_server.serve ~shards:(local_set (loaded_engine spec_serial w) w)
+           ~registry:(F_proc.of_workload w) ~tables:w.W.tables (F_server.config bad)));
+  unresolved "loadgen" (fun () -> ignore (F_loadgen.run (F_loadgen.config bad) w));
+  (match Nv_frontend.Shard_client.connect ~retry_timeout_s:30.0 bad with
+  | _ -> Alcotest.fail "shard client resolved an unresolvable host"
+  | exception Nv_frontend.Shard_client.Down _ -> ());
+  Alcotest.(check int) "no descriptor leaked" fds (open_fds ());
+  Alcotest.(check string) "a dotted address needs no lookup" "127.0.0.1"
+    (match A.sockaddr (`Tcp ("127.0.0.1", 9)) with
+    | Unix.ADDR_INET (a, 9) -> Unix.string_of_inet_addr a
+    | _ -> "?")
 
 (* ------------------------------------------------------------------ *)
 (* Garbage on the served path: malformed frames are answered with
@@ -1658,7 +1756,7 @@ let pipeline_run ~pipelined spec (w : W.t) ~rounds =
       grant g;
       F_batcher.settle b
     done;
-    F_batcher.tick b;
+    F_batcher.advance b 1;
     if F_batcher.in_flight b = 2 then incr overlapped
   done;
   grant ~n:1_000_000 g;
@@ -1708,7 +1806,7 @@ let test_pipeline_kill_mid_batch () =
         ignore (submit_one b w cl ~req:((2 * r) + (i * 1000)));
         ignore (submit_one b w cl ~req:((2 * r) + 1 + (i * 1000))))
       clients;
-    F_batcher.tick b
+    F_batcher.advance b 1
   in
   round 0;
   grant g;
@@ -1908,6 +2006,11 @@ let suites =
       [
         Alcotest.test_case "serve + loadgen over a unix socket" `Quick test_socket_end_to_end;
         Alcotest.test_case "should_stop drains and exits cleanly" `Quick test_server_should_stop;
+        Alcotest.test_case "an idle server sleeps between rounds" `Quick test_idle_server_sleeps;
+        Alcotest.test_case "an under-filled batch closes at its deadline" `Quick
+          test_deadline_wakes_the_loop;
+        Alcotest.test_case "an unresolvable host is refused, not a crash" `Quick
+          test_unresolvable_host;
         Alcotest.test_case "garbage frames cost only their connection (serial)" `Quick
           (test_socket_garbage_resilience spec_serial);
         Alcotest.test_case "garbage frames cost only their connection (aria)" `Quick
