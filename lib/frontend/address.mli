@@ -21,5 +21,7 @@ val listen : backlog:int -> t -> Unix.file_descr
 
 val connect : t -> Unix.file_descr
 (** A blocking stream socket connected to the address, closed again if
-    the connect fails.
+    the connect fails (a reconnect loop that backs off on failures
+    leaks no descriptors: against a crash-looping server they would
+    climb past FD_SETSIZE and turn every later [select] into EINVAL).
     @raise Unresolved as {!sockaddr}. *)

@@ -1,7 +1,7 @@
 module Rng = Nv_util.Rng
 
 type config = {
-  address : Server.address;
+  address : Address.t;
   clients : int;
   txns_per_client : int;
   seed : int;
@@ -67,12 +67,6 @@ type client = {
   latency : Nv_util.Histogram.t;  (** submit-to-answer wall ns, this client *)
 }
 
-(* A failed connect closes the socket it opened ({!Address.connect}):
-   the reconnect path swallows the error and backs off, and against a
-   crash-looping server leaked descriptors would otherwise climb past
-   FD_SETSIZE and turn every later [select] into EINVAL. A host that
-   does not resolve raises {!Address.Unresolved} out of [run]. *)
-let connect_fd = Address.connect
 
 let write_all fd b =
   let len = Bytes.length b in
@@ -168,7 +162,7 @@ let try_reconnect cfg c =
   if c.connected_once && not cfg.reconnect then fatal c
   else if Unix.gettimeofday () -. c.down_since > cfg.retry_timeout_s then fatal c
   else
-    match connect_fd cfg.address with
+    match Address.connect cfg.address with
     | exception Unix.Unix_error _ -> schedule_backoff c
     | fd -> (
         Unix.set_nonblock fd;
@@ -302,7 +296,7 @@ let run cfg (w : Nv_workloads.Workload.t) =
     (fun c ->
       if cfg.reconnect then try_reconnect cfg c
       else begin
-        let fd = connect_fd cfg.address in
+        let fd = Address.connect cfg.address in
         Unix.set_nonblock fd;
         c.fd <- Some fd;
         c.phase <- Awaiting_hello;
@@ -335,7 +329,7 @@ let run cfg (w : Nv_workloads.Workload.t) =
     Array.iter (fun c -> try pump cfg w c with Conn_lost -> lose_conn cfg c) clients
   done;
   if cfg.shutdown then begin
-    match connect_fd cfg.address with
+    match Address.connect cfg.address with
     | exception Unix.Unix_error _ -> ()
     | fd ->
         (try write_all fd (Wire.encode_request Wire.Shutdown) with Conn_lost -> ());

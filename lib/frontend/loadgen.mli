@@ -18,7 +18,7 @@
     unreachable past [retry_timeout_s] fails the client. *)
 
 type config = private {
-  address : Server.address;
+  address : Address.t;
   clients : int;
   txns_per_client : int;
   seed : int;
@@ -38,7 +38,7 @@ val config :
   ?shutdown:bool ->
   ?reconnect:bool ->
   ?retry_timeout_s:float ->
-  Server.address ->
+  Address.t ->
   config
 (** Defaults: 8 clients x 100 txns, seed 42, window 1, no think time,
     no shutdown, no reconnect, 30 s retry timeout. *)

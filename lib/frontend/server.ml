@@ -1,7 +1,5 @@
-type address = Address.t
-
 type config = {
-  address : address;
+  address : Address.t;
   batcher : Batcher.config;
   tick_interval_s : float;
   once : bool;
@@ -365,22 +363,23 @@ let poll_stop t should_stop =
         if should_stop () then t.shutdown <- true)
   end
 
+(* Wall ns at which the next periodic stats flush is due, if any. *)
 let stats_due t =
   match t.on_stats with
   | Some _ when t.cfg.stats_interval_s > 0.0 -> Some (t.last_stats +. (t.cfg.stats_interval_s *. 1e9))
   | Some _ | None -> None
 
 let periodic_stats t =
-  match t.on_stats with
-  | Some f when t.cfg.stats_interval_s > 0.0 ->
+  match (t.on_stats, stats_due t) with
+  | Some f, Some due ->
       let now = Nv_util.Clock.now_ns () in
-      if now -. t.last_stats >= t.cfg.stats_interval_s *. 1e9 then begin
+      if now >= due then begin
         (* Stamped now, so a batch still running does not queue a
            second flush behind this one. *)
         t.last_stats <- now;
         Batcher.at_boundary t.batcher (fun () -> f (live_stats_json t))
       end
-  | Some _ | None -> ()
+  | _ -> ()
 
 (* Collected first: a failed write closes its connection, which removes
    it from [conns]. *)

@@ -24,10 +24,8 @@
     is re-raised from {!serve} once its batch lands, after the engine
     domain is joined and every connection closed. *)
 
-type address = Address.t
-
 type config = private {
-  address : address;
+  address : Address.t;
   batcher : Batcher.config;
   tick_interval_s : float;  (** wall time per batcher deadline tick (positive) *)
   once : bool;  (** exit once all clients of a first wave disconnected *)
@@ -41,7 +39,7 @@ val config :
   ?tick_interval_s:float ->
   ?once:bool ->
   ?stats_interval_s:float ->
-  address ->
+  Address.t ->
   config
 
 type recovery = {

@@ -1,5 +1,3 @@
-type address = Address.t
-
 exception Down of string
 
 type t = { fd : Unix.file_descr; reader : Wire.Reader.t }

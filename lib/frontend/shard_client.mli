@@ -9,14 +9,12 @@
     missing reconnaissance state), which calls for re-driving the
     protocol, not the process. *)
 
-type address = Address.t
-
 exception Down of string
 (** The shard is unreachable or the connection broke mid-request. *)
 
 type t
 
-val connect : ?retry_timeout_s:float -> address -> t
+val connect : ?retry_timeout_s:float -> Address.t -> t
 (** Connect, retrying a refused/missing endpoint until the deadline
     (default 10 s) — a freshly (re)spawned shard needs a moment to
     bind. @raise Down once the deadline passes, or at once if the host

@@ -15,7 +15,7 @@ type call = {
 type remote = {
   r_shard : int;
   r_shards : int;
-  r_address : Shard_client.address;
+  r_address : Address.t;
   r_retry_s : float;
   r_respawn : (unit -> unit) option;
   r_gen : int;

@@ -41,7 +41,7 @@ val remote :
   gen:int ->
   shard:int ->
   shards:int ->
-  Shard_client.address ->
+  Address.t ->
   member
 (** A member behind a socket. [gen] is this router's generation (sent
     in every handshake; shards fence older generations). [respawn] is
