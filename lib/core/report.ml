@@ -73,9 +73,9 @@ let zero_epoch_stats =
   }
 
 (* Sum phase durations by name. Names keep their order of first
-   appearance (left operand first), so folding shards in core order
-   gives one deterministic result, and the grouping of the fold does
-   not change which names appear or their order. *)
+   appearance (left operand first), so a fold in a fixed order gives
+   one deterministic result, and the grouping of the fold does not
+   change which names appear or their order. *)
 let merge_phases a b =
   let merged =
     List.map
@@ -85,12 +85,9 @@ let merge_phases a b =
   in
   merged @ List.filter (fun (name, _) -> not (List.mem_assoc name a)) b
 
-(* Combine two shards of one epoch's statistics. Counters add; the
-   duration is the slowest shard (cores run the epoch's phases between
-   shared barriers, so epoch duration is a max, not a sum); [epoch] and
-   [txns] describe the whole epoch, identical in every real shard, so
-   max keeps them stable against zero shards. Associative, with
-   [zero_epoch_stats] as identity. *)
+(* Combine two epoch reports, as [Runner] and the served benchmark do
+   to total a run. Counters add; the duration, [epoch] and [txns] take
+   the max. Associative, with [zero_epoch_stats] as identity. *)
 let merge_epoch_stats a b =
   {
     epoch = max a.epoch b.epoch;

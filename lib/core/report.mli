@@ -29,13 +29,11 @@ val zero_epoch_stats : epoch_stats
 (** Identity element of {!merge_epoch_stats}. *)
 
 val merge_epoch_stats : epoch_stats -> epoch_stats -> epoch_stats
-(** Combine two shards of epoch statistics: counters add, [duration_ns]
-    takes the slower shard (phases run between shared barriers),
-    [epoch]/[txns] take the max (identical in every non-zero shard),
-    and [phases] are summed by name keeping first-appearance order.
-    Associative with identity {!zero_epoch_stats}, so per-core shards
-    may be folded in any grouping — the engine folds them in core
-    order. *)
+(** Combine two epoch reports (a run's total): counters add,
+    [duration_ns], [epoch] and [txns] take the max, and [phases] are
+    summed by name keeping first-appearance order. Associative with
+    identity {!zero_epoch_stats}, so reports may be folded in any
+    grouping. *)
 
 type mem_report = {
   nvmm_rows : int;  (** persistent row bytes in use *)

@@ -48,9 +48,8 @@ let collect ~label ~txns ~committed ~aborted ~sim_ns ~stats_list ~mem =
   let latency = Nv_util.Histogram.create () in
   List.iter (fun (e : Report.epoch_stats) -> Nv_util.Histogram.add latency e.Report.duration_ns)
     stats_list;
-  (* Counter totals come from the associative epoch-stats merge (the
-     same fold the engine applies to its per-core shards), not from
-     per-field sums. *)
+  (* Counter totals come from the associative epoch-stats merge, not
+     from per-field sums. *)
   let total =
     List.fold_left Report.merge_epoch_stats Report.zero_epoch_stats stats_list
   in

@@ -1,7 +1,7 @@
-(* The merge algebra the engine folds its per-core meters with, and the
+(* The merge algebra a run's epoch reports are totalled with, and the
    histogram merge loadgen combines its clients' latencies with: both
-   must be associative with an identity, so any grouping of shards
-   folds to one result. *)
+   must be associative with an identity, so any grouping folds to one
+   result. *)
 
 open Nvcaracal
 module Histogram = Nv_util.Histogram
@@ -37,7 +37,7 @@ let test_epoch_stats_merge () =
   (* Identity. *)
   Alcotest.(check bool) "left identity" true (m Report.zero_epoch_stats a = a);
   Alcotest.(check bool) "right identity" true (m a Report.zero_epoch_stats = a);
-  (* Associativity — the property that lets per-core shards fold in any
+  (* Associativity — the property that lets a run's epochs fold in any
      grouping. *)
   Alcotest.(check bool) "associative" true (m (m a b) c = m a (m b c));
   Alcotest.(check bool) "associative (rotated)" true (m (m b c) a = m b (m c a))
