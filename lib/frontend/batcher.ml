@@ -620,9 +620,6 @@ let advance t ticks =
     && can_form t
   then run t
 
-let ticks_to_deadline t =
-  if t.pending_total = 0 then None else Some (t.open_since + t.cfg.deadline_ticks - t.tick)
-
 let flush t =
   if t.pending_total > 0 then begin
     while not (can_form t) do

@@ -6,9 +6,9 @@
     drive it directly. Clients connect with a reply callback and submit
     framed procedure calls; the batcher keeps one FIFO per client,
     closes a batch when the {e size target} is reached or the
-    {e deadline} (in ticks of the caller's clock, see {!advance}) expires, runs it
-    as one engine epoch, and only then — after the epoch's checkpoint —
-    fires the replies (paper section 6.2.3). Admission is bounded:
+    {e deadline} (in ticks of the caller's clock, see {!advance})
+    expires, runs it as one engine epoch, and only then — after the
+    epoch's checkpoint — fires the replies (paper section 6.2.3). Admission is bounded:
     beyond [max_pending] queued transactions, or once an attached
     journal could not hold every unanswered call's records plus this
     one, a submit is answered [Rejected `Overloaded], never silently
@@ -145,11 +145,6 @@ val advance : t -> int -> unit
     admissions between two calls pile up to [max_pending]. An exception
     the engine raised is re-raised here, when its batch lands.
     @raise Invalid_argument if [n] is negative. *)
-
-val ticks_to_deadline : t -> int option
-(** Ticks until the open batch's deadline closes it: [None] with
-    nothing pending, 0 or less once the deadline has passed (the batch
-    then waits for room in the pipeline). *)
 
 val flush : t -> unit
 (** Close and launch the open batch now, if non-empty (first waiting

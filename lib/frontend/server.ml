@@ -58,12 +58,10 @@ type t = {
   mutable protocol_errors : int;
   mutable shutdown : bool;
   mutable draining : bool;  (** graceful stop: no new admissions *)
-  start_wall : float;
-      (** host wall ns at creation: the uptime base, and the origin of
-          the deadline-tick grid *)
+  start_wall : float;  (** host wall ns at creation (uptime base) *)
   on_stats : (string -> unit) option;  (** periodic live-stats sink *)
   mutable last_stats : float;  (** wall ns of the last periodic flush *)
-  mutable ticks : int;  (** grid ticks counted into the batcher so far *)
+  mutable next_tick : float;  (** wall ns at which the next deadline tick is due *)
   mutable stop_poll : bool;  (** a [should_stop] poll waits for a batch boundary *)
 }
 
@@ -92,7 +90,7 @@ let create ?tracer ?metrics ?journal ?on_stats ~shards ~registry ~tables (cfg : 
     start_wall = now;
     on_stats;
     last_stats = now;
-    ticks = 0;
+    next_tick = now +. (cfg.tick_interval_s *. 1e9);
     stop_poll = false;
   }
 
@@ -388,26 +386,26 @@ let write_pending t =
   |> List.iter (handle_writable t)
 
 (* The deadline that closes an under-filled batch counts ticks of
-   [tick_interval_s] wall time on a grid from [start_wall], however many
-   rounds client frames or a landing batch add in between. *)
+   [tick_interval_s] wall time, however many rounds client frames or a
+   landing batch add in between. While calls are pending, [select] wakes
+   for every tick and a round counts at most one, due [tick_interval_s]
+   after the round that counted the last; so a tick lasts the interval
+   plus the loop's wake-up lag, as it always has, and batches keep their
+   sizes. (Sleeping through to the deadline on a fixed grid closed them
+   3% smaller and phase-locked a 2 ms-paced open loop to the grid.) *)
 let tick_ns t = t.cfg.tick_interval_s *. 1e9
 
-(* The longest [select] sleeps. Frames, a landing batch (the engine
+(* With nothing pending no tick matters, so [select] sleeps until the
+   next stats flush or this cap. Frames, a landing batch (the engine
    domain's pipe) and writable sockets wake it on their own; the cap
    bounds how long a [should_stop] poll (an orphan check, a signal flag)
    waits when nothing else happens. *)
 let idle_cap_s = 0.05
 
-(* Sleep until the open batch's deadline tick, the next stats flush or
-   the idle cap, whichever comes first. A deadline already reached waits
-   for the running batch to land, which wakes [select] itself. *)
 let select_timeout t =
   let now = Nv_util.Clock.now_ns () in
-  let wake = now +. (idle_cap_s *. 1e9) in
   let wake =
-    match Batcher.ticks_to_deadline t.batcher with
-    | Some k when k > 0 -> Float.min wake (t.start_wall +. (float_of_int (t.ticks + k) *. tick_ns t))
-    | Some _ | None -> wake
+    if Batcher.pending t.batcher > 0 then t.next_tick else now +. (idle_cap_s *. 1e9)
   in
   let wake = match stats_due t with Some due -> Float.min wake due | None -> wake in
   Float.max 0.0 ((wake -. now) /. 1e9)
@@ -424,12 +422,15 @@ let step t =
     try Unix.select reads writes [] (select_timeout t)
     with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
   in
-  (* Count the ticks that fell while [select] slept before reading, so
-     calls admitted below carry the current tick. *)
-  let due = int_of_float ((Nv_util.Clock.now_ns () -. t.start_wall) /. tick_ns t) in
-  if due > t.ticks then begin
-    Batcher.advance t.batcher (due - t.ticks);
-    t.ticks <- due
+  (* Ticks slept through with nothing pending are counted before this
+     round's frames are admitted, on the same schedule, so the first
+     tick after an arrival falls where a loop that woke for every tick
+     would have counted it. *)
+  let now = Nv_util.Clock.now_ns () in
+  if Batcher.pending t.batcher = 0 && now >= t.next_tick then begin
+    let missed = 1 + int_of_float ((now -. t.next_tick) /. tick_ns t) in
+    t.next_tick <- t.next_tick +. (float_of_int missed *. tick_ns t);
+    Batcher.advance t.batcher missed
   end;
   if List.mem t.listen_fd readable then accept_new t;
   List.iter
@@ -438,10 +439,15 @@ let step t =
       | Some conn -> handle_readable t conn
       | None -> ())
     readable;
-  (* Close a batch the frames above filled. Every round also lands a
-     batch the engine domain finished (its pipe woke this round), so the
-     replies it queued go out below, in this same round. *)
-  Batcher.advance t.batcher 0;
+  (* Every round lands a batch the engine domain finished (its pipe woke
+     this round), so the replies it queued go out below, in this same
+     round. *)
+  let now = Nv_util.Clock.now_ns () in
+  if now >= t.next_tick then begin
+    t.next_tick <- now +. tick_ns t;
+    Batcher.advance t.batcher 1
+  end
+  else Batcher.advance t.batcher 0;
   periodic_stats t;
   Hashtbl.iter (fun _ conn -> maybe_finish_bye t conn) t.conns;
   write_pending t
