@@ -2,10 +2,10 @@
     feeding one {!Batcher}.
 
     Two domains. The I/O loop is non-blocking and [Unix.select]-driven
-    — batcher deadline ticks fall every [tick_interval_s] of wall time,
-    and [select] sleeps until the open batch's deadline, the next stats
-    flush or at most 50 ms — and it reads, admits, forms and journals
-    batches and writes replies. Each journaled batch runs on
+    — batcher deadline ticks fall every [tick_interval_s] of wall time
+    while calls are pending; with none pending [select] sleeps until the
+    next stats flush or at most 50 ms — and it reads, admits, forms and
+    journals batches and writes replies. Each journaled batch runs on
     an {!Engine_domain}, which owns the engine while it executes; its
     wake pipe sits in the select read set, so a finished batch lands
     (and its replies go out) in the round it finishes. The next batch
