@@ -447,7 +447,9 @@ let serve_cmd =
     Arg.(
       value & opt int 8
       & info [ "deadline-ticks" ] ~docv:"N"
-          ~doc:"Close an under-filled batch $(docv) event-loop rounds after its oldest arrival.")
+          ~doc:
+            "Close an under-filled batch $(docv) deadline ticks (2 ms of wall time each) after \
+             its oldest arrival.")
   in
   let max_pending_arg =
     Arg.(

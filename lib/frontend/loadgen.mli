@@ -62,4 +62,5 @@ type stats = {
 
 val run : config -> Nv_workloads.Workload.t -> stats
 (** Connect, drive every client to completion (Bye/Bye_ok), optionally
-    ask the server to shut down, and report aggregate outcomes. *)
+    ask the server to shut down, and report aggregate outcomes.
+    @raise Address.Unresolved if the server's host does not resolve. *)
